@@ -14,9 +14,20 @@ test suite):
 - Comparisons and arithmetic over null or mismatched types yield unknown,
   and unknown collapses to false when filtering (no full three-valued logic).
 - count() groups implicitly by all non-aggregated return items; ORDER BY and
-  LIMIT apply after projection; null sorts as the largest value.
+  LIMIT apply after projection; null sorts as the largest value, and NaN as
+  the largest number. All NaN values form one group.
 - Division by zero is a runtime error; reading a missing property is not an
   error and yields null.
+
+How it runs: ``execute`` compiles every expression once into a closure, so
+no row re-dispatches on the AST. Matching is a pipeline of generators, one
+stage per pattern part, that expands each node through the store's
+adjacency lists and filters by WHERE as bindings come out. Bindings come out
+in the order of a scan of nodes and relationships by ascending id, so the
+row order without ORDER BY does not depend on how the store is indexed.
+ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
+breaking ties by row position. Errors are raised only when a row reaches
+the part of the query that fails, so a query that matches nothing succeeds.
 
 All functions here are pure with respect to the graph, so independent
 queries may safely execute concurrently.
@@ -24,8 +35,10 @@ queries may safely execute concurrently.
 
 from __future__ import annotations
 
-import functools
-from typing import Iterator
+import heapq
+from itertools import repeat
+from operator import add, attrgetter, mul, sub
+from typing import Callable, Iterable, Iterator
 
 from ..errors import RuntimeQueryError, SemanticError, ValidationError
 from ..graph.store import Node, PropertyGraph, Relationship
@@ -36,439 +49,614 @@ from .ast import (
     FunctionCall,
     Literal,
     MapLiteral,
-    MatchClause,
     NodePattern,
-    PathPattern,
     PropertyAccess,
     Query,
     Unary,
     Variable,
     contains_aggregate,
+    expr_variables,
+    pattern_variables,
 )
 from .geo import haversine_distance
 from .records import CellValue, Point, ResultSet
 
 Binding = dict[str, Node | Relationship]
+Compiled = Callable[[dict], CellValue]
 
 
 # --- value semantics ---------------------------------------------------------
 
+# Value kinds, numbered in ORDER BY order. Numbers, strings and booleans
+# compare among themselves; maps and unknown kinds neither group nor sort.
+NUM, STR, BOOL, POINT, NODE, REL, MAP, OTHER, NULL = 1, 2, 3, 4, 5, 6, 7, 8, 9
+_KINDS = {
+    int: NUM,
+    float: NUM,
+    str: STR,
+    bool: BOOL,
+    Point: POINT,
+    Node: NODE,
+    Relationship: REL,
+    dict: MAP,
+    type(None): NULL,
+}
+_NAN_KEY = (NUM + 0.5,)  # after every number, +inf included; before strings
+_NULL_KEY = (NULL,)
+
+
+def _kind(value: CellValue) -> int:
+    found = _KINDS.get(type(value))
+    if found is None:  # a subclass of one of the value types
+        found = next((k for cls, k in _KINDS.items() if isinstance(value, cls)), OTHER)
+    return found
+
 
 def is_numeric(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    t = type(value)
+    return t is int or t is float or (t not in _KINDS and _kind(value) == NUM)
 
 
 def value_equals(a: CellValue, b: CellValue) -> bool | None:
     """Three-valued equality; ``None`` means unknown."""
-    if a is None or b is None:
+    ka = _KINDS.get(type(a)) or _kind(a)
+    if ka != (_KINDS.get(type(b)) or _kind(b)) or ka >= MAP:
         return None
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b if isinstance(a, bool) and isinstance(b, bool) else None
-    if is_numeric(a) and is_numeric(b):
-        return a == b
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    if isinstance(a, Node) and isinstance(b, Node):
-        return a.id == b.id
-    if isinstance(a, Relationship) and isinstance(b, Relationship):
-        return a.id == b.id
-    if isinstance(a, Point) and isinstance(b, Point):
-        return a == b
-    return None
+    return a == b
 
 
 def value_less_than(a: CellValue, b: CellValue) -> bool | None:
-    if a is None or b is None:
+    ka = _KINDS.get(type(a)) or _kind(a)
+    if ka != (_KINDS.get(type(b)) or _kind(b)) or ka > BOOL:
         return None
-    if isinstance(a, bool) and isinstance(b, bool):
-        return a < b
-    if isinstance(a, bool) or isinstance(b, bool):
-        return None
-    if is_numeric(a) and is_numeric(b):
-        return a < b
-    if isinstance(a, str) and isinstance(b, str):
-        return a < b
-    return None
-
-
-def compare_values(op: str, a: CellValue, b: CellValue) -> bool | None:
-    eq = value_equals(a, b)
-    if op == "=":
-        return eq
-    if op == "<>":
-        return None if eq is None else not eq
-    lt = value_less_than(a, b)
-    if op == "<":
-        return lt
-    if op == ">":
-        return value_less_than(b, a)
-    if op == "<=":
-        if eq is True or lt is True:
-            return True
-        return None if (eq is None or lt is None) else False
-    if op == ">=":
-        gt = value_less_than(b, a)
-        if eq is True or gt is True:
-            return True
-        return None if (eq is None or gt is None) else False
-    raise RuntimeQueryError(f"unknown comparison operator {op!r}")
+    return a < b
 
 
 def group_key(value: CellValue):
-    """Hashable key with the same equivalence as value_equals."""
-    if value is None:
-        return ("null",)
-    if isinstance(value, bool):
-        return ("bool", value)
-    if is_numeric(value):
-        return ("num", value)
-    if isinstance(value, str):
-        return ("str", value)
-    if isinstance(value, Node):
-        return ("node", value.id)
-    if isinstance(value, Relationship):
-        return ("rel", value.id)
-    if isinstance(value, Point):
-        return ("point", value.latitude, value.longitude)
+    """Hashable key: equal for values that group together, ordered as ORDER BY.
+
+    Equivalence is that of ``value_equals``, except that every NaN is one
+    group. Maps and unknown kinds raise ``TypeError``.
+    """
+    k = _kind(value)
+    if k <= BOOL:
+        return _NAN_KEY if value != value else (k, value)
+    if k == NODE or k == REL:
+        return (k, value.id)
+    if k == POINT:
+        return (k, value.latitude, value.longitude)
+    if k == NULL:
+        return _NULL_KEY
     raise TypeError(f"ungroupable value {value!r}")
 
 
-_SORT_RANK = {"num": 0, "str": 1, "bool": 2, "point": 3, "node": 4, "rel": 5, "null": 9}
+class _Unorderable:
+    """Sort key of a value ORDER BY cannot order; comparing it raises.
+
+    The error waits for a comparison, so a single row still sorts.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: CellValue):
+        self.value = value
+
+    def _fail(self, other):
+        raise TypeError(f"ungroupable value {self.value!r}")
+
+    __lt__ = __gt__ = __le__ = __ge__ = _fail
 
 
-def sort_compare(a: CellValue, b: CellValue) -> int:
-    """Total order used by ORDER BY; null is the largest value."""
-    ka, kb = group_key(a), group_key(b)
-    ra, rb = _SORT_RANK[ka[0]], _SORT_RANK[kb[0]]
-    if ra != rb:
-        return -1 if ra < rb else 1
-    if ka[1:] == kb[1:]:
-        return 0
-    return -1 if ka[1:] < kb[1:] else 1
+def sort_key(value: CellValue):
+    try:
+        return group_key(value)
+    except TypeError:
+        return _Unorderable(value)
 
 
-# --- expression evaluation ----------------------------------------------------
+# --- expression compilation --------------------------------------------------
 
 
-def _kleene_not(v: bool | None) -> bool | None:
-    return None if v is None else not v
+def _raiser(error: Exception) -> Compiled:
+    def fail(scope):
+        raise error
+
+    return fail
 
 
-def _as_bool(value: CellValue) -> bool | None:
-    return value if isinstance(value, bool) or value is None else None
+def _divide(a, b):
+    if b == 0:
+        raise RuntimeQueryError("division by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        quotient = abs(a) // abs(b)
+        return quotient if (a >= 0) == (b >= 0) else -quotient
+    return a / b
 
 
-def _numeric_binary(op: str, a: CellValue, b: CellValue) -> CellValue:
-    if a is None or b is None:
-        return None
-    if not (is_numeric(a) and is_numeric(b)):
-        return None
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise RuntimeQueryError("division by zero")
-        if isinstance(a, int) and isinstance(b, int):
-            quotient = abs(a) // abs(b)
-            return quotient if (a >= 0) == (b >= 0) else -quotient
-        return a / b
-    raise RuntimeQueryError(f"unknown arithmetic operator {op!r}")
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": _divide}
 
 
-def evaluate(expr: Expr, binding: Binding, env: dict[str, CellValue] | None = None) -> CellValue:
-    """Evaluate a non-aggregate expression under a binding.
+def _not_equal(a, b):
+    eq = value_equals(a, b)
+    return None if eq is None else not eq
 
-    ``env`` optionally maps projected column names to values so that ORDER BY
-    can reference aliases; it shadows nothing (pattern variables win).
+
+def _less_or_equal(a, b):
+    eq, lt = value_equals(a, b), value_less_than(a, b)
+    if eq is True or lt is True:
+        return True
+    return None if (eq is None or lt is None) else False
+
+
+_COMPARISONS = {
+    "=": value_equals,
+    "<>": _not_equal,
+    "<": value_less_than,
+    ">": lambda a, b: value_less_than(b, a),
+    "<=": _less_or_equal,
+    ">=": lambda a, b: _less_or_equal(b, a),
+}
+
+
+def _compile(expr: Expr) -> Compiled:
+    """Compile a non-aggregate expression into ``scope -> value``.
+
+    ``scope`` maps names to values: a binding, or for ORDER BY a binding laid
+    over the projected row, so pattern variables shadow column names.
     """
     if isinstance(expr, Literal):
-        return expr.value
+        value = expr.value
+        return lambda scope: value
     if isinstance(expr, Variable):
-        if expr.name in binding:
-            return binding[expr.name]
-        if env is not None and expr.name in env:
-            return env[expr.name]
-        raise SemanticError(f"variable {expr.name!r} is not bound")
+        return _compile_variable(expr.name)
     if isinstance(expr, PropertyAccess):
-        target = binding.get(expr.variable)
-        if target is None:
-            if env is not None:
-                target = env.get(expr.variable)
-            if target is None:
+        variable, key = expr.variable, expr.key
+
+        def read(scope):
+            try:  # only nodes and relationships have properties
+                return scope[variable].properties.get(key)
+            except (KeyError, AttributeError):
                 return None
-        if isinstance(target, (Node, Relationship)):
-            return target.properties.get(expr.key)
-        return None
+
+        return read
     if isinstance(expr, Unary):
+        operand = _compile(expr.operand)
         if expr.op == "NOT":
-            return _kleene_not(_as_bool(evaluate(expr.operand, binding, env)))
-        value = evaluate(expr.operand, binding, env)
-        return -value if is_numeric(value) else None
+
+            def negate(scope):
+                value = operand(scope)
+                return None if value is not True and value is not False else not value
+
+            return negate
+
+        def minus(scope):
+            value = operand(scope)
+            return -value if is_numeric(value) else None
+
+        return minus
     if isinstance(expr, Binary):
-        if expr.op == "AND":
-            left = _as_bool(evaluate(expr.left, binding, env))
-            if left is False:
-                return False
-            right = _as_bool(evaluate(expr.right, binding, env))
-            if right is False:
-                return False
-            return None if left is None or right is None else True
-        if expr.op == "OR":
-            left = _as_bool(evaluate(expr.left, binding, env))
-            if left is True:
-                return True
-            right = _as_bool(evaluate(expr.right, binding, env))
-            if right is True:
-                return True
-            return None if left is None or right is None else False
-        if expr.op in ("=", "<>", "<", "<=", ">", ">="):
-            return compare_values(expr.op, evaluate(expr.left, binding, env), evaluate(expr.right, binding, env))
-        return _numeric_binary(expr.op, evaluate(expr.left, binding, env), evaluate(expr.right, binding, env))
+        return _compile_binary(expr)
     if isinstance(expr, MapLiteral):
-        return {key: evaluate(value, binding, env) for key, value in expr.entries}  # type: ignore[return-value]
+        entries = [(key, _compile(value)) for key, value in expr.entries]
+        return lambda scope: {key: value(scope) for key, value in entries}
     if isinstance(expr, FunctionCall):
-        return _evaluate_function(expr, binding, env)
-    raise RuntimeQueryError(f"cannot evaluate expression {expr!r}")
+        return _compile_function(expr)
+    return _raiser(RuntimeQueryError(f"cannot evaluate expression {expr!r}"))
 
 
-def _evaluate_function(call: FunctionCall, binding: Binding, env) -> CellValue:
+def _compile_variable(name: str) -> Compiled:
+    def lookup(scope):
+        try:
+            return scope[name]
+        except KeyError:
+            raise SemanticError(f"variable {name!r} is not bound") from None
+
+    return lookup
+
+
+def _compile_binary(expr: Binary) -> Compiled:
+    left, right = _compile(expr.left), _compile(expr.right)
+    if expr.op == "AND":
+
+        def conjunction(scope):
+            a = left(scope)
+            if a is False:
+                return False
+            b = right(scope)
+            if b is False:
+                return False
+            return True if a is True and b is True else None
+
+        return conjunction
+    if expr.op == "OR":
+
+        def disjunction(scope):
+            a = left(scope)
+            if a is True:
+                return True
+            b = right(scope)
+            if b is True:
+                return True
+            return False if a is False and b is False else None
+
+        return disjunction
+    compare = _COMPARISONS.get(expr.op)
+    if compare is not None:
+        return lambda scope: compare(left(scope), right(scope))
+    op = expr.op
+    arithmetic = _ARITHMETIC.get(op)
+
+    def calculate(scope):
+        a, b = left(scope), right(scope)
+        if not (is_numeric(a) and is_numeric(b)):
+            return None
+        if arithmetic is None:
+            raise RuntimeQueryError(f"unknown arithmetic operator {op!r}")
+        return arithmetic(a, b)
+
+    return calculate
+
+
+def _compile_function(call: FunctionCall) -> Compiled:
     if call.name == "count":
-        raise SemanticError("count() outside of a RETURN item")
+        return _raiser(SemanticError("count() outside of a RETURN item"))
     if call.name == "point":
-        arg = evaluate(call.args[0], binding, env)
-        if not isinstance(arg, dict):
+        coordinates = _compile_coordinates(call.args[0])
+
+        def point(scope):
+            pair = coordinates(scope)
+            return None if pair is None else Point(*pair)
+
+        return point
+    if call.name == "point.distance":
+        first, second = _compile_location(call.args[0]), _compile_location(call.args[1])
+
+        def distance(scope):
+            a, b = first(scope), second(scope)
+            if a is None or b is None:
+                return None
+            try:
+                return haversine_distance(a, b)
+            except ValidationError as exc:
+                raise RuntimeQueryError(str(exc)) from exc
+
+        return distance
+    return _raiser(SemanticError(f"unknown function {call.name}()"))
+
+
+_POINT_KEYS = {"latitude", "longitude"}
+
+
+def _compile_coordinates(arg: Expr) -> Compiled:
+    """``point(arg)`` as a ``(latitude, longitude)`` pair, or None for null.
+
+    A literal ``{latitude: .., longitude: ..}`` map is read entry by entry
+    in written order, without building the map.
+    """
+    if isinstance(arg, MapLiteral) and len(arg.entries) == 2 and {k for k, _ in arg.entries} == _POINT_KEYS:
+        (first_key, first), (_, second) = [(key, _compile(value)) for key, value in arg.entries]
+        lat_first = first_key == "latitude"
+
+        def from_entries(scope):
+            a, b = first(scope), second(scope)
+            lat, lon = (a, b) if lat_first else (b, a)
+            if not (is_numeric(lat) and is_numeric(lon)):
+                return None
+            return float(lat), float(lon)
+
+        return from_entries
+    compiled = _compile(arg)
+
+    def from_map(scope):
+        value = compiled(scope)
+        if not isinstance(value, dict):
             return None
-        extra = set(arg) - {"latitude", "longitude"}
-        if extra or set(arg) != {"latitude", "longitude"}:
+        if set(value) != _POINT_KEYS:
             raise RuntimeQueryError("point() requires exactly latitude and longitude")
-        lat, lon = arg["latitude"], arg["longitude"]
-        if lat is None or lon is None:
-            return None
+        lat, lon = value["latitude"], value["longitude"]
         if not (is_numeric(lat) and is_numeric(lon)):
             return None
-        return Point(float(lat), float(lon))
-    if call.name == "point.distance":
-        a = evaluate(call.args[0], binding, env)
-        b = evaluate(call.args[1], binding, env)
-        if a is None or b is None:
-            return None
-        if not (isinstance(a, Point) and isinstance(b, Point)):
-            return None
-        try:
-            return haversine_distance((a.latitude, a.longitude), (b.latitude, b.longitude))
-        except ValidationError as exc:
-            raise RuntimeQueryError(str(exc)) from exc
-    raise SemanticError(f"unknown function {call.name}()")
+        return float(lat), float(lon)
+
+    return from_map
+
+
+def _compile_location(arg: Expr) -> Compiled:
+    """An argument of ``point.distance`` as a ``(latitude, longitude)`` pair."""
+    if isinstance(arg, FunctionCall) and arg.name == "point":
+        return _compile_coordinates(arg.args[0])
+    compiled = _compile(arg)
+
+    def location(scope):
+        value = compiled(scope)
+        return (value.latitude, value.longitude) if isinstance(value, Point) else None
+
+    return location
 
 
 # --- pattern matching ----------------------------------------------------------
 
-
-def _node_matches(node: Node, pattern: NodePattern) -> bool:
-    for label in pattern.labels:
-        if label not in node.labels:
-            return False
-    for key, literal in pattern.properties:
-        if value_equals(node.properties.get(key), literal.value) is not True:
-            return False
-    return True
+# A stage turns a stream of bindings into a stream of (binding, node) pairs,
+# or extends such pairs by one edge; the node is where the path has got to.
+# Stages are generators, so a binding is built only when the next one pulls.
+Stage = Callable[[Iterable], Iterator]
 
 
-def _edge_matches(rel: Relationship, pattern: EdgePattern) -> bool:
-    if pattern.rel_type is not None and rel.rel_type != pattern.rel_type:
-        return False
-    for key, literal in pattern.properties:
-        if value_equals(rel.properties.get(key), literal.value) is not True:
-            return False
-    return True
+def _property_test(properties) -> Callable[[dict], bool] | None:
+    """An inline property map as a test of a property dict; None if empty.
+
+    Each entry must hold ``value_equals(found, literal) is True``, checked
+    as plain equality first because most candidates fail it.
+    """
+    if not properties:
+        return None
+    entries = [(key, literal.value, _kind(literal.value)) for key, literal in properties]
+    if any(value_kind >= MAP for _, _, value_kind in entries):
+        return lambda props: False
+
+    def test(props):
+        for key, value, value_kind in entries:
+            found = props.get(key)
+            if not (found == value and _kind(found) == value_kind):
+                return False
+        return True
+
+    return test
 
 
-def _node_candidates(graph: PropertyGraph, pattern: NodePattern, binding: Binding) -> Iterator[Node]:
-    if pattern.variable and pattern.variable in binding:
-        bound = binding[pattern.variable]
-        if isinstance(bound, Node) and _node_matches(bound, pattern):
-            yield bound
-        return
-    pool = graph.nodes_with_label(pattern.labels[0]) if pattern.labels else graph.nodes()
-    for node in pool:
-        if _node_matches(node, pattern):
-            yield node
+def _node_test(pattern: NodePattern) -> Callable[[Node], bool] | None:
+    labels, props = frozenset(pattern.labels), _property_test(pattern.properties)
+    if props is None:
+        return (lambda node: labels <= node.labels) if labels else None
+    if not labels:
+        return lambda node: props(node.properties)
+    return lambda node: labels <= node.labels and props(node.properties)
 
 
-def _match_path(
-    graph: PropertyGraph, path: PathPattern, binding: Binding, used: set[int]
-) -> Iterator[tuple[Binding, set[int]]]:
-    def walk(position: int, current: Node, bound: Binding, used_edges: set[int]):
-        if position == len(path.edges):
-            yield bound, used_edges
-            return
-        edge_pat = path.edges[position]
-        next_pat = path.nodes[position + 1]
-        for rel in graph.relationships():
-            if rel.id in used_edges or not _edge_matches(rel, edge_pat):
-                continue
-            others: list[int] = []
-            if edge_pat.direction in ("right", "any") and rel.src == current.id:
-                others.append(rel.dst)
-            if edge_pat.direction in ("left", "any") and rel.dst == current.id:
-                # An undirected self-loop matches once, not once per direction.
-                if not (edge_pat.direction == "any" and rel.src == rel.dst):
-                    others.append(rel.src)
-            for other_id in others:
-                other = graph.node(other_id)
-                if not _node_matches(other, next_pat):
+def _edge_test(pattern: EdgePattern) -> Callable[[Relationship], bool] | None:
+    rel_type, props = pattern.rel_type, _property_test(pattern.properties)
+    if props is None:
+        return None if rel_type is None else (lambda rel: rel.rel_type == rel_type)
+    if rel_type is None:
+        return lambda rel: props(rel.properties)
+    return lambda rel: rel.rel_type == rel_type and props(rel.properties)
+
+
+_by_id = attrgetter("id")
+
+
+def _either_way(graph: PropertyGraph, node_id: int):
+    """Relationships at ``node_id`` in id order; a self-loop appears once."""
+    outgoing, incoming = graph.outgoing(node_id), graph.incoming(node_id)
+    if not incoming:
+        return outgoing
+    if not outgoing:
+        return incoming
+    return sorted([*outgoing, *(rel for rel in incoming if rel.src != rel.dst)], key=_by_id)
+
+
+def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str]) -> Stage:
+    test, variable = _node_test(pattern), pattern.variable
+    if variable and variable in bound:
+
+        def from_binding(stream):
+            for binding in stream:
+                node = binding[variable]
+                if isinstance(node, Node) and (test is None or test(node)):
+                    yield binding, node
+
+        return from_binding
+    if variable:
+        bound.add(variable)
+    pool: list[Node] | None = None
+
+    def scan(stream):
+        nonlocal pool
+        for binding in stream:
+            if pool is None:
+                nodes = graph.nodes_with_label(pattern.labels[0]) if pattern.labels else graph.nodes()
+                pool = nodes if test is None else [node for node in nodes if test(node)]
+            if variable:
+                for node in pool:
+                    extended = binding.copy()
+                    extended[variable] = node
+                    yield extended, node
+            else:
+                for node in pool:
+                    yield binding, node
+
+    return scan
+
+
+def _edge_stage(
+    graph: PropertyGraph, edge: EdgePattern, pattern: NodePattern, bound: set[str], used: set[int] | None
+) -> Stage:
+    edge_test, node_test = _edge_test(edge), _node_test(pattern)
+    variable, edge_variable, direction = pattern.variable, edge.variable, edge.direction
+    joins = bool(variable) and variable in bound
+    bound.update(name for name in (variable, edge_variable) if name)
+    node = graph.node
+    if direction == "right":
+        adjacent = graph.outgoing
+    elif direction == "left":
+        adjacent = graph.incoming
+    else:
+        adjacent = lambda node_id: _either_way(graph, node_id)  # noqa: E731
+
+    def expand(stream):
+        for binding, current in stream:
+            here = current.id
+            for rel in adjacent(here):
+                if used is not None and rel.id in used:
                     continue
-                new_bound = bound
-                if next_pat.variable:
-                    existing = bound.get(next_pat.variable)
-                    if existing is not None:
-                        if not (isinstance(existing, Node) and existing.id == other.id):
-                            continue
-                    else:
-                        new_bound = dict(bound)
-                        new_bound[next_pat.variable] = other
-                if edge_pat.variable:
-                    if new_bound is bound:
-                        new_bound = dict(bound)
-                    new_bound[edge_pat.variable] = rel
-                yield from walk(position + 1, other, new_bound, used_edges | {rel.id})
+                if edge_test is not None and not edge_test(rel):
+                    continue
+                other = node(rel.dst if rel.src == here else rel.src)
+                if node_test is not None and not node_test(other):
+                    continue
+                extended = binding
+                if joins:
+                    existing = binding[variable]
+                    if not (isinstance(existing, Node) and existing.id == other.id):
+                        continue
+                elif variable:
+                    extended = binding.copy()
+                    extended[variable] = other
+                if edge_variable:
+                    if extended is binding:
+                        extended = binding.copy()
+                    extended[edge_variable] = rel
+                if used is None:
+                    yield extended, other
+                else:
+                    used.add(rel.id)
+                    yield extended, other
+                    used.discard(rel.id)
 
-    first = path.nodes[0]
-    for start in _node_candidates(graph, first, binding):
-        bound = binding
-        if first.variable and first.variable not in binding:
-            bound = dict(binding)
-            bound[first.variable] = start
-        yield from walk(0, start, bound, used)
-
-
-def _match_clause(graph: PropertyGraph, clause: MatchClause, seed: Binding) -> Iterator[Binding]:
-    def extend(path_index: int, binding: Binding, used: set[int]) -> Iterator[Binding]:
-        if path_index == len(clause.paths):
-            yield binding
-            return
-        for next_binding, next_used in _match_path(graph, clause.paths[path_index], binding, used):
-            yield from extend(path_index + 1, next_binding, next_used)
-
-    yield from extend(0, seed, set())
+    return expand
 
 
 def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
     """All variable bindings satisfying the MATCH clauses and WHERE predicate."""
-    bindings: list[Binding] = [{}]
+    stream: Iterable = ({},)
+    bound: set[str] = set()
     for clause in query.matches:
-        bindings = [extended for base in bindings for extended in _match_clause(graph, clause, base)]
-    if query.where is not None:
-        bindings = [b for b in bindings if _as_bool(evaluate(query.where, b)) is True]
-    return bindings
+        # Uniqueness needs tracking only where one clause has two edges.
+        used = set() if sum(len(path.edges) for path in clause.paths) > 1 else None
+        for path in clause.paths:
+            stream = _start_stage(graph, path.nodes[0], bound)(stream)
+            for edge, pattern in zip(path.edges, path.nodes[1:]):
+                stream = _edge_stage(graph, edge, pattern, bound, used)(stream)
+            stream = (binding for binding, _ in stream)
+    if query.where is None:
+        return list(stream)
+    where = _compile(query.where)
+    return [binding for binding in stream if where(binding) is True]
 
 
 # --- projection -----------------------------------------------------------------
 
 
-def _project(query: Query, bindings: list[Binding]) -> tuple[list[str], list[tuple], list[Binding | None]]:
-    columns = [item.column_name() for item in query.items]
-    has_aggregate = any(contains_aggregate(item.expr) for item in query.items)
-
-    if not has_aggregate:
-        rows = [tuple(evaluate(item.expr, b) for item in query.items) for b in bindings]
-        return columns, rows, list(bindings)
-
-    plain_indices = [i for i, item in enumerate(query.items) if not contains_aggregate(item.expr)]
-    groups: dict[tuple, dict] = {}
-    for b in bindings:
-        plain_values = {i: evaluate(query.items[i].expr, b) for i in plain_indices}
-        key = tuple(group_key(plain_values[i]) for i in plain_indices)
-        bucket = groups.setdefault(key, {"values": plain_values, "bindings": []})
-        bucket["bindings"].append(b)
-    if not plain_indices and not groups:
-        groups[()] = {"values": {}, "bindings": []}
-
-    rows: list[tuple] = []
-    for bucket in groups.values():
-        row: list[CellValue] = []
-        for i, item in enumerate(query.items):
-            if i in plain_indices:
-                row.append(bucket["values"][i])
-            else:
-                call = item.expr
-                assert isinstance(call, FunctionCall) and call.name == "count"
-                if call.star:
-                    row.append(len(bucket["bindings"]))
-                else:
-                    row.append(
-                        sum(1 for b in bucket["bindings"] if evaluate(call.args[0], b) is not None)
-                    )
-        rows.append(tuple(row))
-    return columns, rows, [None] * len(rows)
+def _row_function(items) -> Callable[[dict], tuple]:
+    compiled = [_compile(item.expr) for item in items]
+    return lambda scope: tuple([fn(scope) for fn in compiled])
 
 
-def _order_rows(
-    query: Query,
-    columns: list[str],
-    rows: list[tuple],
-    row_bindings: list[Binding | None],
-) -> list[tuple]:
-    if not query.order_by:
-        return rows
+def _project(query: Query, bindings: list[Binding]) -> tuple[list[tuple], list[Binding] | None]:
+    """Rows, and the binding of each row; None for aggregated rows."""
+    if not any(contains_aggregate(item.expr) for item in query.items):
+        row = _row_function(query.items)
+        return [row(binding) for binding in bindings], bindings
 
-    def order_cells(row: tuple, binding: Binding | None) -> list[CellValue]:
-        env = dict(zip(columns, row))
-        cells = []
-        for entry in query.order_by:
-            if binding is None:
-                # Aggregated/distinct rows: the sort key must be a projected
-                # column (by alias or by identical expression text).
-                if isinstance(entry.expr, Variable) and entry.expr.name in env:
-                    cells.append(env[entry.expr.name])
-                    continue
-                text = entry.source_text
-                if text and text in env:
-                    cells.append(env[text])
-                    continue
+    plain = [i for i, item in enumerate(query.items) if not contains_aggregate(item.expr)]
+    key_values = _row_function([query.items[i] for i in plain]) if plain else lambda scope: ()
+    groups: dict[tuple, tuple[tuple, list[Binding]]] = {}
+    for binding in bindings:
+        values = key_values(binding)
+        key = tuple([group_key(value) for value in values])
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = (values, [binding])
+        else:
+            bucket[1].append(binding)
+    if not plain and not groups:
+        groups[()] = ((), [])
+
+    cells: list[Callable[[tuple, list[Binding]], CellValue]] = []
+    for i, item in enumerate(query.items):
+        call = item.expr
+        if i in plain:
+            cells.append(lambda values, members, at=plain.index(i): values[at])
+            continue
+        assert isinstance(call, FunctionCall) and call.name == "count"
+        if call.star:
+            cells.append(lambda values, members: len(members))
+        else:
+            arg = _compile(call.args[0])
+            cells.append(lambda values, members, arg=arg: sum(1 for b in members if arg(b) is not None))
+    rows = [tuple([cell(values, members) for cell in cells]) for values, members in groups.values()]
+    return rows, None
+
+
+# --- ordering -------------------------------------------------------------------
+
+
+def _order_value(query: Query, entry, columns: list[str], grouped: bool) -> Callable[[tuple, Binding | None], CellValue]:
+    """One ORDER BY entry as ``(row, binding) -> value``."""
+    position = {name: i for i, name in enumerate(columns)}
+    if grouped:
+        # Aggregated/distinct rows: the sort key must be a projected column
+        # (by alias or by identical expression text).
+        if isinstance(entry.expr, Variable) and entry.expr.name in position:
+            index = position[entry.expr.name]
+        elif entry.source_text and entry.source_text in position:
+            index = position[entry.source_text]
+        else:
+
+            def unreferenced(row, binding):
                 raise SemanticError("ORDER BY over aggregated or DISTINCT rows must reference a returned column")
-            cells.append(evaluate(entry.expr, binding, env))
-        return cells
 
-    decorated = [
-        (order_cells(row, binding), idx, row)
-        for idx, (row, binding) in enumerate(zip(rows, row_bindings))
-    ]
+            return unreferenced
+        return lambda row, binding: row[index]
+    compiled = _compile(entry.expr)
+    node_vars, edge_vars = pattern_variables(query)
+    if expr_variables(entry.expr) <= node_vars | edge_vars:
+        return lambda row, binding: compiled(binding)
+
+    def over_row(row, binding):
+        scope = dict(zip(columns, row))
+        scope.update(binding)
+        return compiled(scope)
+
+    return over_row
+
+
+def _order_rows(query: Query, columns: list[str], rows: list[tuple], bindings: list[Binding] | None) -> list[tuple]:
+    """Apply ORDER BY and LIMIT; ties keep row order."""
+    limit = query.limit
+    if not query.order_by or not rows:
+        return rows if limit is None else rows[:limit]
+    values = [_order_value(query, entry, columns, bindings is None) for entry in query.order_by]
+    if len(values) == 1:
+        (value,) = values
+        keys = [sort_key(value(row, binding)) for row, binding in zip(rows, bindings or repeat(None))]
+    else:
+        keys = [
+            tuple([sort_key(value(row, binding)) for value in values])
+            for row, binding in zip(rows, bindings or repeat(None))
+        ]
+
     directions = [entry.ascending for entry in query.order_by]
-
-    def compare(a, b) -> int:
-        for cell_a, cell_b, ascending in zip(a[0], b[0], directions):
-            result = sort_compare(cell_a, cell_b)
-            if result:
-                return result if ascending else -result
-        return -1 if a[1] < b[1] else (1 if a[1] > b[1] else 0)
-
-    decorated.sort(key=functools.cmp_to_key(compare))
-    return [row for _, _, row in decorated]
+    indices = range(len(rows))
+    if len(set(directions)) == 1:
+        descending = not directions[0]
+        if limit is not None and limit < len(rows):
+            top = heapq.nlargest if descending else heapq.nsmallest
+            order = top(limit, indices, key=keys.__getitem__)
+        else:
+            order = sorted(indices, key=keys.__getitem__, reverse=descending)
+    else:
+        # Stable passes from the last key to the first.
+        order = list(indices)
+        for position in reversed(range(len(directions))):
+            order.sort(key=lambda i: keys[i][position], reverse=not directions[position])
+        order = order[:limit]
+    return [rows[i] for i in order]
 
 
 def execute(graph: PropertyGraph, query: Query) -> ResultSet:
     """Execute a parsed query and return its result set."""
     bindings = enumerate_bindings(graph, query)
-    columns, rows, row_bindings = _project(query, bindings)
-
+    columns = [item.column_name() for item in query.items]
+    rows, row_bindings = _project(query, bindings)
     if query.distinct:
+        row_bindings = None  # sort keys must come from columns
         seen: set[tuple] = set()
         deduped: list[tuple] = []
-        deduped_bindings: list[Binding | None] = []
-        for row, binding in zip(rows, row_bindings):
-            key = tuple(group_key(cell) for cell in row)
+        for row in rows:
+            key = tuple([group_key(cell) for cell in row])
             if key not in seen:
                 seen.add(key)
                 deduped.append(row)
-                deduped_bindings.append(None)  # sort keys must come from columns
-        rows, row_bindings = deduped, deduped_bindings
-
-    rows = _order_rows(query, columns, rows, row_bindings)
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return ResultSet(columns=columns, rows=rows)
+        rows = deduped
+    return ResultSet(columns=columns, rows=_order_rows(query, columns, rows, row_bindings))

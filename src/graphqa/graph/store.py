@@ -5,14 +5,19 @@ directed, typed edges between existing nodes. Property values are restricted
 to 64-bit integers, finite floats, text, and booleans, and the value kind is
 preserved exactly from load through query execution to serialization.
 
-The store is intentionally minimal: a label -> node-id map is the only index.
-Mutation is single-writer (build/load phase); query execution treats the
-graph as immutable, so concurrent readers are safe.
+Two indexes sit beside the id maps: the nodes of each label, and each node's
+outgoing and incoming relationships. Ids are handed out in ascending order
+and never reused, so every map and list is kept in id order by appending and
+no read sorts. There is no property index. Mutation is single-writer
+(build/load phase); query execution treats the graph as immutable, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
@@ -100,7 +105,9 @@ class PropertyGraph:
     def __init__(self) -> None:
         self._nodes: dict[int, Node] = {}
         self._rels: dict[int, Relationship] = {}
-        self._nodes_by_label: dict[str, set[int]] = {}
+        self._nodes_by_label: defaultdict[str, list[Node]] = defaultdict(list)
+        self._outgoing: defaultdict[int, list[Relationship]] = defaultdict(list)
+        self._incoming: defaultdict[int, list[Relationship]] = defaultdict(list)
         self._next_node_id = 0
         self._next_rel_id = 0
 
@@ -117,7 +124,7 @@ class PropertyGraph:
         node = Node(node_id, frozenset(labels), dict(properties))
         self._nodes[node_id] = node
         for label in node.labels:
-            self._nodes_by_label.setdefault(label, set()).add(node_id)
+            self._nodes_by_label[label].append(node)
         return node_id
 
     def add_relationship(
@@ -134,7 +141,10 @@ class PropertyGraph:
         validate_property_map(props)
         rel_id = self._next_rel_id
         self._next_rel_id += 1
-        self._rels[rel_id] = Relationship(rel_id, src, dst, rel_type, props)
+        rel = Relationship(rel_id, src, dst, rel_type, props)
+        self._rels[rel_id] = rel
+        self._outgoing[src].append(rel)
+        self._incoming[dst].append(rel)
         return rel_id
 
     def node(self, node_id: int) -> Node:
@@ -150,13 +160,21 @@ class PropertyGraph:
             raise ValidationError(f"no relationship with id {rel_id}") from None
 
     def nodes(self) -> list[Node]:
-        return [self._nodes[i] for i in sorted(self._nodes)]
+        return list(self._nodes.values())
 
     def relationships(self) -> list[Relationship]:
-        return [self._rels[i] for i in sorted(self._rels)]
+        return list(self._rels.values())
 
     def nodes_with_label(self, label: str) -> list[Node]:
-        return [self._nodes[i] for i in sorted(self._nodes_by_label.get(label, ()))]
+        return list(self._nodes_by_label.get(label, ()))
+
+    def outgoing(self, node_id: int) -> Sequence[Relationship]:
+        """Relationships whose source is ``node_id``, in id order. Read-only."""
+        return self._outgoing.get(node_id, ())
+
+    def incoming(self, node_id: int) -> Sequence[Relationship]:
+        """Relationships whose target is ``node_id``, in id order. Read-only."""
+        return self._incoming.get(node_id, ())
 
     def stats(self) -> GraphStats:
         keys: set[str] = set()

@@ -203,3 +203,47 @@ def random_query_ast(rng: random.Random, allow_order: bool = False, max_total_ed
         order_by=order_by,
         limit=limit,
     )
+
+
+def random_scan_query(rng: random.Random) -> Query:
+    """A query with a loose pattern, so most random graphs give it many rows.
+
+    The pattern is one node, one edge, or a two-node cartesian product, with
+    no WHERE. ORDER BY takes one to three keys over mixed-kind values in
+    random directions; aggregated and DISTINCT queries order by aliases.
+    """
+    first = NodePattern("v0", (rng.choice(LABELS),) if rng.random() < 0.3 else ())
+    second = NodePattern("v1", ())
+    roll = rng.random()
+    if roll < 0.4:
+        paths, variables = (PathPattern((first,), ()),), ["v0"]
+    elif roll < 0.8:
+        rel_type = rng.choice(REL_TYPES) if rng.random() < 0.3 else None
+        edge = EdgePattern("e0", rel_type, rng.choice(["right", "left", "any"]))
+        paths, variables = (PathPattern((first, second), (edge,)),), ["v0", "v1", "e0"]
+    else:
+        paths, variables = (PathPattern((first,), ()), PathPattern((second,), ())), ["v0", "v1"]
+
+    exprs = [_random_value_expr(rng, variables) for _ in range(rng.randint(1, 3))]
+    aggregated = rng.random() < 0.3
+    if aggregated:
+        exprs.append(FunctionCall("count", (), star=True))
+    items = tuple(ReturnItem(expr=expr, alias=f"col{i}") for i, expr in enumerate(exprs))
+    distinct = not aggregated and rng.random() < 0.2
+
+    keys = []
+    for _ in range(rng.randint(1, 3)):
+        if aggregated or distinct or rng.random() < 0.3:
+            keys.append(Variable(f"col{rng.randrange(len(items))}"))
+        else:
+            keys.append(_random_value_expr(rng, variables))
+    order_by = tuple(OrderItem(expr=key, ascending=rng.random() < 0.5) for key in keys)
+    limit = rng.randint(0, 8) if rng.random() < 0.5 else None
+    return Query(
+        matches=(MatchClause(paths),),
+        where=None,
+        distinct=distinct,
+        items=items,
+        order_by=order_by,
+        limit=limit,
+    )

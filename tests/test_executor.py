@@ -6,6 +6,8 @@ import pytest
 from generators import random_graph, random_query_ast
 from oracle import cell_key, oracle_rows
 from graphqa.cypher import execute, parse_query, print_query, run_query, serialize_records
+from graphqa.cypher.ast import FunctionCall, Query, ReturnItem, Variable
+from graphqa.cypher.executor import sort_key
 from graphqa.errors import RuntimeQueryError, SemanticError
 from graphqa.graph import PropertyGraph
 
@@ -208,3 +210,77 @@ def test_executor_matches_oracle_on_random_graphs_smoke():
         engine = execute(graph, query)
         keyed = Counter(tuple(cell_key(cell) for cell in row) for row in engine.rows)
         assert keyed == oracle_rows(graph, query), print_query(query)
+
+
+# inf - inf: float arithmetic a model-written query can reach.
+NAN_EXPR = "n.x * 1e308 * 10 - n.y * 1e308 * 10"
+
+
+def nan_graph():
+    """Rows of NAN_EXPR: nan, inf, 0.0, nan, null, null, nan."""
+    g = PropertyGraph()
+    for name, x, y in [("a", 1, 1), ("b", 1, 0), ("c", 0, 0), ("d", 2, 1), ("e", None, 0), ("f", "s", 0), ("g", 3, 2)]:
+        props = {"name": name, "y": y}
+        if x is not None:
+            props["x"] = x
+        g.add_node({"A"}, props)
+    return g
+
+
+def test_nan_is_one_group_for_distinct_and_count():
+    g = nan_graph()
+    _, data = rows(g, f"MATCH (n:A) RETURN DISTINCT {NAN_EXPR} AS v")
+    assert [repr(v) for (v,) in data] == ["nan", "inf", "0.0", "None"]
+    _, data = rows(g, f"MATCH (n:A) RETURN {NAN_EXPR} AS v, count(*) AS c")
+    assert [(repr(v), c) for v, c in data] == [("nan", 3), ("inf", 1), ("0.0", 1), ("None", 2)]
+
+
+def test_nan_sorts_as_the_largest_number():
+    g = nan_graph()
+    _, data = rows(g, f"MATCH (n:A) RETURN n.name ORDER BY {NAN_EXPR}")
+    assert [name for (name,) in data] == ["c", "b", "a", "d", "g", "e", "f"]
+    _, data = rows(g, f"MATCH (n:A) RETURN n.name ORDER BY {NAN_EXPR} DESC")
+    assert [name for (name,) in data] == ["e", "f", "a", "d", "g", "b", "c"]
+    _, data = rows(g, f"MATCH (n:A) RETURN n.name, {NAN_EXPR} AS v ORDER BY v LIMIT 3")
+    assert [name for name, _ in data] == ["c", "b", "a"]
+    # Across kinds: numbers, then NaN, then strings, booleans, and null last.
+    nan = float("nan")
+    values = ["s", None, True, nan, float("inf"), -1, 2.5]
+    assert [repr(v) for v in sorted(values, key=sort_key)] == ["-1", "2.5", "inf", "nan", "'s'", "True", "None"]
+
+
+def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
+    queries = [spec.ground_truth_query for spec in corpus if spec.ground_truth_query]
+    queries += [
+        "MATCH (t:Tower {Tower: 8})-[:HAS_SENSOR]-(s) RETURN count(s)",
+        "MATCH (s:Sensor)<-[:HAS_SENSOR]-(t:Tower {Tower: 3}) RETURN s.Name ORDER BY s.Name DESC",
+        "MATCH (t:Tower {Tower: 99})-[:HAS_SENSOR]->(s:Sensor) RETURN s",
+    ]
+    expected = [serialize_records(run_query(fixture_graph, q)) for q in queries]
+    assert sum(text != "[]" for text in expected) >= len(queries) - 2
+
+    def full_scan(self):
+        raise AssertionError("full scan during execute")
+
+    monkeypatch.setattr(PropertyGraph, "relationships", full_scan)
+    monkeypatch.setattr(PropertyGraph, "nodes", full_scan)
+    assert [serialize_records(run_query(fixture_graph, q)) for q in queries] == expected
+    with pytest.raises(AssertionError):
+        run_query(fixture_graph, "MATCH (n) RETURN count(n)")
+
+
+def test_errors_wait_for_a_row_to_reach_them():
+    g = small_graph()
+    # ORDER BY names are not checked when parsing; an unbound one fails per row.
+    assert rows(g, "MATCH (n:C) RETURN n.p ORDER BY zz") == (["n.p"], [])
+    with pytest.raises(SemanticError, match="variable 'zz' is not bound"):
+        rows(g, "MATCH (n:A) RETURN n.p ORDER BY zz")
+    # The parser rejects unknown functions, so build the AST directly.
+    size = (ReturnItem(FunctionCall("size", (Variable("n"),)), None),)
+    no_rows = Query(parse_query("MATCH (n:C) RETURN n").matches, None, False, size)
+    assert execute(g, no_rows).rows == []
+    some_rows = Query(parse_query("MATCH (n:A) RETURN n").matches, None, False, size)
+    with pytest.raises(SemanticError, match=r"unknown function size\(\)"):
+        execute(g, some_rows)
+    # AND does not evaluate its right side once the left is false.
+    assert rows(g, "MATCH (n:A) WHERE n.p = 0 AND n.p / 0 = 1 RETURN n") == (["n"], [])

@@ -3,8 +3,16 @@ import random
 
 import pytest
 
+from graphqa.cypher import run_query
 from graphqa.errors import ValidationError
-from graphqa.graph import PropertyGraph, schema_description
+from graphqa.graph import (
+    PropertyGraph,
+    dataset_to_graph,
+    graph_to_dataset,
+    parse_dataset,
+    schema_description,
+    serialize_dataset,
+)
 
 
 def test_add_node_returns_sequential_ids():
@@ -118,3 +126,70 @@ def test_schema_description_new_label_changes_exactly_one_line(fixture_graph, da
     removed = [line for line in before if line not in after]
     assert len(added) == 1 and "Gateway" in added[0]
     assert not removed
+
+
+def _interleaved_graph(seed: int) -> PropertyGraph:
+    """Node and relationship adds mixed, with self-loops and parallel edges."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    ids = [graph.add_node({"A"}, {"i": 0})]
+    for _ in range(120):
+        if rng.random() < 0.3:
+            labels = {rng.choice("ABC")} | ({rng.choice("ABC")} if rng.random() < 0.3 else set())
+            ids.append(graph.add_node(labels, {"i": len(ids)}))
+        else:
+            src = rng.choice(ids)
+            dst = src if rng.random() < 0.15 else rng.choice(ids)
+            graph.add_relationship(src, rng.choice("RS"), dst, {"w": rng.randint(0, 3)})
+    return graph
+
+
+def test_adjacency_lists_stay_in_id_order_when_adds_interleave():
+    for seed in range(5):
+        graph = _interleaved_graph(seed)
+        rels = graph.relationships()
+        assert [r.id for r in rels] == sorted(r.id for r in rels)
+        loops = 0
+        for node in graph.nodes():
+            assert list(graph.outgoing(node.id)) == [r for r in rels if r.src == node.id]
+            assert list(graph.incoming(node.id)) == [r for r in rels if r.dst == node.id]
+            loops += sum(1 for r in graph.outgoing(node.id) if r.dst == node.id)
+        assert loops > 0
+    assert list(graph.outgoing(10_000)) == [] and list(graph.incoming(10_000)) == []
+
+
+def test_expansion_follows_a_relationship_scan_in_each_direction():
+    graph = _interleaved_graph(11)
+    rels = graph.relationships()
+    for node in graph.nodes()[:15]:
+        i = node.properties["i"]
+        right = [(r.id, r.dst) for r in rels if r.src == node.id]
+        left = [(r.id, r.src) for r in rels if r.dst == node.id]
+        # Undirected: one scan in id order; a self-loop matches once.
+        either = [(r.id, r.dst if r.src == node.id else r.src) for r in rels if node.id in (r.src, r.dst)]
+        for arrow, expected in (("-[r]->", right), ("<-[r]-", left), ("-[r]-", either)):
+            result = run_query(graph, f"MATCH (a {{i: {i}}}){arrow}(b) RETURN r, b")
+            assert [(r.id, b.id) for r, b in result.rows] == expected, arrow
+
+
+def test_nodes_with_label_keeps_id_order():
+    graph = _interleaved_graph(3)
+    for label in "ABC":
+        expected = [n for n in graph.nodes() if label in n.labels]
+        assert graph.nodes_with_label(label) == expected
+        assert [n.id for n in expected] == sorted(n.id for n in expected)
+    assert graph.nodes_with_label("missing") == []
+    # The returned list is a copy: changing it leaves the index alone.
+    graph.nodes_with_label("A").clear()
+    assert graph.nodes_with_label("A")
+
+
+def test_dataset_round_trip_through_the_store_is_unchanged(dataset_text):
+    assert serialize_dataset(graph_to_dataset(dataset_to_graph(parse_dataset(dataset_text)))) == dataset_text
+    graph = _interleaved_graph(5)
+    rebuilt = dataset_to_graph(graph_to_dataset(graph))
+    assert serialize_dataset(graph_to_dataset(rebuilt)) == serialize_dataset(graph_to_dataset(graph))
+    for node in graph.nodes():
+        for side in ("outgoing", "incoming"):
+            ids = [r.id for r in getattr(rebuilt, side)(node.id)]
+            assert ids == [r.id for r in getattr(graph, side)(node.id)]
