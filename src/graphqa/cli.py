@@ -19,10 +19,9 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 from . import evaluation
-from .datafiles import data_path
+from .datafiles import atomic_write, data_path
 from .errors import (
     CorpusError,
     DatasetFormatError,
@@ -51,19 +50,6 @@ class CliError(GraphQAError):
 
 def sanitize_model_name(model: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", model)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_graph(path: str):
@@ -127,7 +113,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         dataset = generate_msa_fixture(config)
     except ValidationError as exc:
         raise CliError(f"generator: {exc}", EXIT_CONFIG) from exc
-    _atomic_write(args.out, serialize_dataset(dataset))
+    atomic_write(args.out, serialize_dataset(dataset))
     print(f"wrote {args.out}: {len(dataset.nodes)} nodes, {len(dataset.relationships)} relationships")
     return EXIT_OK
 
@@ -197,8 +183,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"{model}: {len(records)} runs -> {runs_path}")
 
     report = evaluation.compute_metrics(all_rows)
-    _atomic_write(os.path.join(args.out, "report.txt"), evaluation.render_text_report(report))
-    _atomic_write(os.path.join(args.out, "report.csv"), evaluation.render_csv_report(report))
+    atomic_write(os.path.join(args.out, "report.txt"), evaluation.render_text_report(report))
+    atomic_write(os.path.join(args.out, "report.csv"), evaluation.render_csv_report(report))
     print(f"report -> {os.path.join(args.out, 'report.txt')}")
     return EXIT_OK
 
@@ -224,7 +210,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         text = evaluation.render_csv_report(report)
         default_name = "report.csv"
     out = args.out or os.path.join(args.runs, default_name)
-    _atomic_write(out, text)
+    atomic_write(out, text)
     print(f"report -> {out}")
     return EXIT_OK
 

@@ -116,7 +116,7 @@ def group_key(value: CellValue):
     """Hashable key: equal for values that group together, ordered as ORDER BY.
 
     Equivalence is that of ``value_equals``, except that every NaN is one
-    group. Maps and unknown kinds raise ``TypeError``.
+    group. Maps and unknown kinds raise ``RuntimeQueryError``.
     """
     k = _kind(value)
     if k <= BOOL:
@@ -127,7 +127,7 @@ def group_key(value: CellValue):
         return (k, value.latitude, value.longitude)
     if k == NULL:
         return _NULL_KEY
-    raise TypeError(f"ungroupable value {value!r}")
+    raise RuntimeQueryError(f"ungroupable value {value!r}")
 
 
 class _Unorderable:
@@ -142,7 +142,7 @@ class _Unorderable:
         self.value = value
 
     def _fail(self, other):
-        raise TypeError(f"ungroupable value {self.value!r}")
+        raise RuntimeQueryError(f"ungroupable value {self.value!r}")
 
     __lt__ = __gt__ = __le__ = __ge__ = _fail
 
@@ -150,7 +150,7 @@ class _Unorderable:
 def sort_key(value: CellValue):
     try:
         return group_key(value)
-    except TypeError:
+    except RuntimeQueryError:
         return _Unorderable(value)
 
 
@@ -292,7 +292,10 @@ def _compile_binary(expr: Binary) -> Compiled:
             return None
         if arithmetic is None:
             raise RuntimeQueryError(f"unknown arithmetic operator {op!r}")
-        return arithmetic(a, b)
+        try:
+            return arithmetic(a, b)
+        except OverflowError as exc:  # an integer too large to mix with a float
+            raise RuntimeQueryError(f"arithmetic overflow: {exc}") from exc
 
     return calculate
 
@@ -339,10 +342,7 @@ def _compile_coordinates(arg: Expr) -> Compiled:
 
         def from_entries(scope):
             a, b = first(scope), second(scope)
-            lat, lon = (a, b) if lat_first else (b, a)
-            if not (is_numeric(lat) and is_numeric(lon)):
-                return None
-            return float(lat), float(lon)
+            return _coordinate_pair(a, b) if lat_first else _coordinate_pair(b, a)
 
         return from_entries
     compiled = _compile(arg)
@@ -353,12 +353,18 @@ def _compile_coordinates(arg: Expr) -> Compiled:
             return None
         if set(value) != _POINT_KEYS:
             raise RuntimeQueryError("point() requires exactly latitude and longitude")
-        lat, lon = value["latitude"], value["longitude"]
-        if not (is_numeric(lat) and is_numeric(lon)):
-            return None
-        return float(lat), float(lon)
+        return _coordinate_pair(value["latitude"], value["longitude"])
 
     return from_map
+
+
+def _coordinate_pair(lat, lon) -> tuple[float, float] | None:
+    if not (is_numeric(lat) and is_numeric(lon)):
+        return None
+    try:
+        return float(lat), float(lon)
+    except OverflowError as exc:
+        raise RuntimeQueryError(f"point() coordinate out of range: {exc}") from exc
 
 
 def _compile_location(arg: Expr) -> Compiled:

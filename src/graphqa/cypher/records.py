@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import RuntimeQueryError
 from ..graph.store import Node, Relationship
 
 
@@ -57,7 +58,7 @@ def render_value(value: CellValue) -> str:
         )
     if isinstance(value, Point):
         return f"point({{latitude: {value.latitude!r}, longitude: {value.longitude!r}}})"
-    raise TypeError(f"cannot render value of type {type(value).__name__}")
+    raise RuntimeQueryError(f"cannot render value of type {type(value).__name__}")
 
 
 def _render_map(properties: dict) -> str:

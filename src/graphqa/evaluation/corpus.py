@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from ..cypher import parse_query, execute, serialize_records
+from ..datafiles import atomic_write
 from ..errors import CorpusError, EngineError
 from ..graph.store import PropertyGraph
 from ..matching import all_values_occur
@@ -58,9 +59,7 @@ def load_corpus(path: str) -> list[QuestionSpec]:
 
 def save_corpus(specs: list[QuestionSpec], path: str) -> None:
     payload = {"schema_version": CORPUS_SCHEMA_VERSION, "questions": [asdict(s) for s in specs]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def validate_corpus(graph: PropertyGraph, specs: list[QuestionSpec]) -> None:

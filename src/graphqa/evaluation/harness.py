@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ..datafiles import atomic_write
 from ..errors import CorpusError
 from ..graph.store import PropertyGraph
 from ..llm import Gateway
@@ -106,8 +107,7 @@ def save_run_records(path: str, model: str, records: list[RunRecord]) -> None:
     lines = [json.dumps({"kind": "runs", "schema_version": RUNS_SCHEMA_VERSION, "model": model})]
     for record in records:
         lines.append(json.dumps(record.to_dict(), sort_keys=True))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_run_records(path: str) -> tuple[str, list[RunRecord]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from ..datafiles import atomic_write
 from ..errors import GatewayError, ValidationError
 from ..llm import CompletionRequest, Gateway
 from .corpus import QuestionSpec
@@ -56,7 +57,5 @@ def rephrase_questions(
             "candidates": candidates,
             "approved": [],  # fill in manually, then merge into the corpus file
         }
-        with open(review_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        atomic_write(review_path, json.dumps(payload, indent=2) + "\n")
     return candidates

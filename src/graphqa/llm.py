@@ -2,7 +2,8 @@
 extraction of Cypher from raw model output.
 
 The live backend speaks the single-turn "generate" convention of local model
-servers (POST {model, prompt, stream: false, options} -> {"response": ...}).
+servers (POST {model, prompt, stream: false, options} -> {"response": ...})
+over the standard library's ``urllib``, always at temperature 0.
 Every live completion can be recorded into a transcript; a replay backend
 answers exclusively from a transcript, keyed by exact (model, prompt) match,
 which makes any pipeline run reproducible offline. A replay miss raises: it
@@ -12,32 +13,26 @@ never silently falls back to a live call.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
-import os
 import threading
-from dataclasses import dataclass, field
+import urllib.request
+from dataclasses import dataclass
 
-import requests
-
-from .errors import GatewayError, ReplayMissError, ValidationError
+from .datafiles import atomic_write
+from .errors import GatewayError, ReplayMissError
 
 TRANSCRIPT_SCHEMA_VERSION = "1"
-ENDPOINT_ENV_VAR = "GRAPHQA_ENDPOINT"
-DEFAULT_GENERATE_PATH = "/api/generate"
 DEFAULT_TIMEOUT_S = 120.0
+# Sampling options sent with every live completion: greedy decoding, so a
+# recorded transcript is what the model would answer again.
+_GENERATE_OPTIONS = {"temperature": 0.0}
 
 
 @dataclass
 class CompletionRequest:
     model_name: str
     prompt: str
-    temperature: float = 0.0
-    max_tokens: int | None = None
-    stop: list[str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValidationError("temperature must be >= 0")
 
 
 def request_hash(model_name: str, prompt: str) -> str:
@@ -95,8 +90,7 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+        atomic_write(path, self.dumps())
 
     @classmethod
     def loads(cls, text: str) -> "Transcript":
@@ -136,38 +130,24 @@ class Transcript:
 class LiveBackend:
     """HTTP client for an Ollama-style generate endpoint."""
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        path: str = DEFAULT_GENERATE_PATH,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        session: requests.Session | None = None,
-    ):
-        base_url = base_url or os.environ.get(ENDPOINT_ENV_VAR)
-        if not base_url:
-            raise GatewayError(f"no endpoint URL configured (flag or {ENDPOINT_ENV_VAR})")
-        self.url = base_url.rstrip("/") + path
+    def __init__(self, base_url: str, timeout_s: float = DEFAULT_TIMEOUT_S):
+        self.url = base_url.rstrip("/") + "/api/generate"
         self.timeout_s = timeout_s
-        self._session = session or requests.Session()
 
     def complete(self, request: CompletionRequest) -> str:
-        options: dict = {"temperature": request.temperature}
-        if request.max_tokens is not None:
-            options["num_predict"] = request.max_tokens
-        if request.stop:
-            options["stop"] = list(request.stop)
-        body = {
-            "model": request.model_name,
-            "prompt": request.prompt,
-            "stream": False,
-            "options": options,
-        }
+        body = {"model": request.model_name, "prompt": request.prompt, "stream": False, "options": _GENERATE_OPTIONS}
         try:
-            http_response = self._session.post(self.url, json=body, timeout=self.timeout_s)
-            http_response.raise_for_status()
-            payload = http_response.json()
-        except requests.RequestException as exc:
+            http_request = urllib.request.Request(
+                self.url, data=json.dumps(body).encode("utf-8"), headers={"Content-Type": "application/json"}
+            )
+            with urllib.request.urlopen(http_request, timeout=self.timeout_s) as http_response:
+                raw = http_response.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # OSError covers refused connections, timeouts and HTTP >= 400
+            # (urllib.error.HTTPError); ValueError a malformed URL.
             raise GatewayError(f"completion request failed: {exc}") from exc
+        try:
+            payload = json.loads(raw)
         except ValueError as exc:
             raise GatewayError(f"endpoint returned invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "response" not in payload:
@@ -194,31 +174,25 @@ class ReplayBackend:
 class Gateway:
     """Shared completion entry point with optional recording.
 
-    A lock serializes in-flight requests by default (one model at a time on a
-    memory-constrained device); pass ``serialize_requests=False`` to allow
-    callers to manage concurrency themselves.
+    A lock serializes in-flight requests: one model at a time on a
+    memory-constrained device.
     """
 
-    def __init__(self, backend, record_to: Transcript | None = None, serialize_requests: bool = True):
+    def __init__(self, backend, record_to: Transcript | None = None):
         self.backend = backend
         self.record_to = record_to
-        self._lock = threading.Lock() if serialize_requests else None
+        self._lock = threading.Lock()
         self.calls = 0
 
     def complete(self, request: CompletionRequest) -> str:
-        if self._lock is not None:
-            with self._lock:
-                return self._complete(request)
-        return self._complete(request)
-
-    def _complete(self, request: CompletionRequest) -> str:
-        self.calls += 1
-        response = self.backend.complete(request)
-        if self.record_to is not None:
-            self.record_to.add(
-                TranscriptEntry(model_name=request.model_name, prompt=request.prompt, response=response)
-            )
-        return response
+        with self._lock:
+            self.calls += 1
+            response = self.backend.complete(request)
+            if self.record_to is not None:
+                self.record_to.add(
+                    TranscriptEntry(model_name=request.model_name, prompt=request.prompt, response=response)
+                )
+            return response
 
 
 # --- Cypher extraction -----------------------------------------------------------

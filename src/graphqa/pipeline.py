@@ -116,23 +116,17 @@ class PipelineConfig:
     model_task1: str
     templates: dict[str, PromptTemplate]
     model_task2: str | None = None  # defaults to the stage-1 model
-    example_relationship: str = DEFAULT_EXAMPLE_RELATIONSHIP
-    temperature: float = 0.0
-    max_tokens: int | None = None
 
     @property
     def task2_model(self) -> str:
         return self.model_task2 or self.model_task1
 
 
-def build_task1_prompt(
-    question: str,
-    graph: PropertyGraph,
-    template: PromptTemplate,
-    example: str = DEFAULT_EXAMPLE_RELATIONSHIP,
-) -> str:
+def build_task1_prompt(question: str, graph: PropertyGraph, template: PromptTemplate) -> str:
     """Deterministic stage-1 prompt: question + schema + one example."""
-    return template.render(question=question, schema=schema_description(graph), example=example)
+    return template.render(
+        question=question, schema=schema_description(graph), example=DEFAULT_EXAMPLE_RELATIONSHIP
+    )
 
 
 def build_task2_prompt(question: str, db_output: str, template: PromptTemplate) -> str:
@@ -193,6 +187,25 @@ def canonical_em_equal(predicted: str, ground_truth: str) -> bool:
     return canonicalize_query(predicted) == canonicalize_query(ground_truth)
 
 
+def run_stage1(graph: PropertyGraph, llm_text: str | None) -> tuple[CypherCandidate, str, str | None]:
+    """Extract, parse, execute and serialize the query in a stage-1 response.
+
+    Returns the candidate, the serialized records (or the ``nan`` sentinel),
+    and for a failed query its ``"kind: message"`` reason. No response at all
+    (the stage-1 call failed) also gives ``nan``, with no reason: the gateway
+    failure is recorded elsewhere.
+    """
+    if llm_text is None:
+        return CypherCandidate("", None, None), NAN_SENTINEL, None
+    candidate = extract_cypher(llm_text)
+    if candidate.extracted_query is None:
+        return candidate, NAN_SENTINEL, "extraction: no Cypher query found in model output"
+    try:
+        return candidate, serialize_records(execute(graph, parse_query(candidate.extracted_query))), None
+    except EngineError as exc:
+        return candidate, NAN_SENTINEL, f"{exc.kind}: {exc}"
+
+
 def answer_question(
     question: str,
     graph: PropertyGraph,
@@ -211,38 +224,18 @@ def answer_question(
     durations: dict[str, float] = {}
     failure: str | None = None
 
-    prompt1 = build_task1_prompt(question, graph, task1_template, config.example_relationship)
+    prompt1 = build_task1_prompt(question, graph, task1_template)
     started = time.perf_counter()
     response1: str | None
     try:
-        response1 = gateway.complete(
-            CompletionRequest(
-                model_name=config.model_task1,
-                prompt=prompt1,
-                temperature=config.temperature,
-                max_tokens=config.max_tokens,
-            )
-        )
+        response1 = gateway.complete(CompletionRequest(model_name=config.model_task1, prompt=prompt1))
     except GatewayError as exc:
         response1 = None
         failure = f"task1: {exc}"
     durations["task1_s"] = time.perf_counter() - started
 
-    candidate = extract_cypher(response1) if response1 is not None else CypherCandidate("", None, None)
-
-    engine_error: str | None = None
     started = time.perf_counter()
-    if candidate.ok:
-        assert candidate.extracted_query is not None
-        try:
-            db_output = serialize_records(execute(graph, parse_query(candidate.extracted_query)))
-        except EngineError as exc:
-            engine_error = f"{exc.kind}: {exc}"
-            db_output = NAN_SENTINEL
-    else:
-        if response1 is not None:
-            engine_error = "extraction: no Cypher query found in model output"
-        db_output = NAN_SENTINEL
+    candidate, db_output, engine_error = run_stage1(graph, response1)
     durations["execute_s"] = time.perf_counter() - started
 
     outcome = classify_db_outcome(None if db_output == NAN_SENTINEL else db_output, expected_values)
@@ -251,14 +244,7 @@ def answer_question(
     started = time.perf_counter()
     answer: str | None
     try:
-        answer = gateway.complete(
-            CompletionRequest(
-                model_name=config.task2_model,
-                prompt=prompt2,
-                temperature=config.temperature,
-                max_tokens=config.max_tokens,
-            )
-        )
+        answer = gateway.complete(CompletionRequest(model_name=config.task2_model, prompt=prompt2))
     except GatewayError as exc:
         answer = None
         failure = failure or f"task2: {exc}"

@@ -9,7 +9,7 @@ from graphqa.cypher import execute, parse_query, print_query, run_query, seriali
 from graphqa.cypher.ast import FunctionCall, Query, ReturnItem, Variable
 from graphqa.cypher.executor import sort_key
 from graphqa.errors import RuntimeQueryError, SemanticError
-from graphqa.graph import PropertyGraph
+from graphqa.graph import PropertyGraph, load_dataset_file
 
 
 def small_graph():
@@ -200,6 +200,55 @@ def test_point_distance_in_query(fixture_graph):
         "point({latitude: b.Lat, longitude: b.Long})) AS d",
     )
     assert data == [(0.0,)]
+
+
+# A map value can be built but not returned, grouped, deduplicated or sorted.
+MAP_VALUE_QUERIES = [
+    "MATCH (t:Tower {Tower: 4}) RETURN {lat: t.Lat}",
+    "MATCH (t:Tower) RETURN DISTINCT {lat: t.Lat}",
+    "MATCH (t:Tower) RETURN {lat: t.Lat} AS m, count(*) AS n",
+    "MATCH (t:Tower) RETURN t.Tower ORDER BY {lat: t.Lat}",
+]
+
+
+@pytest.mark.parametrize("text", MAP_VALUE_QUERIES)
+def test_map_values_fail_as_runtime_errors(shipped_dataset_path, text):
+    graph = load_dataset_file(shipped_dataset_path)
+    with pytest.raises(RuntimeQueryError):
+        serialize_records(run_query(graph, text))
+
+
+def test_map_order_key_on_one_row_still_sorts(fixture_graph):
+    assert rows(fixture_graph, "MATCH (t:Tower {Tower: 4}) RETURN t.Tower ORDER BY {lat: t.Lat}") == (
+        ["t.Tower"],
+        [(4,)],
+    )
+
+
+# Sixteen factors stay within float range at tower 4 (about 1.1e304); a
+# seventeenth passes it.
+HUGE_PRODUCT = " * ".join(["9223372036854775807"] * 17)
+
+
+def test_point_coordinate_past_float_range_is_a_runtime_error(fixture_graph):
+    with pytest.raises(RuntimeQueryError, match="out of range"):
+        rows(
+            fixture_graph,
+            f"MATCH (t:Tower {{Tower: 4}}) RETURN point({{latitude: t.Tower * {HUGE_PRODUCT}, longitude: 0}})",
+        )
+    with pytest.raises(RuntimeQueryError, match="out of range"):
+        rows(
+            fixture_graph,
+            "MATCH (a:Tower {Tower: 4}) RETURN point.distance("
+            f"point({{longitude: 0, latitude: {HUGE_PRODUCT}}}), point({{latitude: a.Lat, longitude: a.Long}}))",
+        )
+
+
+def test_float_arithmetic_past_float_range_is_a_runtime_error(fixture_graph):
+    with pytest.raises(RuntimeQueryError, match="arithmetic overflow"):
+        rows(fixture_graph, f"MATCH (t:Tower {{Tower: 4}}) RETURN t.Lat + {HUGE_PRODUCT}")
+    with pytest.raises(RuntimeQueryError, match="arithmetic overflow"):
+        rows(fixture_graph, f"RETURN {HUGE_PRODUCT} / 2.0")
 
 
 def test_executor_matches_oracle_on_random_graphs_smoke():

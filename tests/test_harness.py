@@ -1,6 +1,10 @@
 import os
+import stat
+
+import pytest
 
 from graphqa.cli import data_path
+from graphqa.datafiles import atomic_write
 from graphqa.evaluation import (
     compute_metrics,
     evaluate_model,
@@ -54,3 +58,34 @@ def test_report_can_be_rebuilt_from_disk_without_corpus(tmp_path, fixture_graph,
     from_disk = compute_metrics(metric_rows(loaded))
     fresh = compute_metrics(metric_rows(records, {s.id: s for s in corpus}))
     assert from_disk.scores == fresh.scores
+
+
+@pytest.mark.parametrize(
+    "save",
+    [
+        lambda path: save_run_records(path, MODEL, []),
+        lambda path: Transcript().save(path),
+    ],
+    ids=["run-records", "transcript"],
+)
+def test_failed_write_keeps_old_file_and_leaves_no_part_file(tmp_path, monkeypatch, save):
+    path = tmp_path / "model.runs.jsonl"
+    path.write_bytes(b"old bytes\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save(str(path))
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["model.runs.jsonl"]
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    reference = tmp_path / "reference.txt"
+    reference.write_text("")
+    path = tmp_path / "report.txt"
+    atomic_write(str(path), "text\n")
+    assert path.read_text() == "text\n"
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)

@@ -1,10 +1,11 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from graphqa.errors import GatewayError, ReplayMissError, ValidationError
+from graphqa.errors import GatewayError, ReplayMissError
 from graphqa.llm import (
     CompletionRequest,
     Gateway,
@@ -20,13 +21,24 @@ TOWER_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    # Faulty replies, chosen by the request's model name.
+    FAULTS = {
+        "http-500": (500, b'{"error": "model crashed"}'),
+        "not-json": (200, b"<html>busy</html>"),
+        "no-response": (200, b"{}"),
+    }
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        self.server.received.append((self.path, self.headers["Content-Type"], raw))
+        body = json.loads(raw)
+        if body["model"] == "slow":
+            time.sleep(0.3)
         # Deterministic canned reply derived from the prompt.
         response = {"response": f"echo({body['model']}): {body['prompt'][-20:]}"}
-        payload = json.dumps(response).encode()
-        self.send_response(200)
+        status, payload = self.FAULTS.get(body["model"], (200, json.dumps(response).encode()))
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -37,19 +49,48 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def stub_server():
+def stub():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.received = []  # (path, content type, raw body) per request
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
+    yield server
     server.shutdown()
+    server.server_close()
 
 
-def test_completion_request_defaults_to_temperature_zero():
-    request = CompletionRequest(model_name="m", prompt="p")
-    assert request.temperature == 0.0
-    with pytest.raises(ValidationError):
-        CompletionRequest(model_name="m", prompt="p", temperature=-0.1)
+@pytest.fixture()
+def stub_server(stub):
+    return f"http://127.0.0.1:{stub.server_port}"
+
+
+def test_live_request_body_is_the_generate_wire_format(stub, stub_server):
+    LiveBackend(stub_server + "/").complete(CompletionRequest("m1", "say hi"))
+    ((path, content_type, raw),) = stub.received
+    assert path == "/api/generate"
+    assert content_type == "application/json"
+    body = json.loads(raw)
+    assert body == {"model": "m1", "prompt": "say hi", "stream": False, "options": {"temperature": 0.0}}
+    assert type(body["options"]["temperature"]) is float
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ("http-500", "completion request failed: HTTP Error 500"),
+        ("not-json", "endpoint returned invalid JSON"),
+        ("no-response", "endpoint response missing 'response' field"),
+    ],
+)
+def test_live_faulty_replies_raise_gateway_error(stub_server, model, message):
+    gateway = Gateway(LiveBackend(stub_server))
+    with pytest.raises(GatewayError, match=message):
+        gateway.complete(CompletionRequest(model, "p"))
+
+
+def test_live_read_timeout_raises_gateway_error(stub_server):
+    with pytest.raises(GatewayError, match="completion request failed: .*timed out"):
+        LiveBackend(stub_server, timeout_s=0.1).complete(CompletionRequest("slow", "p"))
 
 
 def test_transcript_round_trip(tmp_path):
@@ -98,8 +139,13 @@ def test_live_stub_is_deterministic_and_records(stub_server):
 
 def test_live_gateway_error_on_unreachable_endpoint():
     gateway = Gateway(LiveBackend("http://127.0.0.1:1", timeout_s=0.2))
-    with pytest.raises(GatewayError):
+    with pytest.raises(GatewayError, match="completion request failed"):
         gateway.complete(CompletionRequest("m", "p"))
+    # URLs without a scheme fail the same way (urllib raises ValueError for
+    # the first, URLError for the second).
+    for url in ("127.0.0.1", "127.0.0.1:1"):
+        with pytest.raises(GatewayError, match="completion request failed: .*unknown url type"):
+            LiveBackend(url).complete(CompletionRequest("m", "p"))
 
 
 def test_pipeline_record_then_replay_end_to_end_equivalence(stub_server, fixture_graph, templates):

@@ -122,6 +122,21 @@ def test_failed_query_still_reaches_task2_with_nan(fixture_graph, templates):
     assert gateway.calls == 2
 
 
+def test_map_valued_query_is_a_nan_outcome(fixture_graph, templates):
+    config = _config(templates)
+    prompt1 = build_task1_prompt(TOWER_QUESTION, fixture_graph, templates["task1"])
+    prompt2 = build_task2_prompt(TOWER_QUESTION, NAN_SENTINEL, templates["task2"])
+    gateway = _replay_gateway(
+        "test-model",
+        [(prompt1, "MATCH (t:Tower {Tower: 4}) RETURN {lat: t.Lat}"), (prompt2, "I could not retrieve the data.")],
+    )
+    run = answer_question(TOWER_QUESTION, fixture_graph, gateway, config)
+    assert run.outcome is OutcomeCase.NAN
+    assert run.db_output == NAN_SENTINEL
+    assert run.engine_error.startswith("runtime:")
+    assert run.answer == "I could not retrieve the data."
+
+
 def test_trick_question_flows_to_empty_list(fixture_graph, templates, corpus):
     spec = next(s for s in corpus if s.is_trick)
     config = _config(templates)

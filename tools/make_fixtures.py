@@ -24,8 +24,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from graphqa.cypher import execute, haversine_distance, parse_query, serialize_records
-from graphqa.errors import EngineError
+from graphqa.cypher import haversine_distance
+from graphqa.datafiles import atomic_write
 from graphqa.evaluation import (
     QuestionSpec,
     build_rephrase_prompt,
@@ -36,14 +36,8 @@ from graphqa.evaluation import (
     validate_corpus,
 )
 from graphqa.graph import generate_msa_fixture, load_dataset, serialize_dataset
-from graphqa.llm import Gateway, ReplayBackend, Transcript, TranscriptEntry, extract_cypher
-from graphqa.pipeline import (
-    DEFAULT_EXAMPLE_RELATIONSHIP,
-    PipelineConfig,
-    build_task1_prompt,
-    build_task2_prompt,
-    load_templates,
-)
+from graphqa.llm import Gateway, ReplayBackend, Transcript, TranscriptEntry
+from graphqa.pipeline import PipelineConfig, build_task1_prompt, build_task2_prompt, load_templates, run_stage1
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "graphqa", "data")
 FIXED_TIMESTAMP = "2025-08-01T00:00:00Z"
@@ -568,19 +562,11 @@ def build_transcript(model: str, specs, graph, templates, values: dict) -> Trans
         profiles = expand_profiles(model, spec.id)
         questions = [spec.question] + spec.rephrasings
         for variant, (profile, question) in enumerate(zip(profiles, questions)):
-            prompt1 = build_task1_prompt(question, graph, templates["task1"], DEFAULT_EXAMPLE_RELATIONSHIP)
+            prompt1 = build_task1_prompt(question, graph, templates["task1"])
             response1 = task1_response(profile, spec, style, values)
             transcript.add(TranscriptEntry(model, prompt1, response1, FIXED_TIMESTAMP))
 
-            candidate = extract_cypher(response1)
-            if candidate.ok:
-                try:
-                    db_output = serialize_records(execute(graph, parse_query(candidate.extracted_query)))
-                except EngineError:
-                    db_output = "nan"
-            else:
-                db_output = "nan"
-
+            _, db_output, _ = run_stage1(graph, response1)
             prompt2 = build_task2_prompt(question, db_output, templates["task2"])
             response2 = task2_response(profile, spec, style, values)
             transcript.add(TranscriptEntry(model, prompt2, response2, FIXED_TIMESTAMP))
@@ -630,8 +616,7 @@ def main() -> None:
 
     dataset = generate_msa_fixture()
     dataset_text = serialize_dataset(dataset)
-    with open(os.path.join(DATA_DIR, "msa_dataset.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(dataset_text)
+    atomic_write(os.path.join(DATA_DIR, "msa_dataset.jsonl"), dataset_text)
     graph = load_dataset(dataset_text)
     stats = graph.stats()
     assert (stats.node_count, stats.relationship_count, stats.property_key_count) == (135, 121, 11)
