@@ -16,8 +16,8 @@ test suite):
 - count() groups implicitly by all non-aggregated return items; ORDER BY and
   LIMIT apply after projection; null sorts as the largest value, and NaN as
   the largest number. All NaN values form one group.
-- Division by zero is a runtime error; reading a missing property is not an
-  error and yields null.
+- Division by zero, and an integer result outside 64 bits, are runtime
+  errors; reading a missing property is not an error and yields null.
 
 How it runs: ``execute`` compiles every expression once into a closure, so
 no row re-dispatches on the AST. Matching is a pipeline of generators, one
@@ -41,7 +41,7 @@ from operator import add, attrgetter, mul, sub
 from typing import Callable, Iterable, Iterator
 
 from ..errors import RuntimeQueryError, SemanticError, ValidationError
-from ..graph.store import Node, PropertyGraph, Relationship
+from ..graph.store import _INT64_MAX, _INT64_MIN, Node, PropertyGraph, Relationship
 from .ast import (
     Binary,
     EdgePattern,
@@ -176,6 +176,13 @@ def _divide(a, b):
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": _divide}
 
 
+def _int64(value):
+    """The value, unless it is an integer the store could not hold."""
+    if type(value) is int and not _INT64_MIN <= value <= _INT64_MAX:
+        raise RuntimeQueryError("integer overflow")
+    return value
+
+
 def _not_equal(a, b):
     eq = value_equals(a, b)
     return None if eq is None else not eq
@@ -231,7 +238,7 @@ def _compile(expr: Expr) -> Compiled:
 
         def minus(scope):
             value = operand(scope)
-            return -value if is_numeric(value) else None
+            return _int64(-value) if is_numeric(value) else None
 
         return minus
     if isinstance(expr, Binary):
@@ -293,7 +300,7 @@ def _compile_binary(expr: Binary) -> Compiled:
         if arithmetic is None:
             raise RuntimeQueryError(f"unknown arithmetic operator {op!r}")
         try:
-            return arithmetic(a, b)
+            return _int64(arithmetic(a, b))
         except OverflowError as exc:  # an integer too large to mix with a float
             raise RuntimeQueryError(f"arithmetic overflow: {exc}") from exc
 

@@ -16,7 +16,7 @@ from ..graph.store import PropertyGraph
 from ..llm import Gateway
 from ..pipeline import PipelineConfig, PipelineRun, answer_question
 from .corpus import QuestionSpec, corpus_instances
-from .scoring import GraderConfig, RunGrades, grade_run
+from .scoring import RunGrades, grade_run
 
 RUNS_SCHEMA_VERSION = "1"
 
@@ -71,13 +71,12 @@ def evaluate_model(
     gateway: Gateway,
     config: PipelineConfig,
     include_rephrasings: bool = True,
-    grader: GraderConfig | None = None,
 ) -> list[RunRecord]:
     """Answer and grade every corpus instance with one model configuration."""
     records: list[RunRecord] = []
     for spec, variant, question in corpus_instances(specs, include_rephrasings):
         run = answer_question(question, graph, gateway, config, expected_values=spec.expected_values)
-        grades, reason = grade_run(run, spec, grader)
+        grades, reason = grade_run(run, spec)
         records.append(
             RunRecord(
                 question_id=spec.id,

@@ -15,8 +15,8 @@ Metrics per run:
   within 1e-9 relative tolerance, units/degree marks tolerated, names
   case-insensitive); a trick question answered from an empty list must state
   nonexistence; with failed/empty/wrong input the answer must not assert
-  wrong values as fact. The phrase lexicons are configuration and every
-  decision carries a logged reason.
+  wrong values as fact. The phrase lexicons and the tolerance are module
+  constants, and every decision carries a logged reason.
 - absolute_correct: the user actually got the right answer end to end.
 
 Aggregation reports percentages over all runs of a model, plus the stricter
@@ -40,7 +40,7 @@ from ..errors import ValidationError
 from ..pipeline import NAN_SENTINEL, OutcomeCase, PipelineRun, canonical_em_equal
 from .corpus import QuestionSpec
 
-DEFAULT_NONEXISTENCE_LEXICON = (
+NONEXISTENCE_LEXICON = (
     "does not exist",
     "doesn't exist",
     "do not exist",
@@ -54,7 +54,7 @@ DEFAULT_NONEXISTENCE_LEXICON = (
     "there are no",
 )
 
-DEFAULT_NO_ASSERTION_LEXICON = (
+NO_ASSERTION_LEXICON = (
     "could not",
     "couldn't",
     "cannot",
@@ -80,12 +80,7 @@ DEFAULT_NO_ASSERTION_LEXICON = (
     "not answer",
 )
 
-
-@dataclass
-class GraderConfig:
-    nonexistence_lexicon: tuple[str, ...] = DEFAULT_NONEXISTENCE_LEXICON
-    no_assertion_lexicon: tuple[str, ...] = DEFAULT_NO_ASSERTION_LEXICON
-    numeric_rel_tol: float = 1e-9
+NUMERIC_REL_TOL = 1e-9
 
 
 def score_em(predicted: str | None, ground_truth: str) -> int:
@@ -119,10 +114,10 @@ def _lexicon_hit(answer: str, lexicon: tuple[str, ...]) -> str | None:
     return None
 
 
-def _expected_in_answer(answer: str, expected: str, rel_tol: float) -> bool:
+def _expected_in_answer(answer: str, expected: str) -> bool:
     if is_numeric_text(expected):
         target = float(expected)
-        return any(numbers_match(found, target, rel_tol) for found in find_numbers(answer))
+        return any(numbers_match(found, target, NUMERIC_REL_TOL) for found in find_numbers(answer))
     return value_occurs(expected, answer)
 
 
@@ -131,39 +126,35 @@ def grade_answer(
     spec: QuestionSpec,
     outcome: OutcomeCase,
     db_output: str | None = None,
-    config: GraderConfig | None = None,
 ) -> tuple[int, str]:
     """Grade the stage-2 answer against the outcome it was given.
 
     Returns (0/1, reason); the reason string is logged with each run so the
     automatic decision can be audited.
     """
-    cfg = config or GraderConfig()
     if answer is None:
         return 0, "no answer produced"
 
     if outcome is OutcomeCase.CONTENT:
-        missing = [
-            v for v in spec.expected_values if not _expected_in_answer(answer, v, cfg.numeric_rel_tol)
-        ]
+        missing = [v for v in spec.expected_values if not _expected_in_answer(answer, v)]
         if missing:
             return 0, f"answer missing expected value(s): {missing}"
         return 1, "all expected values present in answer"
 
     if outcome is OutcomeCase.EMPTY_LIST and spec.is_trick:
-        phrase = _lexicon_hit(answer, cfg.nonexistence_lexicon)
+        phrase = _lexicon_hit(answer, NONEXISTENCE_LEXICON)
         if phrase:
             return 1, f"nonexistence stated ({phrase!r})"
         return 0, "trick question: answer does not state nonexistence"
 
     # Failure outcomes: NAN, non-trick EMPTY_LIST, WRONG_CONTENT. Correct
     # behavior is not to assert wrong values as fact.
-    phrase = _lexicon_hit(answer, cfg.no_assertion_lexicon)
+    phrase = _lexicon_hit(answer, NO_ASSERTION_LEXICON)
     if phrase:
         return 1, f"failure acknowledged ({phrase!r})"
     expected_numbers = [float(v) for v in spec.expected_values if is_numeric_text(v)]
     for number in find_numbers(answer):
-        if not any(numbers_match(number, e, cfg.numeric_rel_tol) for e in expected_numbers):
+        if not any(numbers_match(number, e, NUMERIC_REL_TOL) for e in expected_numbers):
             return 0, f"asserts unexpected number {number:g} as fact"
     if db_output and db_output != NAN_SENTINEL:
         expected_texts = {v.lower() for v in spec.expected_values if not is_numeric_text(v)}
@@ -194,16 +185,14 @@ class RunGrades:
         return dict(self.__dict__)
 
 
-def grade_run(
-    run: PipelineRun, spec: QuestionSpec, config: GraderConfig | None = None
-) -> tuple[RunGrades, str]:
+def grade_run(run: PipelineRun, spec: QuestionSpec) -> tuple[RunGrades, str]:
     """Compute all per-run grades; returns (grades, output-grade reason)."""
     em = score_em(run.extracted_query, spec.ground_truth_query)
     db_output = None if run.db_output == NAN_SENTINEL else run.db_output
     content = score_content(db_output, spec.expected_values, spec.is_trick)
     length = content_length(db_output) if content == 1 and db_output is not None else None
     misinformation = 1 if run.outcome is OutcomeCase.WRONG_CONTENT else 0
-    output_correct, reason = grade_answer(run.answer, spec, run.outcome, db_output, config)
+    output_correct, reason = grade_answer(run.answer, spec, run.outcome, db_output)
     absolute = 1 if (output_correct == 1 and content == 1) else 0
     grades = RunGrades(
         em=em,
@@ -240,7 +229,6 @@ class GradedRun:
     run: PipelineRun
     spec: QuestionSpec
     grades: RunGrades
-    reason: str = ""
 
 
 @dataclass

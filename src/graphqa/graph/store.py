@@ -110,6 +110,8 @@ class PropertyGraph:
         self._incoming: defaultdict[int, list[Relationship]] = defaultdict(list)
         self._next_node_id = 0
         self._next_rel_id = 0
+        # (next node id, next rel id) -> text; see schema_description.
+        self._schema_memo: tuple[tuple[int, int], str] | None = None
 
     def add_node(self, labels: set[str] | frozenset[str], properties: PropertyMap) -> int:
         """Insert a node and return its id. Labels must be non-empty."""
@@ -198,7 +200,20 @@ def schema_description(graph: PropertyGraph) -> str:
 
     Output is fully ordered (alphabetical) so identical graphs always produce
     identical text. Adding a node with a new label adds exactly one line.
+
+    The text is rendered once per state of the graph. Ids are only appended
+    and never reused, and nothing is deleted, so the pair of next ids names
+    the graph's contents; a reader racing another can only store the same
+    text again.
     """
+    state = (graph._next_node_id, graph._next_rel_id)
+    memo = graph._schema_memo
+    if memo is None or memo[0] != state:
+        memo = graph._schema_memo = (state, _render_schema(graph))
+    return memo[1]
+
+
+def _render_schema(graph: PropertyGraph) -> str:
     if not graph.nodes():
         return "The graph is empty: no labels and no relationship types."
 

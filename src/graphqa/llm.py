@@ -13,10 +13,8 @@ never silently falls back to a live call.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import threading
-import urllib.request
 from dataclasses import dataclass
 
 from .datafiles import atomic_write
@@ -135,6 +133,11 @@ class LiveBackend:
         self.timeout_s = timeout_s
 
     def complete(self, request: CompletionRequest) -> str:
+        # Imported here: the HTTP stack (http.client, email, ssl, socket)
+        # costs about 20 ms at start-up, and replay never needs it.
+        import http.client
+        import urllib.request
+
         body = {"model": request.model_name, "prompt": request.prompt, "stream": False, "options": _GENERATE_OPTIONS}
         try:
             http_request = urllib.request.Request(

@@ -13,6 +13,7 @@ query failures; every stage artifact is recorded on the run object.
 from __future__ import annotations
 
 import enum
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,62 +50,50 @@ class OutcomeCase(enum.Enum):
 
 @dataclass
 class PromptTemplate:
+    """A prompt body with named ``{placeholder}`` markers, split once.
+
+    Only the template's required names are markers; any other brace text,
+    e.g. a Cypher property map, is literal. Values are joined between the
+    literal pieces in one pass, so text inside a value is never substituted.
+    """
+
     template_id: str  # 'task1' | 'task2'
     body: str
-    version: str = "1"
+    _pieces: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.template_id not in _REQUIRED_PLACEHOLDERS:
+        required = _REQUIRED_PLACEHOLDERS.get(self.template_id)
+        if required is None:
             raise TemplateError(f"unknown template id {self.template_id!r}")
-        for name in _REQUIRED_PLACEHOLDERS[self.template_id]:
-            if f"{{{name}}}" not in self.body:
+        # With a capturing group, re.split puts each marker's name at the odd
+        # indexes, between the literal pieces.
+        self._pieces = re.split("\\{(" + "|".join(required) + ")\\}", self.body)
+        for name in required:
+            if name not in self._pieces[1::2]:
                 raise TemplateError(f"template {self.template_id!r} missing placeholder {{{name}}}")
 
     def render(self, **values: str) -> str:
-        """Substitute named placeholders; unknown or leftover markers fail.
-
-        Substitution is textual (not str.format) so literal braces in the
-        template body, e.g. Cypher property maps, pass through untouched.
-        """
+        """Join the literal pieces with the values; exactly the required names."""
         required = _REQUIRED_PLACEHOLDERS[self.template_id]
-        unknown = set(values) - set(required)
-        if unknown:
-            raise TemplateError(f"unknown placeholder value(s): {sorted(unknown)}")
-        missing = set(required) - set(values)
-        if missing:
-            raise TemplateError(f"unbound placeholder(s): {sorted(missing)}")
-        text = self.body
-        for name, value in values.items():
-            text = text.replace(f"{{{name}}}", value)
-        for name in required:
-            if f"{{{name}}}" in text:
-                raise TemplateError(f"placeholder {{{name}}} still present after rendering")
-        return text
+        if values.keys() != set(required):
+            raise TemplateError(f"placeholder values {sorted(values)} do not match {sorted(required)}")
+        parts = self._pieces.copy()
+        parts[1::2] = [values[name] for name in parts[1::2]]
+        return "".join(parts)
 
 
 def load_template_file(path: str, template_id: str) -> PromptTemplate:
-    """Read a template; leading ``#`` lines are metadata (version), not prompt."""
+    """Read a template; leading ``#`` header lines are not part of the prompt."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    version = "1"
-    lines = raw.splitlines()
+        lines = fh.read().splitlines()
     body_start = 0
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        if "version=" in line:
-            version = line.split("version=", 1)[1].strip()
+    while body_start < len(lines) and lines[body_start].startswith("#"):
         body_start += 1
-    body = "\n".join(lines[body_start:]).strip("\n")
-    return PromptTemplate(template_id=template_id, body=body, version=version)
-
-
-def default_template_dir() -> str:
-    return data_path("templates")
+    return PromptTemplate(template_id, "\n".join(lines[body_start:]).strip("\n"))
 
 
 def load_templates(directory: str | None = None) -> dict[str, PromptTemplate]:
-    base = directory or default_template_dir()
+    base = directory or data_path("templates")
     return {
         "task1": load_template_file(f"{base}/task1.txt", "task1"),
         "task2": load_template_file(f"{base}/task2.txt", "task2"),

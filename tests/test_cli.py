@@ -225,3 +225,14 @@ def test_console_entry_point_subprocess():
         text=True,
     )
     assert result.returncode == 0
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    # Only a live completion needs http.client, email and ssl.
+    code = (
+        "import sys, graphqa.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('http', 'email', 'ssl')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

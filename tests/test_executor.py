@@ -225,30 +225,62 @@ def test_map_order_key_on_one_row_still_sorts(fixture_graph):
     )
 
 
-# Sixteen factors stay within float range at tower 4 (about 1.1e304); a
-# seventeenth passes it.
-HUGE_PRODUCT = " * ".join(["9223372036854775807"] * 17)
+# An integer literal past float range (about 1.8e308). Integer arithmetic
+# cannot get there (it stops at 64 bits), but a literal is not bounded.
+HUGE_INTEGER = "9" * 400
 
 
 def test_point_coordinate_past_float_range_is_a_runtime_error(fixture_graph):
     with pytest.raises(RuntimeQueryError, match="out of range"):
         rows(
             fixture_graph,
-            f"MATCH (t:Tower {{Tower: 4}}) RETURN point({{latitude: t.Tower * {HUGE_PRODUCT}, longitude: 0}})",
+            f"MATCH (t:Tower {{Tower: 4}}) RETURN point({{latitude: {HUGE_INTEGER}, longitude: t.Tower}})",
         )
     with pytest.raises(RuntimeQueryError, match="out of range"):
         rows(
             fixture_graph,
             "MATCH (a:Tower {Tower: 4}) RETURN point.distance("
-            f"point({{longitude: 0, latitude: {HUGE_PRODUCT}}}), point({{latitude: a.Lat, longitude: a.Long}}))",
+            f"point({{longitude: 0, latitude: {HUGE_INTEGER}}}), point({{latitude: a.Lat, longitude: a.Long}}))",
         )
 
 
 def test_float_arithmetic_past_float_range_is_a_runtime_error(fixture_graph):
     with pytest.raises(RuntimeQueryError, match="arithmetic overflow"):
-        rows(fixture_graph, f"MATCH (t:Tower {{Tower: 4}}) RETURN t.Lat + {HUGE_PRODUCT}")
+        rows(fixture_graph, f"MATCH (t:Tower {{Tower: 4}}) RETURN t.Lat + {HUGE_INTEGER}")
     with pytest.raises(RuntimeQueryError, match="arithmetic overflow"):
-        rows(fixture_graph, f"RETURN {HUGE_PRODUCT} / 2.0")
+        rows(fixture_graph, f"RETURN {HUGE_INTEGER} / 2.0")
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        (f"{INT64_MAX} - 1 + 1", INT64_MAX),
+        (f"-{INT64_MAX} - 1", -(2**63)),
+        (f"{2**62 - 1} * 2 + 1", INT64_MAX),
+        (f"-{INT64_MAX}", -INT64_MAX),
+    ],
+)
+def test_integer_arithmetic_at_the_64_bit_edges(expr, value):
+    assert rows(PropertyGraph(), f"RETURN {expr} AS v") == (["v"], [(value,)])
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        f"{INT64_MAX} + 1",
+        f"-{INT64_MAX} - 2",
+        f"{2**62} * 2",
+        f"-(-{INT64_MAX} - 1)",
+        f"(-{INT64_MAX} - 1) / -1",
+        f"t.Tower * {INT64_MAX}",
+    ],
+)
+def test_integer_arithmetic_past_64_bits_is_a_runtime_error(fixture_graph, expr):
+    with pytest.raises(RuntimeQueryError, match="integer overflow"):
+        rows(fixture_graph, f"MATCH (t:Tower {{Tower: 4}}) RETURN {expr}")
 
 
 def test_executor_matches_oracle_on_random_graphs_smoke():

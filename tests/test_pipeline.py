@@ -1,6 +1,7 @@
 import pytest
 
 from graphqa.errors import TemplateError
+from graphqa.graph import schema_description
 from graphqa.llm import Gateway, ReplayBackend, Transcript, TranscriptEntry
 from graphqa.pipeline import (
     DEFAULT_EXAMPLE_RELATIONSHIP,
@@ -44,13 +45,51 @@ def test_template_missing_placeholder_rejected():
 
 
 def test_template_render_leaves_literal_braces_alone():
-    template = PromptTemplate("task2", "Q: {question}\nOut: {db_output}\nLiteral {Tower: 8} stays.")
+    template = PromptTemplate("task2", "Q: {question}\nOut: {db_output}\nLiteral {Tower: 8} {schema} stays.")
     rendered = template.render(question="q", db_output="[]")
-    assert "{Tower: 8}" in rendered
+    assert rendered == "Q: q\nOut: []\nLiteral {Tower: 8} {schema} stays."
+    # Markers inside values are text, not placeholders.
+    rendered = template.render(question="{db_output}", db_output="{question}")
+    assert rendered == "Q: {db_output}\nOut: {question}\nLiteral {Tower: 8} {schema} stays."
+    # A marker that occurs twice is filled twice.
+    assert PromptTemplate("task2", "{question}/{db_output}/{question}").render(question="q", db_output="o") == "q/o/q"
     with pytest.raises(TemplateError):
         template.render(question="q")  # unbound placeholder
     with pytest.raises(TemplateError):
         template.render(question="q", db_output="[]", bogus="x")
+
+
+def test_schema_marker_in_question_stays_literal(fixture_graph, templates):
+    question = "What does {schema} list for tower 4?"
+    prompt = build_task1_prompt(question, fixture_graph, templates["task1"])
+    assert question in prompt
+    assert prompt.count(schema_description(fixture_graph)) == 1
+
+
+def test_db_output_marker_in_question_stays_literal(templates):
+    question = "Is {db_output} the location of tower 4?"
+    prompt = build_task2_prompt(question, TOWER_RECORD, templates["task2"])
+    assert question in prompt
+    assert prompt.count(TOWER_RECORD) == 1
+
+
+def test_question_marker_in_question_yields_a_run(fixture_graph, templates):
+    question = "What is {question} for tower 4?"
+    run = answer_question(question, fixture_graph, _replay_gateway("test-model", []), _config(templates))
+    assert isinstance(run, PipelineRun)
+    assert question in run.task1_prompt and question in run.task2_prompt
+    assert run.failure.startswith("task1:")  # empty transcript: a replay miss
+
+
+@pytest.mark.parametrize("marker", ["{question}", "{db_output}"])
+def test_marker_in_db_output_reaches_task2_verbatim(fixture_graph, templates, marker):
+    prompt1 = build_task1_prompt(TOWER_QUESTION, fixture_graph, templates["task1"])
+    response1 = f"MATCH (t:Tower {{Tower: 4}}) RETURN '{marker}' AS x"
+    gateway = _replay_gateway("test-model", [(prompt1, response1)])
+    run = answer_question(TOWER_QUESTION, fixture_graph, gateway, _config(templates))
+    assert marker in run.db_output
+    assert run.task2_prompt.count(run.db_output) == 1
+    assert run.failure.startswith("task2:")  # only stage 1 was recorded
 
 
 def test_classify_db_outcome_cases():

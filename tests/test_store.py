@@ -3,16 +3,22 @@ import random
 
 import pytest
 
+from graphqa import data_path
 from graphqa.cypher import run_query
 from graphqa.errors import ValidationError
+from graphqa.evaluation import evaluate_model
 from graphqa.graph import (
     PropertyGraph,
     dataset_to_graph,
     graph_to_dataset,
+    load_dataset_file,
     parse_dataset,
     schema_description,
     serialize_dataset,
+    store,
 )
+from graphqa.llm import Gateway, ReplayBackend, Transcript
+from graphqa.pipeline import PipelineConfig
 
 
 def test_add_node_returns_sequential_ids():
@@ -126,6 +132,31 @@ def test_schema_description_new_label_changes_exactly_one_line(fixture_graph, da
     removed = [line for line in before if line not in after]
     assert len(added) == 1 and "Gateway" in added[0]
     assert not removed
+
+
+def test_schema_description_follows_writes_to_the_same_graph():
+    graph = PropertyGraph()
+    tower = graph.add_node({"Tower"}, {"Tower": 1})
+    first = schema_description(graph)
+    gateway = graph.add_node({"Gateway"}, {"Name": "GW-1"})
+    second = schema_description(graph)
+    assert "Gateway: Name" in second and "Gateway" not in first
+    graph.add_relationship(tower, "LINKS_TO", gateway)
+    third = schema_description(graph)
+    assert "(:Tower)-[:LINKS_TO]->(:Gateway)" in third and "LINKS_TO" not in second
+    assert third == schema_description(graph) == store._render_schema(graph)
+
+
+def test_schema_rendered_once_per_evaluation(monkeypatch, shipped_dataset_path, corpus, templates):
+    graph = load_dataset_file(shipped_dataset_path)  # a graph no other test has described
+    renders = []
+    render = store._render_schema
+    monkeypatch.setattr(store, "_render_schema", lambda g: renders.append(g) or render(g))
+    transcript = Transcript.load(data_path("transcripts", "llama3.1_8b.jsonl"))
+    config = PipelineConfig(model_task1="llama3.1:8b", templates=templates)
+    records = evaluate_model(graph, corpus, Gateway(ReplayBackend(transcript)), config)
+    assert len(records) == 77
+    assert len(renders) == 1
 
 
 def _interleaved_graph(seed: int) -> PropertyGraph:
