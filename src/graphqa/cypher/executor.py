@@ -22,9 +22,12 @@ test suite):
 How it runs: ``execute`` compiles every expression once into a closure, so
 no row re-dispatches on the AST. Matching is a pipeline of generators, one
 stage per pattern part, that expands each node through the store's
-adjacency lists and filters by WHERE as bindings come out. Bindings come out
-in the order of a scan of nodes and relationships by ascending id, so the
-row order without ORDER BY does not depend on how the store is indexed.
+adjacency lists and filters by WHERE as bindings come out. A labelled start
+node whose first inline entry is a number, string or boolean takes its
+candidates from the store's equality index instead of the label's nodes, and
+still tests each one in full. Bindings come out in the order of a scan of
+nodes and relationships by ascending id, so the row order without ORDER BY
+does not depend on how the store is indexed.
 ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
 breaking ties by row position. Errors are raised only when a row reaches
 the part of the query that fails, so a query that matches nothing succeeds.
@@ -299,10 +302,7 @@ def _compile_binary(expr: Binary) -> Compiled:
             return None
         if arithmetic is None:
             raise RuntimeQueryError(f"unknown arithmetic operator {op!r}")
-        try:
-            return _int64(arithmetic(a, b))
-        except OverflowError as exc:  # an integer too large to mix with a float
-            raise RuntimeQueryError(f"arithmetic overflow: {exc}") from exc
+        return _int64(arithmetic(a, b))
 
     return calculate
 
@@ -368,10 +368,7 @@ def _compile_coordinates(arg: Expr) -> Compiled:
 def _coordinate_pair(lat, lon) -> tuple[float, float] | None:
     if not (is_numeric(lat) and is_numeric(lon)):
         return None
-    try:
-        return float(lat), float(lon)
-    except OverflowError as exc:
-        raise RuntimeQueryError(f"point() coordinate out of range: {exc}") from exc
+    return float(lat), float(lon)
 
 
 def _compile_location(arg: Expr) -> Compiled:
@@ -461,13 +458,22 @@ def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str]) ->
         return from_binding
     if variable:
         bound.add(variable)
+    if not pattern.labels:
+        candidates = graph.nodes
+    elif pattern.properties and _kind(pattern.properties[0][1].value) <= BOOL:
+        # The index bucket holds every node of the label that the first
+        # entry admits, in id order; the test below checks the rest.
+        (key, literal), label = pattern.properties[0], pattern.labels[0]
+        candidates = lambda: graph.nodes_with_property(label, key, literal.value)  # noqa: E731
+    else:
+        candidates = lambda: graph.nodes_with_label(pattern.labels[0])  # noqa: E731
     pool: list[Node] | None = None
 
     def scan(stream):
         nonlocal pool
         for binding in stream:
             if pool is None:
-                nodes = graph.nodes_with_label(pattern.labels[0]) if pattern.labels else graph.nodes()
+                nodes = candidates()
                 pool = nodes if test is None else [node for node in nodes if test(node)]
             if variable:
                 for node in pool:

@@ -22,6 +22,7 @@ conjoined into the single query-level predicate.
 from __future__ import annotations
 
 from ..errors import ParseError, SemanticError
+from ..graph.store import _INT64_MAX, _INT64_MIN
 from .ast import (
     Binary,
     EdgePattern,
@@ -46,7 +47,22 @@ from .tokens import UNSUPPORTED_KEYWORDS, Token, tokenize, unescape_string
 
 KNOWN_FUNCTIONS = {"count", "point", "point.distance"}
 
+_INT64_DIGITS = len(str(2**63))
+
 _COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">="}
+
+
+def _integer(tok: Token, negative: bool = False) -> int:
+    """An integer token's value, negated if ``negative``; it must fit 64 bits.
+
+    The digit count is checked first: ``int()`` refuses very long strings.
+    """
+    digits = tok.text.lstrip("0") or "0"
+    if len(digits) <= _INT64_DIGITS:
+        value = -int(digits) if negative else int(digits)
+        if _INT64_MIN <= value <= _INT64_MAX:
+            return value
+    raise ParseError("integer literal out of 64-bit range", tok.offset)
 
 
 class _Parser:
@@ -154,7 +170,7 @@ class _Parser:
                 found = tok.text if tok else "end of query"
                 raise ParseError(f"LIMIT requires an integer, found {found!r}", tok.offset if tok else None)
             self.advance()
-            limit = int(tok.text)
+            limit = _integer(tok)
 
         self.match_symbol(";")
         if not self.at_end():
@@ -268,24 +284,27 @@ class _Parser:
     def parse_pattern_literal(self) -> Literal:
         negative = self.match_symbol("-")
         tok = self.peek()
-        value = self._literal_value(tok)
+        value = self._literal_value(tok, negative)
         if value is NotImplemented:
             found = tok.text if tok else "end of query"
             raise ParseError(f"expected literal value, found {found!r}", tok.offset if tok else None)
         self.advance()
-        if negative:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParseError("'-' applies to numbers only in property maps", tok.offset if tok else None)
-            value = -value
+        if negative and tok.kind not in ("integer", "float"):
+            raise ParseError("'-' applies to numbers only in property maps", tok.offset)
         return Literal(value)
 
-    def _literal_value(self, tok: Token | None):
+    def _literal_value(self, tok: Token | None, negative: bool = False):
+        """The token's literal value, NotImplemented if it is none.
+
+        ``negative`` negates a number before its range is checked (the
+        64-bit range is not symmetric) and is ignored for other kinds.
+        """
         if tok is None:
             return NotImplemented
         if tok.kind == "integer":
-            return int(tok.text)
+            return _integer(tok, negative)
         if tok.kind == "float":
-            return float(tok.text)
+            return -float(tok.text) if negative else float(tok.text)
         if tok.kind == "string":
             return unescape_string(tok.text)
         if tok.kind == "keyword":
@@ -354,9 +373,14 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         if self.match_symbol("-"):
+            tok = self.peek()
+            if tok is not None and tok.kind in ("integer", "float"):
+                self.advance()
+                return Literal(self._literal_value(tok, negative=True))
             operand = self.parse_unary()
             is_number = isinstance(operand, Literal) and isinstance(operand.value, (int, float))
-            if is_number and not isinstance(operand.value, bool):
+            # Negating -2**63 leaves 64 bits; execution reports that overflow.
+            if is_number and not isinstance(operand.value, bool) and operand.value != _INT64_MIN:
                 return Literal(-operand.value)
             return Unary("-", operand)
         return self.parse_primary()

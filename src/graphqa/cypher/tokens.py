@@ -55,6 +55,8 @@ UNSUPPORTED_KEYWORDS = {
 
 _TWO_CHAR_SYMBOLS = ("<=", ">=", "<>")
 _ONE_CHAR_SYMBOLS = set("()[]{}:,.=<>+-*/;|%")
+# ASCII only: str.isdigit also admits digits such as '²' that int() rejects.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -98,24 +100,24 @@ def tokenize(query_text: str) -> list[Token]:
             kind = "keyword" if upper in KEYWORDS or upper in UNSUPPORTED_KEYWORDS else "identifier"
             tokens.append(Token(kind, text, start))
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and query_text[i].isdigit():
+            while i < n and query_text[i] in _DIGITS:
                 i += 1
             is_float = False
-            if i < n and query_text[i] == "." and i + 1 < n and query_text[i + 1].isdigit():
+            if i < n and query_text[i] == "." and i + 1 < n and query_text[i + 1] in _DIGITS:
                 is_float = True
                 i += 1
-                while i < n and query_text[i].isdigit():
+                while i < n and query_text[i] in _DIGITS:
                     i += 1
             if i < n and query_text[i] in "eE":
                 j = i + 1
                 if j < n and query_text[j] in "+-":
                     j += 1
-                if j < n and query_text[j].isdigit():
+                if j < n and query_text[j] in _DIGITS:
                     is_float = True
                     i = j
-                    while i < n and query_text[i].isdigit():
+                    while i < n and query_text[i] in _DIGITS:
                         i += 1
             tokens.append(Token("float" if is_float else "integer", query_text[start:i], start))
             continue

@@ -8,9 +8,12 @@ preserved exactly from load through query execution to serialization.
 Two indexes sit beside the id maps: the nodes of each label, and each node's
 outgoing and incoming relationships. Ids are handed out in ascending order
 and never reused, so every map and list is kept in id order by appending and
-no read sorts. There is no property index. Mutation is single-writer
-(build/load phase); query execution treats the graph as immutable, so
-concurrent readers are safe.
+no read sorts. A third, the equality index of ``nodes_with_property``, is
+built lazily: the first read of a (label, key) pair buckets that label's
+nodes by the key's value, and the buckets are kept until the next node is
+added, so writes do no index work. Mutation is single-writer (build/load
+phase); query execution treats the graph as immutable, so concurrent readers
+are safe.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ class PropertyGraph:
         self._next_rel_id = 0
         # (next node id, next rel id) -> text; see schema_description.
         self._schema_memo: tuple[tuple[int, int], str] | None = None
+        # (next node id, {(label, key): buckets}); see nodes_with_property.
+        self._property_index: tuple[int, dict[tuple[str, str], dict]] = (0, {})
 
     def add_node(self, labels: set[str] | frozenset[str], properties: PropertyMap) -> int:
         """Insert a node and return its id. Labels must be non-empty."""
@@ -169,6 +174,28 @@ class PropertyGraph:
 
     def nodes_with_label(self, label: str) -> list[Node]:
         return list(self._nodes_by_label.get(label, ()))
+
+    def nodes_with_property(self, label: str, key: str, value: PropertyValue) -> Sequence[Node]:
+        """Nodes of ``label`` whose ``key`` equals ``value``, in id order. Read-only.
+
+        Equal means equal and of the same kind: a boolean matches only a
+        boolean, while ``1`` and ``1.0`` are one number. The buckets of a
+        (label, key) pair are built on its first read and dropped on the
+        first read after a node is added; ids are only appended and node
+        properties never change, so the next node id names the state.
+        """
+        state, pairs = self._property_index
+        if state != self._next_node_id:
+            state, pairs = self._property_index = (self._next_node_id, {})
+        buckets = pairs.get((label, key))
+        if buckets is None:
+            buckets = {}
+            for node in self._nodes_by_label.get(label, ()):
+                found = node.properties.get(key)
+                if found is not None:
+                    buckets.setdefault((isinstance(found, bool), found), []).append(node)
+            pairs[label, key] = buckets  # published whole, for concurrent readers
+        return buckets.get((isinstance(value, bool), value), ())
 
     def outgoing(self, node_id: int) -> Sequence[Relationship]:
         """Relationships whose source is ``node_id``, in id order. Read-only."""

@@ -3,7 +3,13 @@ import os
 import subprocess
 import sys
 
+import graphqa
 from graphqa.cli import EXIT_CONFIG, EXIT_CORPUS, EXIT_ENGINE, EXIT_GATEWAY, EXIT_OK, data_path, main
+
+# Child interpreters import the graphqa this process imported, whether it
+# came from PYTHONPATH or from pytest's own path setting.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(graphqa.__file__))
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
 
 TOWER_QUESTION = "What is the location of tower 4?"
 TOWER_ANSWER = "The location of Tower 4 is at 32.58088351° latitude and -106.7533307° longitude."
@@ -223,6 +229,7 @@ def test_console_entry_point_subprocess():
         [sys.executable, "-m", "graphqa.cli", "gen-data", "--out", os.devnull],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
 
@@ -233,6 +240,6 @@ def test_cli_import_leaves_the_http_stack_unloaded():
         "import sys, graphqa.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('http', 'email', 'ssl')))"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

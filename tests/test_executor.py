@@ -8,7 +8,7 @@ from oracle import cell_key, oracle_rows
 from graphqa.cypher import execute, parse_query, print_query, run_query, serialize_records
 from graphqa.cypher.ast import FunctionCall, Query, ReturnItem, Variable
 from graphqa.cypher.executor import sort_key
-from graphqa.errors import RuntimeQueryError, SemanticError
+from graphqa.errors import ParseError, RuntimeQueryError, SemanticError
 from graphqa.graph import PropertyGraph, load_dataset_file
 
 
@@ -225,18 +225,20 @@ def test_map_order_key_on_one_row_still_sorts(fixture_graph):
     )
 
 
-# An integer literal past float range (about 1.8e308). Integer arithmetic
-# cannot get there (it stops at 64 bits), but a literal is not bounded.
+# An integer literal past float range (about 1.8e308), so past 64 bits too.
 HUGE_INTEGER = "9" * 400
 
 
+# These two tests keep the names they had when such a literal parsed and
+# reached point() or mixed arithmetic at run time. Parsing now stops it
+# first, so no integer that no float holds gets that far.
 def test_point_coordinate_past_float_range_is_a_runtime_error(fixture_graph):
-    with pytest.raises(RuntimeQueryError, match="out of range"):
+    with pytest.raises(ParseError, match="integer literal out of 64-bit range"):
         rows(
             fixture_graph,
             f"MATCH (t:Tower {{Tower: 4}}) RETURN point({{latitude: {HUGE_INTEGER}, longitude: t.Tower}})",
         )
-    with pytest.raises(RuntimeQueryError, match="out of range"):
+    with pytest.raises(ParseError, match="integer literal out of 64-bit range"):
         rows(
             fixture_graph,
             "MATCH (a:Tower {Tower: 4}) RETURN point.distance("
@@ -245,9 +247,9 @@ def test_point_coordinate_past_float_range_is_a_runtime_error(fixture_graph):
 
 
 def test_float_arithmetic_past_float_range_is_a_runtime_error(fixture_graph):
-    with pytest.raises(RuntimeQueryError, match="arithmetic overflow"):
+    with pytest.raises(ParseError, match="integer literal out of 64-bit range"):
         rows(fixture_graph, f"MATCH (t:Tower {{Tower: 4}}) RETURN t.Lat + {HUGE_INTEGER}")
-    with pytest.raises(RuntimeQueryError, match="arithmetic overflow"):
+    with pytest.raises(ParseError, match="integer literal out of 64-bit range"):
         rows(fixture_graph, f"RETURN {HUGE_INTEGER} / 2.0")
 
 
@@ -281,6 +283,29 @@ def test_integer_arithmetic_at_the_64_bit_edges(expr, value):
 def test_integer_arithmetic_past_64_bits_is_a_runtime_error(fixture_graph, expr):
     with pytest.raises(RuntimeQueryError, match="integer overflow"):
         rows(fixture_graph, f"MATCH (t:Tower {{Tower: 4}}) RETURN {expr}")
+
+
+def test_integer_literals_reach_exactly_the_64_bit_edges():
+    g = PropertyGraph()
+    g.add_node({"A"}, {"p": -(2**63)})
+    g.add_node({"A"}, {"p": INT64_MAX})
+    assert rows(g, "RETURN -9223372036854775808 AS v, 9223372036854775807 AS w") == (
+        ["v", "w"],
+        [(-(2**63), INT64_MAX)],
+    )
+    assert rows(g, "MATCH (n:A {p: -9223372036854775808}) RETURN n.p") == (["n.p"], [(-(2**63),)])
+    assert rows(g, "MATCH (n:A {p: 009223372036854775807}) RETURN n.p") == (["n.p"], [(INT64_MAX,)])
+    for query in [
+        "RETURN 9223372036854775808",
+        "RETURN -(9223372036854775808)",
+        "MATCH (n:A {p: 9223372036854775808}) RETURN n",
+        "MATCH (n:A {p: -9223372036854775809}) RETURN n",
+        "MATCH (n:A) RETURN n LIMIT 99999999999999999999",
+    ]:
+        with pytest.raises(ParseError, match="integer literal out of 64-bit range"):
+            rows(g, query)
+    with pytest.raises(RuntimeQueryError, match="integer overflow"):
+        rows(g, "RETURN --9223372036854775808")
 
 
 def test_executor_matches_oracle_on_random_graphs_smoke():
@@ -336,11 +361,12 @@ def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
         "MATCH (t:Tower {Tower: 8})-[:HAS_SENSOR]-(s) RETURN count(s)",
         "MATCH (s:Sensor)<-[:HAS_SENSOR]-(t:Tower {Tower: 3}) RETURN s.Name ORDER BY s.Name DESC",
         "MATCH (t:Tower {Tower: 99})-[:HAS_SENSOR]->(s:Sensor) RETURN s",
+        "MATCH (a:Tower {Tower: 77}), (b:Tower {Tower: 78}) RETURN a.Tower, b.Tower",
     ]
     expected = [serialize_records(run_query(fixture_graph, q)) for q in queries]
-    assert sum(text != "[]" for text in expected) >= len(queries) - 2
+    assert sum(text != "[]" for text in expected) >= len(queries) - 3
 
-    def full_scan(self):
+    def full_scan(self, *args):
         raise AssertionError("full scan during execute")
 
     monkeypatch.setattr(PropertyGraph, "relationships", full_scan)
@@ -348,6 +374,35 @@ def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
     assert [serialize_records(run_query(fixture_graph, q)) for q in queries] == expected
     with pytest.raises(AssertionError):
         run_query(fixture_graph, "MATCH (n) RETURN count(n)")
+
+    # A labelled start node with an inline map reads an index bucket, not
+    # every node of its label.
+    point_lookups = [
+        (q, text)
+        for q, text in zip(queries, expected)
+        if all(path.nodes[0].properties for clause in parse_query(q).matches for path in clause.paths)
+    ]
+    assert len({q for q, _ in point_lookups}) == 5 + 3
+    monkeypatch.setattr(PropertyGraph, "nodes_with_label", full_scan)
+    assert [serialize_records(run_query(fixture_graph, q)) for q, _ in point_lookups] == [t for _, t in point_lookups]
+    with pytest.raises(AssertionError):
+        run_query(fixture_graph, "MATCH (t:Tower) RETURN count(t)")
+
+
+def test_inline_map_lookup_equals_the_label_scan_for_every_kind():
+    g = PropertyGraph()
+    for value in [1, 1.0, True, "1", 0, -0.0, False, 2, "x", 1]:
+        g.add_node({"A"}, {"k": value, "j": 0})
+    g.add_node({"A"}, {"j": 0})
+    g.add_node({"A", "B"}, {"k": 1, "j": 1})
+    g.add_node({"B"}, {"k": 1.0, "j": 0})
+    for literal in ["1", "1.0", "true", "'1'", "0", "-0.0", "false", "null", "2.5"]:
+        indexed = rows(g, f"MATCH (n:A {{k: {literal}, j: 0}}) RETURN n")
+        scanned = rows(g, f"MATCH (n:A) WHERE n.k = {literal} AND n.j = 0 RETURN n")
+        assert [n.id for (n,) in indexed[1]] == [n.id for (n,) in scanned[1]], literal
+    assert [n.id for (n,) in rows(g, "MATCH (n:A {k: 1, j: 0}) RETURN n")[1]] == [0, 1, 9]
+    # An equality test on null is unknown, so an inline null matches nothing.
+    assert rows(g, "MATCH (n:A {k: null}) RETURN n")[1] == []
 
 
 def test_errors_wait_for_a_row_to_reach_them():

@@ -14,6 +14,7 @@ from graphqa.pipeline import (
     build_task1_prompt,
     build_task2_prompt,
     classify_db_outcome,
+    run_stage1,
 )
 
 TOWER_QUESTION = "What is the location of tower 4?"
@@ -174,6 +175,23 @@ def test_map_valued_query_is_a_nan_outcome(fixture_graph, templates):
     assert run.db_output == NAN_SENTINEL
     assert run.engine_error.startswith("runtime:")
     assert run.answer == "I could not retrieve the data."
+
+
+@pytest.mark.parametrize(
+    "query, reason",
+    [
+        ("RETURN ²", "lex: illegal character '²'"),
+        ("RETURN 1²", "lex: illegal character '²'"),
+        ("RETURN " + "9" * 5000, "parse: integer literal out of 64-bit range"),
+        ("RETURN 99999999999999999999", "parse: integer literal out of 64-bit range"),
+    ],
+    ids=["superscript", "trailing-superscript", "5000-digits", "past-int64"],
+)
+def test_unrepresentable_number_literal_is_a_nan_outcome(fixture_graph, query, reason):
+    candidate, db_output, engine_error = run_stage1(fixture_graph, f"```cypher\n{query}\n```")
+    assert candidate.extracted_query == query
+    assert db_output == NAN_SENTINEL
+    assert engine_error.startswith(reason)
 
 
 def test_trick_question_flows_to_empty_list(fixture_graph, templates, corpus):

@@ -11,6 +11,7 @@ from graphqa.graph import (
     PropertyGraph,
     dataset_to_graph,
     graph_to_dataset,
+    load_dataset,
     load_dataset_file,
     parse_dataset,
     schema_description,
@@ -213,6 +214,44 @@ def test_nodes_with_label_keeps_id_order():
     # The returned list is a copy: changing it leaves the index alone.
     graph.nodes_with_label("A").clear()
     assert graph.nodes_with_label("A")
+
+
+def _mixed_kind_graph() -> PropertyGraph:
+    graph = PropertyGraph()
+    for value in [1, 1.0, True, "1", 0, -0.0, False, 2, "x", 1]:
+        graph.add_node({"A"}, {"k": value})
+    graph.add_node({"A"}, {"other": 1})
+    graph.add_node({"B", "A"}, {"k": 1})
+    graph.add_node({"B"}, {"k": 1.0})
+    return graph
+
+
+def test_nodes_with_property_matches_kind_and_value_in_id_order():
+    graph = _mixed_kind_graph()
+    expected = [(1, [0, 1, 9, 11]), (1.0, [0, 1, 9, 11]), (True, [2]), ("1", [3]), (0, [4, 5]), (-0.0, [4, 5]), (False, [6])]
+    for value, ids in expected:
+        assert [n.id for n in graph.nodes_with_property("A", "k", value)] == ids, repr(value)
+    assert [n.id for n in graph.nodes_with_property("B", "k", 1)] == [11, 12]
+    assert list(graph.nodes_with_property("A", "k", 3)) == []
+    assert list(graph.nodes_with_property("A", "missing", 1)) == []
+    assert list(graph.nodes_with_property("missing", "k", 1)) == []
+
+
+def test_nodes_with_property_follows_writes_to_the_same_graph():
+    graph = _mixed_kind_graph()
+    assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8]
+    new = graph.add_node({"A"}, {"k": "x"})
+    assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8, new]
+    assert [n.id for (n,) in run_query(graph, "MATCH (n:A {k: 'x'}) RETURN n").rows] == [8, new]
+    graph.add_relationship(new, "R", 8)  # relationships leave the buckets alone
+    assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8, new]
+
+
+def test_loading_a_dataset_builds_no_property_index(dataset_text):
+    graph = load_dataset(dataset_text)
+    assert graph._property_index[1] == {}
+    assert [n.properties["Tower"] for n in graph.nodes_with_property("Tower", "Tower", 4)] == [4]
+    assert list(graph._property_index[1]) == [("Tower", "Tower")]
 
 
 def test_dataset_round_trip_through_the_store_is_unchanged(dataset_text):

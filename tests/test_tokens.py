@@ -96,3 +96,13 @@ def test_illegal_character_is_lex_error():
     with pytest.raises(LexError) as excinfo:
         tokenize("MATCH (n) RETURN n ^ 2")
     assert excinfo.value.kind == "lex"
+
+
+def test_numbers_take_ascii_digits_only():
+    # Other Unicode digits pass str.isdigit but not int(); inside an
+    # identifier they are ordinary identifier characters.
+    for text, offset in [("RETURN ²", 7), ("RETURN 1²", 8), ("RETURN 1.٣", 9)]:
+        with pytest.raises(LexError) as excinfo:
+            tokenize(text)
+        assert excinfo.value.offset == offset, text
+    assert [(t.kind, t.text) for t in tokenize("x² 12")] == [("identifier", "x²"), ("integer", "12")]
