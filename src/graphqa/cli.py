@@ -20,7 +20,6 @@ import os
 import re
 import sys
 
-from . import evaluation
 from .datafiles import atomic_write, data_path
 from .errors import (
     CorpusError,
@@ -157,6 +156,8 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation  # imported here so that ask never loads the grading code
+
     graph = _load_graph(args.data)
     templates = _load_templates(args.templates)
     try:
@@ -190,6 +191,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     run_files = sorted(
         os.path.join(args.runs, name) for name in os.listdir(args.runs) if name.endswith(".runs.jsonl")
     )

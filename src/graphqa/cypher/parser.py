@@ -21,6 +21,8 @@ conjoined into the single query-level predicate.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ParseError, SemanticError
 from ..graph.store import _INT64_MAX, _INT64_MIN
 from .ast import (
@@ -304,7 +306,10 @@ class _Parser:
         if tok.kind == "integer":
             return _integer(tok, negative)
         if tok.kind == "float":
-            return -float(tok.text) if negative else float(tok.text)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError("float literal out of range", tok.offset)
+            return -value if negative else value
         if tok.kind == "string":
             return unescape_string(tok.text)
         if tok.kind == "keyword":

@@ -243,3 +243,11 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_evaluation_harness_unloaded():
+    # Only eval and report grade runs; ask must not pay for importing that code.
+    code = "import sys, graphqa.cli; print('graphqa.evaluation' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

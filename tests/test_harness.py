@@ -7,6 +7,7 @@ from graphqa.cli import data_path
 from graphqa.datafiles import atomic_write
 from graphqa.evaluation import (
     compute_metrics,
+    corpus_instances,
     evaluate_model,
     load_run_records,
     metric_rows,
@@ -89,3 +90,13 @@ def test_written_files_get_the_mode_open_gives(tmp_path):
     atomic_write(str(path), "text\n")
     assert path.read_text() == "text\n"
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_corpus_expands_to_77_instances(corpus):
+    instances = corpus_instances(corpus)
+    assert len(instances) == 77
+    assert len(corpus_instances(corpus, include_rephrasings=False)) == 7
+    originals = [q for _, variant, q in instances if variant == 0]
+    assert len(originals) == 7
+    texts = [q for _, _, q in instances]
+    assert len(set(texts)) == 77  # no duplicate phrasings anywhere

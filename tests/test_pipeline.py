@@ -184,8 +184,21 @@ def test_map_valued_query_is_a_nan_outcome(fixture_graph, templates):
         ("RETURN 1²", "lex: illegal character '²'"),
         ("RETURN " + "9" * 5000, "parse: integer literal out of 64-bit range"),
         ("RETURN 99999999999999999999", "parse: integer literal out of 64-bit range"),
+        ("RETURN 1e999 AS v", "parse: float literal out of range"),
+        ("RETURN -1e999 AS v", "parse: float literal out of range"),
+        ("MATCH (t:Tower {Lat: 1e999}) RETURN t.Tower", "parse: float literal out of range"),
+        ("RETURN " + "9" * 400 + ".0", "parse: float literal out of range"),
     ],
-    ids=["superscript", "trailing-superscript", "5000-digits", "past-int64"],
+    ids=[
+        "superscript",
+        "trailing-superscript",
+        "5000-digits",
+        "past-int64",
+        "past-float",
+        "negative-past-float",
+        "past-float-in-map",
+        "400-digit-float",
+    ],
 )
 def test_unrepresentable_number_literal_is_a_nan_outcome(fixture_graph, query, reason):
     candidate, db_output, engine_error = run_stage1(fixture_graph, f"```cypher\n{query}\n```")

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from graphqa.cypher import tokenize
@@ -106,3 +109,30 @@ def test_numbers_take_ascii_digits_only():
             tokenize(text)
         assert excinfo.value.offset == offset, text
     assert [(t.kind, t.text) for t in tokenize("x² 12")] == [("identifier", "x²"), ("integer", "12")]
+
+
+# Pieces for the frozen-behaviour fuzz below: ASCII query material plus
+# characters where str predicates and regex classes are easy to get wrong
+# (non-ASCII digits and numerals, case-changing letters, a ligature, a
+# control character that str.isspace accepts, and a no-break space).
+FUZZ_PIECES = list("abcxyzAEeMRTN_019 \t\n.()[]{}:,=<>+-*/;|%^!'\"\\") + [
+    "//", "\\'", "'x'", '"y"', "1.5e-3", "MATCH", "return",
+    "²", "٣", "Ⅻ", "½", "ß", "İ", "ﬁ", "\x1c", "\xa0",
+]
+
+# SHA-256 of the tokenizer's outcomes on the fuzz strings, as computed with
+# the earlier hand-written character-loop tokenizer.
+FROZEN_FUZZ_DIGEST = "b14f6bd2c5adb22db9451e21ec968472f86a546411864196263e6375347c8ec1"
+
+
+def test_tokenizer_outcomes_match_frozen_digest():
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        text = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 24)))
+        try:
+            outcome = [(t.kind, t.text, t.offset) for t in tokenize(text)]
+        except LexError as exc:
+            outcome = (type(exc).__name__, str(exc), exc.offset)
+        digest.update(repr(outcome).encode("utf-8"))
+    assert digest.hexdigest() == FROZEN_FUZZ_DIGEST

@@ -28,7 +28,6 @@ from graphqa.cypher import haversine_distance
 from graphqa.datafiles import atomic_write
 from graphqa.evaluation import (
     QuestionSpec,
-    build_rephrase_prompt,
     compute_metrics,
     evaluate_model,
     metric_rows,
@@ -44,6 +43,20 @@ FIXED_TIMESTAMP = "2025-08-01T00:00:00Z"
 
 MODELS = ["gemma2:2b", "llama3.2:3b", "llama3.1:8b", "deepseek-coder:6.7b"]
 REPHRASER_MODEL = "llama3.1:8b"
+
+# The corpus's approved rephrasings are the replies to these prompts, one
+# completion call per variant (the variant number keeps each prompt distinct).
+REPHRASE_PROMPT = (
+    "Rephrase the following question in different words while keeping its "
+    "exact meaning. Output only the rephrased question, nothing else.\n"
+    "Question: {question}\n"
+    "Rephrasing {index} of {total}:"
+)
+
+
+def build_rephrase_prompt(question: str, index: int, total: int) -> str:
+    return REPHRASE_PROMPT.format(question=question, index=index, total=total)
+
 
 QUESTION_IDS = [
     "sensors-tower-0",
