@@ -1,49 +1,13 @@
 """graphqa: natural-language question answering over an embedded property
-graph, plus the offline evaluation harness for grading it."""
+graph, plus the offline evaluation harness for grading it.
+
+The question-answering workflow lives in ``graphqa.pipeline``, the query
+engine in ``graphqa.cypher`` and the graph store in ``graphqa.graph``;
+importing the package itself loads none of them.
+"""
 
 from .datafiles import data_path
-from .errors import (
-    CorpusError,
-    DatasetFormatError,
-    EngineError,
-    GatewayError,
-    GraphQAError,
-    ReplayMissError,
-    TemplateError,
-    ValidationError,
-)
-from .pipeline import (
-    OutcomeCase,
-    PipelineConfig,
-    PipelineRun,
-    PromptTemplate,
-    answer_question,
-    build_task1_prompt,
-    build_task2_prompt,
-    classify_db_outcome,
-    load_templates,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorpusError",
-    "DatasetFormatError",
-    "EngineError",
-    "GatewayError",
-    "GraphQAError",
-    "OutcomeCase",
-    "PipelineConfig",
-    "PipelineRun",
-    "PromptTemplate",
-    "ReplayMissError",
-    "TemplateError",
-    "ValidationError",
-    "answer_question",
-    "build_task1_prompt",
-    "build_task2_prompt",
-    "classify_db_outcome",
-    "data_path",
-    "load_templates",
-    "__version__",
-]
+__all__ = ["data_path", "__version__"]

@@ -134,40 +134,34 @@ def pattern_variables(query: Query) -> tuple[set[str], set[str]]:
     return node_vars, edge_vars
 
 
+def expr_children(expr: Expr) -> tuple[Expr, ...]:
+    """The operands of an operator, call or map node; none for a leaf."""
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, Unary):
+        return (expr.operand,)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, MapLiteral):
+        return tuple(value for _, value in expr.entries)
+    return ()
+
+
 def expr_variables(expr: Expr) -> set[str]:
     if isinstance(expr, Variable):
         return {expr.name}
     if isinstance(expr, PropertyAccess):
         return {expr.variable}
-    if isinstance(expr, Unary):
-        return expr_variables(expr.operand)
-    if isinstance(expr, Binary):
-        return expr_variables(expr.left) | expr_variables(expr.right)
-    if isinstance(expr, FunctionCall):
-        out: set[str] = set()
-        for arg in expr.args:
-            out |= expr_variables(arg)
-        return out
-    if isinstance(expr, MapLiteral):
-        out = set()
-        for _, value in expr.entries:
-            out |= expr_variables(value)
-        return out
-    return set()
+    out: set[str] = set()
+    for child in expr_children(expr):
+        out |= expr_variables(child)
+    return out
 
 
 def contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, FunctionCall):
-        if expr.name == "count":
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, Unary):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, Binary):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, MapLiteral):
-        return any(contains_aggregate(v) for _, v in expr.entries)
-    return False
+    if isinstance(expr, FunctionCall) and expr.name == "count":
+        return True
+    return any(contains_aggregate(child) for child in expr_children(expr))
 
 
 # --- pretty printer ---------------------------------------------------------

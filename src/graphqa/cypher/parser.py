@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the supported Cypher subset.
+"""Precedence-climbing parser for the supported Cypher subset.
 
 Grammar (read-only queries):
 
@@ -14,6 +14,24 @@ Grammar (read-only queries):
 Expressions support property access, variables, literals, arithmetic
 (+ - * /), comparisons (= <> < <= > >=), AND/OR/NOT, and the functions
 count(*), count(expr), point({latitude, longitude}) and point.distance(a, b).
+Operators bind from loosest to tightest as follows; binary operators of one
+level associate to the left:
+
+    1  OR
+    2  AND
+    3  NOT x                   (prefix)
+    4  = <> < <= > >=          (one per operand: a = b = c is an error)
+    5  + -
+    6  * /
+       -x                      (prefix, tighter than any binary operator)
+
+An expression may nest at most ``_MAX_DEPTH`` (100) levels. The parser counts
+the parentheses, prefix operators, call argument lists and map literals
+around each token, and each WHERE, RETURN and ORDER BY tree may have at most
+that many non-leaf nodes on one path: an operator chain parses in a loop but
+nests in the tree that every later walk recurses through. Past either limit
+the query fails with ``expression nested too deeply``.
+
 Write clauses and other unsupported constructs fail with a parse error that
 names the construct; WHERE may follow each MATCH and all WHERE predicates are
 conjoined into the single query-level predicate.
@@ -42,6 +60,7 @@ from .ast import (
     Unary,
     Variable,
     contains_aggregate,
+    expr_children,
     expr_variables,
     pattern_variables,
 )
@@ -51,7 +70,22 @@ KNOWN_FUNCTIONS = {"count", "point", "point.distance"}
 
 _INT64_DIGITS = len(str(2**63))
 
-_COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">="}
+_MAX_DEPTH = 100
+
+_NOT_LEVEL = 3
+_COMPARISON_LEVEL = 4
+_BINARY_LEVELS = {
+    ("keyword", "OR"): 1,
+    ("keyword", "AND"): 2,
+    **{("symbol", op): _COMPARISON_LEVEL for op in ("=", "<>", "<", "<=", ">", ">=")},
+    ("symbol", "+"): 5,
+    ("symbol", "-"): 5,
+    ("symbol", "*"): 6,
+    ("symbol", "/"): 6,
+}
+
+# Appended to every token list, so looking ahead always finds a token.
+_END = Token("end", "end of query", None)
 
 
 def _integer(tok: Token, negative: bool = False) -> int:
@@ -69,64 +103,63 @@ def _integer(tok: Token, negative: bool = False) -> int:
 
 class _Parser:
     def __init__(self, tokens: list[Token], source: str | None):
-        self.tokens = tokens
+        # The end token makes every lookahead a token: the parser never
+        # consumes it, so ``pos`` always indexes the padded list.
+        self.tokens = [*tokens, _END]
         self.source = source
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of query")
         self.pos += 1
         return tok
 
-    def expect_symbol(self, text: str) -> Token:
+    def fail(self, expected: str) -> ParseError:
         tok = self.peek()
-        if tok is None or tok.kind != "symbol" or tok.text != text:
-            found = tok.text if tok else "end of query"
-            raise ParseError(f"expected {text!r}, found {found!r}", tok.offset if tok else None)
-        return self.advance()
+        return ParseError(f"{expected}, found {tok.text!r}", tok.offset)
 
     def match_symbol(self, text: str) -> bool:
         tok = self.peek()
-        if tok is not None and tok.kind == "symbol" and tok.text == text:
+        if tok.kind == "symbol" and tok.text == text:
             self.pos += 1
             return True
         return False
 
     def match_keyword(self, word: str) -> bool:
         tok = self.peek()
-        if tok is not None and tok.kind == "keyword" and tok.upper() == word:
+        if tok.kind == "keyword" and tok.upper() == word:
             self.pos += 1
             return True
         return False
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "keyword" or tok.upper() != word:
-            found = tok.text if tok else "end of query"
-            raise ParseError(f"expected {word}, found {found!r}", tok.offset if tok else None)
-        return self.advance()
+    def expect_symbol(self, text: str) -> None:
+        if not self.match_symbol(text):
+            raise self.fail(f"expected {text!r}")
+
+    def expect_keyword(self, word: str) -> None:
+        if not self.match_keyword(word):
+            raise self.fail(f"expected {word}")
 
     def expect_identifier(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "identifier":
-            found = tok.text if tok else "end of query"
-            raise ParseError(f"expected {what}, found {found!r}", tok.offset if tok else None)
+        if self.peek().kind != "identifier":
+            raise self.fail(f"expected {what}")
         return self.advance()
+
+    def nest(self) -> None:
+        """Enter one more bracket or prefix operator; undone by ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError("expression nested too deeply")
 
     def _reject_unsupported(self) -> None:
         tok = self.peek()
-        if tok is not None and tok.kind == "keyword" and tok.upper() in UNSUPPORTED_KEYWORDS:
+        if tok.kind == "keyword" and tok.upper() in UNSUPPORTED_KEYWORDS:
             raise ParseError(f"unsupported construct {tok.upper()}", tok.offset)
 
     def _slice(self, start_idx: int, end_idx: int) -> str:
@@ -167,17 +200,13 @@ class _Parser:
 
         limit: int | None = None
         if self.match_keyword("LIMIT"):
-            tok = self.peek()
-            if tok is None or tok.kind != "integer":
-                found = tok.text if tok else "end of query"
-                raise ParseError(f"LIMIT requires an integer, found {found!r}", tok.offset if tok else None)
-            self.advance()
-            limit = _integer(tok)
+            if self.peek().kind != "integer":
+                raise self.fail("LIMIT requires an integer")
+            limit = _integer(self.advance())
 
         self.match_symbol(";")
-        if not self.at_end():
-            tok = self.peek()
-            assert tok is not None
+        tok = self.peek()
+        if tok.kind != "end":
             self._reject_unsupported()
             raise ParseError(f"unexpected token {tok.text!r} after query", tok.offset)
 
@@ -210,7 +239,7 @@ class _Parser:
         text = self._slice(start, self.pos)
         ascending = True
         tok = self.peek()
-        if tok is not None and tok.kind == "keyword":
+        if tok.kind == "keyword":
             word = tok.upper()
             if word in ("ASC", "ASCENDING"):
                 self.advance()
@@ -224,10 +253,7 @@ class _Parser:
     def parse_path(self) -> PathPattern:
         nodes = [self.parse_node_pattern()]
         edges: list[EdgePattern] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "symbol" or tok.text not in ("-", "<"):
-                break
+        while (tok := self.peek()).kind == "symbol" and tok.text in ("-", "<"):
             edges.append(self.parse_edge_pattern())
             nodes.append(self.parse_node_pattern())
         return PathPattern(tuple(nodes), tuple(edges))
@@ -235,13 +261,12 @@ class _Parser:
     def parse_node_pattern(self) -> NodePattern:
         self.expect_symbol("(")
         variable = None
-        tok = self.peek()
-        if tok is not None and tok.kind == "identifier":
+        if self.peek().kind == "identifier":
             variable = self.advance().text
         labels: list[str] = []
         while self.match_symbol(":"):
             labels.append(self.expect_identifier("label").text)
-        properties = self.parse_property_map() if (tok := self.peek()) and tok.text == "{" else ()
+        properties = self.parse_property_map() if self.peek().text == "{" else ()
         self.expect_symbol(")")
         return NodePattern(variable, tuple(labels), properties)
 
@@ -252,15 +277,14 @@ class _Parser:
         rel_type = None
         properties: tuple = ()
         if self.match_symbol("["):
-            tok = self.peek()
-            if tok is not None and tok.kind == "identifier":
+            if self.peek().kind == "identifier":
                 variable = self.advance().text
             if self.match_symbol(":"):
                 rel_type = self.expect_identifier("relationship type").text
             tok = self.peek()
-            if tok is not None and tok.text == "*":
+            if tok.text == "*":
                 raise ParseError("unsupported construct: variable-length relationship", tok.offset)
-            if tok is not None and tok.text == "{":
+            if tok.text == "{":
                 properties = self.parse_property_map()
             self.expect_symbol("]")
         self.expect_symbol("-")
@@ -288,21 +312,18 @@ class _Parser:
         tok = self.peek()
         value = self._literal_value(tok, negative)
         if value is NotImplemented:
-            found = tok.text if tok else "end of query"
-            raise ParseError(f"expected literal value, found {found!r}", tok.offset if tok else None)
+            raise self.fail("expected literal value")
         self.advance()
         if negative and tok.kind not in ("integer", "float"):
             raise ParseError("'-' applies to numbers only in property maps", tok.offset)
         return Literal(value)
 
-    def _literal_value(self, tok: Token | None, negative: bool = False):
+    def _literal_value(self, tok: Token, negative: bool = False):
         """The token's literal value, NotImplemented if it is none.
 
         ``negative`` negates a number before its range is checked (the
         64-bit range is not symmetric) and is ignored for other kinds.
         """
-        if tok is None:
-            return NotImplemented
         if tok.kind == "integer":
             return _integer(tok, negative)
         if tok.kind == "float":
@@ -324,65 +345,37 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        expr = self.parse_and()
-        while self.match_keyword("OR"):
-            expr = Binary("OR", expr, self.parse_and())
-        return expr
-
-    def parse_and(self) -> Expr:
-        expr = self.parse_not()
-        while self.match_keyword("AND"):
-            expr = Binary("AND", expr, self.parse_not())
-        return expr
-
-    def parse_not(self) -> Expr:
-        if self.match_keyword("NOT"):
-            return Unary("NOT", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        tok = self.peek()
-        if tok is not None and tok.kind == "symbol" and tok.text in _COMPARISON_OPS:
-            self.advance()
-            right = self.parse_additive()
-            follow = self.peek()
-            if follow is not None and follow.kind == "symbol" and follow.text in _COMPARISON_OPS:
-                raise ParseError("chained comparisons are not supported", follow.offset)
-            return Binary(tok.text, left, right)
-        return left
-
-    def parse_additive(self) -> Expr:
-        expr = self.parse_multiplicative()
+    def parse_expr(self, min_level: int = 1) -> Expr:
+        """Parse operators binding at ``min_level`` or tighter (precedence climbing)."""
+        if min_level <= _NOT_LEVEL and self.match_keyword("NOT"):
+            self.nest()
+            left: Expr = Unary("NOT", self.parse_expr(_NOT_LEVEL))
+            self.depth -= 1
+        else:
+            left = self.parse_unary()
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == "symbol" and tok.text in ("+", "-"):
-                self.advance()
-                expr = Binary(tok.text, expr, self.parse_multiplicative())
-            else:
-                return expr
-
-    def parse_multiplicative(self) -> Expr:
-        expr = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "symbol" and tok.text in ("*", "/"):
-                self.advance()
-                expr = Binary(tok.text, expr, self.parse_unary())
-            else:
-                return expr
+            op = tok.upper() if tok.kind == "keyword" else tok.text
+            level = _BINARY_LEVELS.get((tok.kind, op), 0)
+            if level < min_level:
+                return left
+            self.pos += 1
+            right = self.parse_expr(level + 1)
+            if level == _COMPARISON_LEVEL:
+                follow = self.peek()
+                if _BINARY_LEVELS.get((follow.kind, follow.text)) == _COMPARISON_LEVEL:
+                    raise ParseError("chained comparisons are not supported", follow.offset)
+            left = Binary(op, left, right)
 
     def parse_unary(self) -> Expr:
         if self.match_symbol("-"):
             tok = self.peek()
-            if tok is not None and tok.kind in ("integer", "float"):
+            if tok.kind in ("integer", "float"):
                 self.advance()
                 return Literal(self._literal_value(tok, negative=True))
+            self.nest()
             operand = self.parse_unary()
+            self.depth -= 1
             is_number = isinstance(operand, Literal) and isinstance(operand.value, (int, float))
             # Negating -2**63 leaves 64 bits; execution reports that overflow.
             if is_number and not isinstance(operand.value, bool) and operand.value != _INT64_MIN:
@@ -392,8 +385,6 @@ class _Parser:
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of query")
         self._reject_unsupported()
 
         value = self._literal_value(tok)
@@ -403,7 +394,9 @@ class _Parser:
 
         if tok.kind == "symbol" and tok.text == "(":
             self.advance()
+            self.nest()
             expr = self.parse_expr()
+            self.depth -= 1
             self.expect_symbol(")")
             return expr
 
@@ -413,30 +406,31 @@ class _Parser:
         if tok.kind == "identifier":
             name = self.advance().text
             nxt = self.peek()
-            # Namespaced function, e.g. point.distance(a, b).
+            # Namespaced function, e.g. point.distance(a, b). Neither '.' nor
+            # an identifier is the end token, so both lookaheads exist.
             if (
-                nxt is not None
-                and nxt.text == "."
-                and (after := self.peek(1)) is not None
-                and after.kind == "identifier"
-                and (paren := self.peek(2)) is not None
-                and paren.text == "("
+                nxt.text == "."
+                and self.tokens[self.pos + 1].kind == "identifier"
+                and self.tokens[self.pos + 2].text == "("
             ):
                 self.advance()
                 member = self.advance().text
                 return self.parse_call(f"{name}.{member}".lower(), tok.offset)
-            if nxt is not None and nxt.text == "(":
+            if nxt.text == "(":
                 return self.parse_call(name.lower(), tok.offset)
-            if nxt is not None and nxt.text == ".":
+            if nxt.text == ".":
                 self.advance()
                 key = self.expect_identifier("property name").text
                 return PropertyAccess(name, key)
             return Variable(name)
 
+        if tok.kind == "end":
+            raise ParseError("unexpected end of query")
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
 
     def parse_map_literal(self) -> MapLiteral:
         self.expect_symbol("{")
+        self.nest()
         entries: list[tuple[str, Expr]] = []
         if not self.match_symbol("}"):
             while True:
@@ -446,6 +440,7 @@ class _Parser:
                 if self.match_symbol("}"):
                     break
                 self.expect_symbol(",")
+        self.depth -= 1
         return MapLiteral(tuple(entries))
 
     def parse_call(self, name: str, offset: int) -> FunctionCall:
@@ -455,6 +450,7 @@ class _Parser:
         if name == "count" and self.match_symbol("*"):
             self.expect_symbol(")")
             return FunctionCall("count", (), star=True)
+        self.nest()
         args: list[Expr] = []
         if not self.match_symbol(")"):
             while True:
@@ -462,13 +458,27 @@ class _Parser:
                 if self.match_symbol(")"):
                     break
                 self.expect_symbol(",")
+        self.depth -= 1
         arity = {"count": 1, "point": 1, "point.distance": 2}[name]
         if len(args) != arity:
             raise SemanticError(f"{name}() takes {arity} argument(s), got {len(args)}", offset)
         return FunctionCall(name, tuple(args))
 
 
+def _check_depth(expr: Expr, depth: int = 1) -> None:
+    """Fail if ``expr`` has more than ``_MAX_DEPTH`` non-leaf nodes on one path."""
+    children = expr_children(expr)
+    if children and depth > _MAX_DEPTH:
+        raise ParseError("expression nested too deeply")
+    for child in children:
+        _check_depth(child, depth + 1)
+
+
 def _validate(query: Query) -> None:
+    if query.where is not None:
+        _check_depth(query.where)
+    for item in (*query.items, *query.order_by):
+        _check_depth(item.expr)
     node_vars, edge_vars = pattern_variables(query)
     shared = node_vars & edge_vars
     if shared:

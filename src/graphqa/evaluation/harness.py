@@ -110,12 +110,22 @@ def save_run_records(path: str, model: str, records: list[RunRecord]) -> None:
 
 
 def load_run_records(path: str) -> tuple[str, list[RunRecord]]:
+    """Read a run record file; any malformed line raises ``CorpusError``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CorpusError(f"run record file {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("kind") != "runs" or header.get("schema_version") != RUNS_SCHEMA_VERSION:
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or (header.get("kind"), header.get("schema_version")) != ("runs", RUNS_SCHEMA_VERSION):
         raise CorpusError(f"run record file {path} has no valid header")
-    records = [RunRecord.from_dict(json.loads(line)) for line in lines[1:] if line.strip()]
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            try:
+                records.append(RunRecord.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusError(f"run record file {path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     return header.get("model", ""), records

@@ -100,6 +100,8 @@ class Transcript:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise GatewayError(f"transcript line {lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise GatewayError(f"transcript line {lineno}: not a JSON object")
             if obj.get("kind") == "transcript":
                 if obj.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
                     raise GatewayError(f"unsupported transcript schema_version {obj.get('schema_version')!r}")
@@ -113,6 +115,8 @@ class Transcript:
                 )
             except KeyError as exc:
                 raise GatewayError(f"transcript line {lineno}: missing field {exc.args[0]!r}") from exc
+            if not all(isinstance(text, str) for text in (entry.model_name, entry.prompt, entry.response)):
+                raise GatewayError(f"transcript line {lineno}: model, prompt and response must be strings")
             expected = obj.get("request_sha256")
             if expected and expected != request_hash(entry.model_name, entry.prompt):
                 raise GatewayError(f"transcript line {lineno}: request hash mismatch")

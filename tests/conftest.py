@@ -5,9 +5,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracle/generators helpers
 
-from graphqa import data_path, load_templates
+from graphqa import data_path
 from graphqa.evaluation import load_corpus
 from graphqa.graph import generate_msa_fixture, load_dataset, serialize_dataset
+from graphqa.pipeline import load_templates
 
 
 @pytest.fixture(scope="session")

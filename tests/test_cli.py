@@ -94,6 +94,11 @@ def test_ask_replay_miss_exits_gateway_code(capsys):
     assert code == EXIT_GATEWAY
 
 
+def test_ask_malformed_transcript_exits_gateway_code(tmp_path):
+    (tmp_path / "m.jsonl").write_text('{"kind": "transcript", "schema_version": "1"}\n[1, 2]\n')
+    assert main(["ask", TOWER_QUESTION, "--replay", str(tmp_path), "--model-task1", "m"]) == EXIT_GATEWAY
+
+
 def test_ask_requires_gateway_configuration(monkeypatch):
     monkeypatch.delenv("GRAPHQA_ENDPOINT", raising=False)
     assert main(["ask", TOWER_QUESTION]) == EXIT_CONFIG
@@ -224,6 +229,16 @@ def test_report_empty_dir_exits_corpus_code(tmp_path):
     assert main(["report", "--runs", str(tmp_path), "--format", "table-text"]) == EXIT_CORPUS
 
 
+def test_report_malformed_run_record_exits_corpus_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"])
+    runs = out / "llama3.1_8b.runs.jsonl"
+    lines = runs.read_text().splitlines()
+    runs.write_text("\n".join([*lines[:2], "[1, 2]", *lines[3:]]) + "\n")
+    assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_CORPUS
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "graphqa.cli", "gen-data", "--out", os.devnull],
@@ -248,6 +263,15 @@ def test_cli_import_leaves_the_http_stack_unloaded():
 def test_cli_import_leaves_the_evaluation_harness_unloaded():
     # Only eval and report grade runs; ask must not pay for importing that code.
     code = "import sys, graphqa.cli; print('graphqa.evaluation' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_package_import_leaves_the_pipeline_unloaded():
+    # The package exports only data_path and __version__; the workflow and
+    # the engine load when a caller imports their modules.
+    code = "import sys, graphqa; print('graphqa.pipeline' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"

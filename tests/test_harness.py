@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 
@@ -5,6 +6,7 @@ import pytest
 
 from graphqa.cli import data_path
 from graphqa.datafiles import atomic_write
+from graphqa.errors import CorpusError
 from graphqa.evaluation import (
     compute_metrics,
     corpus_instances,
@@ -48,6 +50,46 @@ def test_run_records_save_load_round_trip(tmp_path, fixture_graph, corpus, templ
     loaded_model, loaded = load_run_records(str(path))
     assert loaded_model == MODEL
     assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+
+
+def _with_outcome(record, outcome):
+    record["run"]["outcome"] = outcome
+    return record
+
+
+def _with_run_field(record, name):
+    record["run"][name] = 1
+    return record
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda record: _with_outcome(record, "bogus"),
+        lambda record: _with_run_field(record, "extra"),
+        lambda record: [1, 2],
+        lambda record: "record",
+        lambda record: {key: value for key, value in record.items() if key != "grades"},
+    ],
+    ids=["unknown-outcome", "extra-field", "array", "string", "missing-field"],
+)
+def test_malformed_run_record_line_raises_corpus_error(tmp_path, fixture_graph, corpus, templates, corrupt):
+    config = PipelineConfig(model_task1=MODEL, templates=templates)
+    records = evaluate_model(fixture_graph, corpus[:2], _gateway(), config, include_rephrasings=False)
+    path = tmp_path / "runs.jsonl"
+    save_run_records(str(path), MODEL, records)
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, json.dumps(corrupt(json.loads(second)))]) + "\n")
+    with pytest.raises(CorpusError, match="line 3"):
+        load_run_records(str(path))
+
+
+@pytest.mark.parametrize("header", ["{oops", "[1, 2]", '{"kind": "runs", "schema_version": "0"}'])
+def test_run_record_file_without_valid_header_raises_corpus_error(tmp_path, header):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(CorpusError, match="no valid header"):
+        load_run_records(str(path))
 
 
 def test_report_can_be_rebuilt_from_disk_without_corpus(tmp_path, fixture_graph, corpus, templates):

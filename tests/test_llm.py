@@ -114,6 +114,21 @@ def test_transcript_hash_mismatch_rejected(tmp_path):
         Transcript.loads('{"kind": "transcript", "schema_version": "1"}\n' + bad)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "not a JSON object"),
+        ('"reply"', "not a JSON object"),
+        ("null", "not a JSON object"),
+        ('{"model": 1, "prompt": "p", "response": "r", "request_sha256": "0"}', "model, prompt and response must be strings"),
+        ('{"model": "m", "prompt": "p", "response": 5}', "model, prompt and response must be strings"),
+    ],
+)
+def test_malformed_transcript_line_rejected(line, message):
+    with pytest.raises(GatewayError, match=f"transcript line 2: {message}"):
+        Transcript.loads('{"kind": "transcript", "schema_version": "1"}\n' + line)
+
+
 def test_replay_hit_and_miss():
     transcript = Transcript([TranscriptEntry("m", "p", "r")])
     gateway = Gateway(ReplayBackend(transcript))

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from generators import random_query_ast
-from graphqa.cypher import parse_query, print_query
+from graphqa.cypher import parse_query, print_query, tokenize
 from graphqa.cypher.ast import (
     Binary,
     FunctionCall,
@@ -11,7 +12,7 @@ from graphqa.cypher.ast import (
     PropertyAccess,
     Variable,
 )
-from graphqa.errors import ParseError, SemanticError
+from graphqa.errors import EngineError, ParseError, SemanticError
 
 REFERENCE_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
 
@@ -161,3 +162,128 @@ def test_pretty_print_round_trip_random_asts_smoke():
         ast = random_query_ast(rng, allow_order=True)
         printed = print_query(ast)
         assert parse_query(printed) == ast, printed
+
+
+# Pieces for the frozen-behaviour fuzz below: every keyword and symbol the
+# parser branches on, a few unsupported keywords, names that are functions or
+# labels, and number literals at and past the 64-bit and float ranges.
+SOUP_PIECES = [
+    "MATCH", "WHERE", "RETURN", "AS", "AND", "or", "NOT", "not", "DISTINCT", "ORDER", "BY", "DESC",
+    "asc", "LIMIT", "true", "NULL", "CREATE", "WITH",
+    "(", ")", "[", "]", "{", "}", ":", ",", ".", "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", ";",
+    "n", "m", "r", "Tower", "point", "distance", "count", "size",
+    "0", "7", "2.5", "1e999", "9223372036854775808", "'x'",
+]
+SOUP_PREFIXES = ["", "RETURN ", "MATCH (n) RETURN ", "MATCH (n)-[r:R]->(m) WHERE "]
+SEPARATORS = [" ", " ", "  ", "\n"]
+
+
+def _value_text(rng: random.Random, depth: int = 0) -> str:
+    """A random value expression: arithmetic, unary minus, parentheses, calls and maps."""
+    roll = rng.random()
+    if depth >= 4 or roll < 0.35:
+        return rng.choice(["n.p", "m.q", "n", "r.p", "1", "2.5", "-3", "0.5e1", "'a b'", "true", "null"])
+    if roll < 0.45:
+        return "-" + rng.choice(["", " "]) + _value_text(rng, depth + 1)
+    if roll < 0.55:
+        return "(" + _value_text(rng, depth + 1) + ")"
+    if roll < 0.62:
+        first, second = _value_text(rng, depth + 1), _value_text(rng, depth + 1)
+        return rng.choice(
+            [
+                f"point({{latitude: {first}, longitude: {second}}})",
+                f"point.distance({first}, {second})",
+                f"{{k: {first}, j: {second}}}",
+            ]
+        )
+    op = rng.choice(["+", "-", "*", "/"])
+    sep = rng.choice(SEPARATORS)
+    return _value_text(rng, depth + 1) + sep + op + sep + _value_text(rng, depth + 1)
+
+
+def _predicate_text(rng: random.Random, depth: int = 0) -> str:
+    """A random predicate with mixed precedence; a few are malformed on purpose."""
+    roll = rng.random()
+    sep = rng.choice(SEPARATORS)
+    if depth >= 3 or roll < 0.35:
+        op = rng.choice(["=", "<>", "<", "<=", ">", ">="])
+        return _value_text(rng, depth + 1) + sep + op + sep + _value_text(rng, depth + 1)
+    if roll < 0.45:
+        return rng.choice(["NOT ", "not "]) + _predicate_text(rng, depth + 1)
+    if roll < 0.55:
+        return "(" + _predicate_text(rng, depth + 1) + ")"
+    if roll < 0.6:
+        return _value_text(rng, depth + 1)
+    if roll < 0.65:
+        # Chained comparisons, NOT after a comparison or an arithmetic
+        # operator, a dangling operator, an aggregate: each is an error.
+        left, right = _value_text(rng, depth + 1), _value_text(rng, depth + 1)
+        return rng.choice(
+            [
+                f"{left} < {right} <= {left}",
+                f"{left} = NOT {right}",
+                f"{left} + NOT {right}",
+                f"{left} AND",
+                f"count({left}) > 1",
+                f"NOT - NOT {right}",
+            ]
+        )
+    op = rng.choice(["OR", "or", "AND", "and"])
+    return _predicate_text(rng, depth + 1) + sep + op + sep + _predicate_text(rng, depth + 1)
+
+
+def _return_item_text(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(["count(*)", "count(n.p)", "count(n.p + 1)"])
+    return _predicate_text(rng) if roll < 0.4 else _value_text(rng)
+
+
+def _mutated(rng: random.Random, query_text: str) -> str:
+    texts = [t.text for t in tokenize(query_text)]
+    for _ in range(rng.randint(1, 3)):
+        idx = rng.randrange(len(texts))
+        action = rng.randrange(5)
+        if action == 0 and len(texts) > 1:
+            del texts[idx]
+        elif action == 1:
+            texts.insert(idx, texts[idx])
+        elif action == 2 and idx + 1 < len(texts):
+            texts[idx], texts[idx + 1] = texts[idx + 1], texts[idx]
+        elif action == 3:
+            texts.insert(idx, rng.choice(SOUP_PIECES))
+        else:
+            texts = texts[: max(idx, 1)]
+    return " ".join(texts)
+
+
+def _parse_outcome(text: str):
+    try:
+        return repr(parse_query(text))
+    except EngineError as exc:
+        return (type(exc).__name__, str(exc), exc.offset)
+
+
+# SHA-256 of the parser's outcomes on the generated queries, as computed with
+# the earlier recursive-descent parser (one method per precedence level).
+FROZEN_PARSE_DIGEST = "ec06b827eb12e39a4622819418a5fa9cd28721f8bce9dab456b2e9b11705597b"
+
+
+def test_parse_outcomes_match_frozen_digest(corpus):
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    texts = []
+    for _ in range(4_000):
+        pieces = [rng.choice(SOUP_PIECES) for _ in range(rng.randint(0, 16))]
+        texts.append(rng.choice(SOUP_PREFIXES) + rng.choice(SEPARATORS).join(pieces))
+    for _ in range(4_000):
+        where = f" WHERE {_predicate_text(rng)}" if rng.random() < 0.7 else ""
+        order = f" ORDER BY {_value_text(rng)} DESC" if rng.random() < 0.3 else ""
+        items = ", ".join(_return_item_text(rng) for _ in range(rng.randint(1, 3)))
+        texts.append(f"MATCH (n)-[r:R]->(m){where} RETURN {items}{order}")
+    references = [spec.ground_truth_query for spec in corpus]
+    for _ in range(2_000):
+        texts.append(_mutated(rng, rng.choice(references)))
+    for text in texts:
+        digest.update(repr(_parse_outcome(text)).encode("utf-8"))
+    assert digest.hexdigest() == FROZEN_PARSE_DIGEST

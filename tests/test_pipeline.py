@@ -1,5 +1,6 @@
 import pytest
 
+from graphqa.cypher.parser import _MAX_DEPTH
 from graphqa.errors import TemplateError
 from graphqa.graph import schema_description
 from graphqa.llm import Gateway, ReplayBackend, Transcript, TranscriptEntry
@@ -205,6 +206,63 @@ def test_unrepresentable_number_literal_is_a_nan_outcome(fixture_graph, query, r
     assert candidate.extracted_query == query
     assert db_output == NAN_SENTINEL
     assert engine_error.startswith(reason)
+
+
+def _chain_of_chains(levels: int) -> str:
+    # An AND chain of parenthesised OR chains; the first OR chain is long
+    # enough that the tree's deepest path has ``levels`` non-leaf nodes.
+    ands = levels // 2
+    first = " OR ".join(f"t.Tower = {i}" for i in range(levels - ands + 1))
+    return f"MATCH (t:Tower) WHERE ({first})" + " AND (t.Tower >= 0)" * (ands - 1) + " RETURN t.Tower"
+
+
+# Each builder nests its shape ``levels`` deep; the map shape sits inside
+# count() so that the result serializes.
+DEPTH_SHAPES = {
+    "parentheses": lambda levels: "MATCH (t:Tower {Tower: 4}) RETURN " + "(" * levels + "t.Tower" + ")" * levels,
+    "unary-minus": lambda levels: "MATCH (t:Tower {Tower: 4}) RETURN " + "-" * levels + "t.Tower",
+    "not": lambda levels: "MATCH (t:Tower {Tower: 4}) RETURN " + "NOT " * levels + "true",
+    "maps": lambda levels: (
+        "MATCH (t:Tower {Tower: 4}) RETURN count(" + "{k: " * (levels - 1) + "t.Tower" + "}" * (levels - 1) + ")"
+    ),
+    "or-chain": lambda levels: (
+        "MATCH (t:Tower) WHERE " + " OR ".join(f"t.Tower = {i}" for i in range(levels)) + " RETURN t.Tower"
+    ),
+    "chain-of-chains": _chain_of_chains,
+}
+
+
+def _levels_for_length(build, length: int) -> int:
+    levels = _MAX_DEPTH
+    while len(build(levels)) < length:
+        levels *= 2
+    return levels
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_expression_at_the_depth_limit_runs(fixture_graph, shape):
+    query = DEPTH_SHAPES[shape](_MAX_DEPTH)
+    candidate, db_output, engine_error = run_stage1(fixture_graph, f"```cypher\n{query}\n```")
+    assert candidate.extracted_query == query
+    assert engine_error is None
+    assert db_output.startswith("[<Record ")
+
+
+@pytest.mark.parametrize(
+    "shape, levels",
+    [(shape, _MAX_DEPTH + 1) for shape in DEPTH_SHAPES]
+    + [("parentheses", 110), ("unary-minus", 3000), ("not", 3000), ("or-chain", 500)]
+    + [(shape, "100k characters") for shape in DEPTH_SHAPES],
+)
+def test_expression_past_the_depth_limit_is_a_nan_outcome(fixture_graph, shape, levels):
+    build = DEPTH_SHAPES[shape]
+    if levels == "100k characters":
+        levels = _levels_for_length(build, 100_000)
+    query = build(levels)
+    candidate, db_output, engine_error = run_stage1(fixture_graph, f"```cypher\n{query}\n```")
+    assert candidate.extracted_query == query
+    assert db_output == NAN_SENTINEL
+    assert engine_error == "parse: expression nested too deeply"
 
 
 def test_trick_question_flows_to_empty_list(fixture_graph, templates, corpus):
