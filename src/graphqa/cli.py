@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a dataset file")
     p.add_argument("--out", required=True, help="output dataset path")
-    p.add_argument("--config", default=None, help="generator config JSON file")
+    p.add_argument(
+        "--config", default=None, help="generator config: a JSON object of integer tower_count, attached_sensors, seed"
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tower-count", type=int, default=None)
     p.set_defaults(func=cmd_gen_data)

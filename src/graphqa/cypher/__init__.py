@@ -1,45 +1,12 @@
-from ..errors import EngineError, LexError, ParseError, RuntimeQueryError, SemanticError
-from .ast import Query, print_expr, print_query
 from .executor import execute
-from .geo import EARTH_RADIUS_M, haversine_distance
-from .parser import parse, parse_query
-from .records import (
-    CellValue,
-    Point,
-    ResultSet,
-    canonical_value_text,
-    canonicalize_query,
-    render_value,
-    serialize_records,
-)
-from .tokens import Token, tokenize
+from .geo import haversine_distance
+from .parser import parse_query
+from .records import canonicalize_query, serialize_records
 
 __all__ = [
-    "CellValue",
-    "EARTH_RADIUS_M",
-    "EngineError",
-    "LexError",
-    "ParseError",
-    "Point",
-    "Query",
-    "ResultSet",
-    "RuntimeQueryError",
-    "SemanticError",
-    "Token",
-    "canonical_value_text",
     "canonicalize_query",
     "execute",
     "haversine_distance",
-    "parse",
     "parse_query",
-    "print_expr",
-    "print_query",
-    "render_value",
     "serialize_records",
-    "tokenize",
 ]
-
-
-def run_query(graph, query_text: str) -> ResultSet:
-    """Parse and execute ``query_text`` against ``graph``."""
-    return execute(graph, parse_query(query_text))

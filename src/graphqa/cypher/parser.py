@@ -30,7 +30,10 @@ the parentheses, prefix operators, call argument lists and map literals
 around each token, and each WHERE, RETURN and ORDER BY tree may have at most
 that many non-leaf nodes on one path: an operator chain parses in a loop but
 nests in the tree that every later walk recurses through. Past either limit
-the query fails with ``expression nested too deeply``.
+the query fails with ``expression nested too deeply``. The executor nests one
+generator per node pattern, so the MATCH clauses of a query may hold at most
+``_MAX_DEPTH`` node patterns in all; past that it fails with ``pattern too
+long``.
 
 Write clauses and other unsupported constructs fail with a parse error that
 names the construct; WHERE may follow each MATCH and all WHERE predicates are
@@ -102,13 +105,14 @@ def _integer(tok: Token, negative: bool = False) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str | None):
+    def __init__(self, tokens: list[Token], source: str):
         # The end token makes every lookahead a token: the parser never
         # consumes it, so ``pos`` always indexes the padded list.
         self.tokens = [*tokens, _END]
         self.source = source
         self.pos = 0
         self.depth = 0
+        self.node_patterns = 0
 
     # -- token helpers ---------------------------------------------------
 
@@ -164,7 +168,7 @@ class _Parser:
 
     def _slice(self, start_idx: int, end_idx: int) -> str:
         """Exact source text spanning tokens [start_idx, end_idx)."""
-        if self.source is None or start_idx >= end_idx:
+        if start_idx >= end_idx:
             return ""
         first = self.tokens[start_idx]
         last = self.tokens[end_idx - 1]
@@ -259,6 +263,9 @@ class _Parser:
         return PathPattern(tuple(nodes), tuple(edges))
 
     def parse_node_pattern(self) -> NodePattern:
+        self.node_patterns += 1
+        if self.node_patterns > _MAX_DEPTH:
+            raise ParseError("pattern too long")
         self.expect_symbol("(")
         variable = None
         if self.peek().kind == "identifier":
@@ -519,11 +526,6 @@ def _validate(query: Query) -> None:
         raise SemanticError("LIMIT must be non-negative")
 
 
-def parse(tokens: list[Token], source: str | None = None) -> Query:
-    """Parse a token stream into a query AST."""
-    return _Parser(tokens, source).parse_query()
-
-
 def parse_query(query_text: str) -> Query:
-    """Tokenize and parse in one step."""
-    return parse(tokenize(query_text), query_text)
+    """Tokenize ``query_text`` and parse it into a query AST."""
+    return _Parser(tokenize(query_text), query_text).parse_query()

@@ -76,17 +76,6 @@ def serialize_records(result: ResultSet) -> str:
     return "[" + ", ".join(records) + "]"
 
 
-def canonical_value_text(value: CellValue) -> str:
-    """Canonical rendering used for expected-value matching.
-
-    Identical to the record cell rendering except that text values are kept
-    bare (no quotes), so they can be searched for inside serialized output.
-    """
-    if isinstance(value, str):
-        return value
-    return render_value(value)
-
-
 def canonicalize_query(query_text: str) -> str:
     """Normalize a query for exact-match comparison.
 

@@ -1,57 +1,19 @@
-from .corpus import (
-    CORPUS_SCHEMA_VERSION,
-    QuestionSpec,
-    corpus_instances,
-    load_corpus,
-    save_corpus,
-    validate_corpus,
-)
-from .harness import (
-    RunRecord,
-    evaluate_model,
-    load_run_records,
-    metric_rows,
-    save_run_records,
-)
-from .report import parse_csv_report, render_csv_report, render_text_report
-from .scoring import (
-    GradedRun,
-    MetricsReport,
-    ModelScores,
-    RunGrades,
-    compute_metrics,
-    content_length,
-    grade_answer,
-    grade_run,
-    score_content,
-    score_em,
-    score_misinformation,
-)
+from .corpus import QuestionSpec, corpus_instances, load_corpus, save_corpus, validate_corpus
+from .harness import evaluate_model, load_run_records, metric_rows, save_run_records
+from .report import render_csv_report, render_text_report
+from .scoring import compute_metrics
 
 __all__ = [
-    "CORPUS_SCHEMA_VERSION",
-    "GradedRun",
-    "MetricsReport",
-    "ModelScores",
     "QuestionSpec",
-    "RunGrades",
-    "RunRecord",
+    "compute_metrics",
+    "corpus_instances",
     "evaluate_model",
+    "load_corpus",
     "load_run_records",
     "metric_rows",
-    "save_run_records",
-    "compute_metrics",
-    "content_length",
-    "corpus_instances",
-    "grade_answer",
-    "grade_run",
-    "load_corpus",
-    "parse_csv_report",
     "render_csv_report",
     "render_text_report",
     "save_corpus",
-    "score_content",
-    "score_em",
-    "score_misinformation",
+    "save_run_records",
     "validate_corpus",
 ]

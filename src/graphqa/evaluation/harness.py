@@ -20,6 +20,40 @@ from .scoring import RunGrades, grade_run
 
 RUNS_SCHEMA_VERSION = "1"
 
+# The JSON types a run record line may hold in each field; a boolean is not
+# an integer here.
+_TEXT, _OPTIONAL_TEXT, _INT = (str,), (str, type(None)), (int,)
+_RECORD_TYPES = {
+    "question_id": _TEXT,
+    "variant": _INT,
+    "is_trick": (bool,),
+    "original_question": _TEXT,
+    "reason": _TEXT,
+}
+_RUN_TYPES = {
+    **dict.fromkeys(
+        ("question", "model_task1", "model_task2", "task1_prompt", "db_output", "outcome", "task2_prompt"), _TEXT
+    ),
+    **dict.fromkeys(
+        ("task1_response", "extracted_query", "extraction_method", "engine_error", "answer", "failure"), _OPTIONAL_TEXT
+    ),
+    "durations": (dict,),
+}
+_GRADE_TYPES = {
+    **dict.fromkeys(("em", "content", "misinformation", "output_correct", "absolute_correct"), _INT),
+    "content_length": (int, type(None)),
+}
+
+
+def _checked(data: object, types: dict[str, tuple[type, ...]], where: str) -> dict:
+    """``data`` if it is an object whose known fields have their JSON types."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{where} must be an object")
+    for name, value in data.items():
+        if name in types and type(value) not in types[name]:
+            raise TypeError(f"{where} field {name!r} has the wrong type {type(value).__name__}")
+    return data
+
 
 @dataclass
 class RunRecord:
@@ -43,14 +77,15 @@ class RunRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
+    def from_dict(cls, data: object) -> "RunRecord":
+        data = _checked(data, _RECORD_TYPES, "record")
         return cls(
             question_id=data["question_id"],
             variant=data["variant"],
             is_trick=data["is_trick"],
             original_question=data["original_question"],
-            run=PipelineRun.from_dict(data["run"]),
-            grades=RunGrades(**data["grades"]),
+            run=PipelineRun.from_dict(_checked(data["run"], _RUN_TYPES, "run")),
+            grades=RunGrades(**_checked(data["grades"], _GRADE_TYPES, "grades")),
             reason=data.get("reason", ""),
         )
 

@@ -4,7 +4,7 @@ The text form mirrors the benchmark write-up layout: one score table with
 EM / Content / Output / Absolute columns, an absolute-score comparison table,
 a misinformation table, and a content-length table for the original (not
 rephrased) questions. Percentages are rendered to one decimal place. The CSV
-form carries full-precision scores and reloads to an equal report.
+form carries full-precision scores.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import io
 
 from ..errors import ValidationError
-from .scoring import MetricsReport, ModelScores
+from .scoring import MetricsReport
 
 _CSV_COLUMNS = [
     "model",
@@ -106,29 +106,3 @@ def render_csv_report(report: MetricsReport) -> str:
             ]
         )
     return buffer.getvalue()
-
-
-def parse_csv_report(text: str) -> MetricsReport:
-    """Reload a delimited report; per-run details are not part of the CSV."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != _CSV_COLUMNS:
-        raise ValidationError("not a graphqa report CSV")
-    scores: dict[str, ModelScores] = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        model, n, *values = row
-        em, content, output, misinfo, absolute, em_only = (float(v) for v in values)
-        scores[model] = ModelScores(
-            n=int(n),
-            em_score=em,
-            content_score=content,
-            output_score=output,
-            misinformation_score=misinfo,
-            absolute_score=absolute,
-            absolute_em_only=em_only,
-        )
-    if not scores:
-        raise ValidationError("report CSV has no rows")
-    return MetricsReport(scores=scores)

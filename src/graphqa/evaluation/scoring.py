@@ -101,11 +101,6 @@ def score_content(db_output: str | None, expected_values: list[str], is_trick: b
     return 1 if all_values_occur(expected_values, db_output) else 0
 
 
-def content_length(db_output: str) -> int:
-    """Character count of a (content-correct) serialized database response."""
-    return len(db_output)
-
-
 def _lexicon_hit(answer: str, lexicon: tuple[str, ...]) -> str | None:
     lowered = answer.lower()
     for phrase in lexicon:
@@ -190,7 +185,7 @@ def grade_run(run: PipelineRun, spec: QuestionSpec) -> tuple[RunGrades, str]:
     em = score_em(run.extracted_query, spec.ground_truth_query)
     db_output = None if run.db_output == NAN_SENTINEL else run.db_output
     content = score_content(db_output, spec.expected_values, spec.is_trick)
-    length = content_length(db_output) if content == 1 and db_output is not None else None
+    length = len(db_output) if content == 1 and db_output is not None else None
     misinformation = 1 if run.outcome is OutcomeCase.WRONG_CONTENT else 0
     output_correct, reason = grade_answer(run.answer, spec, run.outcome, db_output)
     absolute = 1 if (output_correct == 1 and content == 1) else 0
@@ -204,13 +199,6 @@ def grade_run(run: PipelineRun, spec: QuestionSpec) -> tuple[RunGrades, str]:
     )
     grades.validate()
     return grades, reason
-
-
-def score_misinformation(grades: list[RunGrades]) -> float:
-    """Percentage of runs whose query fetched semantically wrong data."""
-    if not grades:
-        raise ValidationError("cannot score an empty run set")
-    return 100.0 * sum(g.misinformation for g in grades) / len(grades)
 
 
 @dataclass
@@ -256,7 +244,7 @@ def compute_metrics(runs: list[tuple[PipelineRun, QuestionSpec, RunGrades]]) -> 
             em_score=100.0 * sum(g.em for g in grade_list) / n,
             content_score=100.0 * sum(g.content for g in grade_list) / n,
             output_score=100.0 * sum(g.output_correct for g in grade_list) / n,
-            misinformation_score=score_misinformation(grade_list),
+            misinformation_score=100.0 * sum(g.misinformation for g in grade_list) / n,
             absolute_score=100.0 * sum(g.absolute_correct for g in grade_list) / n,
             absolute_em_only=100.0 * sum(1 for g in grade_list if g.em == 1 and g.output_correct == 1) / n,
         )

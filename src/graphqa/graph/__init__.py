@@ -1,33 +1,11 @@
-from .dataset import (
-    DatasetFile,
-    NodeEntry,
-    RelationshipEntry,
-    dataset_to_graph,
-    graph_to_dataset,
-    load_dataset,
-    load_dataset_file,
-    parse_dataset,
-    serialize_dataset,
-)
-from .fixture import DEFAULT_SENSOR_TYPES, GeneratorConfig, generate_msa_fixture
-from .store import GraphStats, Node, PropertyGraph, Relationship, schema_description
+from .dataset import dataset_to_graph, load_dataset, load_dataset_file, serialize_dataset
+from .fixture import GeneratorConfig, generate_msa_fixture
 
 __all__ = [
-    "DEFAULT_SENSOR_TYPES",
-    "DatasetFile",
     "GeneratorConfig",
-    "GraphStats",
-    "Node",
-    "NodeEntry",
-    "PropertyGraph",
-    "Relationship",
-    "RelationshipEntry",
     "dataset_to_graph",
     "generate_msa_fixture",
-    "graph_to_dataset",
     "load_dataset",
     "load_dataset_file",
-    "parse_dataset",
-    "schema_description",
     "serialize_dataset",
 ]

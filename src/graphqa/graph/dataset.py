@@ -8,19 +8,18 @@ Each line is a standalone JSON object so files stay human-diffable:
 
 ``src``/``dst`` are 0-based indices into the file's node lines, in order of
 appearance. JSON keeps integer vs float property kinds distinct and floats
-are written with their shortest round-trip representation, so a load -> save
--> load cycle reproduces the graph exactly.
+are written with their shortest round-trip representation, so a file parsed
+and serialized again keeps its bytes.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 from ..errors import DatasetFormatError, ValidationError
-from .store import PropertyGraph, PropertyMap
+from .store import PropertyGraph, PropertyMap, validate_property_map
 
 SCHEMA_VERSION = "1"
 
@@ -46,14 +45,15 @@ class DatasetFile:
     relationships: list[RelationshipEntry] = field(default_factory=list)
 
 
-def _check_value(key: str, value: object, line: int) -> None:
-    if isinstance(value, bool) or isinstance(value, (int, str)):
-        return
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DatasetFormatError(f"property {key!r} must be a finite number", line)
-        return
-    raise DatasetFormatError(f"property {key!r} has unsupported type {type(value).__name__}", line)
+def _properties(value: object, owner: str, line: int) -> PropertyMap:
+    """A line's property map, held to the store's rules with the line number."""
+    if not isinstance(value, dict):
+        raise DatasetFormatError(f"{owner} 'properties' must be an object", line)
+    try:
+        validate_property_map(value)
+    except ValidationError as exc:
+        raise DatasetFormatError(str(exc), line) from None
+    return dict(value)
 
 
 def parse_dataset(source: str | bytes | io.IOBase) -> DatasetFile:
@@ -84,14 +84,10 @@ def parse_dataset(source: str | bytes | io.IOBase) -> DatasetFile:
             saw_header = True
         elif kind == "node":
             labels = obj.get("labels")
-            props = obj.get("properties", {})
             if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
                 raise DatasetFormatError("node 'labels' must be a non-empty list of strings", lineno)
-            if not isinstance(props, dict):
-                raise DatasetFormatError("node 'properties' must be an object", lineno)
-            for key, value in props.items():
-                _check_value(key, value, lineno)
-            dataset.nodes.append(NodeEntry(list(labels), dict(props)))
+            props = _properties(obj.get("properties", {}), "node", lineno)
+            dataset.nodes.append(NodeEntry(list(labels), props))
         elif kind == "rel":
             try:
                 src = obj["src"]
@@ -99,16 +95,12 @@ def parse_dataset(source: str | bytes | io.IOBase) -> DatasetFile:
                 rel_type = obj["rel_type"]
             except KeyError as exc:
                 raise DatasetFormatError(f"relationship line missing field {exc.args[0]!r}", lineno) from exc
-            props = obj.get("properties", {})
             if not isinstance(src, int) or not isinstance(dst, int) or isinstance(src, bool) or isinstance(dst, bool):
                 raise DatasetFormatError("relationship 'src'/'dst' must be integers", lineno)
             if not isinstance(rel_type, str) or not rel_type:
                 raise DatasetFormatError("relationship 'rel_type' must be a non-empty string", lineno)
-            if not isinstance(props, dict):
-                raise DatasetFormatError("relationship 'properties' must be an object", lineno)
-            for key, value in props.items():
-                _check_value(key, value, lineno)
-            dataset.relationships.append(RelationshipEntry(src, rel_type, dst, dict(props)))
+            props = _properties(obj.get("properties", {}), "relationship", lineno)
+            dataset.relationships.append(RelationshipEntry(src, rel_type, dst, props))
         else:
             raise DatasetFormatError(f"unknown line kind {kind!r}", lineno)
 
@@ -157,22 +149,6 @@ def dataset_to_graph(dataset: DatasetFile) -> PropertyGraph:
                 )
         graph.add_relationship(rel.src_index, rel.rel_type, rel.dst_index, rel.properties)
     return graph
-
-
-def graph_to_dataset(graph: PropertyGraph) -> DatasetFile:
-    """Project a graph back to the file representation (sorted labels/keys)."""
-    nodes = graph.nodes()
-    index_of = {node.id: idx for idx, node in enumerate(nodes)}
-    dataset = DatasetFile()
-    for node in nodes:
-        dataset.nodes.append(NodeEntry(sorted(node.labels), dict(sorted(node.properties.items()))))
-    for rel in graph.relationships():
-        dataset.relationships.append(
-            RelationshipEntry(
-                index_of[rel.src], rel.rel_type, index_of[rel.dst], dict(sorted(rel.properties.items()))
-            )
-        )
-    return dataset
 
 
 def load_dataset(source: str | bytes | io.IOBase) -> PropertyGraph:

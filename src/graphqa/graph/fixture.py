@@ -7,51 +7,35 @@ The default configuration produces 13 towers (numbered 0..12), 121 attached
 sensors, and one unattached spare sensor, for 135 nodes, 121 relationships,
 and 11 distinct property keys in total.
 
-One tower (``anchor_tower``, default 4) sits exactly at the configured center
-coordinate; the rest are placed pseudo-randomly within ``radius_miles`` of it.
+Tower 4 (the last tower when there are fewer) sits exactly at ``_CENTER``;
+the rest are placed pseudo-randomly within ``_RADIUS_MILES`` of it.
 Generation is fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 from .dataset import DatasetFile, NodeEntry, RelationshipEntry
 
-DEFAULT_SENSOR_TYPES = (
-    "temperature",
-    "humidity",
-    "wind speed",
-    "precipitation",
-    "barometric pressure",
-    "soil conditions",
-    "network conditions",
+# (SensorType, CamelCase stem of names like "WindSpeed-T03", Unit), in the
+# order a tower's sensor slots take them.
+_SENSOR_TYPES = (
+    ("temperature", "Temperature", "C"),
+    ("humidity", "Humidity", "%"),
+    ("wind speed", "WindSpeed", "m/s"),
+    ("precipitation", "Precipitation", "mm"),
+    ("barometric pressure", "Pressure", "hPa"),
+    ("soil conditions", "SoilMoisture", "VWC"),
+    ("network conditions", "NetworkStatus", "dBm"),
 )
 
-# CamelCase stems used to build unique sensor names like "WindSpeed-T03".
-_NAME_STEMS = {
-    "temperature": "Temperature",
-    "humidity": "Humidity",
-    "wind speed": "WindSpeed",
-    "precipitation": "Precipitation",
-    "barometric pressure": "Pressure",
-    "soil conditions": "SoilMoisture",
-    "network conditions": "NetworkStatus",
-}
-
-_UNITS = {
-    "temperature": "C",
-    "humidity": "%",
-    "wind speed": "m/s",
-    "precipitation": "mm",
-    "barometric pressure": "hPa",
-    "soil conditions": "VWC",
-    "network conditions": "dBm",
-}
-
-DEFAULT_CENTER = (32.58088351, -106.7533307)
+_CENTER = (32.58088351, -106.7533307)
+_RADIUS_MILES = 1.5
+_ANCHOR_TOWER = 4
+_SPARE_SENSORS = 1
 _METERS_PER_MILE = 1609.344
 _METERS_PER_DEGREE_LAT = 111320.0
 
@@ -59,26 +43,21 @@ _METERS_PER_DEGREE_LAT = 111320.0
 @dataclass
 class GeneratorConfig:
     tower_count: int = 13
-    sensor_types: tuple[str, ...] = DEFAULT_SENSOR_TYPES
     attached_sensors: int = 121
-    spare_sensors: int = 1
-    center: tuple[float, float] = DEFAULT_CENTER
-    radius_miles: float = 1.5
-    anchor_tower: int | None = None  # None: tower 4 when present, else the last tower
     seed: int = 42
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "GeneratorConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+    def from_dict(cls, raw: object) -> "GeneratorConfig":
+        """Build a config from parsed JSON: an object whose values are integers."""
+        if not isinstance(raw, dict):
+            raise ValidationError("generator config must be a JSON object")
+        unknown = raw.keys() - cls.__dataclass_fields__
         if unknown:
             raise ValidationError(f"unknown generator config keys: {sorted(unknown)}")
-        cleaned = dict(raw)
-        if "sensor_types" in cleaned:
-            cleaned["sensor_types"] = tuple(cleaned["sensor_types"])
-        if "center" in cleaned:
-            cleaned["center"] = tuple(cleaned["center"])
-        return cls(**cleaned)
+        for key, value in raw.items():
+            if type(value) is not int:
+                raise ValidationError(f"generator config {key!r} must be an integer, got {value!r}")
+        return cls(**raw)
 
 
 class _Rng:
@@ -104,21 +83,11 @@ class _Rng:
     def randint(self, lo: int, hi: int) -> int:
         return lo + self._next() % (hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self._next() % len(seq)]
-
 
 def _sensor_counts(tower_count: int, attached: int) -> list[int]:
     """Spread sensors over towers; the first ``attached % towers`` get one extra."""
     base, rem = divmod(attached, tower_count)
     return [base + (1 if i < rem else 0) for i in range(tower_count)]
-
-
-def _sensor_name(sensor_type: str, occurrence: int, tower: int) -> str:
-    stem = _NAME_STEMS.get(sensor_type, "".join(p.capitalize() for p in sensor_type.split()))
-    if occurrence > 1:
-        stem = f"{stem}{occurrence}"
-    return f"{stem}-T{tower:02d}"
 
 
 def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
@@ -130,20 +99,14 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
     cfg = config or GeneratorConfig()
     if cfg.tower_count < 1:
         raise ValidationError("tower_count must be at least 1")
-    if not cfg.sensor_types:
-        raise ValidationError("sensor_types must be non-empty")
-    if cfg.attached_sensors < 0 or cfg.spare_sensors < 0:
-        raise ValidationError("sensor counts must be non-negative")
-    if not -90.0 <= cfg.center[0] <= 90.0:
-        raise ValidationError(f"center latitude {cfg.center[0]} out of range")
-    anchor = cfg.anchor_tower if cfg.anchor_tower is not None else min(4, cfg.tower_count - 1)
-    if not 0 <= anchor < cfg.tower_count:
-        raise ValidationError("anchor_tower must be a valid tower number")
+    if cfg.attached_sensors < 0:
+        raise ValidationError("attached_sensors must be non-negative")
+    anchor = min(_ANCHOR_TOWER, cfg.tower_count - 1)
 
     rng = _Rng(cfg.seed)
     dataset = DatasetFile()
-    center_lat, center_long = cfg.center
-    radius_m = cfg.radius_miles * _METERS_PER_MILE
+    center_lat, center_long = _CENTER
+    radius_m = _RADIUS_MILES * _METERS_PER_MILE
 
     for tower in range(cfg.tower_count):
         if tower == anchor:
@@ -175,22 +138,21 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
 
     counts = _sensor_counts(cfg.tower_count, cfg.attached_sensors)
     sensor_id = 1000
-    type_count = len(cfg.sensor_types)
     for tower, count in enumerate(counts):
         for slot in range(count):
-            sensor_type = cfg.sensor_types[slot % type_count]
-            occurrence = slot // type_count + 1
+            sensor_type, stem, unit = _SENSOR_TYPES[slot % len(_SENSOR_TYPES)]
+            occurrence = slot // len(_SENSOR_TYPES) + 1
             dataset.nodes.append(
                 NodeEntry(
                     labels=["Sensor"],
                     properties={
                         "InstallDate": f"20{rng.randint(21, 24)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
-                        "Model": f"MSA-{_NAME_STEMS.get(sensor_type, 'GEN')[:4].upper()}{rng.randint(100, 999)}",
-                        "Name": _sensor_name(sensor_type, occurrence, tower),
+                        "Model": f"MSA-{stem[:4].upper()}{rng.randint(100, 999)}",
+                        "Name": f"{stem}{occurrence if occurrence > 1 else ''}-T{tower:02d}",
                         "SensorId": sensor_id,
                         "SensorType": sensor_type,
                         "Status": "active",
-                        "Unit": _UNITS.get(sensor_type, "unit"),
+                        "Unit": unit,
                     },
                 )
             )
@@ -198,19 +160,19 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
             dataset.relationships.append(RelationshipEntry(tower, "HAS_SENSOR", node_index, {}))
             sensor_id += 1
 
-    for spare in range(cfg.spare_sensors):
-        sensor_type = cfg.sensor_types[spare % type_count]
+    for spare in range(_SPARE_SENSORS):
+        sensor_type, stem, unit = _SENSOR_TYPES[spare % len(_SENSOR_TYPES)]
         dataset.nodes.append(
             NodeEntry(
                 labels=["Sensor"],
                 properties={
                     "InstallDate": f"20{rng.randint(21, 24)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
-                    "Model": f"MSA-{_NAME_STEMS.get(sensor_type, 'GEN')[:4].upper()}{rng.randint(100, 999)}",
+                    "Model": f"MSA-{stem[:4].upper()}{rng.randint(100, 999)}",
                     "Name": f"Spare{spare + 1}-X{rng.randint(10, 99)}",
                     "SensorId": sensor_id,
                     "SensorType": sensor_type,
                     "Status": "spare",
-                    "Unit": _UNITS.get(sensor_type, "unit"),
+                    "Unit": unit,
                 },
             )
         )

@@ -160,12 +160,6 @@ class PropertyGraph:
         except KeyError:
             raise ValidationError(f"no node with id {node_id}") from None
 
-    def relationship(self, rel_id: int) -> Relationship:
-        try:
-            return self._rels[rel_id]
-        except KeyError:
-            raise ValidationError(f"no relationship with id {rel_id}") from None
-
     def nodes(self) -> list[Node]:
         return list(self._nodes.values())
 

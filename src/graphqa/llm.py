@@ -207,13 +207,8 @@ class Gateway:
 
 @dataclass
 class CypherCandidate:
-    raw_llm_text: str
     extracted_query: str | None
     extraction_method: str | None = None  # fenced-block | keyword-scan | whole-text
-
-    @property
-    def ok(self) -> bool:
-        return self.extracted_query is not None
 
 
 _QUERY_STARTERS = ("MATCH", "RETURN")
@@ -289,15 +284,15 @@ def extract_cypher(llm_text: str) -> CypherCandidate:
         if first_line.strip().lower() in ("cypher", "cql", "sql") and rest.strip():
             block = rest.strip()
         if _starts_with_query(block):
-            return CypherCandidate(llm_text, block.rstrip(";").strip(), "fenced-block")
+            return CypherCandidate(block.rstrip(";").strip(), "fenced-block")
         scanned = _scan_statement(block)
         if scanned is not None:
-            return CypherCandidate(llm_text, scanned[0].rstrip(";").strip(), "fenced-block")
+            return CypherCandidate(scanned[0].rstrip(";").strip(), "fenced-block")
 
     scanned = _scan_statement(llm_text)
     if scanned is not None:
         statement, offset = scanned
         method = "whole-text" if llm_text.strip() == statement else "keyword-scan"
-        return CypherCandidate(llm_text, statement.rstrip(";").strip(), method)
+        return CypherCandidate(statement.rstrip(";").strip(), method)
 
-    return CypherCandidate(llm_text, None, None)
+    return CypherCandidate(None)

@@ -185,7 +185,7 @@ def run_stage1(graph: PropertyGraph, llm_text: str | None) -> tuple[CypherCandid
     failure is recorded elsewhere.
     """
     if llm_text is None:
-        return CypherCandidate("", None, None), NAN_SENTINEL, None
+        return CypherCandidate(None), NAN_SENTINEL, None
     candidate = extract_cypher(llm_text)
     if candidate.extracted_query is None:
         return candidate, NAN_SENTINEL, "extraction: no Cypher query found in model output"

@@ -15,15 +15,11 @@ from generators import random_graph, random_query_ast
 from oracle import cell_key, oracle_rows
 
 from graphqa.cli import data_path, main
-from graphqa.cypher import execute, parse_query, print_query, run_query, serialize_records
+from graphqa.cypher import execute, parse_query, serialize_records
+from graphqa.cypher.ast import print_query
 from graphqa.errors import EngineError
-from graphqa.evaluation import (
-    compute_metrics,
-    evaluate_model,
-    grade_run,
-    metric_rows,
-    validate_corpus,
-)
+from graphqa.evaluation import compute_metrics, evaluate_model, metric_rows, validate_corpus
+from graphqa.evaluation.scoring import grade_run
 from graphqa.llm import Gateway, ReplayBackend, Transcript, extract_cypher
 from graphqa.pipeline import (
     NAN_SENTINEL,
@@ -96,7 +92,7 @@ def test_serialization_bit_exactness(fixture_graph, corpus):
     with criterion("serialization bit-exactness (reference 44-char record)"):
         started = time.perf_counter()
         spec = next(s for s in corpus if s.id == "location-tower-4")
-        out = serialize_records(run_query(fixture_graph, spec.ground_truth_query))
+        out = serialize_records(execute(fixture_graph, parse_query(spec.ground_truth_query)))
         assert out == REFERENCE_RECORD
         assert len(out) == 44
         assert time.perf_counter() - started < 1.0
@@ -117,7 +113,7 @@ def test_ground_truth_corpus_gate(fixture_graph, corpus):
         validate_corpus(fixture_graph, corpus)  # raises on any violation
         trick = [s for s in corpus if s.is_trick]
         assert len(trick) == 1
-        assert serialize_records(run_query(fixture_graph, trick[0].ground_truth_query)) == "[]"
+        assert serialize_records(execute(fixture_graph, parse_query(trick[0].ground_truth_query))) == "[]"
         assert time.perf_counter() - started < 1.0
 
 
@@ -241,7 +237,7 @@ def test_grade_implication_suite(fixture_graph, corpus, templates):
             response = rng.choice(response_pools[source.id])
             candidate = extract_cypher(response)
             engine_error = None
-            if candidate.ok:
+            if candidate.extracted_query is not None:
                 try:
                     db_output = serialize_records(
                         execute(fixture_graph, parse_query(candidate.extracted_query))
@@ -299,7 +295,7 @@ def test_closest_pair_consistency(fixture_graph, corpus):
         oracle_pair = [str(best[1]), str(best[2])]
         spec = next(s for s in corpus if s.id == "closest-towers")
         assert spec.expected_values == oracle_pair
-        result = run_query(fixture_graph, spec.ground_truth_query)
+        result = execute(fixture_graph, parse_query(spec.ground_truth_query))
         assert [str(cell) for cell in result.rows[0]] == oracle_pair
 
 

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import graphqa
 from graphqa.cli import EXIT_CONFIG, EXIT_CORPUS, EXIT_ENGINE, EXIT_GATEWAY, EXIT_OK, data_path, main
 
@@ -38,12 +40,26 @@ def test_gen_data_invalid_config_exit_code(tmp_path):
 
 def test_gen_data_config_file(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"tower_count": 3, "attached_sensors": 5, "spare_sensors": 0}))
+    config.write_text(json.dumps({"tower_count": 3, "attached_sensors": 5}))
     out = tmp_path / "small.jsonl"
     assert main(["gen-data", "--out", str(out), "--config", str(config)]) == EXIT_OK
     from graphqa.graph import load_dataset_file
 
-    assert load_dataset_file(str(out)).stats().node_count == 8
+    assert load_dataset_file(str(out)).stats().node_count == 9  # 3 towers, 5 attached sensors, 1 spare
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"tower_count": "3"}, {"seed": 1.5}, ["tower_count"], {"attached_sensors": True}],
+    ids=["string", "float", "array", "boolean"],
+)
+def test_gen_data_config_must_be_an_object_of_integers(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "x.jsonl"
+    assert main(["gen-data", "--out", str(out), "--config", str(path)]) == EXIT_CONFIG
+    assert f"config {path}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ask_one_shot_replay(capsys):
@@ -237,6 +253,18 @@ def test_report_malformed_run_record_exits_corpus_code(tmp_path, capsys):
     runs.write_text("\n".join([*lines[:2], "[1, 2]", *lines[3:]]) + "\n")
     assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_CORPUS
     assert "line 3" in capsys.readouterr().err
+
+
+def test_report_wrongly_typed_grade_exits_corpus_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"])
+    runs = out / "llama3.1_8b.runs.jsonl"
+    header, first, *rest = runs.read_text().splitlines()
+    record = json.loads(first)
+    record["grades"]["em"] = str(record["grades"]["em"])
+    runs.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+    assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_CORPUS
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_console_entry_point_subprocess():

@@ -1,21 +1,15 @@
 import pytest
 
 from graphqa.errors import DatasetFormatError, ValidationError
-from graphqa.graph import (
-    dataset_to_graph,
-    generate_msa_fixture,
-    graph_to_dataset,
-    load_dataset,
-    parse_dataset,
-    serialize_dataset,
-)
+from graphqa.graph import dataset_to_graph, generate_msa_fixture, load_dataset, serialize_dataset
+from graphqa.graph.dataset import parse_dataset
 
 HEADER = '{"kind": "header", "schema_version": "1"}'
 
 
 def test_round_trip_is_lossless(dataset_text):
     graph = load_dataset(dataset_text)
-    again = serialize_dataset(graph_to_dataset(graph))
+    again = serialize_dataset(parse_dataset(dataset_text))
     assert again == dataset_text
     graph2 = load_dataset(again)
     assert [(n.id, sorted(n.labels), n.properties) for n in graph.nodes()] == [
@@ -39,7 +33,7 @@ def test_value_kinds_survive_round_trip():
     assert props["f"] == 4.0 and isinstance(props["f"], float)
     assert props["s"] == "4" and isinstance(props["s"], str)
     assert props["b"] is True
-    assert serialize_dataset(graph_to_dataset(graph)).splitlines()[1].count("4.0") == 1
+    assert serialize_dataset(parse_dataset(text)).splitlines()[1].count("4.0") == 1
 
 
 def test_empty_dataset():
@@ -91,3 +85,19 @@ def test_non_finite_property_rejected_with_position():
     with pytest.raises(DatasetFormatError) as excinfo:
         parse_dataset(text)
     assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"kind": "node", "labels": ["A"], "properties": {"x": 9223372036854775808}}',
+        '{"kind": "node", "labels": ["A"], "properties": {"": 1}}',
+        '{"kind": "rel", "src": 0, "rel_type": "R", "dst": 0, "properties": {"w": -9223372036854775809}}',
+    ],
+    ids=["int-out-of-range", "empty-key", "rel-int-out-of-range"],
+)
+def test_property_the_store_rejects_fails_the_parse_with_its_line(line):
+    node = '{"kind": "node", "labels": ["A"], "properties": {}}'
+    with pytest.raises(DatasetFormatError) as excinfo:
+        parse_dataset("\n".join([HEADER, node, line]))
+    assert excinfo.value.line == 3

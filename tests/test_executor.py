@@ -5,11 +5,13 @@ import pytest
 
 from generators import random_graph, random_query_ast
 from oracle import cell_key, oracle_rows
-from graphqa.cypher import execute, parse_query, print_query, run_query, serialize_records
+from graphqa.cypher import execute, parse_query, serialize_records
+from graphqa.cypher.ast import print_query
 from graphqa.cypher.ast import FunctionCall, Query, ReturnItem, Variable
 from graphqa.cypher.executor import sort_key
 from graphqa.errors import ParseError, RuntimeQueryError, SemanticError
-from graphqa.graph import PropertyGraph, load_dataset_file
+from graphqa.graph import load_dataset_file
+from graphqa.graph.store import PropertyGraph
 
 
 def small_graph():
@@ -215,7 +217,7 @@ MAP_VALUE_QUERIES = [
 def test_map_values_fail_as_runtime_errors(shipped_dataset_path, text):
     graph = load_dataset_file(shipped_dataset_path)
     with pytest.raises(RuntimeQueryError):
-        serialize_records(run_query(graph, text))
+        serialize_records(execute(graph, parse_query(text)))
 
 
 def test_map_order_key_on_one_row_still_sorts(fixture_graph):
@@ -363,7 +365,7 @@ def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
         "MATCH (t:Tower {Tower: 99})-[:HAS_SENSOR]->(s:Sensor) RETURN s",
         "MATCH (a:Tower {Tower: 77}), (b:Tower {Tower: 78}) RETURN a.Tower, b.Tower",
     ]
-    expected = [serialize_records(run_query(fixture_graph, q)) for q in queries]
+    expected = [serialize_records(execute(fixture_graph, parse_query(q))) for q in queries]
     assert sum(text != "[]" for text in expected) >= len(queries) - 3
 
     def full_scan(self, *args):
@@ -371,9 +373,9 @@ def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
 
     monkeypatch.setattr(PropertyGraph, "relationships", full_scan)
     monkeypatch.setattr(PropertyGraph, "nodes", full_scan)
-    assert [serialize_records(run_query(fixture_graph, q)) for q in queries] == expected
+    assert [serialize_records(execute(fixture_graph, parse_query(q))) for q in queries] == expected
     with pytest.raises(AssertionError):
-        run_query(fixture_graph, "MATCH (n) RETURN count(n)")
+        execute(fixture_graph, parse_query("MATCH (n) RETURN count(n)"))
 
     # A labelled start node with an inline map reads an index bucket, not
     # every node of its label.
@@ -384,9 +386,9 @@ def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
     ]
     assert len({q for q, _ in point_lookups}) == 5 + 3
     monkeypatch.setattr(PropertyGraph, "nodes_with_label", full_scan)
-    assert [serialize_records(run_query(fixture_graph, q)) for q, _ in point_lookups] == [t for _, t in point_lookups]
+    assert [serialize_records(execute(fixture_graph, parse_query(q))) for q, _ in point_lookups] == [t for _, t in point_lookups]
     with pytest.raises(AssertionError):
-        run_query(fixture_graph, "MATCH (t:Tower) RETURN count(t)")
+        execute(fixture_graph, parse_query("MATCH (t:Tower) RETURN count(t)"))
 
 
 def test_inline_map_lookup_equals_the_label_scan_for_every_kind():

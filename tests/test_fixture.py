@@ -70,18 +70,16 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         generate_msa_fixture(GeneratorConfig(tower_count=0))
     with pytest.raises(ValidationError):
-        generate_msa_fixture(GeneratorConfig(sensor_types=()))
-    with pytest.raises(ValidationError):
-        generate_msa_fixture(GeneratorConfig(anchor_tower=99))
+        generate_msa_fixture(GeneratorConfig(attached_sensors=-1))
     with pytest.raises(ValidationError):
         GeneratorConfig.from_dict({"bogus_key": 1})
 
 
 def test_custom_config_scales():
-    config = GeneratorConfig(tower_count=3, attached_sensors=7, spare_sensors=0, anchor_tower=1)
+    config = GeneratorConfig(tower_count=3, attached_sensors=7)
     graph = load_dataset(serialize_dataset(generate_msa_fixture(config)))
     stats = graph.stats()
-    assert stats.node_count == 10
+    assert stats.node_count == 11  # 3 towers, 7 attached sensors, 1 spare
     assert stats.relationship_count == 7
     assert stats.label_counts["Tower"] == 3
 

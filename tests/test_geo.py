@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphqa.cypher import EARTH_RADIUS_M, haversine_distance
+from graphqa.cypher.geo import EARTH_RADIUS_M, haversine_distance
 from graphqa.errors import ValidationError
 
 

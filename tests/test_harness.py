@@ -62,6 +62,11 @@ def _with_run_field(record, name):
     return record
 
 
+def _with_grade(record, name, value):
+    record["grades"][name] = value
+    return record
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -70,8 +75,24 @@ def _with_run_field(record, name):
         lambda record: [1, 2],
         lambda record: "record",
         lambda record: {key: value for key, value in record.items() if key != "grades"},
+        lambda record: _with_grade(record, "em", "1"),
+        lambda record: _with_grade(record, "content", True),
+        lambda record: _with_grade(record, "content_length", 4.5),
+        lambda record: _with_run_field(record, "model_task1"),
+        lambda record: {**record, "is_trick": 0},
     ],
-    ids=["unknown-outcome", "extra-field", "array", "string", "missing-field"],
+    ids=[
+        "unknown-outcome",
+        "extra-field",
+        "array",
+        "string",
+        "missing-field",
+        "text-grade",
+        "boolean-grade",
+        "float-length",
+        "number-model",
+        "number-trick-flag",
+    ],
 )
 def test_malformed_run_record_line_raises_corpus_error(tmp_path, fixture_graph, corpus, templates, corrupt):
     config = PipelineConfig(model_task1=MODEL, templates=templates)

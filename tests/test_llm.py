@@ -225,14 +225,13 @@ def test_extract_multiline_fenced_query():
 
 def test_extract_failure_returns_no_candidate():
     candidate = extract_cypher("I cannot answer that.")
-    assert not candidate.ok
     assert candidate.extracted_query is None
     assert candidate.extraction_method is None
 
 
 def test_extract_lowercase_prose_return_not_picked_up():
     candidate = extract_cypher("I will return to this question later.")
-    assert not candidate.ok
+    assert candidate.extracted_query is None
 
 
 def test_extracted_candidates_always_start_with_match_or_return():
@@ -245,5 +244,5 @@ def test_extracted_candidates_always_start_with_match_or_return():
     ]
     for text in samples:
         candidate = extract_cypher(text)
-        if candidate.ok:
+        if candidate.extracted_query is not None:
             assert candidate.extracted_query.startswith(("MATCH", "RETURN"))

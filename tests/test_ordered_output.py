@@ -22,7 +22,8 @@ import random
 from pathlib import Path
 
 from generators import random_graph, random_query_ast, random_scan_query
-from graphqa.cypher import execute, print_query, serialize_records
+from graphqa.cypher import execute, serialize_records
+from graphqa.cypher.ast import print_query
 from graphqa.errors import EngineError
 
 PAIRS = 300

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from generators import random_query_ast
-from graphqa.cypher import parse_query, print_query, tokenize
+from graphqa.cypher import parse_query
+from graphqa.cypher.ast import print_query
+from graphqa.cypher.tokens import tokenize
 from graphqa.cypher.ast import (
     Binary,
     FunctionCall,

@@ -2,7 +2,7 @@ import pytest
 
 from graphqa.cypher.parser import _MAX_DEPTH
 from graphqa.errors import TemplateError
-from graphqa.graph import schema_description
+from graphqa.graph.store import schema_description
 from graphqa.llm import Gateway, ReplayBackend, Transcript, TranscriptEntry
 from graphqa.pipeline import (
     DEFAULT_EXAMPLE_RELATIONSHIP,
@@ -263,6 +263,32 @@ def test_expression_past_the_depth_limit_is_a_nan_outcome(fixture_graph, shape, 
     assert candidate.extracted_query == query
     assert db_output == NAN_SENTINEL
     assert engine_error == "parse: expression nested too deeply"
+
+
+# Each builder writes ``patterns`` node patterns in all; the executor nests
+# one generator per node pattern.
+PATTERN_SHAPES = {
+    "path": lambda patterns: "MATCH (t:Tower {Tower: 4})" + "--()" * (patterns - 1) + " RETURN count(*)",
+    "comma-paths": lambda patterns: "MATCH " + ", ".join(["(t:Tower {Tower: 4})"] * patterns) + " RETURN count(*)",
+    "match-clauses": lambda patterns: "MATCH (t:Tower {Tower: 4}) " * patterns + "RETURN count(*)",
+}
+
+
+@pytest.mark.parametrize("shape", PATTERN_SHAPES)
+def test_pattern_at_the_length_limit_runs(fixture_graph, shape):
+    query = PATTERN_SHAPES[shape](_MAX_DEPTH)
+    _, db_output, engine_error = run_stage1(fixture_graph, f"```cypher\n{query}\n```")
+    assert engine_error is None
+    assert db_output.startswith("[<Record ")
+
+
+@pytest.mark.parametrize("shape, patterns", [(shape, n) for shape in PATTERN_SHAPES for n in (_MAX_DEPTH + 1, 1000)])
+def test_pattern_past_the_length_limit_is_a_nan_outcome(fixture_graph, shape, patterns):
+    query = PATTERN_SHAPES[shape](patterns)
+    candidate, db_output, engine_error = run_stage1(fixture_graph, f"```cypher\n{query}\n```")
+    assert candidate.extracted_query == query
+    assert db_output == NAN_SENTINEL
+    assert engine_error == "parse: pattern too long"
 
 
 def test_trick_question_flows_to_empty_list(fixture_graph, templates, corpus):

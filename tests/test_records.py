@@ -1,22 +1,15 @@
 import random
 
-from graphqa.cypher import (
-    ResultSet,
-    canonical_value_text,
-    canonicalize_query,
-    render_value,
-    run_query,
-    serialize_records,
-)
-from graphqa.cypher.records import Point
-from graphqa.graph import PropertyGraph
+from graphqa.cypher import canonicalize_query, execute, parse_query, serialize_records
+from graphqa.cypher.records import Point, ResultSet, render_value
+from graphqa.graph.store import PropertyGraph
 
 REFERENCE_RECORD = "[<Record Lat=32.58088351 Long=-106.7533307>]"
 
 
 def test_reference_record_bit_exact(fixture_graph):
     out = serialize_records(
-        run_query(fixture_graph, "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long")
+        execute(fixture_graph, parse_query("MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"))
     )
     assert out == REFERENCE_RECORD
     assert len(out) == 44
@@ -52,7 +45,7 @@ def test_float_rendering_round_trips():
 def test_node_rendering_is_deterministic():
     g = PropertyGraph()
     g.add_node({"Sensor", "Device"}, {"Name": "Temp-T08", "SensorId": 1042})
-    out = serialize_records(run_query(g, "MATCH (n) RETURN n"))
+    out = serialize_records(execute(g, parse_query("MATCH (n) RETURN n")))
     assert out == (
         "[<Record n=<Node id=0 labels=frozenset({'Device', 'Sensor'}) "
         "properties={'Name': 'Temp-T08', 'SensorId': 1042}>>]"
@@ -64,14 +57,8 @@ def test_relationship_rendering():
     a = g.add_node({"A"}, {})
     b = g.add_node({"B"}, {})
     g.add_relationship(a, "R", b, {"w": 2})
-    out = serialize_records(run_query(g, "MATCH (x)-[e:R]->(y) RETURN e"))
+    out = serialize_records(execute(g, parse_query("MATCH (x)-[e:R]->(y) RETURN e")))
     assert out == "[<Record e=<Relationship id=0 type='R' start=0 end=1 properties={'w': 2}>>]"
-
-
-def test_canonical_value_text_matches_record_formats():
-    assert canonical_value_text("Temp-T08") == "Temp-T08"
-    assert canonical_value_text(9) == "9"
-    assert canonical_value_text(-106.7533307) == "-106.7533307"
 
 
 def test_canonicalize_collapses_whitespace_and_semicolon():

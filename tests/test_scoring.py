@@ -1,16 +1,10 @@
+import dataclasses
+
 import pytest
 
 from graphqa.errors import ValidationError
-from graphqa.evaluation import (
-    QuestionSpec,
-    RunGrades,
-    compute_metrics,
-    content_length,
-    grade_answer,
-    score_content,
-    score_em,
-    score_misinformation,
-)
+from graphqa.evaluation import QuestionSpec, compute_metrics
+from graphqa.evaluation.scoring import RunGrades, grade_answer, grade_run, score_content, score_em
 from graphqa.pipeline import OutcomeCase, PipelineRun
 
 TOWER_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
@@ -66,10 +60,10 @@ def test_score_content_trick_wants_empty_list():
 
 
 def test_content_length_values():
-    assert content_length(TOWER_RECORD) == 44
-    assert content_length("x" * 2171) == 2171
-    assert content_length("x" * 624) == 624
-    assert content_length("x" * 167) == 167
+    # Recorded for content-correct output only: its character count.
+    for db_output, length in [(TOWER_RECORD, 44), ("[<Record Lat=1.0>]", None), ("nan", None)]:
+        grades, _ = grade_run(dataclasses.replace(_run(), db_output=db_output), LOCATION_SPEC)
+        assert grades.content_length == length
 
 
 def test_grade_answer_content_tolerates_units_and_case():
@@ -161,10 +155,8 @@ def test_rungrades_invariants_enforced():
 
 
 def test_score_misinformation_percentage():
-    grades = [_grades(misinfo=1)] * 4 + [_grades()] * 73
-    assert score_misinformation(grades) == pytest.approx(100.0 * 4 / 77)
-    with pytest.raises(ValidationError):
-        score_misinformation([])
+    rows = [(_run(), LOCATION_SPEC, _grades(misinfo=1))] * 4 + [(_run(), LOCATION_SPEC, _grades())] * 73
+    assert compute_metrics(rows).scores["m"].misinformation_score == pytest.approx(100.0 * 4 / 77)
 
 
 def _run(model="m", question="q"):

@@ -4,20 +4,12 @@ import random
 import pytest
 
 from graphqa import data_path
-from graphqa.cypher import run_query
+from graphqa.cypher import execute, parse_query
 from graphqa.errors import ValidationError
 from graphqa.evaluation import evaluate_model
-from graphqa.graph import (
-    PropertyGraph,
-    dataset_to_graph,
-    graph_to_dataset,
-    load_dataset,
-    load_dataset_file,
-    parse_dataset,
-    schema_description,
-    serialize_dataset,
-    store,
-)
+from graphqa.graph import dataset_to_graph, load_dataset, load_dataset_file, serialize_dataset, store
+from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, parse_dataset
+from graphqa.graph.store import PropertyGraph, schema_description
 from graphqa.llm import Gateway, ReplayBackend, Transcript
 from graphqa.pipeline import PipelineConfig
 
@@ -55,8 +47,8 @@ def test_add_relationship_and_dangling_endpoints():
     a = graph.add_node({"Tower"}, {})
     b = graph.add_node({"Sensor"}, {})
     rel_id = graph.add_relationship(a, "HAS_SENSOR", b)
-    rel = graph.relationship(rel_id)
-    assert (rel.src, rel.dst, rel.rel_type) == (a, b, "HAS_SENSOR")
+    (rel,) = graph.outgoing(a)
+    assert (rel.id, rel.src, rel.dst, rel.rel_type) == (rel_id, a, b, "HAS_SENSOR")
     assert graph.stats().relationship_count == 1
     with pytest.raises(ValidationError):
         graph.add_relationship(999, "HAS_SENSOR", b)
@@ -123,8 +115,6 @@ def test_schema_description_lists_labels_keys_and_relationships(fixture_graph):
 
 
 def test_schema_description_new_label_changes_exactly_one_line(fixture_graph, dataset_text):
-    from graphqa.graph import load_dataset
-
     before = schema_description(fixture_graph).splitlines()
     modified = load_dataset(dataset_text)
     modified.add_node({"Gateway"}, {"Name": "GW-1"})
@@ -200,7 +190,7 @@ def test_expansion_follows_a_relationship_scan_in_each_direction():
         # Undirected: one scan in id order; a self-loop matches once.
         either = [(r.id, r.dst if r.src == node.id else r.src) for r in rels if node.id in (r.src, r.dst)]
         for arrow, expected in (("-[r]->", right), ("<-[r]-", left), ("-[r]-", either)):
-            result = run_query(graph, f"MATCH (a {{i: {i}}}){arrow}(b) RETURN r, b")
+            result = execute(graph, parse_query(f"MATCH (a {{i: {i}}}){arrow}(b) RETURN r, b"))
             assert [(r.id, b.id) for r, b in result.rows] == expected, arrow
 
 
@@ -242,7 +232,7 @@ def test_nodes_with_property_follows_writes_to_the_same_graph():
     assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8]
     new = graph.add_node({"A"}, {"k": "x"})
     assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8, new]
-    assert [n.id for (n,) in run_query(graph, "MATCH (n:A {k: 'x'}) RETURN n").rows] == [8, new]
+    assert [n.id for (n,) in execute(graph, parse_query("MATCH (n:A {k: 'x'}) RETURN n")).rows] == [8, new]
     graph.add_relationship(new, "R", 8)  # relationships leave the buckets alone
     assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8, new]
 
@@ -254,11 +244,19 @@ def test_loading_a_dataset_builds_no_property_index(dataset_text):
     assert list(graph._property_index[1]) == [("Tower", "Tower")]
 
 
+def _as_dataset(graph: PropertyGraph) -> DatasetFile:
+    """The file form of a graph; node ids run from 0, so they are the line indexes."""
+    return DatasetFile(
+        nodes=[NodeEntry(sorted(n.labels), n.properties) for n in graph.nodes()],
+        relationships=[RelationshipEntry(r.src, r.rel_type, r.dst, r.properties) for r in graph.relationships()],
+    )
+
+
 def test_dataset_round_trip_through_the_store_is_unchanged(dataset_text):
-    assert serialize_dataset(graph_to_dataset(dataset_to_graph(parse_dataset(dataset_text)))) == dataset_text
+    assert serialize_dataset(_as_dataset(dataset_to_graph(parse_dataset(dataset_text)))) == dataset_text
     graph = _interleaved_graph(5)
-    rebuilt = dataset_to_graph(graph_to_dataset(graph))
-    assert serialize_dataset(graph_to_dataset(rebuilt)) == serialize_dataset(graph_to_dataset(graph))
+    rebuilt = dataset_to_graph(_as_dataset(graph))
+    assert serialize_dataset(_as_dataset(rebuilt)) == serialize_dataset(_as_dataset(graph))
     for node in graph.nodes():
         for side in ("outgoing", "incoming"):
             ids = [r.id for r in getattr(rebuilt, side)(node.id)]

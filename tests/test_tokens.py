@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphqa.cypher import tokenize
+from graphqa.cypher.tokens import tokenize
 from graphqa.errors import LexError
 
 REFERENCE_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
