@@ -30,7 +30,7 @@ from .errors import (
     TemplateError,
     ValidationError,
 )
-from .graph import GeneratorConfig, generate_msa_fixture, load_dataset_file, serialize_dataset
+from .graph import load_dataset_file, serialize_dataset
 from .llm import Gateway, LiveBackend, ReplayBackend, Transcript
 from .pipeline import PipelineConfig, load_templates
 
@@ -95,6 +95,8 @@ def _add_common_pipeline_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    from .graph.fixture import GeneratorConfig, generate_msa_fixture  # ask never loads the generator
+
     config = GeneratorConfig()
     if args.config:
         try:

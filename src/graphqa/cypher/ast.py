@@ -8,115 +8,202 @@ compares equal to the original AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .tokens import escape_string
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """An immutable value whose equality, hash and repr come from ``__slots__``.
+
+    Each subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``_set``; assigning to a field afterwards raises
+    ``AttributeError``. Two values are equal when they are of the same class
+    and their fields other than ``source_text`` are equal. The repr shows
+    every field: ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = tuple(name for name in cls.__slots__ if name != "source_text")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, whose parameters follow __slots__.
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
 
 # --- expressions -----------------------------------------------------------
 
 
-class Expr:
-    pass
+class Expr(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Literal(Expr):
-    value: int | float | str | bool | None
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | float | str | bool | None):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Variable(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class PropertyAccess(Expr):
-    variable: str
-    key: str
+    __slots__ = ("variable", "key")
+
+    def __init__(self, variable: str, key: str):
+        _set(self, "variable", variable)
+        _set(self, "key", key)
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # '-' or 'NOT'
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        _set(self, "op", op)  # '-' or 'NOT'
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # + - * / = <> < <= > >= AND OR
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)  # + - * / = <> < <= > >= AND OR
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class MapLiteral(Expr):
-    entries: tuple[tuple[str, Expr], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, Expr], ...]):
+        _set(self, "entries", entries)
 
 
-@dataclass(frozen=True)
 class FunctionCall(Expr):
-    name: str  # normalized lowercase, e.g. 'count', 'point', 'point.distance'
-    args: tuple[Expr, ...]
-    star: bool = False  # count(*)
+    __slots__ = ("name", "args", "star")
+
+    def __init__(self, name: str, args: tuple[Expr, ...], star: bool = False):
+        _set(self, "name", name)  # normalized lowercase, e.g. 'count', 'point', 'point.distance'
+        _set(self, "args", args)
+        _set(self, "star", star)  # count(*)
 
 
 # --- patterns ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodePattern:
-    variable: str | None
-    labels: tuple[str, ...]
-    properties: tuple[tuple[str, "Literal"], ...] = ()
+class NodePattern(Frozen):
+    __slots__ = ("variable", "labels", "properties")
+
+    def __init__(
+        self, variable: str | None, labels: tuple[str, ...], properties: tuple[tuple[str, Literal], ...] = ()
+    ):
+        _set(self, "variable", variable)
+        _set(self, "labels", labels)
+        _set(self, "properties", properties)
 
 
-@dataclass(frozen=True)
-class EdgePattern:
-    variable: str | None
-    rel_type: str | None
-    direction: str  # 'right' | 'left' | 'any'
-    properties: tuple[tuple[str, "Literal"], ...] = ()
+class EdgePattern(Frozen):
+    __slots__ = ("variable", "rel_type", "direction", "properties")
+
+    def __init__(
+        self,
+        variable: str | None,
+        rel_type: str | None,
+        direction: str,
+        properties: tuple[tuple[str, Literal], ...] = (),
+    ):
+        _set(self, "variable", variable)
+        _set(self, "rel_type", rel_type)
+        _set(self, "direction", direction)  # 'right' | 'left' | 'any'
+        _set(self, "properties", properties)
 
 
-@dataclass(frozen=True)
-class PathPattern:
-    nodes: tuple[NodePattern, ...]
-    edges: tuple[EdgePattern, ...]  # len(edges) == len(nodes) - 1
+class PathPattern(Frozen):
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[NodePattern, ...], edges: tuple[EdgePattern, ...]):
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)  # len(edges) == len(nodes) - 1
 
 
-@dataclass(frozen=True)
-class MatchClause:
-    paths: tuple[PathPattern, ...]
+class MatchClause(Frozen):
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: tuple[PathPattern, ...]):
+        _set(self, "paths", paths)
 
 
 # --- query ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReturnItem:
-    expr: Expr
-    alias: str | None
-    source_text: str = field(default="", compare=False)
+class ReturnItem(Frozen):
+    __slots__ = ("expr", "alias", "source_text")
+
+    def __init__(self, expr: Expr, alias: str | None, source_text: str = ""):
+        _set(self, "expr", expr)
+        _set(self, "alias", alias)
+        _set(self, "source_text", source_text)
 
     def column_name(self) -> str:
         return self.alias if self.alias is not None else (self.source_text or print_expr(self.expr))
 
 
-@dataclass(frozen=True)
-class OrderItem:
-    expr: Expr
-    ascending: bool = True
-    source_text: str = field(default="", compare=False)
+class OrderItem(Frozen):
+    __slots__ = ("expr", "ascending", "source_text")
+
+    def __init__(self, expr: Expr, ascending: bool = True, source_text: str = ""):
+        _set(self, "expr", expr)
+        _set(self, "ascending", ascending)
+        _set(self, "source_text", source_text)
 
 
-@dataclass(frozen=True)
-class Query:
-    matches: tuple[MatchClause, ...]
-    where: Expr | None
-    distinct: bool
-    items: tuple[ReturnItem, ...]
-    order_by: tuple[OrderItem, ...] = ()
-    limit: int | None = None
+class Query(Frozen):
+    __slots__ = ("matches", "where", "distinct", "items", "order_by", "limit")
+
+    def __init__(
+        self,
+        matches: tuple[MatchClause, ...],
+        where: Expr | None,
+        distinct: bool,
+        items: tuple[ReturnItem, ...],
+        order_by: tuple[OrderItem, ...] = (),
+        limit: int | None = None,
+    ):
+        _set(self, "matches", matches)
+        _set(self, "where", where)
+        _set(self, "distinct", distinct)
+        _set(self, "items", items)
+        _set(self, "order_by", order_by)
+        _set(self, "limit", limit)
 
 
 def pattern_variables(query: Query) -> tuple[set[str], set[str]]:

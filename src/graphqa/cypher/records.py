@@ -10,29 +10,32 @@ and the evaluation harness, so change it only with care.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import RuntimeQueryError
 from ..graph.store import Node, Relationship
+from .ast import Frozen, _set
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """Geographic point produced by the ``point()`` query function."""
 
-    latitude: float
-    longitude: float
+    __slots__ = ("latitude", "longitude")
+
+    def __init__(self, latitude: float, longitude: float):
+        _set(self, "latitude", latitude)
+        _set(self, "longitude", longitude)
 
 
 CellValue = int | float | str | bool | None | Node | Relationship | Point
 
 
-@dataclass
 class ResultSet:
     """Executed query output: ordered columns and per-row cell tuples."""
 
-    columns: list[str]
-    rows: list[tuple[CellValue, ...]] = field(default_factory=list)
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: list[str], rows: list[tuple[CellValue, ...]] | None = None):
+        self.columns = columns
+        self.rows = [] if rows is None else rows
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from ..datafiles import atomic_write
-from ..errors import CorpusError
+from ..errors import CorpusError, ValidationError
 from ..graph.store import PropertyGraph
 from ..llm import Gateway
 from ..pipeline import PipelineConfig, PipelineRun, answer_question
@@ -79,13 +79,15 @@ class RunRecord:
     @classmethod
     def from_dict(cls, data: object) -> "RunRecord":
         data = _checked(data, _RECORD_TYPES, "record")
+        grades = RunGrades(**_checked(data["grades"], _GRADE_TYPES, "grades"))
+        grades.validate()
         return cls(
             question_id=data["question_id"],
             variant=data["variant"],
             is_trick=data["is_trick"],
             original_question=data["original_question"],
             run=PipelineRun.from_dict(_checked(data["run"], _RUN_TYPES, "run")),
-            grades=RunGrades(**_checked(data["grades"], _GRADE_TYPES, "grades")),
+            grades=grades,
             reason=data.get("reason", ""),
         )
 
@@ -161,6 +163,6 @@ def load_run_records(path: str) -> tuple[str, list[RunRecord]]:
         if line.strip():
             try:
                 records.append(RunRecord.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise CorpusError(f"run record file {path} line {lineno}: {type(exc).__name__}: {exc}") from exc
     return header.get("model", ""), records

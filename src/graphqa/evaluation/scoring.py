@@ -169,6 +169,12 @@ class RunGrades:
     absolute_correct: int
 
     def validate(self) -> None:
+        for name in ("em", "content", "misinformation", "output_correct", "absolute_correct"):
+            value = getattr(self, name)
+            if value != 0 and value != 1:
+                raise ValidationError(f"grade {name} must be 0 or 1, got {value!r}")
+        if self.content_length is not None and self.content_length < 0:
+            raise ValidationError(f"grade content_length must be None or >= 0, got {self.content_length!r}")
         if self.em == 1 and self.content != 1:
             raise ValidationError("grade invariant violated: em=1 requires content=1")
         if self.content == 1 and self.misinformation != 0:

@@ -1,5 +1,4 @@
 from .dataset import dataset_to_graph, load_dataset, load_dataset_file, serialize_dataset
-from .fixture import GeneratorConfig, generate_msa_fixture
 
 __all__ = [
     "GeneratorConfig",
@@ -9,3 +8,12 @@ __all__ = [
     "load_dataset_file",
     "serialize_dataset",
 ]
+
+
+def __getattr__(name: str):
+    # The generator loads on first use: answering a question never runs it.
+    if name in ("GeneratorConfig", "generate_msa_fixture"):
+        from . import fixture
+
+        return getattr(fixture, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

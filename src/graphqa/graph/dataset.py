@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 
 from ..errors import DatasetFormatError, ValidationError
 from .store import PropertyGraph, PropertyMap, validate_property_map
@@ -24,25 +23,32 @@ from .store import PropertyGraph, PropertyMap, validate_property_map
 SCHEMA_VERSION = "1"
 
 
-@dataclass
 class NodeEntry:
-    labels: list[str]
-    properties: PropertyMap
+    __slots__ = ("labels", "properties")
+
+    def __init__(self, labels: list[str], properties: PropertyMap):
+        self.labels = labels
+        self.properties = properties
 
 
-@dataclass
 class RelationshipEntry:
-    src_index: int
-    rel_type: str
-    dst_index: int
-    properties: PropertyMap = field(default_factory=dict)
+    __slots__ = ("src_index", "rel_type", "dst_index", "properties")
+
+    def __init__(self, src_index: int, rel_type: str, dst_index: int, properties: PropertyMap):
+        self.src_index = src_index
+        self.rel_type = rel_type
+        self.dst_index = dst_index
+        self.properties = properties
 
 
-@dataclass
 class DatasetFile:
-    schema_version: str = SCHEMA_VERSION
-    nodes: list[NodeEntry] = field(default_factory=list)
-    relationships: list[RelationshipEntry] = field(default_factory=list)
+    __slots__ = ("nodes", "relationships")
+
+    def __init__(
+        self, nodes: list[NodeEntry] | None = None, relationships: list[RelationshipEntry] | None = None
+    ):
+        self.nodes = [] if nodes is None else nodes
+        self.relationships = [] if relationships is None else relationships
 
 
 def _properties(value: object, owner: str, line: int) -> PropertyMap:
@@ -111,7 +117,7 @@ def parse_dataset(source: str | bytes | io.IOBase) -> DatasetFile:
 
 def serialize_dataset(dataset: DatasetFile) -> str:
     """Render a dataset document; property keys are sorted for stable bytes."""
-    lines = [json.dumps({"kind": "header", "schema_version": dataset.schema_version}, sort_keys=True)]
+    lines = [json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}, sort_keys=True)]
     for node in dataset.nodes:
         lines.append(
             json.dumps(

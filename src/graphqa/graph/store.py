@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from ..errors import ValidationError
 
@@ -94,12 +93,16 @@ class Relationship:
         )
 
 
-@dataclass
 class GraphStats:
-    node_count: int
-    relationship_count: int
-    property_key_count: int
-    label_counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("node_count", "relationship_count", "property_key_count", "label_counts")
+
+    def __init__(
+        self, node_count: int, relationship_count: int, property_key_count: int, label_counts: dict[str, int]
+    ):
+        self.node_count = node_count
+        self.relationship_count = relationship_count
+        self.property_key_count = property_key_count
+        self.label_counts = label_counts
 
 
 class PropertyGraph:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
 
 from .datafiles import atomic_write
 from .errors import GatewayError, ReplayMissError
@@ -27,10 +26,12 @@ DEFAULT_TIMEOUT_S = 120.0
 _GENERATE_OPTIONS = {"temperature": 0.0}
 
 
-@dataclass
 class CompletionRequest:
-    model_name: str
-    prompt: str
+    __slots__ = ("model_name", "prompt")
+
+    def __init__(self, model_name: str, prompt: str):
+        self.model_name = model_name
+        self.prompt = prompt
 
 
 def request_hash(model_name: str, prompt: str) -> str:
@@ -41,12 +42,14 @@ def request_hash(model_name: str, prompt: str) -> str:
     return digest.hexdigest()
 
 
-@dataclass
 class TranscriptEntry:
-    model_name: str
-    prompt: str
-    response: str
-    timestamp: str = ""
+    __slots__ = ("model_name", "prompt", "response", "timestamp")
+
+    def __init__(self, model_name: str, prompt: str, response: str, timestamp: str = ""):
+        self.model_name = model_name
+        self.prompt = prompt
+        self.response = response
+        self.timestamp = timestamp
 
     @property
     def key(self) -> tuple[str, str]:
@@ -205,10 +208,12 @@ class Gateway:
 # --- Cypher extraction -----------------------------------------------------------
 
 
-@dataclass
 class CypherCandidate:
-    extracted_query: str | None
-    extraction_method: str | None = None  # fenced-block | keyword-scan | whole-text
+    __slots__ = ("extracted_query", "extraction_method")
+
+    def __init__(self, extracted_query: str | None, extraction_method: str | None = None):
+        self.extracted_query = extracted_query
+        self.extraction_method = extraction_method  # fenced-block | keyword-scan | whole-text
 
 
 _QUERY_STARTERS = ("MATCH", "RETURN")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import re
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cypher import canonicalize_query, execute, parse_query, serialize_records
@@ -48,7 +47,6 @@ class OutcomeCase(enum.Enum):
     WRONG_CONTENT = "wrong-content"
 
 
-@dataclass
 class PromptTemplate:
     """A prompt body with named ``{placeholder}`` markers, split once.
 
@@ -57,20 +55,20 @@ class PromptTemplate:
     literal pieces in one pass, so text inside a value is never substituted.
     """
 
-    template_id: str  # 'task1' | 'task2'
-    body: str
-    _pieces: list[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("template_id", "body", "_pieces")
 
-    def __post_init__(self) -> None:
-        required = _REQUIRED_PLACEHOLDERS.get(self.template_id)
+    def __init__(self, template_id: str, body: str):
+        required = _REQUIRED_PLACEHOLDERS.get(template_id)
         if required is None:
-            raise TemplateError(f"unknown template id {self.template_id!r}")
+            raise TemplateError(f"unknown template id {template_id!r}")
+        self.template_id = template_id  # 'task1' | 'task2'
+        self.body = body
         # With a capturing group, re.split puts each marker's name at the odd
         # indexes, between the literal pieces.
-        self._pieces = re.split("\\{(" + "|".join(required) + ")\\}", self.body)
+        self._pieces = re.split("\\{(" + "|".join(required) + ")\\}", body)
         for name in required:
             if name not in self._pieces[1::2]:
-                raise TemplateError(f"template {self.template_id!r} missing placeholder {{{name}}}")
+                raise TemplateError(f"template {template_id!r} missing placeholder {{{name}}}")
 
     def render(self, **values: str) -> str:
         """Join the literal pieces with the values; exactly the required names."""
@@ -100,11 +98,13 @@ def load_templates(directory: str | None = None) -> dict[str, PromptTemplate]:
     }
 
 
-@dataclass
 class PipelineConfig:
-    model_task1: str
-    templates: dict[str, PromptTemplate]
-    model_task2: str | None = None  # defaults to the stage-1 model
+    __slots__ = ("model_task1", "templates", "model_task2")
+
+    def __init__(self, model_task1: str, templates: dict[str, PromptTemplate], model_task2: str | None = None):
+        self.model_task1 = model_task1
+        self.templates = templates
+        self.model_task2 = model_task2  # defaults to the stage-1 model
 
     @property
     def task2_model(self) -> str:
@@ -141,27 +141,53 @@ def classify_db_outcome(db_output: str | None, expected_values: Sequence[str] | 
     return OutcomeCase.WRONG_CONTENT
 
 
-@dataclass
 class PipelineRun:
     """Every artifact produced while answering one question."""
 
-    question: str
-    model_task1: str
-    model_task2: str
-    task1_prompt: str
-    task1_response: str | None
-    extracted_query: str | None
-    extraction_method: str | None
-    engine_error: str | None
-    db_output: str  # serialized records, "[]", or the "nan" sentinel
-    outcome: OutcomeCase
-    task2_prompt: str
-    answer: str | None
-    failure: str | None = None  # "task1: ..." / "task2: ..." gateway marker
-    durations: dict[str, float] = field(default_factory=dict)
+    __slots__ = (
+        "question", "model_task1", "model_task2", "task1_prompt", "task1_response", "extracted_query",
+        "extraction_method", "engine_error", "db_output", "outcome", "task2_prompt", "answer", "failure", "durations"
+    )
+
+    def __init__(
+        self,
+        question: str,
+        model_task1: str,
+        model_task2: str,
+        task1_prompt: str,
+        task1_response: str | None,
+        extracted_query: str | None,
+        extraction_method: str | None,
+        engine_error: str | None,
+        db_output: str,
+        outcome: OutcomeCase,
+        task2_prompt: str,
+        answer: str | None,
+        failure: str | None = None,
+        durations: dict[str, float] | None = None,
+    ):
+        self.question = question
+        self.model_task1 = model_task1
+        self.model_task2 = model_task2
+        self.task1_prompt = task1_prompt
+        self.task1_response = task1_response
+        self.extracted_query = extracted_query
+        self.extraction_method = extraction_method
+        self.engine_error = engine_error
+        self.db_output = db_output  # serialized records, "[]", or the "nan" sentinel
+        self.outcome = outcome
+        self.task2_prompt = task2_prompt
+        self.answer = answer
+        self.failure = failure  # "task1: ..." / "task2: ..." gateway marker
+        self.durations = {} if durations is None else durations
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.to_dict() == other.to_dict()
+        return NotImplemented
 
     def to_dict(self) -> dict:
-        data = self.__dict__.copy()
+        data = {name: getattr(self, name) for name in self.__slots__}
         data["outcome"] = self.outcome.value
         return data
 

@@ -267,6 +267,20 @@ def test_report_wrongly_typed_grade_exits_corpus_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_report_out_of_range_grade_exits_corpus_code(tmp_path, capsys):
+    # Grades are 0/1 flags; a 2 would push a score past 100%.
+    out = tmp_path / "out"
+    main(["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"])
+    runs = out / "llama3.1_8b.runs.jsonl"
+    header, first, *rest = runs.read_text().splitlines()
+    record = json.loads(first)
+    record["grades"].update(em=2, content=2, output_correct=2)
+    runs.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+    assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_CORPUS
+    err = capsys.readouterr().err
+    assert "llama3.1_8b.runs.jsonl line 2" in err and "must be 0 or 1" in err
+
+
 def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "graphqa.cli", "gen-data", "--out", os.devnull],
@@ -294,6 +308,19 @@ def test_cli_import_leaves_the_evaluation_harness_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_ask_loads_neither_dataclasses_nor_the_generator_nor_the_harness():
+    # Start-up cost: dataclasses pulls in inspect, dis, ast and tokenize.
+    code = (
+        "import sys, graphqa.cli; "
+        f"code = graphqa.cli.main(['ask', {TOWER_QUESTION!r}, '--replay', graphqa.cli.data_path('transcripts')]); "
+        "print(code, sorted(m for m in sys.modules if m in "
+        "('dataclasses', 'inspect', 'graphqa.graph.fixture', 'graphqa.evaluation')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [TOWER_ANSWER, "0 []"]
 
 
 def test_package_import_leaves_the_pipeline_unloaded():

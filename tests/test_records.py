@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from graphqa.cypher import canonicalize_query, execute, parse_query, serialize_records
 from graphqa.cypher.records import Point, ResultSet, render_value
 from graphqa.graph.store import PropertyGraph
@@ -33,6 +35,15 @@ def test_value_renderings():
     assert render_value(32.58088351) == "32.58088351"
     assert render_value("hello") == "'hello'"
     assert render_value(Point(1.5, -2.0)) == "point({latitude: 1.5, longitude: -2.0})"
+
+
+def test_points_are_immutable_values():
+    # WHERE point(...) = point(...) compares points by value.
+    assert Point(1.5, -2.0) == Point(1.5, -2.0) and hash(Point(1.5, -2.0)) == hash(Point(1.5, -2.0))
+    assert Point(1.5, -2.0) != Point(-2.0, 1.5)
+    assert repr(Point(1.5, -2.0)) == "Point(latitude=1.5, longitude=-2.0)"
+    with pytest.raises(AttributeError):
+        Point(1.5, -2.0).latitude = 0.0
 
 
 def test_float_rendering_round_trips():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from graphqa.errors import ValidationError
@@ -62,7 +60,7 @@ def test_score_content_trick_wants_empty_list():
 def test_content_length_values():
     # Recorded for content-correct output only: its character count.
     for db_output, length in [(TOWER_RECORD, 44), ("[<Record Lat=1.0>]", None), ("nan", None)]:
-        grades, _ = grade_run(dataclasses.replace(_run(), db_output=db_output), LOCATION_SPEC)
+        grades, _ = grade_run(_run(db_output=db_output), LOCATION_SPEC)
         assert grades.content_length == length
 
 
@@ -154,12 +152,21 @@ def test_rungrades_invariants_enforced():
         _grades(absolute=1, output=1, content=0).validate()
 
 
+def test_rungrades_range_enforced():
+    for grades in (_grades(em=2), _grades(content=-1), _grades(misinfo=2), _grades(output=2), _grades(absolute=-1)):
+        with pytest.raises(ValidationError, match="must be 0 or 1"):
+            grades.validate()
+    _grades(content=1, length=0).validate()
+    with pytest.raises(ValidationError, match="content_length"):
+        _grades(length=-1).validate()
+
+
 def test_score_misinformation_percentage():
     rows = [(_run(), LOCATION_SPEC, _grades(misinfo=1))] * 4 + [(_run(), LOCATION_SPEC, _grades())] * 73
     assert compute_metrics(rows).scores["m"].misinformation_score == pytest.approx(100.0 * 4 / 77)
 
 
-def _run(model="m", question="q"):
+def _run(model="m", question="q", db_output="[]"):
     return PipelineRun(
         question=question,
         model_task1=model,
@@ -169,7 +176,7 @@ def _run(model="m", question="q"):
         extracted_query="MATCH (n) RETURN n",
         extraction_method="whole-text",
         engine_error=None,
-        db_output="[]",
+        db_output=db_output,
         outcome=OutcomeCase.EMPTY_LIST,
         task2_prompt="p2",
         answer="a",
