@@ -195,9 +195,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import evaluation
 
-    run_files = sorted(
-        os.path.join(args.runs, name) for name in os.listdir(args.runs) if name.endswith(".runs.jsonl")
-    )
+    try:
+        names = os.listdir(args.runs)
+    except OSError as exc:
+        raise CliError(f"cannot read run directory {args.runs}: {exc}", EXIT_CONFIG) from exc
+    run_files = sorted(os.path.join(args.runs, name) for name in names if name.endswith(".runs.jsonl"))
     if not run_files:
         raise CliError(f"no .runs.jsonl files in {args.runs}", EXIT_CORPUS)
     rows = []

@@ -562,8 +562,12 @@ def _row_function(items) -> Callable[[dict], tuple]:
 
 
 def _project(query: Query, bindings: list[Binding]) -> tuple[list[tuple], list[Binding] | None]:
-    """Rows, and the binding of each row; None for aggregated rows."""
-    if not any(contains_aggregate(item.expr) for item in query.items):
+    """Rows, and the binding of each row; None for aggregated or DISTINCT rows.
+
+    DISTINCT groups like count() does, by every non-aggregated item, so each
+    group is one row in order of first appearance.
+    """
+    if not query.distinct and not any(contains_aggregate(item.expr) for item in query.items):
         row = _row_function(query.items)
         return [row(binding) for binding in bindings], bindings
 
@@ -668,14 +672,4 @@ def execute(graph: PropertyGraph, query: Query) -> ResultSet:
     bindings = enumerate_bindings(graph, query)
     columns = [item.column_name() for item in query.items]
     rows, row_bindings = _project(query, bindings)
-    if query.distinct:
-        row_bindings = None  # sort keys must come from columns
-        seen: set[tuple] = set()
-        deduped: list[tuple] = []
-        for row in rows:
-            key = tuple([group_key(cell) for cell in row])
-            if key not in seen:
-                seen.add(key)
-                deduped.append(row)
-        rows = deduped
     return ResultSet(columns=columns, rows=_order_rows(query, columns, rows, row_bindings))

@@ -167,9 +167,7 @@ class _Parser:
             raise ParseError(f"unsupported construct {tok.upper()}", tok.offset)
 
     def _slice(self, start_idx: int, end_idx: int) -> str:
-        """Exact source text spanning tokens [start_idx, end_idx)."""
-        if start_idx >= end_idx:
-            return ""
+        """Exact source text spanning tokens [start_idx, end_idx); never empty."""
         first = self.tokens[start_idx]
         last = self.tokens[end_idx - 1]
         return self.source[first.offset : last.offset + len(last.text)].strip()
@@ -511,8 +509,6 @@ def _validate(query: Query) -> None:
         check_bound(query.where, "WHERE")
         if contains_aggregate(query.where):
             raise SemanticError("aggregation is not allowed in WHERE")
-    if not query.items:
-        raise SemanticError("RETURN requires at least one item")
     for item in query.items:
         check_bound(item.expr, "RETURN")
         if contains_aggregate(item.expr) and not (
@@ -522,8 +518,6 @@ def _validate(query: Query) -> None:
     for entry in query.order_by:
         if contains_aggregate(entry.expr):
             raise SemanticError("aggregation is not allowed in ORDER BY")
-    if query.limit is not None and query.limit < 0:
-        raise SemanticError("LIMIT must be non-negative")
 
 
 def parse_query(query_text: str) -> Query:

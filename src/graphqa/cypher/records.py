@@ -37,9 +37,6 @@ class ResultSet:
         self.columns = columns
         self.rows = [] if rows is None else rows
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def render_value(value: CellValue) -> str:
     """Render one cell the way it appears inside a serialized record."""

@@ -21,9 +21,16 @@ from ..cypher import parse_query, execute, serialize_records
 from ..datafiles import atomic_write
 from ..errors import CorpusError, EngineError
 from ..graph.store import PropertyGraph
-from ..matching import all_values_occur
+from ..pipeline import OutcomeCase, classify_db_outcome
 
 CORPUS_SCHEMA_VERSION = "1"
+
+# The JSON type of each question field; both lists hold strings.
+_FIELD_TYPES = {
+    **dict.fromkeys(("id", "question", "ground_truth_query"), str),
+    **dict.fromkeys(("expected_values", "rephrasings"), list),
+    "is_trick": bool,
+}
 
 
 @dataclass
@@ -34,6 +41,21 @@ class QuestionSpec:
     expected_values: list[str] = field(default_factory=list)
     is_trick: bool = False
     rephrasings: list[str] = field(default_factory=list)
+
+    @property
+    def wanted_outcome(self) -> OutcomeCase:
+        """The database outcome that answers this question."""
+        return OutcomeCase.EMPTY_LIST if self.is_trick else OutcomeCase.CONTENT
+
+
+def _question(raw: object) -> QuestionSpec:
+    """One corpus entry; a wrongly typed field raises ``TypeError``."""
+    spec = QuestionSpec(**raw)
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(spec, name)
+        if type(value) is not kind or (kind is list and any(type(item) is not str for item in value)):
+            raise TypeError(f"field {name!r} must be {'a list of strings' if kind is list else kind.__name__}")
+    return spec
 
 
 def load_corpus(path: str) -> list[QuestionSpec]:
@@ -49,7 +71,7 @@ def load_corpus(path: str) -> list[QuestionSpec]:
     specs = []
     for idx, raw in enumerate(data.get("questions", [])):
         try:
-            specs.append(QuestionSpec(**raw))
+            specs.append(_question(raw))
         except TypeError as exc:
             raise CorpusError(f"corpus {path}: question #{idx} malformed: {exc}") from exc
     if not specs:
@@ -67,7 +89,8 @@ def validate_corpus(graph: PropertyGraph, specs: list[QuestionSpec]) -> None:
 
     Non-trick questions must have expected values and their ground-truth
     query's output must contain all of them; a trick question's query must
-    yield the empty list.
+    yield the empty list. Both are read from the pipeline's outcome
+    classifier, the same outcome grading reads.
     """
     for spec in specs:
         try:
@@ -77,13 +100,12 @@ def validate_corpus(graph: PropertyGraph, specs: list[QuestionSpec]) -> None:
         if spec.is_trick:
             if spec.expected_values:
                 raise CorpusError(f"{spec.id}: trick questions must have no expected values")
-            if output != "[]":
+        elif not spec.expected_values:
+            raise CorpusError(f"{spec.id}: non-trick question needs expected values")
+        if classify_db_outcome(output, spec.expected_values) is not spec.wanted_outcome:
+            if spec.is_trick:
                 raise CorpusError(f"{spec.id}: trick ground truth returned {output!r}, expected []")
-        else:
-            if not spec.expected_values:
-                raise CorpusError(f"{spec.id}: non-trick question needs expected values")
-            if not all_values_occur(spec.expected_values, output):
-                raise CorpusError(f"{spec.id}: ground-truth output does not contain all expected values")
+            raise CorpusError(f"{spec.id}: ground-truth output does not contain all expected values")
 
 
 def corpus_instances(

@@ -16,7 +16,7 @@ from ..graph.store import PropertyGraph
 from ..llm import Gateway
 from ..pipeline import PipelineConfig, PipelineRun, answer_question
 from .corpus import QuestionSpec, corpus_instances
-from .scoring import RunGrades, grade_run
+from .scoring import MetricRow, RunGrades, grade_run
 
 RUNS_SCHEMA_VERSION = "1"
 
@@ -130,7 +130,7 @@ def evaluate_model(
 
 def metric_rows(
     records: list[RunRecord], specs_by_id: dict[str, QuestionSpec] | None = None
-) -> list[tuple[PipelineRun, QuestionSpec, RunGrades]]:
+) -> list[MetricRow]:
     """Shape run records for ``compute_metrics``."""
     rows = []
     for record in records:

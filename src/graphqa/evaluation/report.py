@@ -72,10 +72,10 @@ def render_text_report(report: MetricsReport) -> str:
 
     length_rows: list[list[str]] = []
     for model in models:
-        for graded in report.graded.get(model, []):
-            if graded.run.question == graded.spec.question:  # original phrasing only
-                length = graded.grades.content_length
-                length_rows.append([model, graded.spec.question, str(length) if length is not None else "-"])
+        for run, spec, grades in report.graded.get(model, []):
+            if run.question == spec.question:  # original phrasing only
+                length = grades.content_length
+                length_rows.append([model, spec.question, str(length) if length is not None else "-"])
     if length_rows:
         sections.append(
             "Content length of correct database responses (original questions)\n"

@@ -4,7 +4,8 @@ Metrics per run:
 
 - em: the predicted query equals the ground truth after canonicalization.
 - content: the database output contains every expected value (trick
-  questions: the output is exactly the empty list).
+  questions: the output is exactly the empty list). This and misinformation
+  read the outcome of ``pipeline.classify_db_outcome``.
 - content_length: character count of the serialized output, recorded only
   for content-correct runs.
 - misinformation: the query executed but retrieved semantically wrong data
@@ -28,16 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..matching import (
-    all_values_occur,
-    find_numbers,
-    find_output_text_values,
-    is_numeric_text,
-    numbers_match,
-    value_occurs,
-)
+from ..cypher import canonicalize_query
+from ..matching import find_numbers, find_output_text_values, is_numeric_text, numbers_match, value_occurs
 from ..errors import ValidationError
-from ..pipeline import NAN_SENTINEL, OutcomeCase, PipelineRun, canonical_em_equal
+from ..pipeline import OutcomeCase, PipelineRun, classify_db_outcome
 from .corpus import QuestionSpec
 
 NONEXISTENCE_LEXICON = (
@@ -87,18 +82,7 @@ def score_em(predicted: str | None, ground_truth: str) -> int:
     """1 iff the canonicalized query texts are equal."""
     if predicted is None:
         return 0
-    return 1 if canonical_em_equal(predicted, ground_truth) else 0
-
-
-def score_content(db_output: str | None, expected_values: list[str], is_trick: bool = False) -> int:
-    """1 iff the output carries what is needed to answer the question."""
-    if db_output is None or db_output == NAN_SENTINEL:
-        return 0
-    if is_trick:
-        return 1 if db_output == "[]" else 0
-    if not expected_values:
-        return 0
-    return 1 if all_values_occur(expected_values, db_output) else 0
+    return 1 if canonicalize_query(predicted) == canonicalize_query(ground_truth) else 0
 
 
 def _lexicon_hit(answer: str, lexicon: tuple[str, ...]) -> str | None:
@@ -120,7 +104,7 @@ def grade_answer(
     answer: str | None,
     spec: QuestionSpec,
     outcome: OutcomeCase,
-    db_output: str | None = None,
+    db_output: str,
 ) -> tuple[int, str]:
     """Grade the stage-2 answer against the outcome it was given.
 
@@ -151,11 +135,10 @@ def grade_answer(
     for number in find_numbers(answer):
         if not any(numbers_match(number, e, NUMERIC_REL_TOL) for e in expected_numbers):
             return 0, f"asserts unexpected number {number:g} as fact"
-    if db_output and db_output != NAN_SENTINEL:
-        expected_texts = {v.lower() for v in spec.expected_values if not is_numeric_text(v)}
-        for quoted in find_output_text_values(db_output):
-            if quoted.lower() not in expected_texts and value_occurs(quoted, answer):
-                return 0, f"asserts unexpected value {quoted!r} from the database output"
+    expected_texts = {v.lower() for v in spec.expected_values if not is_numeric_text(v)}
+    for quoted in find_output_text_values(db_output):
+        if quoted.lower() not in expected_texts and value_occurs(quoted, answer):
+            return 0, f"asserts unexpected value {quoted!r} from the database output"
     return 1, "no wrong values asserted"
 
 
@@ -188,18 +171,15 @@ class RunGrades:
 
 def grade_run(run: PipelineRun, spec: QuestionSpec) -> tuple[RunGrades, str]:
     """Compute all per-run grades; returns (grades, output-grade reason)."""
-    em = score_em(run.extracted_query, spec.ground_truth_query)
-    db_output = None if run.db_output == NAN_SENTINEL else run.db_output
-    content = score_content(db_output, spec.expected_values, spec.is_trick)
-    length = len(db_output) if content == 1 and db_output is not None else None
-    misinformation = 1 if run.outcome is OutcomeCase.WRONG_CONTENT else 0
-    output_correct, reason = grade_answer(run.answer, spec, run.outcome, db_output)
+    outcome = classify_db_outcome(run.db_output, spec.expected_values)
+    content = 1 if outcome is spec.wanted_outcome else 0
+    output_correct, reason = grade_answer(run.answer, spec, outcome, run.db_output)
     absolute = 1 if (output_correct == 1 and content == 1) else 0
     grades = RunGrades(
-        em=em,
+        em=score_em(run.extracted_query, spec.ground_truth_query),
         content=content,
-        content_length=length,
-        misinformation=misinformation,
+        content_length=len(run.db_output) if content == 1 else None,
+        misinformation=1 if outcome is OutcomeCase.WRONG_CONTENT else 0,
         output_correct=output_correct,
         absolute_correct=absolute,
     )
@@ -218,30 +198,25 @@ class ModelScores:
     absolute_em_only: float
 
 
-@dataclass
-class GradedRun:
-    run: PipelineRun
-    spec: QuestionSpec
-    grades: RunGrades
+MetricRow = tuple[PipelineRun, QuestionSpec, RunGrades]
 
 
 @dataclass
 class MetricsReport:
     scores: dict[str, ModelScores]
-    graded: dict[str, list[GradedRun]] = field(default_factory=dict, compare=False, repr=False)
+    graded: dict[str, list[MetricRow]] = field(default_factory=dict, compare=False, repr=False)
 
 
-def compute_metrics(runs: list[tuple[PipelineRun, QuestionSpec, RunGrades]]) -> MetricsReport:
+def compute_metrics(runs: list[MetricRow]) -> MetricsReport:
     """Aggregate per-model percentage scores over a run set."""
     if not runs:
         raise ValidationError("cannot compute metrics over zero runs")
-    by_model: dict[str, list[tuple[PipelineRun, QuestionSpec, RunGrades]]] = {}
+    by_model: dict[str, list[MetricRow]] = {}
     for run, spec, grades in runs:
         grades.validate()
         by_model.setdefault(run.model_task1, []).append((run, spec, grades))
 
     scores: dict[str, ModelScores] = {}
-    graded: dict[str, list[GradedRun]] = {}
     for model, entries in by_model.items():
         n = len(entries)
         grade_list = [g for _, _, g in entries]
@@ -254,5 +229,4 @@ def compute_metrics(runs: list[tuple[PipelineRun, QuestionSpec, RunGrades]]) -> 
             absolute_score=100.0 * sum(g.absolute_correct for g in grade_list) / n,
             absolute_em_only=100.0 * sum(1 for g in grade_list if g.em == 1 and g.output_correct == 1) / n,
         )
-        graded[model] = [GradedRun(run, spec, grades) for run, spec, grades in entries]
-    return MetricsReport(scores=scores, graded=graded)
+    return MetricsReport(scores=scores, graded=by_model)

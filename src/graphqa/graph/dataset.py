@@ -14,7 +14,6 @@ and serialized again keeps its bytes.
 
 from __future__ import annotations
 
-import io
 import json
 
 from ..errors import DatasetFormatError, ValidationError
@@ -62,18 +61,11 @@ def _properties(value: object, owner: str, line: int) -> PropertyMap:
     return dict(value)
 
 
-def parse_dataset(source: str | bytes | io.IOBase) -> DatasetFile:
+def parse_dataset(source: str) -> DatasetFile:
     """Parse a dataset document into its file-level representation."""
-    if isinstance(source, io.IOBase):
-        raw = source.read()
-    else:
-        raw = source
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-
     dataset = DatasetFile()
     saw_header = False
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(source.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -157,7 +149,7 @@ def dataset_to_graph(dataset: DatasetFile) -> PropertyGraph:
     return graph
 
 
-def load_dataset(source: str | bytes | io.IOBase) -> PropertyGraph:
+def load_dataset(source: str) -> PropertyGraph:
     """Parse and materialize in one step."""
     return dataset_to_graph(parse_dataset(source))
 

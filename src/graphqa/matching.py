@@ -47,10 +47,6 @@ def value_occurs(value_text: str, text: str) -> bool:
     return _occurs(value_text, text, _TEXT_BOUNDARY, fold_case=True)
 
 
-def all_values_occur(values: list[str] | tuple[str, ...], text: str) -> bool:
-    return all(value_occurs(v, text) for v in values)
-
-
 def find_numbers(text: str) -> list[float]:
     """Standalone numeric tokens in free text (units/degree marks tolerated).
 

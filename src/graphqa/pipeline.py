@@ -17,12 +17,12 @@ import re
 import time
 from typing import Sequence
 
-from .cypher import canonicalize_query, execute, parse_query, serialize_records
+from .cypher import execute, parse_query, serialize_records
 from .datafiles import data_path
 from .errors import EngineError, GatewayError, TemplateError
 from .graph.store import PropertyGraph, schema_description
 from .llm import CompletionRequest, CypherCandidate, Gateway, extract_cypher
-from .matching import all_values_occur
+from .matching import value_occurs
 
 NAN_SENTINEL = "nan"
 EMPTY_OUTPUT = "[]"
@@ -123,20 +123,22 @@ def build_task2_prompt(question: str, db_output: str, template: PromptTemplate) 
     return template.render(question=question, db_output=db_output)
 
 
-def classify_db_outcome(db_output: str | None, expected_values: Sequence[str] | None) -> OutcomeCase:
+def classify_db_outcome(db_output: str, expected_values: Sequence[str] | None) -> OutcomeCase:
     """Classify a stage-1 result; total over all inputs.
 
-    ``None`` (or the literal sentinel) marks a failed query: a lex, parse,
-    semantic or runtime error, or a failed extraction. An empty expected-value
-    list (trick questions, or ad-hoc questions with no ground truth) makes any
-    successful non-empty output count as CONTENT vacuously; for trick
-    questions EMPTY_LIST is the desired outcome and is checked first.
+    This is the only place a database output is compared with expected
+    values: grading and the corpus self-check read its outcome. The literal
+    sentinel marks a failed query: a lex, parse, semantic or runtime error,
+    or a failed extraction. An empty expected-value list (trick questions,
+    or ad-hoc questions with no ground truth) makes any successful non-empty
+    output count as CONTENT vacuously; for trick questions EMPTY_LIST is the
+    desired outcome and is checked first.
     """
-    if db_output is None or db_output == NAN_SENTINEL:
+    if db_output == NAN_SENTINEL:
         return OutcomeCase.NAN
     if db_output == EMPTY_OUTPUT:
         return OutcomeCase.EMPTY_LIST
-    if not expected_values or all_values_occur(list(expected_values), db_output):
+    if all(value_occurs(value, db_output) for value in expected_values or ()):
         return OutcomeCase.CONTENT
     return OutcomeCase.WRONG_CONTENT
 
@@ -198,10 +200,6 @@ class PipelineRun:
         return cls(**payload)
 
 
-def canonical_em_equal(predicted: str, ground_truth: str) -> bool:
-    return canonicalize_query(predicted) == canonicalize_query(ground_truth)
-
-
 def run_stage1(graph: PropertyGraph, llm_text: str | None) -> tuple[CypherCandidate, str, str | None]:
     """Extract, parse, execute and serialize the query in a stage-1 response.
 
@@ -253,7 +251,7 @@ def answer_question(
     candidate, db_output, engine_error = run_stage1(graph, response1)
     durations["execute_s"] = time.perf_counter() - started
 
-    outcome = classify_db_outcome(None if db_output == NAN_SENTINEL else db_output, expected_values)
+    outcome = classify_db_outcome(db_output, expected_values)
 
     prompt2 = build_task2_prompt(question, db_output, task2_template)
     started = time.perf_counter()

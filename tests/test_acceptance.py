@@ -247,9 +247,7 @@ def test_grade_implication_suite(fixture_graph, corpus, templates):
                     db_output = NAN_SENTINEL
             else:
                 db_output = NAN_SENTINEL
-            outcome = classify_db_outcome(
-                None if db_output == NAN_SENTINEL else db_output, spec.expected_values
-            )
+            outcome = classify_db_outcome(db_output, spec.expected_values)
             answers = answer_pool_static + [
                 "Values: " + ", ".join(spec.expected_values) + "." if spec.expected_values else "Nothing.",
             ]

@@ -245,6 +245,28 @@ def test_report_empty_dir_exits_corpus_code(tmp_path):
     assert main(["report", "--runs", str(tmp_path), "--format", "table-text"]) == EXIT_CORPUS
 
 
+def test_report_missing_dir_exits_config_code(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["report", "--runs", str(missing), "--format", "table-text"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot read run directory {missing}")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("expected_values", [13]), ("question", 5), ("rephrasings", "abc"), ("id", None), ("is_trick", 0)],
+)
+def test_eval_wrongly_typed_corpus_field_exits_corpus_code(tmp_path, capsys, field, value):
+    corpus = json.loads(open(data_path("corpus.json"), encoding="utf-8").read())
+    corpus["questions"][2][field] = value
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    args = ["eval", "--corpus", str(path), "--models", "llama3.1:8b", "--out", str(tmp_path / "out")]
+    assert main([*args, "--replay", data_path("transcripts")]) == EXIT_CORPUS
+    err = capsys.readouterr().err
+    assert f"corpus {path}: question #2 malformed: field {field!r} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_malformed_run_record_exits_corpus_code(tmp_path, capsys):
     out = tmp_path / "out"
     main(["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"])

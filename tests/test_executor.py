@@ -9,7 +9,7 @@ from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
 from graphqa.cypher.ast import FunctionCall, Query, ReturnItem, Variable
 from graphqa.cypher.executor import sort_key
-from graphqa.errors import ParseError, RuntimeQueryError, SemanticError
+from graphqa.errors import EngineError, ParseError, RuntimeQueryError, SemanticError
 from graphqa.graph import load_dataset_file
 from graphqa.graph.store import PropertyGraph
 
@@ -225,6 +225,66 @@ def test_map_order_key_on_one_row_still_sorts(fixture_graph):
         ["t.Tower"],
         [(4,)],
     )
+
+
+def geo_graph():
+    """P nodes: valid, integer, non-numeric, missing and repeated coordinates;
+    one Q node whose latitude is out of range."""
+    g = PropertyGraph()
+    for name, lat, lon in [("a", 32.5, -106.7), ("b", 33, -106), ("c", "x", 1.0), ("d", None, 2.0), ("e", 32.5, -106.7)]:
+        props = {"name": name, "lon": lon}
+        if lat is not None:
+            props["lat"] = lat
+        g.add_node({"P"}, props)
+    g.add_node({"Q"}, {"name": "f", "lat": 95.0, "lon": 0.0})
+    return g
+
+
+POINT_N = "point({latitude: n.lat, longitude: n.lon})"
+ORIGIN = "point({latitude: 0, longitude: 0})"
+
+
+def test_point_paths_match_the_oracle():
+    g = geo_graph()
+
+    def outcome(run):
+        try:
+            return run()
+        except EngineError as exc:
+            return exc.kind
+
+    def compare(text):
+        query = parse_query(text)
+        engine = outcome(lambda: Counter(tuple(cell_key(c) for c in row) for row in execute(g, query).rows))
+        assert engine == outcome(lambda: oracle_rows(g, query)), text
+        return engine
+
+    unordered = [
+        f"MATCH (n:P) RETURN n.name, {POINT_N}",  # null for text or missing coordinates
+        "MATCH (n:P) RETURN point({longitude: n.lon, latitude: n.lat})",
+        "MATCH (n:P) RETURN point(n.lat), point(n)",  # not a map: null
+        "MATCH (n:P) RETURN point({latitude: 1, longitude: n.lon, latitude: n.lat})",  # the last entry wins
+        f"MATCH (n:P) RETURN DISTINCT {POINT_N}",
+        f"MATCH (n:P) RETURN {POINT_N} AS p, count(*) AS c",
+        f"MATCH (n:P) RETURN n.name, point.distance({POINT_N}, {ORIGIN})",
+        f"MATCH (n:P) RETURN point.distance(n.lat, {ORIGIN}), point.distance(n, n)",  # not points: null
+    ]
+    for text in unordered:
+        assert isinstance(compare(text), Counter), text
+    for text in [
+        "MATCH (n:P) RETURN point({latitude: n.lat, longitude: n.lon, x: 1})",
+        "MATCH (n:P) RETURN point({latitude: n.lat})",
+    ]:
+        assert compare(text) == "runtime", text
+
+    ordered = (
+        f"MATCH (n:P) WHERE n.lat > 0 RETURN n.name AS name, {POINT_N} AS p "
+        "ORDER BY point.distance(p, point({latitude: 33, longitude: -106})), name DESC"
+    )
+    assert [name for name, _ in rows(g, ordered)[1]] == ["b", "e", "a"]
+    # The oracle lets the geodesic's ValidationError escape here.
+    with pytest.raises(RuntimeQueryError, match="latitude"):
+        rows(g, f"MATCH (n:Q) RETURN point.distance({POINT_N}, {ORIGIN})")
 
 
 # An integer literal past float range (about 1.8e308), so past 64 bits too.

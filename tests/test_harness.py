@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 
 import pytest
@@ -8,12 +9,14 @@ from graphqa.cli import data_path
 from graphqa.datafiles import atomic_write
 from graphqa.errors import CorpusError
 from graphqa.evaluation import (
+    QuestionSpec,
     compute_metrics,
     corpus_instances,
     evaluate_model,
     load_run_records,
     metric_rows,
     save_run_records,
+    validate_corpus,
 )
 from graphqa.llm import Gateway, ReplayBackend, Transcript
 from graphqa.pipeline import PipelineConfig, build_task1_prompt
@@ -163,3 +166,39 @@ def test_corpus_expands_to_77_instances(corpus):
     assert len(originals) == 7
     texts = [q for _, _, q in instances]
     assert len(set(texts)) == 77  # no duplicate phrasings anywhere
+
+
+
+COUNT_T8 = "MATCH (t:Tower {Tower: 8})-[:HAS_SENSOR]->(s:Sensor) RETURN count(s) AS SensorCount"
+NAMES_T22 = "MATCH (t:Tower {Tower: 22})-[:HAS_SENSOR]->(s:Sensor) RETURN s.Name"
+
+
+def test_validate_corpus_accepts_reference_queries_that_reach_their_outcome(fixture_graph):
+    validate_corpus(
+        fixture_graph,
+        [
+            QuestionSpec(id="count", question="q?", ground_truth_query=COUNT_T8, expected_values=["9"]),
+            QuestionSpec(id="trick", question="q?", ground_truth_query=NAMES_T22, is_trick=True),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "query, expected, is_trick, message",
+    [
+        (COUNT_T8, [], True, "trick ground truth returned '[<Record SensorCount=9>]', expected []"),
+        (NAMES_T22, ["9"], True, "trick questions must have no expected values"),
+        (COUNT_T8, [], False, "non-trick question needs expected values"),
+        (NAMES_T22, ["9"], False, "ground-truth output does not contain all expected values"),
+        # Token boundaries: 19 is not 9, and 3 is not inside 13.
+        (COUNT_T8, ["19"], False, "ground-truth output does not contain all expected values"),
+        ("MATCH (t:Tower) RETURN count(t)", ["3"], False, "ground-truth output does not contain all expected values"),
+        ("MATCH (t:Tower) RETURN size(t)", ["9"], False, "ground-truth query failed"),
+    ],
+)
+def test_validate_corpus_rejects_a_reference_query_that_misses_its_outcome(
+    fixture_graph, query, expected, is_trick, message
+):
+    spec = QuestionSpec(id="q", question="q?", ground_truth_query=query, expected_values=expected, is_trick=is_trick)
+    with pytest.raises(CorpusError, match="^q: " + re.escape(message)):
+        validate_corpus(fixture_graph, [spec])

@@ -98,7 +98,6 @@ def test_classify_db_outcome_cases():
     expected = ["32.58088351", "-106.7533307"]
     assert classify_db_outcome(TOWER_RECORD, expected) is OutcomeCase.CONTENT
     assert classify_db_outcome("[]", expected) is OutcomeCase.EMPTY_LIST
-    assert classify_db_outcome(None, expected) is OutcomeCase.NAN
     assert classify_db_outcome(NAN_SENTINEL, expected) is OutcomeCase.NAN
     wrong = "[<Record Lat=33.0 Long=-100.0>]"
     assert classify_db_outcome(wrong, expected) is OutcomeCase.WRONG_CONTENT
@@ -109,7 +108,7 @@ def test_classify_db_outcome_cases():
 
 
 def test_classify_is_total_and_exclusive():
-    outputs = [None, NAN_SENTINEL, "[]", TOWER_RECORD, "[<Record x=1>]", ""]
+    outputs = [NAN_SENTINEL, "[]", TOWER_RECORD, "[<Record x=1>]", ""]
     expecteds = [[], ["32.58088351"], ["nope"]]
     for output in outputs:
         for expected in expecteds:

@@ -2,8 +2,8 @@ import pytest
 
 from graphqa.errors import ValidationError
 from graphqa.evaluation import QuestionSpec, compute_metrics
-from graphqa.evaluation.scoring import RunGrades, grade_answer, grade_run, score_content, score_em
-from graphqa.pipeline import OutcomeCase, PipelineRun
+from graphqa.evaluation.scoring import RunGrades, grade_answer, grade_run, score_em
+from graphqa.pipeline import NAN_SENTINEL, OutcomeCase, PipelineRun
 
 TOWER_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
 TOWER_RECORD = "[<Record Lat=32.58088351 Long=-106.7533307>]"
@@ -35,26 +35,33 @@ def test_score_em_zero_for_different_query():
     assert score_em(TOWER_QUERY.replace("Lat", "lat"), TOWER_QUERY) == 0
 
 
+def _content(db_output, expected_values, is_trick=False):
+    spec = QuestionSpec(
+        id="c", question="q", ground_truth_query="g", expected_values=expected_values, is_trick=is_trick
+    )
+    return grade_run(_run(db_output=db_output), spec)[0].content
+
+
 def test_score_content_substring_over_canonical_renderings():
-    assert score_content(TOWER_RECORD, LOCATION_SPEC.expected_values) == 1
-    assert score_content("[]", LOCATION_SPEC.expected_values) == 0
-    assert score_content(None, LOCATION_SPEC.expected_values) == 0
+    assert _content(TOWER_RECORD, LOCATION_SPEC.expected_values) == 1
+    assert _content("[]", LOCATION_SPEC.expected_values) == 0
+    assert _content(NAN_SENTINEL, LOCATION_SPEC.expected_values) == 0
     bigger = "[<Record t=<Node id=4 labels=frozenset({'Tower'}) properties={'Lat': 32.58088351, 'Long': -106.7533307}>>]"
-    assert score_content(bigger, LOCATION_SPEC.expected_values) == 1
+    assert _content(bigger, LOCATION_SPEC.expected_values) == 1
 
 
 def test_score_content_respects_token_boundaries():
-    assert score_content("[<Record c=9>]", ["9"]) == 1
-    assert score_content("[<Record c=19>]", ["9"]) == 0
-    assert score_content("[<Record c=32.9>]", ["9"]) == 0
-    assert score_content("[<Record n='Temp-T08-extra'>]", ["Temp-T08"]) == 0
-    assert score_content("[<Record n='Temp-T08'>]", ["Temp-T08"]) == 1
+    assert _content("[<Record c=9>]", ["9"]) == 1
+    assert _content("[<Record c=19>]", ["9"]) == 0
+    assert _content("[<Record c=32.9>]", ["9"]) == 0
+    assert _content("[<Record n='Temp-T08-extra'>]", ["Temp-T08"]) == 0
+    assert _content("[<Record n='Temp-T08'>]", ["Temp-T08"]) == 1
 
 
 def test_score_content_trick_wants_empty_list():
-    assert score_content("[]", [], is_trick=True) == 1
-    assert score_content("[<Record n=1>]", [], is_trick=True) == 0
-    assert score_content(None, [], is_trick=True) == 0
+    assert _content("[]", [], is_trick=True) == 1
+    assert _content("[<Record n=1>]", [], is_trick=True) == 0
+    assert _content(NAN_SENTINEL, [], is_trick=True) == 0
 
 
 def test_content_length_values():
@@ -102,7 +109,7 @@ def test_grade_answer_failure_outcomes():
     # Hedged answers are correct behavior for failed/wrong inputs.
     for outcome in (OutcomeCase.NAN, OutcomeCase.EMPTY_LIST, OutcomeCase.WRONG_CONTENT):
         grade, _ = grade_answer(
-            "I could not retrieve the requested information.", LOCATION_SPEC, outcome, None
+            "I could not retrieve the requested information.", LOCATION_SPEC, outcome, NAN_SENTINEL
         )
         assert grade == 1
     # Confidently asserting mismatched numbers is wrong.
@@ -125,7 +132,7 @@ def test_grade_answer_failure_outcomes():
         "[<Record n='Temperature-T08'>, <Record n='Humidity-T08'>]",
     )
     assert grade == 0
-    grade, _ = grade_answer(None, LOCATION_SPEC, OutcomeCase.NAN, None)
+    grade, _ = grade_answer(None, LOCATION_SPEC, OutcomeCase.NAN, NAN_SENTINEL)
     assert grade == 0
 
 

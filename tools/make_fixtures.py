@@ -24,6 +24,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from graphqa.cli import sanitize_model_name
 from graphqa.cypher import haversine_distance
 from graphqa.datafiles import atomic_write
 from graphqa.evaluation import (
@@ -658,7 +659,7 @@ def main() -> None:
     for model in MODELS:
         transcript = build_transcript(model, specs, graph, templates, values)
         verify(model, specs, graph, templates, transcript)
-        path = os.path.join(DATA_DIR, "transcripts", model.replace(":", "_").replace("/", "_") + ".jsonl")
+        path = os.path.join(DATA_DIR, "transcripts", sanitize_model_name(model) + ".jsonl")
         transcript.save(path)
         print(f"  wrote {path} ({len(transcript)} entries)")
 
