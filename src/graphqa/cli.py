@@ -195,17 +195,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import evaluation
 
-    try:
-        names = os.listdir(args.runs)
-    except OSError as exc:
-        raise CliError(f"cannot read run directory {args.runs}: {exc}", EXIT_CONFIG) from exc
-    run_files = sorted(os.path.join(args.runs, name) for name in names if name.endswith(".runs.jsonl"))
-    if not run_files:
-        raise CliError(f"no .runs.jsonl files in {args.runs}", EXIT_CORPUS)
     rows = []
-    for path in run_files:
-        _, records = evaluation.load_run_records(path)
-        rows.extend(evaluation.metric_rows(records))
+    try:
+        names = sorted(name for name in os.listdir(args.runs) if name.endswith(".runs.jsonl"))
+        if not names:
+            raise CliError(f"no .runs.jsonl files in {args.runs}", EXIT_CORPUS)
+        for name in names:
+            _, records = evaluation.load_run_records(os.path.join(args.runs, name))
+            rows.extend(evaluation.metric_rows(records))
+    except OSError as exc:
+        raise CliError(f"cannot read run records in {args.runs}: {exc}", EXIT_CONFIG) from exc
     report = evaluation.compute_metrics(rows)
     if args.format == "table-text":
         text = evaluation.render_text_report(report)

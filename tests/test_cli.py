@@ -245,10 +245,13 @@ def test_report_empty_dir_exits_corpus_code(tmp_path):
     assert main(["report", "--runs", str(tmp_path), "--format", "table-text"]) == EXIT_CORPUS
 
 
-def test_report_missing_dir_exits_config_code(tmp_path, capsys):
-    missing = tmp_path / "missing"
-    assert main(["report", "--runs", str(missing), "--format", "table-text"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"error: cannot read run directory {missing}")
+@pytest.mark.parametrize("layout", ["missing directory", "run file is a directory"])
+def test_report_unreadable_runs_exit_config_code(tmp_path, capsys, layout):
+    runs = tmp_path / "runs"
+    if layout == "run file is a directory":
+        (runs / "m.runs.jsonl").mkdir(parents=True)
+    assert main(["report", "--runs", str(runs), "--format", "table-text"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot read run records in {runs}: ")
 
 
 @pytest.mark.parametrize(
