@@ -68,8 +68,11 @@ def load_corpus(path: str) -> list[QuestionSpec]:
         raise CorpusError(f"corpus {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("schema_version") != CORPUS_SCHEMA_VERSION:
         raise CorpusError(f"corpus {path}: missing or unsupported schema_version")
+    questions = data.get("questions", [])
+    if not isinstance(questions, list):
+        raise CorpusError(f"corpus {path}: questions must be a list")
     specs = []
-    for idx, raw in enumerate(data.get("questions", [])):
+    for idx, raw in enumerate(questions):
         try:
             specs.append(_question(raw))
         except TypeError as exc:

@@ -270,6 +270,15 @@ def test_eval_wrongly_typed_corpus_field_exits_corpus_code(tmp_path, capsys, fie
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("questions", [5, {"a": 1}])
+def test_eval_corpus_questions_not_a_list_exits_corpus_code(tmp_path, capsys, questions):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema_version": "1", "questions": questions}))
+    args = ["eval", "--corpus", str(path), "--models", "llama3.1:8b", "--out", str(tmp_path / "out")]
+    assert main([*args, "--replay", data_path("transcripts")]) == EXIT_CORPUS
+    assert f"corpus {path}: questions must be a list" in capsys.readouterr().err
+
+
 def test_report_malformed_run_record_exits_corpus_code(tmp_path, capsys):
     out = tmp_path / "out"
     main(["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"])
