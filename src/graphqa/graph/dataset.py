@@ -10,20 +10,54 @@ Each line is a standalone JSON object so files stay human-diffable:
 appearance. JSON keeps integer vs float property kinds distinct and floats
 are written with their shortest round-trip representation, so a file parsed
 and serialized again keeps its bytes.
+
+Each line is decoded alone, by the scanner under ``json.loads`` called
+directly; a line that is not exactly one JSON value (blank, padded, a BOM,
+extra data, bad JSON) goes through ``json.loads`` for the same value or its
+error. Lines are never joined and decoded together: ``{"x":1},{"y":2}``,
+``{"c":[{}`` and ``{}]}`` each fail, yet joined they make three objects.
+
+A ``NodeEntry`` or ``RelationshipEntry`` checks its labels, relationship
+type and property map with the store's rules when it is built and when one
+is assigned, so parsed, generated and hand-built entries are all checked,
+once; ``parse_dataset`` adds the line number. (A map or label list changed
+in place is not checked again.) ``dataset_to_graph`` checks only endpoint
+indexes and stores entries through the graph's unchecked private paths,
+which copy each map: the decoded dict is kept, so that is its one copy.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from functools import wraps
+from operator import attrgetter
 
 from ..errors import DatasetFormatError, ValidationError
-from .store import PropertyGraph, PropertyMap, validate_property_map
+from .store import PropertyGraph, PropertyMap, validate_labels, validate_property_map, validate_rel_type
 
 SCHEMA_VERSION = "1"
 
+# The C scanner under json.loads, without its wrapper; see the module docstring.
+_scan = json.JSONDecoder().scan_once
+
+
+def _checked(name: str, check) -> property:
+    """A property over the slot ``_<name>`` whose setter runs ``check`` first."""
+    slot = "_" + name
+
+    def set_value(entry: object, value: object) -> None:
+        check(value)
+        setattr(entry, slot, value)
+
+    return property(attrgetter(slot), set_value)
+
 
 class NodeEntry:
-    __slots__ = ("labels", "properties")
+    __slots__ = ("_labels", "_properties")
+
+    labels = _checked("labels", validate_labels)
+    properties = _checked("properties", validate_property_map)
 
     def __init__(self, labels: list[str], properties: PropertyMap):
         self.labels = labels
@@ -31,7 +65,10 @@ class NodeEntry:
 
 
 class RelationshipEntry:
-    __slots__ = ("src_index", "rel_type", "dst_index", "properties")
+    __slots__ = ("src_index", "_rel_type", "dst_index", "_properties")
+
+    rel_type = _checked("rel_type", validate_rel_type)
+    properties = _checked("properties", validate_property_map)
 
     def __init__(self, src_index: int, rel_type: str, dst_index: int, properties: PropertyMap):
         self.src_index = src_index
@@ -50,29 +87,46 @@ class DatasetFile:
         self.relationships = [] if relationships is None else relationships
 
 
-def _properties(value: object, owner: str, line: int) -> PropertyMap:
-    """A line's property map, held to the store's rules with the line number."""
-    if not isinstance(value, dict):
-        raise DatasetFormatError(f"{owner} 'properties' must be an object", line)
-    try:
-        validate_property_map(value)
-    except ValidationError as exc:
-        raise DatasetFormatError(str(exc), line) from None
-    return dict(value)
+def _collector_paused(function):
+    """Run ``function`` with the cyclic garbage collector paused.
+
+    Loading builds only acyclic objects, so a collection during it finds no
+    garbage, yet walks the objects built so far, again and again as the
+    load allocates.
+    """
+
+    @wraps(function)
+    def run(*args):
+        if not gc.isenabled():
+            return function(*args)
+        gc.disable()
+        try:
+            return function(*args)
+        finally:
+            gc.enable()
+
+    return run
 
 
+@_collector_paused
 def parse_dataset(source: str) -> DatasetFile:
     """Parse a dataset document into its file-level representation."""
     dataset = DatasetFile()
     saw_header = False
     for lineno, line in enumerate(source.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
-        if not isinstance(obj, dict) or "kind" not in obj:
+            obj, end = _scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            # Blank, or not one bare JSON value: json.loads gives it or its error.
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+        if type(obj) is not dict or "kind" not in obj:
             raise DatasetFormatError("each line must be an object with a 'kind' field", lineno)
         kind = obj["kind"]
         if kind == "header":
@@ -80,27 +134,34 @@ def parse_dataset(source: str) -> DatasetFile:
             if version != SCHEMA_VERSION:
                 raise DatasetFormatError(f"unsupported schema_version {version!r}", lineno)
             saw_header = True
-        elif kind == "node":
-            labels = obj.get("labels")
-            if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
-                raise DatasetFormatError("node 'labels' must be a non-empty list of strings", lineno)
-            props = _properties(obj.get("properties", {}), "node", lineno)
-            dataset.nodes.append(NodeEntry(list(labels), props))
-        elif kind == "rel":
-            try:
-                src = obj["src"]
-                dst = obj["dst"]
-                rel_type = obj["rel_type"]
-            except KeyError as exc:
-                raise DatasetFormatError(f"relationship line missing field {exc.args[0]!r}", lineno) from exc
-            if not isinstance(src, int) or not isinstance(dst, int) or isinstance(src, bool) or isinstance(dst, bool):
-                raise DatasetFormatError("relationship 'src'/'dst' must be integers", lineno)
-            if not isinstance(rel_type, str) or not rel_type:
-                raise DatasetFormatError("relationship 'rel_type' must be a non-empty string", lineno)
-            props = _properties(obj.get("properties", {}), "relationship", lineno)
-            dataset.relationships.append(RelationshipEntry(src, rel_type, dst, props))
-        else:
-            raise DatasetFormatError(f"unknown line kind {kind!r}", lineno)
+            continue
+        properties = obj.get("properties", {})
+        try:
+            if kind == "node":
+                labels = obj.get("labels")
+                if type(labels) is not list or not labels or not all(type(x) is str for x in labels):
+                    raise DatasetFormatError("node 'labels' must be a non-empty list of strings", lineno)
+                if type(properties) is not dict:
+                    raise DatasetFormatError("node 'properties' must be an object", lineno)
+                dataset.nodes.append(NodeEntry(labels, properties))
+            elif kind == "rel":
+                try:
+                    src = obj["src"]
+                    dst = obj["dst"]
+                    rel_type = obj["rel_type"]
+                except KeyError as exc:
+                    raise DatasetFormatError(f"relationship line missing field {exc.args[0]!r}", lineno) from exc
+                if type(src) is not int or type(dst) is not int:
+                    raise DatasetFormatError("relationship 'src'/'dst' must be integers", lineno)
+                if type(rel_type) is not str or not rel_type:
+                    raise DatasetFormatError("relationship 'rel_type' must be a non-empty string", lineno)
+                if type(properties) is not dict:
+                    raise DatasetFormatError("relationship 'properties' must be an object", lineno)
+                dataset.relationships.append(RelationshipEntry(src, rel_type, dst, properties))
+            else:
+                raise DatasetFormatError(f"unknown line kind {kind!r}", lineno)
+        except ValidationError as exc:  # an entry's own check
+            raise DatasetFormatError(str(exc), lineno) from None
 
     if not saw_header:
         raise DatasetFormatError("missing header line", 1)
@@ -133,19 +194,24 @@ def serialize_dataset(dataset: DatasetFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_collector_paused
 def dataset_to_graph(dataset: DatasetFile) -> PropertyGraph:
     """Materialize a graph; node ids are assigned in file order starting at 0."""
     graph = PropertyGraph()
+    store_node = graph._store_node
     for node in dataset.nodes:
-        graph.add_node(set(node.labels), node.properties)
+        store_node(frozenset(node.labels), node.properties)
     node_count = len(dataset.nodes)
+    store_relationship = graph._store_relationship
     for rel in dataset.relationships:
-        for endpoint in (rel.src_index, rel.dst_index):
-            if not 0 <= endpoint < node_count:
+        src = rel.src_index
+        dst = rel.dst_index
+        for endpoint in (src, dst):
+            if type(endpoint) is not int or not 0 <= endpoint < node_count:
                 raise ValidationError(
-                    f"relationship endpoint index {endpoint} out of range (0..{node_count - 1})"
+                    f"relationship endpoint index {endpoint!r} is not an integer in 0..{node_count - 1}"
                 )
-        graph.add_relationship(rel.src_index, rel.rel_type, rel.dst_index, rel.properties)
+        store_relationship(src, rel.rel_type, dst, rel.properties)
     return graph
 
 

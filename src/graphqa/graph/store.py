@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 
 from ..errors import ValidationError
 
@@ -34,6 +34,10 @@ _INT64_MAX = 2**63 - 1
 def validate_property_map(properties: PropertyMap) -> None:
     """Reject non-string keys, out-of-range integers, and non-finite floats."""
     for key, value in properties.items():
+        # Text and booleans under a plain key need no more; the rest, and
+        # subclasses, take the full checks below.
+        if type(key) is str and key and (type(value) is str or type(value) is bool):
+            continue
         if not isinstance(key, str) or not key:
             raise ValidationError(f"property key must be a non-empty string, got {key!r}")
         if isinstance(value, bool):
@@ -46,6 +50,20 @@ def validate_property_map(properties: PropertyMap) -> None:
                 raise ValidationError(f"float property {key}={value!r} must be finite")
         elif not isinstance(value, str):
             raise ValidationError(f"unsupported property value for {key}: {type(value).__name__}")
+
+
+def validate_labels(labels: Collection[str]) -> None:
+    """Reject an empty label collection and any label that is not non-empty text."""
+    if not labels:
+        raise ValidationError("node must have at least one label")
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise ValidationError(f"label must be a non-empty string, got {label!r}")
+
+
+def validate_rel_type(rel_type: str) -> None:
+    if not isinstance(rel_type, str) or not rel_type:
+        raise ValidationError("relationship type must be a non-empty string")
 
 
 class Node:
@@ -106,7 +124,13 @@ class GraphStats:
 
 
 class PropertyGraph:
-    """Embedded property graph with integer node/relationship handles."""
+    """Embedded property graph with integer node/relationship handles.
+
+    ``add_node`` and ``add_relationship`` check every argument. Dataset
+    entries are checked when they are built, so ``dataset_to_graph`` adds
+    them through ``_store_node`` and ``_store_relationship``, which check
+    nothing. Either way the stored property map is the graph's own copy.
+    """
 
     def __init__(self) -> None:
         self._nodes: dict[int, Node] = {}
@@ -123,19 +147,9 @@ class PropertyGraph:
 
     def add_node(self, labels: set[str] | frozenset[str], properties: PropertyMap) -> int:
         """Insert a node and return its id. Labels must be non-empty."""
-        if not labels:
-            raise ValidationError("node must have at least one label")
-        for label in labels:
-            if not isinstance(label, str) or not label:
-                raise ValidationError(f"label must be a non-empty string, got {label!r}")
+        validate_labels(labels)
         validate_property_map(properties)
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        node = Node(node_id, frozenset(labels), dict(properties))
-        self._nodes[node_id] = node
-        for label in node.labels:
-            self._nodes_by_label[label].append(node)
-        return node_id
+        return self._store_node(frozenset(labels), properties)
 
     def add_relationship(
         self, src: int, rel_type: str, dst: int, properties: PropertyMap | None = None
@@ -145,13 +159,27 @@ class PropertyGraph:
             raise ValidationError(f"relationship source node {src} does not exist")
         if dst not in self._nodes:
             raise ValidationError(f"relationship target node {dst} does not exist")
-        if not isinstance(rel_type, str) or not rel_type:
-            raise ValidationError("relationship type must be a non-empty string")
-        props = dict(properties or {})
-        validate_property_map(props)
+        validate_rel_type(rel_type)
+        properties = properties or {}
+        validate_property_map(properties)
+        return self._store_relationship(src, rel_type, dst, properties)
+
+    def _store_node(self, labels: frozenset[str], properties: PropertyMap) -> int:
+        """Insert a node whose labels and map are already checked; the map is copied."""
+        node_id = self._next_node_id
+        self._next_node_id = node_id + 1
+        node = Node(node_id, labels, dict(properties))
+        self._nodes[node_id] = node
+        for label in labels:
+            self._nodes_by_label[label].append(node)
+        return node_id
+
+    def _store_relationship(self, src: int, rel_type: str, dst: int, properties: PropertyMap) -> int:
+        """Insert a relationship between existing nodes whose type and map are
+        already checked; the map is copied."""
         rel_id = self._next_rel_id
-        self._next_rel_id += 1
-        rel = Relationship(rel_id, src, dst, rel_type, props)
+        self._next_rel_id = rel_id + 1
+        rel = Relationship(rel_id, src, dst, rel_type, dict(properties))
         self._rels[rel_id] = rel
         self._outgoing[src].append(rel)
         self._incoming[dst].append(rel)

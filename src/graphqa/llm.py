@@ -162,7 +162,10 @@ class LiveBackend:
             raise GatewayError(f"endpoint returned invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "response" not in payload:
             raise GatewayError("endpoint response missing 'response' field")
-        return str(payload["response"])
+        response = payload["response"]
+        if not isinstance(response, str):
+            raise GatewayError("endpoint response 'response' field is not a string")
+        return response
 
 
 class ReplayBackend:

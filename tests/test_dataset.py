@@ -1,8 +1,12 @@
+import gc
+import json
+
 import pytest
 
 from graphqa.errors import DatasetFormatError, ValidationError
-from graphqa.graph import dataset_to_graph, generate_msa_fixture, load_dataset, serialize_dataset
-from graphqa.graph.dataset import parse_dataset
+from graphqa.graph import GeneratorConfig, dataset_to_graph, generate_msa_fixture, load_dataset, serialize_dataset
+from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, parse_dataset
+from graphqa.graph.store import PropertyGraph, schema_description
 
 HEADER = '{"kind": "header", "schema_version": "1"}'
 
@@ -101,3 +105,163 @@ def test_property_the_store_rejects_fails_the_parse_with_its_line(line):
     with pytest.raises(DatasetFormatError) as excinfo:
         parse_dataset("\n".join([HEADER, node, line]))
     assert excinfo.value.line == 3
+
+
+NODE = '{"kind": "node", "labels": ["A"], "properties": {"x": 1, "s": "t"}}'
+
+
+def _outcome(text: str):
+    """What parse_dataset does with a document: its rendering or its error."""
+    try:
+        return ("ok", serialize_dataset(parse_dataset(text)))
+    except DatasetFormatError as exc:
+        return ("error", exc.line, str(exc))
+
+
+def _reference_outcome(line: str):
+    """The outcome of ``HEADER + line`` when the line is decoded by json.loads:
+    its error, or the outcome of the line holding the same value written out."""
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return ("error", 2, f"line 2: invalid JSON: {exc.msg}")
+    return _outcome(HEADER + "\n" + json.dumps(value))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        NODE,
+        NODE + " ",
+        " " + NODE,
+        "\t" + NODE + "\t",
+        "\ufeff" + NODE,
+        NODE + " " + NODE,
+        NODE + "," + NODE,
+        NODE[:-7],
+        NODE.replace("1", "NaN"),
+        NODE.replace("1", "Infinity"),
+        NODE.replace("1", "-Infinity"),
+        "[]",
+        '"x"',
+        "1",
+        "nul",
+    ],
+    ids=[
+        "valid",
+        "trailing-space",
+        "leading-space",
+        "tabs",
+        "bom",
+        "two-values",
+        "comma-joined",
+        "truncated",
+        "nan",
+        "infinity",
+        "minus-infinity",
+        "array",
+        "string",
+        "number",
+        "bad-literal",
+    ],
+)
+def test_line_decoding_matches_json_loads(line):
+    assert _outcome(HEADER + "\n" + line) == _reference_outcome(line)
+
+
+def test_lines_are_decoded_one_at_a_time():
+    # Joined with commas inside brackets these three lines decode to three
+    # objects; each line alone is not one JSON value.
+    text = "\n".join([HEADER, '{"x":1},{"y":2}', '{"c":[{}', "{}]}"])
+    assert json.loads("[" + ",".join(text.splitlines()[1:]) + "]") == [{"x": 1}, {"y": 2}, {"c": [{}, {}]}]
+    with pytest.raises(DatasetFormatError) as excinfo:
+        parse_dataset(text)
+    assert excinfo.value.line == 2
+    assert str(excinfo.value) == "line 2: invalid JSON: Extra data"
+
+
+def _small_dataset() -> DatasetFile:
+    return DatasetFile(
+        nodes=[NodeEntry(["A"], {"k": 1}), NodeEntry(["B"], {})],
+        relationships=[RelationshipEntry(0, "R", 1, {"w": 2.5})],
+    )
+
+
+BAD_ENTRIES = {
+    "empty-labels": lambda ds: ds.nodes.append(NodeEntry([], {})),
+    "non-string-label": lambda ds: ds.nodes.append(NodeEntry([5], {})),
+    "empty-label": lambda ds: ds.nodes.append(NodeEntry(["A", ""], {})),
+    "empty-rel-type": lambda ds: ds.relationships.append(RelationshipEntry(0, "", 1, {})),
+    "nan-property": lambda ds: ds.nodes.append(NodeEntry(["A"], {"x": float("nan")})),
+    "int-out-of-range": lambda ds: ds.nodes.append(NodeEntry(["A"], {"x": 2**63})),
+    "list-property": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 1, {"x": [1]})),
+    "empty-key": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 1, {"": 1})),
+    "map-assigned-later": lambda ds: setattr(ds.nodes[0], "properties", {"x": float("nan")}),
+    "rel-map-assigned-later": lambda ds: setattr(ds.relationships[0], "properties", {"w": 2**63}),
+    "labels-assigned-later": lambda ds: setattr(ds.nodes[1], "labels", []),
+    "rel-type-assigned-later": lambda ds: setattr(ds.relationships[0], "rel_type", ""),
+    "src-minus-one": lambda ds: setattr(ds.relationships[0], "src_index", -1),
+    "src-node-count": lambda ds: setattr(ds.relationships[0], "src_index", len(ds.nodes)),
+    "src-half": lambda ds: setattr(ds.relationships[0], "src_index", 0.5),
+    "src-true": lambda ds: setattr(ds.relationships[0], "src_index", True),
+    "dst-node-count": lambda ds: setattr(ds.relationships[0], "dst_index", len(ds.nodes)),
+}
+
+
+@pytest.mark.parametrize("spoil", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
+def test_hand_built_dataset_is_fully_checked(spoil):
+    dataset = _small_dataset()
+    assert dataset_to_graph(dataset).stats().relationship_count == 1
+    with pytest.raises(ValidationError):
+        spoil(dataset)  # at construction or assignment,
+        dataset_to_graph(dataset)  # or here for the endpoint indexes
+
+
+def test_rejected_assignment_keeps_the_old_value():
+    entry = NodeEntry(["A"], {"k": 1})
+    with pytest.raises(ValidationError, match="must be finite"):
+        entry.properties = {"k": float("inf")}
+    with pytest.raises(ValidationError, match="at least one label"):
+        entry.labels = []
+    assert (entry.labels, entry.properties) == (["A"], {"k": 1})
+
+
+def _graph_state(graph: PropertyGraph):
+    return (
+        [(n.id, n.labels, n.properties) for n in graph.nodes()],
+        [(r.id, r.src, r.rel_type, r.dst, r.properties) for r in graph.relationships()],
+        [([r.id for r in graph.outgoing(n.id)], [r.id for r in graph.incoming(n.id)]) for n in graph.nodes()],
+        schema_description(graph),
+    )
+
+
+def test_loaded_graph_equals_one_built_through_the_public_adds():
+    config = GeneratorConfig(tower_count=40, attached_sensors=2000, seed=5)
+    text = serialize_dataset(generate_msa_fixture(config))
+    dataset = parse_dataset(text)
+    loaded = dataset_to_graph(dataset)
+    public = PropertyGraph()
+    for node in dataset.nodes:
+        public.add_node(set(node.labels), node.properties)
+    for rel in dataset.relationships:
+        public.add_relationship(rel.src_index, rel.rel_type, rel.dst_index, rel.properties)
+    assert _graph_state(loaded) == _graph_state(public)
+    assert len(loaded.nodes()) == 2041
+    # The graph keeps its own copy of every map.
+    for entry, node in zip(dataset.nodes, loaded.nodes()):
+        assert node.properties == entry.properties and node.properties is not entry.properties
+    for entry, rel in zip(dataset.relationships, loaded.relationships()):
+        assert rel.properties == entry.properties and rel.properties is not entry.properties
+
+
+def test_loading_leaves_the_collector_as_it_found_it():
+    assert gc.isenabled()
+    with pytest.raises(DatasetFormatError):
+        parse_dataset(HEADER + "\n{oops")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_dataset(HEADER + "\n" + NODE)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -26,6 +26,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         "http-500": (500, b'{"error": "model crashed"}'),
         "not-json": (200, b"<html>busy</html>"),
         "no-response": (200, b"{}"),
+        "null-response": (200, b'{"response": null}'),
+        "list-response": (200, b'{"response": ["a"]}'),
     }
 
     def do_POST(self):
@@ -80,6 +82,8 @@ def test_live_request_body_is_the_generate_wire_format(stub, stub_server):
         ("http-500", "completion request failed: HTTP Error 500"),
         ("not-json", "endpoint returned invalid JSON"),
         ("no-response", "endpoint response missing 'response' field"),
+        ("null-response", "endpoint response 'response' field is not a string"),
+        ("list-response", "endpoint response 'response' field is not a string"),
     ],
 )
 def test_live_faulty_replies_raise_gateway_error(stub_server, model, message):
