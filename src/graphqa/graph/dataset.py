@@ -143,7 +143,8 @@ def parse_dataset(source: str) -> DatasetFile:
                     raise DatasetFormatError("node 'labels' must be a non-empty list of strings", lineno)
                 if type(properties) is not dict:
                     raise DatasetFormatError("node 'properties' must be an object", lineno)
-                dataset.nodes.append(NodeEntry(labels, properties))
+                # An exact-size copy: a decoded list keeps spare capacity.
+                dataset.nodes.append(NodeEntry(list(labels), properties))
             elif kind == "rel":
                 try:
                     src = obj["src"]
