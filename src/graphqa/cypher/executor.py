@@ -1,4 +1,5 @@
-"""Query execution over an immutable property graph.
+"""Query execution over a property graph, which nothing writes to once
+``dataset_to_graph`` has built it.
 
 Matching semantics (shared contract with the brute-force oracle used in the
 test suite):
@@ -32,8 +33,8 @@ ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
 breaking ties by row position. Errors are raised only when a row reaches
 the part of the query that fails, so a query that matches nothing succeeds.
 
-All functions here are pure with respect to the graph, so independent
-queries may safely execute concurrently.
+All functions here only read the graph, and a built graph does not change,
+so independent queries may safely execute concurrently.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ A ``NodeEntry`` or ``RelationshipEntry`` checks its labels, relationship
 type and property map with the store's rules when it is built and when one
 is assigned, so parsed, generated and hand-built entries are all checked,
 once; ``parse_dataset`` adds the line number. (A map or label list changed
-in place is not checked again.) ``dataset_to_graph`` checks only endpoint
-indexes and stores entries through the graph's unchecked private paths,
-which copy each map: the decoded dict is kept, so that is its one copy.
+in place is not checked again.) ``dataset_to_graph`` is the one way a graph
+is built: it checks endpoint indexes and stores entries through the graph's
+unchecked private paths, which copy each map (the decoded dict is kept, so
+that is its one copy). Nothing writes to the graph after it returns.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ def serialize_dataset(dataset: DatasetFile) -> str:
 
 @_collector_paused
 def dataset_to_graph(dataset: DatasetFile) -> PropertyGraph:
-    """Materialize a graph; node ids are assigned in file order starting at 0."""
+    """Build the graph of ``dataset``; node and relationship ids follow file
+    order from 0. The graph is complete when this returns."""
     graph = PropertyGraph()
     store_node = graph._store_node
     for node in dataset.nodes:

@@ -5,15 +5,13 @@ directed, typed edges between existing nodes. Property values are restricted
 to 64-bit integers, finite floats, text, and booleans, and the value kind is
 preserved exactly from load through query execution to serialization.
 
-Two indexes sit beside the id maps: the nodes of each label, and each node's
-outgoing and incoming relationships. Ids are handed out in ascending order
-and never reused, so every map and list is kept in id order by appending and
-no read sorts. A third, the equality index of ``nodes_with_property``, is
-built lazily: the first read of a (label, key) pair buckets that label's
-nodes by the key's value, and the buckets are kept until the next node is
-added, so writes do no index work. Mutation is single-writer (build/load
-phase); query execution treats the graph as immutable, so concurrent readers
-are safe.
+A graph is built once, by ``dataset_to_graph``, and nothing writes to it
+afterwards, so concurrent readers are safe. Two indexes sit beside the id
+maps: the nodes of each label, and each node's outgoing and incoming
+relationships. Ids follow file order, so every map and list is kept in id
+order by appending and no read sorts. A third, the equality index of
+``nodes_with_property``, is built lazily: the first read of a (label, key)
+pair buckets that label's nodes by the key's value, and the buckets are kept.
 """
 
 from __future__ import annotations
@@ -32,7 +30,10 @@ _INT64_MAX = 2**63 - 1
 
 
 def validate_property_map(properties: PropertyMap) -> None:
-    """Reject non-string keys, out-of-range integers, and non-finite floats."""
+    """Reject a map that is not a dict, non-string keys, out-of-range
+    integers, and non-finite floats."""
+    if not isinstance(properties, dict):
+        raise ValidationError(f"property map must be a dict, got {type(properties).__name__}")
     for key, value in properties.items():
         # Text and booleans under a plain key need no more; the rest, and
         # subclasses, take the full checks below.
@@ -53,7 +54,10 @@ def validate_property_map(properties: PropertyMap) -> None:
 
 
 def validate_labels(labels: Collection[str]) -> None:
-    """Reject an empty label collection and any label that is not non-empty text."""
+    """Reject a string in place of a label collection, an empty collection,
+    and any label that is not non-empty text."""
+    if isinstance(labels, str):
+        raise ValidationError(f"labels must be a collection of strings, got the string {labels!r}")
     if not labels:
         raise ValidationError("node must have at least one label")
     for label in labels:
@@ -126,10 +130,9 @@ class GraphStats:
 class PropertyGraph:
     """Embedded property graph with integer node/relationship handles.
 
-    ``add_node`` and ``add_relationship`` check every argument. Dataset
-    entries are checked when they are built, so ``dataset_to_graph`` adds
-    them through ``_store_node`` and ``_store_relationship``, which check
-    nothing. Either way the stored property map is the graph's own copy.
+    ``dataset_to_graph`` fills it through ``_store_node`` and
+    ``_store_relationship``, which check nothing: entries are checked when
+    they are built. Each stored property map is the graph's own copy.
     """
 
     def __init__(self) -> None:
@@ -138,52 +141,21 @@ class PropertyGraph:
         self._nodes_by_label: defaultdict[str, list[Node]] = defaultdict(list)
         self._outgoing: defaultdict[int, list[Relationship]] = defaultdict(list)
         self._incoming: defaultdict[int, list[Relationship]] = defaultdict(list)
-        self._next_node_id = 0
-        self._next_rel_id = 0
-        # (next node id, next rel id) -> text; see schema_description.
-        self._schema_memo: tuple[tuple[int, int], str] | None = None
-        # (next node id, {(label, key): buckets}); see nodes_with_property.
-        self._property_index: tuple[int, dict[tuple[str, str], dict]] = (0, {})
+        self._schema_memo: str | None = None  # see schema_description
+        self._property_index: dict[tuple[str, str], dict] = {}  # see nodes_with_property
 
-    def add_node(self, labels: set[str] | frozenset[str], properties: PropertyMap) -> int:
-        """Insert a node and return its id. Labels must be non-empty."""
-        validate_labels(labels)
-        validate_property_map(properties)
-        return self._store_node(frozenset(labels), properties)
-
-    def add_relationship(
-        self, src: int, rel_type: str, dst: int, properties: PropertyMap | None = None
-    ) -> int:
-        """Insert a directed relationship and return its id."""
-        if src not in self._nodes:
-            raise ValidationError(f"relationship source node {src} does not exist")
-        if dst not in self._nodes:
-            raise ValidationError(f"relationship target node {dst} does not exist")
-        validate_rel_type(rel_type)
-        properties = properties or {}
-        validate_property_map(properties)
-        return self._store_relationship(src, rel_type, dst, properties)
-
-    def _store_node(self, labels: frozenset[str], properties: PropertyMap) -> int:
-        """Insert a node whose labels and map are already checked; the map is copied."""
-        node_id = self._next_node_id
-        self._next_node_id = node_id + 1
-        node = Node(node_id, labels, dict(properties))
-        self._nodes[node_id] = node
+    def _store_node(self, labels: frozenset[str], properties: PropertyMap) -> None:
+        node = Node(len(self._nodes), labels, dict(properties))
+        self._nodes[node.id] = node
         for label in labels:
             self._nodes_by_label[label].append(node)
-        return node_id
 
-    def _store_relationship(self, src: int, rel_type: str, dst: int, properties: PropertyMap) -> int:
-        """Insert a relationship between existing nodes whose type and map are
-        already checked; the map is copied."""
-        rel_id = self._next_rel_id
-        self._next_rel_id = rel_id + 1
-        rel = Relationship(rel_id, src, dst, rel_type, dict(properties))
-        self._rels[rel_id] = rel
+    def _store_relationship(self, src: int, rel_type: str, dst: int, properties: PropertyMap) -> None:
+        """Append a relationship; ``src`` and ``dst`` must be stored node ids."""
+        rel = Relationship(len(self._rels), src, dst, rel_type, dict(properties))
+        self._rels[rel.id] = rel
         self._outgoing[src].append(rel)
         self._incoming[dst].append(rel)
-        return rel_id
 
     def node(self, node_id: int) -> Node:
         try:
@@ -205,21 +177,16 @@ class PropertyGraph:
 
         Equal means equal and of the same kind: a boolean matches only a
         boolean, while ``1`` and ``1.0`` are one number. The buckets of a
-        (label, key) pair are built on its first read and dropped on the
-        first read after a node is added; ids are only appended and node
-        properties never change, so the next node id names the state.
+        (label, key) pair are built on its first read and kept.
         """
-        state, pairs = self._property_index
-        if state != self._next_node_id:
-            state, pairs = self._property_index = (self._next_node_id, {})
-        buckets = pairs.get((label, key))
+        buckets = self._property_index.get((label, key))
         if buckets is None:
             buckets = {}
             for node in self._nodes_by_label.get(label, ()):
                 found = node.properties.get(key)
                 if found is not None:
                     buckets.setdefault((isinstance(found, bool), found), []).append(node)
-            pairs[label, key] = buckets  # published whole, for concurrent readers
+            self._property_index[label, key] = buckets  # published whole, for concurrent readers
         return buckets.get((isinstance(value, bool), value), ())
 
     def outgoing(self, node_id: int) -> Sequence[Relationship]:
@@ -251,18 +218,12 @@ def schema_description(graph: PropertyGraph) -> str:
     """Render a stable, human-readable schema summary for prompt building.
 
     Output is fully ordered (alphabetical) so identical graphs always produce
-    identical text. Adding a node with a new label adds exactly one line.
-
-    The text is rendered once per state of the graph. Ids are only appended
-    and never reused, and nothing is deleted, so the pair of next ids names
-    the graph's contents; a reader racing another can only store the same
-    text again.
+    identical text; a graph with one more label has exactly one more line.
+    The text is rendered on the first call and kept.
     """
-    state = (graph._next_node_id, graph._next_rel_id)
-    memo = graph._schema_memo
-    if memo is None or memo[0] != state:
-        memo = graph._schema_memo = (state, _render_schema(graph))
-    return memo[1]
+    if graph._schema_memo is None:
+        graph._schema_memo = _render_schema(graph)
+    return graph._schema_memo
 
 
 def _render_schema(graph: PropertyGraph) -> str:

@@ -24,6 +24,9 @@ DEFAULT_TIMEOUT_S = 120.0
 # Sampling options sent with every live completion: greedy decoding, so a
 # recorded transcript is what the model would answer again.
 _GENERATE_OPTIONS = {"temperature": 0.0}
+# The most of a reply body a live completion reads; a longer body is an
+# error, so a faulty endpoint cannot make the client hold all it sends.
+_MAX_RESPONSE_BYTES = 1 << 20
 
 
 class CompletionRequest:
@@ -151,11 +154,13 @@ class LiveBackend:
                 self.url, data=json.dumps(body).encode("utf-8"), headers={"Content-Type": "application/json"}
             )
             with urllib.request.urlopen(http_request, timeout=self.timeout_s) as http_response:
-                raw = http_response.read()
+                raw = http_response.read(_MAX_RESPONSE_BYTES + 1)
         except (OSError, ValueError, http.client.HTTPException) as exc:
             # OSError covers refused connections, timeouts and HTTP >= 400
             # (urllib.error.HTTPError); ValueError a malformed URL.
             raise GatewayError(f"completion request failed: {exc}") from exc
+        if len(raw) > _MAX_RESPONSE_BYTES:
+            raise GatewayError(f"endpoint response larger than {_MAX_RESPONSE_BYTES} bytes")
         try:
             payload = json.loads(raw)
         except ValueError as exc:

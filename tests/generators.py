@@ -20,6 +20,7 @@ from graphqa.cypher.ast import (
     Unary,
     Variable,
 )
+from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, dataset_to_graph
 from graphqa.graph.store import PropertyGraph
 
 LABELS = ["A", "B", "C"]
@@ -28,10 +29,24 @@ PROP_KEYS = ["p", "q", "w"]
 STRINGS = ["x", "tower", "a b", "it's", "s-1"]
 
 
+def build_graph(nodes=(), rels=()) -> PropertyGraph:
+    """A graph built the way a load builds one: dataset entries through ``dataset_to_graph``.
+
+    ``nodes`` holds ``(labels, properties)`` pairs. ``rels`` holds
+    ``(src, rel_type, dst)`` or ``(src, rel_type, dst, properties)``, where
+    ``src`` and ``dst`` index ``nodes``; node ids are those indexes.
+    """
+    return dataset_to_graph(
+        DatasetFile(
+            [NodeEntry(list(labels), properties) for labels, properties in nodes],
+            [RelationshipEntry(src, rel_type, dst, props[0] if props else {}) for src, rel_type, dst, *props in rels],
+        )
+    )
+
+
 def random_graph(rng: random.Random, max_nodes: int = 30, max_rels: int = 40) -> PropertyGraph:
-    graph = PropertyGraph()
-    node_count = rng.randint(1, max_nodes)
-    for _ in range(node_count):
+    nodes = []
+    for _ in range(rng.randint(1, max_nodes)):
         labels = {rng.choice(LABELS)}
         if rng.random() < 0.3:
             labels.add(rng.choice(LABELS))
@@ -46,13 +61,14 @@ def random_graph(rng: random.Random, max_nodes: int = 30, max_rels: int = 40) ->
                 props[key] = rng.choice(STRINGS)
             elif roll < 0.8:
                 props[key] = rng.random() < 0.5
-        graph.add_node(labels, props)
-    ids = [n.id for n in graph.nodes()]
+        nodes.append((labels, props))
+    ids = range(len(nodes))
+    rels = []
     for _ in range(rng.randint(0, max_rels)):
         src, dst = rng.choice(ids), rng.choice(ids)
         props = {"p": rng.randint(0, 2)} if rng.random() < 0.3 else {}
-        graph.add_relationship(src, rng.choice(REL_TYPES), dst, props)
-    return graph
+        rels.append((src, rng.choice(REL_TYPES), dst, props))
+    return build_graph(nodes, rels)
 
 
 def _random_literal(rng: random.Random) -> Literal:

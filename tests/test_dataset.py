@@ -6,7 +6,6 @@ import pytest
 from graphqa.errors import DatasetFormatError, ValidationError
 from graphqa.graph import GeneratorConfig, dataset_to_graph, generate_msa_fixture, load_dataset, serialize_dataset
 from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, parse_dataset
-from graphqa.graph.store import PropertyGraph, schema_description
 
 HEADER = '{"kind": "header", "schema_version": "1"}'
 
@@ -189,6 +188,7 @@ def _small_dataset() -> DatasetFile:
 
 BAD_ENTRIES = {
     "empty-labels": lambda ds: ds.nodes.append(NodeEntry([], {})),
+    "string-labels": lambda ds: ds.nodes.append(NodeEntry("Tower", {"Tower": 1})),
     "non-string-label": lambda ds: ds.nodes.append(NodeEntry([5], {})),
     "empty-label": lambda ds: ds.nodes.append(NodeEntry(["A", ""], {})),
     "empty-rel-type": lambda ds: ds.relationships.append(RelationshipEntry(0, "", 1, {})),
@@ -196,9 +196,13 @@ BAD_ENTRIES = {
     "int-out-of-range": lambda ds: ds.nodes.append(NodeEntry(["A"], {"x": 2**63})),
     "list-property": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 1, {"x": [1]})),
     "empty-key": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 1, {"": 1})),
+    "none-map": lambda ds: ds.nodes.append(NodeEntry(["A"], None)),
+    "rel-none-map": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 0, None)),
+    "pairs-map": lambda ds: ds.nodes.append(NodeEntry(["A"], [("x", 1)])),
     "map-assigned-later": lambda ds: setattr(ds.nodes[0], "properties", {"x": float("nan")}),
     "rel-map-assigned-later": lambda ds: setattr(ds.relationships[0], "properties", {"w": 2**63}),
     "labels-assigned-later": lambda ds: setattr(ds.nodes[1], "labels", []),
+    "string-labels-assigned-later": lambda ds: setattr(ds.nodes[1], "labels", "AB"),
     "rel-type-assigned-later": lambda ds: setattr(ds.relationships[0], "rel_type", ""),
     "src-minus-one": lambda ds: setattr(ds.relationships[0], "src_index", -1),
     "src-node-count": lambda ds: setattr(ds.relationships[0], "src_index", len(ds.nodes)),
@@ -226,31 +230,17 @@ def test_rejected_assignment_keeps_the_old_value():
     assert (entry.labels, entry.properties) == (["A"], {"k": 1})
 
 
-def _graph_state(graph: PropertyGraph):
-    return (
-        [(n.id, n.labels, n.properties) for n in graph.nodes()],
-        [(r.id, r.src, r.rel_type, r.dst, r.properties) for r in graph.relationships()],
-        [([r.id for r in graph.outgoing(n.id)], [r.id for r in graph.incoming(n.id)]) for n in graph.nodes()],
-        schema_description(graph),
-    )
-
-
-def test_loaded_graph_equals_one_built_through_the_public_adds():
+def test_loaded_graph_holds_its_entries_in_its_own_maps():
     config = GeneratorConfig(tower_count=40, attached_sensors=2000, seed=5)
-    text = serialize_dataset(generate_msa_fixture(config))
-    dataset = parse_dataset(text)
-    loaded = dataset_to_graph(dataset)
-    public = PropertyGraph()
-    for node in dataset.nodes:
-        public.add_node(set(node.labels), node.properties)
-    for rel in dataset.relationships:
-        public.add_relationship(rel.src_index, rel.rel_type, rel.dst_index, rel.properties)
-    assert _graph_state(loaded) == _graph_state(public)
-    assert len(loaded.nodes()) == 2041
+    dataset = parse_dataset(serialize_dataset(generate_msa_fixture(config)))
+    graph = dataset_to_graph(dataset)
+    assert len(graph.nodes()) == 2041
     # The graph keeps its own copy of every map.
-    for entry, node in zip(dataset.nodes, loaded.nodes()):
+    for i, (entry, node) in enumerate(zip(dataset.nodes, graph.nodes(), strict=True)):
+        assert (node.id, node.labels) == (i, frozenset(entry.labels))
         assert node.properties == entry.properties and node.properties is not entry.properties
-    for entry, rel in zip(dataset.relationships, loaded.relationships()):
+    for i, (entry, rel) in enumerate(zip(dataset.relationships, graph.relationships(), strict=True)):
+        assert (rel.id, rel.src, rel.rel_type, rel.dst) == (i, entry.src_index, entry.rel_type, entry.dst_index)
         assert rel.properties == entry.properties and rel.properties is not entry.properties
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from generators import random_graph, random_query_ast
+from generators import build_graph, random_graph, random_query_ast
 from oracle import cell_key, oracle_rows
 from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
@@ -15,14 +15,11 @@ from graphqa.graph.store import PropertyGraph
 
 
 def small_graph():
-    g = PropertyGraph()
-    a = g.add_node({"A"}, {"p": 1, "name": "a"})
-    b = g.add_node({"A"}, {"p": 2, "name": "b"})
-    c = g.add_node({"B"}, {"p": 2.0, "name": "c"})
-    g.add_relationship(a, "R", b, {"w": 1})
-    g.add_relationship(b, "R", c)
-    g.add_relationship(c, "S", a)
-    return g
+    a, b, c = range(3)
+    return build_graph(
+        [({"A"}, {"p": 1, "name": "a"}), ({"A"}, {"p": 2, "name": "b"}), ({"B"}, {"p": 2.0, "name": "c"})],
+        [(a, "R", b, {"w": 1}), (b, "R", c), (c, "S", a)],
+    )
 
 
 def rows(graph, text):
@@ -73,9 +70,7 @@ def test_implicit_grouping_by_non_aggregated_items(fixture_graph):
 
 
 def test_count_expr_skips_nulls():
-    g = PropertyGraph()
-    g.add_node({"A"}, {"p": 1})
-    g.add_node({"A"}, {})
+    g = build_graph([({"A"}, {"p": 1}), ({"A"}, {})])
     _, data = rows(g, "MATCH (n:A) RETURN count(n.p)")
     assert data == [(1,)]
 
@@ -98,18 +93,13 @@ def test_undirected_edges_match_both_directions():
 
 
 def test_undirected_self_loop_matches_once():
-    g = PropertyGraph()
-    a = g.add_node({"A"}, {})
-    g.add_relationship(a, "R", a)
+    g = build_graph([({"A"}, {})], [(0, "R", 0)])
     _, data = rows(g, "MATCH (x:A)-[:R]-(y) RETURN count(*)")
     assert data == [(1,)]
 
 
 def test_relationship_uniqueness_within_clause():
-    g = PropertyGraph()
-    a = g.add_node({"A"}, {"name": "a"})
-    b = g.add_node({"A"}, {"name": "b"})
-    g.add_relationship(a, "R", b)
+    g = build_graph([({"A"}, {"name": "a"}), ({"A"}, {"name": "b"})], [(0, "R", 1)])
     # The only R edge cannot serve both hops of one clause...
     _, data = rows(g, "MATCH (x)-[:R]-(y)-[:R]-(z) RETURN x, y, z")
     assert data == []
@@ -159,10 +149,7 @@ def test_distinct():
 
 
 def test_order_by_and_limit_with_nulls_last():
-    g = PropertyGraph()
-    g.add_node({"A"}, {"p": 2})
-    g.add_node({"A"}, {"p": 1})
-    g.add_node({"A"}, {})
+    g = build_graph([({"A"}, {"p": 2}), ({"A"}, {"p": 1}), ({"A"}, {})])
     _, data = rows(g, "MATCH (n:A) RETURN n.p ORDER BY n.p")
     assert data == [(1,), (2,), (None,)]
     _, data = rows(g, "MATCH (n:A) RETURN n.p ORDER BY n.p DESC")
@@ -230,14 +217,14 @@ def test_map_order_key_on_one_row_still_sorts(fixture_graph):
 def geo_graph():
     """P nodes: valid, integer, non-numeric, missing and repeated coordinates;
     one Q node whose latitude is out of range."""
-    g = PropertyGraph()
+    nodes = []
     for name, lat, lon in [("a", 32.5, -106.7), ("b", 33, -106), ("c", "x", 1.0), ("d", None, 2.0), ("e", 32.5, -106.7)]:
         props = {"name": name, "lon": lon}
         if lat is not None:
             props["lat"] = lat
-        g.add_node({"P"}, props)
-    g.add_node({"Q"}, {"name": "f", "lat": 95.0, "lon": 0.0})
-    return g
+        nodes.append(({"P"}, props))
+    nodes.append(({"Q"}, {"name": "f", "lat": 95.0, "lon": 0.0}))
+    return build_graph(nodes)
 
 
 POINT_N = "point({latitude: n.lat, longitude: n.lon})"
@@ -348,9 +335,7 @@ def test_integer_arithmetic_past_64_bits_is_a_runtime_error(fixture_graph, expr)
 
 
 def test_integer_literals_reach_exactly_the_64_bit_edges():
-    g = PropertyGraph()
-    g.add_node({"A"}, {"p": -(2**63)})
-    g.add_node({"A"}, {"p": INT64_MAX})
+    g = build_graph([({"A"}, {"p": -(2**63)}), ({"A"}, {"p": INT64_MAX})])
     assert rows(g, "RETURN -9223372036854775808 AS v, 9223372036854775807 AS w") == (
         ["v", "w"],
         [(-(2**63), INT64_MAX)],
@@ -386,13 +371,13 @@ NAN_EXPR = "n.x * 1e308 * 10 - n.y * 1e308 * 10"
 
 def nan_graph():
     """Rows of NAN_EXPR: nan, inf, 0.0, nan, null, null, nan."""
-    g = PropertyGraph()
+    nodes = []
     for name, x, y in [("a", 1, 1), ("b", 1, 0), ("c", 0, 0), ("d", 2, 1), ("e", None, 0), ("f", "s", 0), ("g", 3, 2)]:
         props = {"name": name, "y": y}
         if x is not None:
             props["x"] = x
-        g.add_node({"A"}, props)
-    return g
+        nodes.append(({"A"}, props))
+    return build_graph(nodes)
 
 
 def test_nan_is_one_group_for_distinct_and_count():
@@ -452,12 +437,9 @@ def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
 
 
 def test_inline_map_lookup_equals_the_label_scan_for_every_kind():
-    g = PropertyGraph()
-    for value in [1, 1.0, True, "1", 0, -0.0, False, 2, "x", 1]:
-        g.add_node({"A"}, {"k": value, "j": 0})
-    g.add_node({"A"}, {"j": 0})
-    g.add_node({"A", "B"}, {"k": 1, "j": 1})
-    g.add_node({"B"}, {"k": 1.0, "j": 0})
+    nodes = [({"A"}, {"k": value, "j": 0}) for value in [1, 1.0, True, "1", 0, -0.0, False, 2, "x", 1]]
+    nodes += [({"A"}, {"j": 0}), ({"A", "B"}, {"k": 1, "j": 1}), ({"B"}, {"k": 1.0, "j": 0})]
+    g = build_graph(nodes)
     for literal in ["1", "1.0", "true", "'1'", "0", "-0.0", "false", "null", "2.5"]:
         indexed = rows(g, f"MATCH (n:A {{k: {literal}, j: 0}}) RETURN n")
         scanned = rows(g, f"MATCH (n:A) WHERE n.k = {literal} AND n.j = 0 RETURN n")

@@ -28,6 +28,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         "no-response": (200, b"{}"),
         "null-response": (200, b'{"response": null}'),
         "list-response": (200, b'{"response": ["a"]}'),
+        "oversize": (200, b'{"response": "' + b"x" * 2**20 + b'"}'),  # 1 MiB + 16 bytes
     }
 
     def do_POST(self):
@@ -84,6 +85,7 @@ def test_live_request_body_is_the_generate_wire_format(stub, stub_server):
         ("no-response", "endpoint response missing 'response' field"),
         ("null-response", "endpoint response 'response' field is not a string"),
         ("list-response", "endpoint response 'response' field is not a string"),
+        ("oversize", "endpoint response larger than 1048576 bytes"),
     ],
 )
 def test_live_faulty_replies_raise_gateway_error(stub_server, model, message):

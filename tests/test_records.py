@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from generators import build_graph
 from graphqa.cypher import canonicalize_query, execute, parse_query, serialize_records
 from graphqa.cypher.records import Point, ResultSet, render_value
-from graphqa.graph.store import PropertyGraph
 
 REFERENCE_RECORD = "[<Record Lat=32.58088351 Long=-106.7533307>]"
 
@@ -54,8 +54,7 @@ def test_float_rendering_round_trips():
 
 
 def test_node_rendering_is_deterministic():
-    g = PropertyGraph()
-    g.add_node({"Sensor", "Device"}, {"Name": "Temp-T08", "SensorId": 1042})
+    g = build_graph([({"Sensor", "Device"}, {"Name": "Temp-T08", "SensorId": 1042})])
     out = serialize_records(execute(g, parse_query("MATCH (n) RETURN n")))
     assert out == (
         "[<Record n=<Node id=0 labels=frozenset({'Device', 'Sensor'}) "
@@ -64,10 +63,7 @@ def test_node_rendering_is_deterministic():
 
 
 def test_relationship_rendering():
-    g = PropertyGraph()
-    a = g.add_node({"A"}, {})
-    b = g.add_node({"B"}, {})
-    g.add_relationship(a, "R", b, {"w": 2})
+    g = build_graph([({"A"}, {}), ({"B"}, {})], [(0, "R", 1, {"w": 2})])
     out = serialize_records(execute(g, parse_query("MATCH (x)-[e:R]->(y) RETURN e")))
     assert out == "[<Record e=<Relationship id=0 type='R' start=0 end=1 properties={'w': 2}>>]"
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from generators import build_graph
 from graphqa import data_path
 from graphqa.cypher import execute, parse_query
 from graphqa.errors import ValidationError
@@ -14,53 +15,42 @@ from graphqa.llm import Gateway, ReplayBackend, Transcript
 from graphqa.pipeline import PipelineConfig
 
 
-def test_add_node_returns_sequential_ids():
-    graph = PropertyGraph()
-    assert graph.add_node({"Sensor"}, {}) == 0
-    assert graph.stats().node_count == 1
-    nid = graph.add_node({"Tower"}, {"Tower": 4, "Lat": 32.58088351, "Long": -106.7533307})
-    node = graph.node(nid)
+def test_graph_has_only_read_methods():
+    public = {name for name in dir(PropertyGraph) if not name.startswith("_")}
+    assert public == {
+        "node",
+        "nodes",
+        "relationships",
+        "nodes_with_label",
+        "nodes_with_property",
+        "outgoing",
+        "incoming",
+        "stats",
+    }
+
+
+def test_ids_follow_file_order():
+    graph = build_graph(
+        [({"Sensor"}, {}), ({"Tower"}, {"Tower": 4, "Lat": 32.58088351, "Long": -106.7533307})],
+        [(1, "HAS_SENSOR", 0), (1, "HAS_SENSOR", 1)],
+    )
+    assert [(n.id, n.labels) for n in graph.nodes()] == [(0, {"Sensor"}), (1, {"Tower"})]
+    node = graph.node(1)
     assert node.properties["Tower"] == 4
     assert isinstance(node.properties["Lat"], float)
-
-
-def test_add_node_rejects_empty_labels():
-    graph = PropertyGraph()
-    with pytest.raises(ValidationError):
-        graph.add_node(set(), {})
+    rels = [(r.id, r.src, r.dst, r.rel_type) for r in graph.outgoing(1)]
+    assert rels == [(0, 1, 0, "HAS_SENSOR"), (1, 1, 1, "HAS_SENSOR")]
+    assert graph.stats().relationship_count == 2
 
 
 def test_property_kinds_validated():
-    graph = PropertyGraph()
-    with pytest.raises(ValidationError):
-        graph.add_node({"A"}, {"x": float("nan")})
-    with pytest.raises(ValidationError):
-        graph.add_node({"A"}, {"x": math.inf})
-    with pytest.raises(ValidationError):
-        graph.add_node({"A"}, {"x": 2**63})
-    with pytest.raises(ValidationError):
-        graph.add_node({"A"}, {"x": [1, 2]})
-
-
-def test_add_relationship_and_dangling_endpoints():
-    graph = PropertyGraph()
-    a = graph.add_node({"Tower"}, {})
-    b = graph.add_node({"Sensor"}, {})
-    rel_id = graph.add_relationship(a, "HAS_SENSOR", b)
-    (rel,) = graph.outgoing(a)
-    assert (rel.id, rel.src, rel.dst, rel.rel_type) == (rel_id, a, b, "HAS_SENSOR")
-    assert graph.stats().relationship_count == 1
-    with pytest.raises(ValidationError):
-        graph.add_relationship(999, "HAS_SENSOR", b)
-    with pytest.raises(ValidationError):
-        graph.add_relationship(a, "HAS_SENSOR", 999)
+    for value in [float("nan"), math.inf, 2**63, [1, 2]]:
+        with pytest.raises(ValidationError):
+            NodeEntry(["A"], {"x": value})
 
 
 def test_stats_counts_distinct_property_keys():
-    graph = PropertyGraph()
-    a = graph.add_node({"A"}, {"x": 1, "y": "s"})
-    b = graph.add_node({"B"}, {"x": 2.5})
-    graph.add_relationship(a, "R", b, {"z": True})
+    graph = build_graph([({"A"}, {"x": 1, "y": "s"}), ({"B"}, {"x": 2.5})], [(0, "R", 1, {"z": True})])
     stats = graph.stats()
     assert stats.node_count == 2
     assert stats.relationship_count == 1
@@ -76,14 +66,14 @@ def test_stats_empty_graph():
 def test_stats_match_independent_recount_on_random_graphs():
     rng = random.Random(7)
     for _ in range(25):
-        graph = PropertyGraph()
-        ids = []
+        nodes = []
         for _ in range(rng.randint(1, 60)):
             labels = {rng.choice("ABCDE") for _ in range(rng.randint(1, 2))}
             props = {k: rng.randint(0, 5) for k in rng.sample("pqrstuv", rng.randint(0, 4))}
-            ids.append(graph.add_node(labels, props))
-        for _ in range(rng.randint(0, 80)):
-            graph.add_relationship(rng.choice(ids), rng.choice("RS"), rng.choice(ids))
+            nodes.append((labels, props))
+        ids = range(len(nodes))
+        rels = [(rng.choice(ids), rng.choice("RS"), rng.choice(ids)) for _ in range(rng.randint(0, 80))]
+        graph = build_graph(nodes, rels)
         stats = graph.stats()
         # Recount from primitives, not via the stats() implementation.
         nodes = graph.nodes()
@@ -116,26 +106,13 @@ def test_schema_description_lists_labels_keys_and_relationships(fixture_graph):
 
 def test_schema_description_new_label_changes_exactly_one_line(fixture_graph, dataset_text):
     before = schema_description(fixture_graph).splitlines()
-    modified = load_dataset(dataset_text)
-    modified.add_node({"Gateway"}, {"Name": "GW-1"})
-    after = schema_description(modified).splitlines()
+    dataset = parse_dataset(dataset_text)
+    dataset.nodes.append(NodeEntry(["Gateway"], {"Name": "GW-1"}))
+    after = schema_description(dataset_to_graph(dataset)).splitlines()
     added = [line for line in after if line not in before]
     removed = [line for line in before if line not in after]
     assert len(added) == 1 and "Gateway" in added[0]
     assert not removed
-
-
-def test_schema_description_follows_writes_to_the_same_graph():
-    graph = PropertyGraph()
-    tower = graph.add_node({"Tower"}, {"Tower": 1})
-    first = schema_description(graph)
-    gateway = graph.add_node({"Gateway"}, {"Name": "GW-1"})
-    second = schema_description(graph)
-    assert "Gateway: Name" in second and "Gateway" not in first
-    graph.add_relationship(tower, "LINKS_TO", gateway)
-    third = schema_description(graph)
-    assert "(:Tower)-[:LINKS_TO]->(:Gateway)" in third and "LINKS_TO" not in second
-    assert third == schema_description(graph) == store._render_schema(graph)
 
 
 def test_schema_rendered_once_per_evaluation(monkeypatch, shipped_dataset_path, corpus, templates):
@@ -151,19 +128,21 @@ def test_schema_rendered_once_per_evaluation(monkeypatch, shipped_dataset_path, 
 
 
 def _interleaved_graph(seed: int) -> PropertyGraph:
-    """Node and relationship adds mixed, with self-loops and parallel edges."""
+    """Node and relationship entries drawn mixed, each relationship between
+    nodes drawn before it, with self-loops and parallel edges."""
     rng = random.Random(seed)
-    graph = PropertyGraph()
-    ids = [graph.add_node({"A"}, {"i": 0})]
+    nodes = [({"A"}, {"i": 0})]
+    rels = []
     for _ in range(120):
         if rng.random() < 0.3:
             labels = {rng.choice("ABC")} | ({rng.choice("ABC")} if rng.random() < 0.3 else set())
-            ids.append(graph.add_node(labels, {"i": len(ids)}))
+            nodes.append((labels, {"i": len(nodes)}))
         else:
+            ids = range(len(nodes))
             src = rng.choice(ids)
             dst = src if rng.random() < 0.15 else rng.choice(ids)
-            graph.add_relationship(src, rng.choice("RS"), dst, {"w": rng.randint(0, 3)})
-    return graph
+            rels.append((src, rng.choice("RS"), dst, {"w": rng.randint(0, 3)}))
+    return build_graph(nodes, rels)
 
 
 def test_adjacency_lists_stay_in_id_order_when_adds_interleave():
@@ -207,13 +186,9 @@ def test_nodes_with_label_keeps_id_order():
 
 
 def _mixed_kind_graph() -> PropertyGraph:
-    graph = PropertyGraph()
-    for value in [1, 1.0, True, "1", 0, -0.0, False, 2, "x", 1]:
-        graph.add_node({"A"}, {"k": value})
-    graph.add_node({"A"}, {"other": 1})
-    graph.add_node({"B", "A"}, {"k": 1})
-    graph.add_node({"B"}, {"k": 1.0})
-    return graph
+    nodes = [({"A"}, {"k": value}) for value in [1, 1.0, True, "1", 0, -0.0, False, 2, "x", 1]]
+    nodes += [({"A"}, {"other": 1}), ({"B", "A"}, {"k": 1}), ({"B"}, {"k": 1.0})]
+    return build_graph(nodes)
 
 
 def test_nodes_with_property_matches_kind_and_value_in_id_order():
@@ -227,21 +202,11 @@ def test_nodes_with_property_matches_kind_and_value_in_id_order():
     assert list(graph.nodes_with_property("missing", "k", 1)) == []
 
 
-def test_nodes_with_property_follows_writes_to_the_same_graph():
-    graph = _mixed_kind_graph()
-    assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8]
-    new = graph.add_node({"A"}, {"k": "x"})
-    assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8, new]
-    assert [n.id for (n,) in execute(graph, parse_query("MATCH (n:A {k: 'x'}) RETURN n")).rows] == [8, new]
-    graph.add_relationship(new, "R", 8)  # relationships leave the buckets alone
-    assert [n.id for n in graph.nodes_with_property("A", "k", "x")] == [8, new]
-
-
 def test_loading_a_dataset_builds_no_property_index(dataset_text):
     graph = load_dataset(dataset_text)
-    assert graph._property_index[1] == {}
+    assert graph._property_index == {}
     assert [n.properties["Tower"] for n in graph.nodes_with_property("Tower", "Tower", 4)] == [4]
-    assert list(graph._property_index[1]) == [("Tower", "Tower")]
+    assert list(graph._property_index) == [("Tower", "Tower")]
 
 
 def _as_dataset(graph: PropertyGraph) -> DatasetFile:

@@ -43,21 +43,6 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "graphqa", "data
 FIXED_TIMESTAMP = "2025-08-01T00:00:00Z"
 
 MODELS = ["gemma2:2b", "llama3.2:3b", "llama3.1:8b", "deepseek-coder:6.7b"]
-REPHRASER_MODEL = "llama3.1:8b"
-
-# The corpus's approved rephrasings are the replies to these prompts, one
-# completion call per variant (the variant number keeps each prompt distinct).
-REPHRASE_PROMPT = (
-    "Rephrase the following question in different words while keeping its "
-    "exact meaning. Output only the rephrased question, nothing else.\n"
-    "Question: {question}\n"
-    "Rephrasing {index} of {total}:"
-)
-
-
-def build_rephrase_prompt(question: str, index: int, total: int) -> str:
-    return REPHRASE_PROMPT.format(question=question, index=index, total=total)
-
 
 QUESTION_IDS = [
     "sensors-tower-0",
@@ -585,12 +570,6 @@ def build_transcript(model: str, specs, graph, templates, values: dict) -> Trans
             response2 = task2_response(profile, spec, style, values)
             transcript.add(TranscriptEntry(model, prompt2, response2, FIXED_TIMESTAMP))
             style += 1
-
-    if model == REPHRASER_MODEL:
-        for spec in specs:
-            for index, text in enumerate(spec.rephrasings, start=1):
-                prompt = build_rephrase_prompt(spec.question, index, len(spec.rephrasings))
-                transcript.add(TranscriptEntry(model, prompt, text, FIXED_TIMESTAMP))
     return transcript
 
 
