@@ -30,8 +30,13 @@ still tests each one in full. Bindings come out in the order of a scan of
 nodes and relationships by ascending id, so the row order without ORDER BY
 does not depend on how the store is indexed.
 ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
-breaking ties by row position. Errors are raised only when a row reaches
-the part of the query that fails, so a query that matches nothing succeeds.
+breaking ties by row position. A ``point.distance`` argument becomes a
+prepared point (degrees, radians and the latitude's cosine) once per query
+if it reads no variable, and once per node if it reads one variable that
+holds a node, so a closest-pair query over n nodes prepares n points, not
+two per pair; the memo lives only as long as one ``execute`` call. Errors
+are raised only when a row reaches the part of the query that fails, so a
+query that matches nothing succeeds.
 
 All functions here only read the graph, and a built graph does not change,
 so independent queries may safely execute concurrently.
@@ -62,7 +67,7 @@ from .ast import (
     expr_variables,
     pattern_variables,
 )
-from .geo import haversine_distance
+from .geo import prepare_point, prepared_distance
 from .records import CellValue, Point, ResultSet
 
 Binding = dict[str, Node | Relationship]
@@ -152,6 +157,8 @@ class _Unorderable:
 
 
 def sort_key(value: CellValue):
+    if type(value) is float and value == value:  # the usual key, a distance
+        return (NUM, value)
     try:
         return group_key(value)
     except RuntimeQueryError:
@@ -327,7 +334,7 @@ def _compile_function(call: FunctionCall) -> Compiled:
             if a is None or b is None:
                 return None
             try:
-                return haversine_distance(a, b)
+                return prepared_distance(a, b)
             except ValidationError as exc:
                 raise RuntimeQueryError(str(exc)) from exc
 
@@ -372,17 +379,55 @@ def _coordinate_pair(lat, lon) -> tuple[float, float] | None:
     return float(lat), float(lon)
 
 
+_UNSET = object()
+
+
 def _compile_location(arg: Expr) -> Compiled:
-    """An argument of ``point.distance`` as a ``(latitude, longitude)`` pair."""
+    """An argument of ``point.distance`` as a prepared point, or None for null.
+
+    It depends only on the variables the argument reads, so it is kept once
+    for none and per node id for one node. An evaluation that raises is not
+    kept. ``execute`` compiles anew per call, so no memo sees two graphs.
+    """
     if isinstance(arg, FunctionCall) and arg.name == "point":
-        return _compile_coordinates(arg.args[0])
-    compiled = _compile(arg)
+        coordinates = _compile_coordinates(arg.args[0])
+    else:
+        compiled = _compile(arg)
+
+        def coordinates(scope):
+            value = compiled(scope)
+            return (value.latitude, value.longitude) if isinstance(value, Point) else None
 
     def location(scope):
-        value = compiled(scope)
-        return (value.latitude, value.longitude) if isinstance(value, Point) else None
+        pair = coordinates(scope)
+        return None if pair is None else prepare_point(*pair)
 
-    return location
+    names = expr_variables(arg)
+    if not names:
+        constant = _UNSET
+
+        def once(scope):
+            nonlocal constant
+            if constant is _UNSET:
+                constant = location(scope)
+            return constant
+
+        return once
+    if len(names) > 1:
+        return location
+    (name,) = names
+    memo: dict[int, tuple | None] = {}
+
+    def per_node(scope):
+        node = scope.get(name)
+        if not isinstance(node, Node):
+            return location(scope)
+        found = memo.get(node.id, _UNSET)
+        if found is _UNSET:
+            found = memo[node.id] = location(scope)
+        return found
+
+    return per_node
 
 
 # --- pattern matching ----------------------------------------------------------

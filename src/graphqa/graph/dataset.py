@@ -171,12 +171,18 @@ def parse_dataset(source: str) -> DatasetFile:
 
 
 def serialize_dataset(dataset: DatasetFile) -> str:
-    """Render a dataset document; property keys are sorted for stable bytes."""
+    """Render a dataset document; property keys are sorted for stable bytes.
+
+    A node's labels keep their order when they are a list, as parsed and
+    generated entries hold them, and are sorted otherwise: a set's order
+    depends on the string hash seed.
+    """
     lines = [json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}, sort_keys=True)]
     for node in dataset.nodes:
+        labels = node.labels if type(node.labels) is list else sorted(node.labels)
         lines.append(
             json.dumps(
-                {"kind": "node", "labels": list(node.labels), "properties": node.properties},
+                {"kind": "node", "labels": labels, "properties": node.properties},
                 sort_keys=True,
             )
         )

@@ -9,7 +9,6 @@ from graphqa.cypher.ast import (
     EdgePattern,
     FunctionCall,
     Literal,
-    MapLiteral,
     MatchClause,
     NodePattern,
     OrderItem,

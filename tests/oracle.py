@@ -331,3 +331,37 @@ def oracle_rows(graph: PropertyGraph, query: Query) -> Counter:
     if query.distinct:
         return Counter(set(keyed))
     return Counter(keyed)
+
+
+def _number_order_key(value):
+    """ORDER BY's order on numbers and null: numbers, then NaN, then null."""
+    if value is None:
+        return (2,)
+    if not _is_num(value):
+        raise TypeError(f"only numbers and null are ordered here, got {value!r}")
+    return (1,) if value != value else (0, value)
+
+
+def oracle_ordered_rows(graph: PropertyGraph, query: Query) -> list[tuple]:
+    """Rows (as cell-key tuples) of a product of single-node patterns, with one
+    numeric ORDER BY expression and no aggregate or DISTINCT, in order.
+
+    Rows start in ascending node id of each pattern variable in written order
+    (the executor's documented order), so equal keys keep that order. The key
+    sees the row's columns with the pattern variables laid over them.
+    """
+    paths = [path for clause in query.matches for path in clause.paths]
+    assert all(not path.edges and path.nodes[0].variable for path in paths), "products of named nodes only"
+    assert len(query.order_by) == 1 and not query.distinct
+    assert not any(contains_aggregate(item.expr) for item in query.items)
+    variables = [path.nodes[0].variable for path in paths]
+    bindings = sorted(oracle_bindings(graph, query), key=lambda b: [b[v].id for v in variables])
+    columns = [item.column_name() for item in query.items]
+    (entry,) = query.order_by
+    rows, keys = [], []
+    for binding in bindings:
+        row = tuple(oracle_eval(item.expr, binding) for item in query.items)
+        rows.append(row)
+        keys.append(_number_order_key(oracle_eval(entry.expr, {**dict(zip(columns, row)), **binding})))
+    order = sorted(range(len(rows)), key=keys.__getitem__, reverse=not entry.ascending)
+    return [tuple(cell_key(cell) for cell in rows[i]) for i in order[: query.limit]]

@@ -1,8 +1,12 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import graphqa
 from graphqa.errors import DatasetFormatError, ValidationError
 from graphqa.graph import GeneratorConfig, dataset_to_graph, generate_msa_fixture, load_dataset, serialize_dataset
 from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, parse_dataset
@@ -228,6 +232,28 @@ def test_rejected_assignment_keeps_the_old_value():
     with pytest.raises(ValidationError, match="at least one label"):
         entry.labels = []
     assert (entry.labels, entry.properties) == (["A"], {"k": 1})
+
+
+def test_label_order_does_not_depend_on_the_hash_seed():
+    code = (
+        "from graphqa.graph import serialize_dataset; "
+        "from graphqa.graph.dataset import DatasetFile, NodeEntry; "
+        "print(serialize_dataset(DatasetFile(nodes=[NodeEntry(['Tower', 'Sensor', 'Device'], {}), "
+        "NodeEntry({'Tower', 'Sensor', 'Device'}, {}), NodeEntry(frozenset({'Zulu', 'Alpha', 'Mike'}), {})])), end='')"
+    )
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.path.dirname(os.path.dirname(graphqa.__file__))}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    nodes = [json.loads(line) for line in outputs[0].decode().splitlines()[1:]]
+    assert [node["labels"] for node in nodes] == [
+        ["Tower", "Sensor", "Device"],  # a list keeps its order
+        ["Device", "Sensor", "Tower"],
+        ["Alpha", "Mike", "Zulu"],
+    ]
 
 
 def test_loaded_graph_holds_its_entries_in_its_own_maps():

@@ -4,12 +4,12 @@ from collections import Counter
 import pytest
 
 from generators import build_graph, random_graph, random_query_ast
-from oracle import cell_key, oracle_rows
+from oracle import cell_key, oracle_ordered_rows, oracle_rows
 from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
 from graphqa.cypher.ast import FunctionCall, Query, ReturnItem, Variable
 from graphqa.cypher.executor import sort_key
-from graphqa.errors import EngineError, ParseError, RuntimeQueryError, SemanticError
+from graphqa.errors import EngineError, ParseError, RuntimeQueryError, SemanticError, ValidationError
 from graphqa.graph import load_dataset_file
 from graphqa.graph.store import PropertyGraph
 
@@ -272,6 +272,124 @@ def test_point_paths_match_the_oracle():
     # The oracle lets the geodesic's ValidationError escape here.
     with pytest.raises(RuntimeQueryError, match="latitude"):
         rows(g, f"MATCH (n:Q) RETURN point.distance({POINT_N}, {ORIGIN})")
+
+
+def point_of(variable, lat="Lat", lon="Long"):
+    return f"point({{latitude: {variable}.{lat}, longitude: {variable}.{lon}}})"
+
+
+CLOSEST = f"point.distance({point_of('a')}, {point_of('b')})"
+
+
+def random_geo_graph(rng, towers):
+    """Towers at seeded points: some repeated, some with a missing or text
+    latitude, some with integer coordinates; tower numbers are shuffled."""
+    nodes, points = [], []
+    for number in rng.sample(range(towers), towers):
+        roll = rng.random()
+        if roll < 0.1 and points:
+            lat, lon = rng.choice(points)
+        elif roll < 0.15:
+            lat, lon = None, rng.uniform(-180, 180)
+        elif roll < 0.2:
+            lat, lon = "32.5", rng.uniform(-180, 180)
+        elif roll < 0.3:
+            lat, lon = rng.randint(-90, 90), rng.randint(-540, 540)
+        else:
+            lat, lon = rng.uniform(-90, 90), rng.uniform(-180, 180)
+        props = {"Tower": number, "Long": lon}
+        if lat is not None:
+            props["Lat"] = lat
+        nodes.append(({"Tower"}, props))
+        points.append((lat, lon))
+    return build_graph(nodes)
+
+
+def ordered_outcome(graph, query):
+    """Engine and oracle rows in order, or both error kinds."""
+
+    def outcome(run):
+        try:
+            return run()
+        except EngineError as exc:
+            return exc.kind
+        except ValidationError:  # the oracle lets the geodesic's error escape
+            return "runtime"
+
+    engine = outcome(lambda: [tuple(cell_key(c) for c in row) for row in execute(graph, query).rows])
+    return engine, outcome(lambda: oracle_ordered_rows(graph, query))
+
+
+CLOSEST_PAIR_SHAPES = [
+    f"MATCH (a:Tower), (b:Tower) WHERE a.Tower < b.Tower RETURN a.Tower, b.Tower ORDER BY {CLOSEST}{direction}{limit}"
+    for direction in ("", " DESC")
+    for limit in ("", " LIMIT 1", " LIMIT 5")
+] + [
+    f"MATCH (a:Tower), (b:Tower) WHERE a.Tower <> b.Tower RETURN a.Tower, b.Tower, {CLOSEST} AS d "
+    "ORDER BY d DESC LIMIT 7",
+    f"MATCH (a:Tower), (b:Tower) WHERE a.Tower < b.Tower RETURN a.Tower AS x, b.Tower AS y "
+    f"ORDER BY point.distance({point_of('b')}, {point_of('a')}) LIMIT 4",
+    # Each point reads both variables, so neither is kept per node.
+    "MATCH (a:Tower), (b:Tower) WHERE a.Tower < b.Tower RETURN a.Tower, b.Tower "
+    "ORDER BY point.distance(point({latitude: a.Lat, longitude: b.Long}), point({latitude: b.Lat, longitude: a.Long}))",
+    "MATCH (a:Tower) RETURN a.Tower ORDER BY point.distance(point({latitude: 10, longitude: 20}), "
+    f"{point_of('a')}) DESC",
+]
+
+
+@pytest.mark.parametrize("text", CLOSEST_PAIR_SHAPES)
+def test_closest_pair_shapes_match_the_oracle_on_random_points(text):
+    query = parse_query(text)
+    rng = random.Random(23)
+    for towers in (0, 1, 2, 7, 30):
+        engine, oracle = ordered_outcome(random_geo_graph(rng, towers), query)
+        assert isinstance(engine, list), engine
+        assert engine == oracle, (towers, text)
+
+
+POINT_A = point_of("a", "lat", "lon")
+ORIGIN_95 = "point({latitude: 95, longitude: 0})"  # a constant argument the check rejects
+
+
+def geo_pairs(a_label, b_label, where):
+    distance = f"point.distance({POINT_A}, {point_of('b', 'lat', 'lon')})"
+    return f"MATCH (a{a_label}), (b{b_label}) WHERE {where} RETURN a.name, b.name ORDER BY {distance}"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (geo_pairs(":P", ":P", "a.name < b.name"), "rows"),
+        (geo_pairs(":P", ":P", "a.name <> b.name") + " DESC LIMIT 3", "rows"),
+        # The lat-95 Q node meets only points that are null: no row reaches the check.
+        (geo_pairs(":P", ":Q", "a.name = 'c' OR a.name = 'd'"), "rows"),
+        (geo_pairs(":Q", ":P", "b.name = 'c' OR b.name = 'd'") + " DESC", "rows"),
+        (f"MATCH (a:P) WHERE a.name = 'c' RETURN a.name ORDER BY point.distance({ORIGIN_95}, {POINT_A})", "rows"),
+        (f"MATCH (a:P) WHERE a.name = 'b' RETURN a.name ORDER BY point.distance({ORIGIN_95}, {POINT_A})", "runtime"),
+        (geo_pairs(":Q", ":P", "b.name >= 'c'") + " LIMIT 1", "runtime"),
+        (geo_pairs(":P", ":Q", "a.name = 'e'"), "runtime"),
+        (geo_pairs("", "", "a.name < b.name") + " LIMIT 1", "runtime"),
+    ],
+)
+def test_closest_pair_shapes_match_the_oracle_on_geo_graph(text, expected):
+    engine, oracle = ordered_outcome(geo_graph(), parse_query(text))
+    assert engine == oracle
+    assert (engine if isinstance(engine, str) else "rows") == expected
+
+
+def test_one_query_on_two_graphs_gives_each_graph_its_own_distances():
+    query = parse_query(
+        f"MATCH (a:Tower), (b:Tower) WHERE a.Tower < b.Tower RETURN a.Tower, b.Tower, {CLOSEST} AS d ORDER BY {CLOSEST}"
+    )
+    rng = random.Random(31)
+    # Both graphs number their nodes 0 to 11, with other points at those ids.
+    first, second = random_geo_graph(rng, 12), random_geo_graph(rng, 12)
+    results = [
+        [tuple(cell_key(c) for c in row) for row in execute(graph, query).rows] for graph in (first, second, first)
+    ]
+    assert results[0] == results[2] == oracle_ordered_rows(first, query)
+    assert results[1] == oracle_ordered_rows(second, query)
+    assert results[0] != results[1]
 
 
 # An integer literal past float range (about 1.8e308), so past 64 bits too.

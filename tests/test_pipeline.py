@@ -290,6 +290,18 @@ def test_pattern_past_the_length_limit_is_a_nan_outcome(fixture_graph, shape, pa
     assert engine_error == "parse: pattern too long"
 
 
+@pytest.mark.parametrize(
+    "longitude, shown", [("1e308*10", "inf"), ("-1e308*10", "-inf"), ("1e308*10 - 1e308*10", "nan")]
+)
+@pytest.mark.parametrize("first", [True, False])
+def test_non_finite_coordinate_is_a_nan_outcome(fixture_graph, longitude, shown, first):
+    points = [f"point({{latitude: 0, longitude: {longitude}}})", "point({latitude: 0, longitude: 0})"]
+    query = "RETURN point.distance({}, {})".format(*(points if first else points[::-1]))
+    _, db_output, engine_error = run_stage1(fixture_graph, f"```cypher\n{query}\n```")
+    assert db_output == NAN_SENTINEL
+    assert engine_error == f"runtime: longitude {shown} is not finite"
+
+
 def test_trick_question_flows_to_empty_list(fixture_graph, templates, corpus):
     spec = next(s for s in corpus if s.is_trick)
     config = _config(templates)
