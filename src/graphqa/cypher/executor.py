@@ -31,12 +31,11 @@ nodes and relationships by ascending id, so the row order without ORDER BY
 does not depend on how the store is indexed.
 ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
 breaking ties by row position. A ``point.distance`` argument becomes a
-prepared point (degrees, radians and the latitude's cosine) once per query
-if it reads no variable, and once per node if it reads one variable that
-holds a node, so a closest-pair query over n nodes prepares n points, not
-two per pair; the memo lives only as long as one ``execute`` call. Errors
-are raised only when a row reaches the part of the query that fails, so a
-query that matches nothing succeeds.
+prepared point (degrees, radians and the latitude's cosine) once per node
+if it reads one variable that holds a node, so a closest-pair query over n
+nodes prepares n points, not two per pair; the memo lives only as long as
+one ``execute`` call. Errors are raised only when a row reaches the part of
+the query that fails, so a query that matches nothing succeeds.
 
 All functions here only read the graph, and a built graph does not change,
 so independent queries may safely execute concurrently.
@@ -385,9 +384,9 @@ _UNSET = object()
 def _compile_location(arg: Expr) -> Compiled:
     """An argument of ``point.distance`` as a prepared point, or None for null.
 
-    It depends only on the variables the argument reads, so it is kept once
-    for none and per node id for one node. An evaluation that raises is not
-    kept. ``execute`` compiles anew per call, so no memo sees two graphs.
+    It depends only on the variables the argument reads, so it is kept per
+    node id when the argument reads one variable. An evaluation that raises
+    is not kept. ``execute`` compiles anew per call, so no memo sees two graphs.
     """
     if isinstance(arg, FunctionCall) and arg.name == "point":
         coordinates = _compile_coordinates(arg.args[0])
@@ -403,17 +402,7 @@ def _compile_location(arg: Expr) -> Compiled:
         return None if pair is None else prepare_point(*pair)
 
     names = expr_variables(arg)
-    if not names:
-        constant = _UNSET
-
-        def once(scope):
-            nonlocal constant
-            if constant is _UNSET:
-                constant = location(scope)
-            return constant
-
-        return once
-    if len(names) > 1:
+    if len(names) != 1:
         return location
     (name,) = names
     memo: dict[int, tuple | None] = {}

@@ -29,14 +29,17 @@ def prepare_point(lat: float, lon: float) -> Prepared:
 
 
 def prepared_distance(a: Prepared, b: Prepared) -> float:
-    """Distance in meters between two prepared points; ``a`` is checked first."""
+    """Distance in meters between two prepared points.
+
+    Both latitudes are checked, ``a``'s first, before either longitude.
+    """
     lat1, lon1, rlat1, rlon1, cos1 = a
     lat2, lon2, rlat2, rlon2, cos2 = b
     if cos1 is None or cos2 is None:
-        lat, lon = (lat1, lon1) if cos1 is None else (lat2, lon2)
-        if not -90.0 <= lat <= 90.0:
-            raise ValidationError(f"latitude {lat} out of range [-90, 90]")
-        raise ValidationError(f"longitude {lon} is not finite")
+        for lat in (lat1, lat2):
+            if not -90.0 <= lat <= 90.0:
+                raise ValidationError(f"latitude {lat} out of range [-90, 90]")
+        raise ValidationError(f"longitude {lon1 if cos1 is None else lon2} is not finite")
     if lat1 == lat2 and lon1 == lon2:
         return 0.0
     sin_dlat = math.sin((rlat2 - rlat1) / 2.0)

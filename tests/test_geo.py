@@ -56,11 +56,13 @@ def test_non_finite_longitude_rejected(lon):
     for a, b in [((0.0, lon), (0.0, 0.0)), ((0.0, 0.0), (0.0, lon)), ((0.0, lon), (0.0, lon))]:
         with pytest.raises(ValidationError, match=f"longitude {lon} is not finite"):
             haversine_distance(a, b)
-    # The first point is checked before the second, its latitude before its longitude.
+    # Both latitudes are checked, the first point's first, before any longitude.
     with pytest.raises(ValidationError, match="latitude 95.0 out of range"):
         haversine_distance((95.0, lon), (0.0, lon))
-    with pytest.raises(ValidationError, match="longitude"):
+    with pytest.raises(ValidationError, match="latitude 95.0 out of range"):
         haversine_distance((0.0, lon), (95.0, 0.0))
+    with pytest.raises(ValidationError, match="latitude 95.0 out of range"):
+        haversine_distance((95.0, 0.0), (-95.0, lon))
 
 
 def test_fixture_closest_pair_matches_brute_force_oracle(fixture_graph, corpus):
