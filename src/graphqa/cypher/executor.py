@@ -23,14 +23,20 @@ test suite):
 How it runs: ``execute`` compiles every expression once into a closure, so
 no row re-dispatches on the AST. Matching is a pipeline of generators, one
 stage per pattern part, that expands each node through the store's
-adjacency lists and filters by WHERE as bindings come out. A labelled start
-node whose first inline entry is a number, string or boolean takes its
-candidates from the store's equality index instead of the label's nodes, and
-still tests each one in full. Bindings come out in the order of a scan of
-nodes and relationships by ascending id, so the row order without ORDER BY
-does not depend on how the store is indexed.
+adjacency lists. The stages write their variables into one scope dict they
+share, and WHERE runs on it as soon as the last stage has filled it; only a
+binding that WHERE keeps is copied out. A labelled start node whose first
+inline entry is a number, string or boolean takes its candidates from the
+store's equality index instead of the label's nodes, and still tests each
+one in full. Bindings come out in the order of a scan of nodes and
+relationships by ascending id, so the row order without ORDER BY does not
+depend on how the store is indexed.
 ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
-breaking ties by row position. A ``point.distance`` argument becomes a
+breaking ties by row position. It reads the binding, or the binding laid
+over the projected row when an entry names something else. If no RETURN
+item can fail (each is a literal, a property access or a pattern variable)
+and ORDER BY reads bindings only, the rows are picked first and only those
+that LIMIT keeps are projected. A ``point.distance`` argument becomes a
 prepared point (degrees, radians and the latitude's cosine) once per node
 if it reads one variable that holds a node, so a closest-pair query over n
 nodes prepares n points, not two per pair; the memo lives only as long as
@@ -44,9 +50,8 @@ so independent queries may safely execute concurrently.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
-from operator import add, attrgetter, mul, sub
-from typing import Callable, Iterable, Iterator
+from operator import add, attrgetter, itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import RuntimeQueryError, SemanticError, ValidationError
 from ..graph.store import _INT64_MAX, _INT64_MIN, Node, PropertyGraph, Relationship
@@ -105,16 +110,28 @@ def is_numeric(value: object) -> bool:
     return t is int or t is float or (t not in _KINDS and _kind(value) == NUM)
 
 
+# Types whose values compare with Python's own operators when both sides
+# have exactly that type; every other pair, subclasses included, goes
+# through the kinds.
+_SCALARS = frozenset({int, float, str, bool})
+
+
 def value_equals(a: CellValue, b: CellValue) -> bool | None:
     """Three-valued equality; ``None`` means unknown."""
-    ka = _KINDS.get(type(a)) or _kind(a)
+    t = type(a)
+    if t is type(b) and t in _SCALARS:
+        return a == b
+    ka = _KINDS.get(t) or _kind(a)
     if ka != (_KINDS.get(type(b)) or _kind(b)) or ka >= MAP:
         return None
     return a == b
 
 
 def value_less_than(a: CellValue, b: CellValue) -> bool | None:
-    ka = _KINDS.get(type(a)) or _kind(a)
+    t = type(a)
+    if t is type(b) and t in _SCALARS:
+        return a < b
+    ka = _KINDS.get(t) or _kind(a)
     if ka != (_KINDS.get(type(b)) or _kind(b)) or ka > BOOL:
         return None
     return a < b
@@ -421,9 +438,12 @@ def _compile_location(arg: Expr) -> Compiled:
 
 # --- pattern matching ----------------------------------------------------------
 
-# A stage turns a stream of bindings into a stream of (binding, node) pairs,
-# or extends such pairs by one edge; the node is where the path has got to.
-# Stages are generators, so a binding is built only when the next one pulls.
+# A stage turns the stream of nodes where the previous stage's path has got
+# to into the nodes where its own path gets to, and writes each variable it
+# binds into one scope dict that every stage of a query shares. Stages are
+# generators pulled depth first, so whenever the last stage yields, the
+# scope holds exactly one complete binding, and a stage that reads a bound
+# variable reads it as soon as the stage before it yields.
 Stage = Callable[[Iterable], Iterator]
 
 
@@ -480,15 +500,15 @@ def _either_way(graph: PropertyGraph, node_id: int):
     return sorted([*outgoing, *(rel for rel in incoming if rel.src != rel.dst)], key=_by_id)
 
 
-def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str]) -> Stage:
+def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str], scope: Binding) -> Stage:
     test, variable = _node_test(pattern), pattern.variable
     if variable and variable in bound:
 
         def from_binding(stream):
-            for binding in stream:
-                node = binding[variable]
+            for _ in stream:
+                node = scope[variable]
                 if isinstance(node, Node) and (test is None or test(node)):
-                    yield binding, node
+                    yield node
 
         return from_binding
     if variable:
@@ -506,24 +526,27 @@ def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str]) ->
 
     def scan(stream):
         nonlocal pool
-        for binding in stream:
+        for _ in stream:
             if pool is None:
                 nodes = candidates()
                 pool = nodes if test is None else [node for node in nodes if test(node)]
             if variable:
                 for node in pool:
-                    extended = binding.copy()
-                    extended[variable] = node
-                    yield extended, node
+                    scope[variable] = node
+                    yield node
             else:
-                for node in pool:
-                    yield binding, node
+                yield from pool
 
     return scan
 
 
 def _edge_stage(
-    graph: PropertyGraph, edge: EdgePattern, pattern: NodePattern, bound: set[str], used: set[int] | None
+    graph: PropertyGraph,
+    edge: EdgePattern,
+    pattern: NodePattern,
+    bound: set[str],
+    used: set[int] | None,
+    scope: Binding,
 ) -> Stage:
     edge_test, node_test = _edge_test(edge), _node_test(pattern)
     variable, edge_variable, direction = pattern.variable, edge.variable, edge.direction
@@ -538,8 +561,13 @@ def _edge_stage(
         adjacent = lambda node_id: _either_way(graph, node_id)  # noqa: E731
 
     def expand(stream):
-        for binding, current in stream:
+        for current in stream:
             here = current.id
+            if joins:
+                existing = scope[variable]
+                if not isinstance(existing, Node):
+                    continue
+                target = existing.id
             for rel in adjacent(here):
                 if used is not None and rel.id in used:
                     continue
@@ -548,44 +576,43 @@ def _edge_stage(
                 other = node(rel.dst if rel.src == here else rel.src)
                 if node_test is not None and not node_test(other):
                     continue
-                extended = binding
                 if joins:
-                    existing = binding[variable]
-                    if not (isinstance(existing, Node) and existing.id == other.id):
+                    if other.id != target:
                         continue
                 elif variable:
-                    extended = binding.copy()
-                    extended[variable] = other
+                    scope[variable] = other
                 if edge_variable:
-                    if extended is binding:
-                        extended = binding.copy()
-                    extended[edge_variable] = rel
+                    scope[edge_variable] = rel
                 if used is None:
-                    yield extended, other
+                    yield other
                 else:
                     used.add(rel.id)
-                    yield extended, other
+                    yield other
                     used.discard(rel.id)
 
     return expand
 
 
 def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
-    """All variable bindings satisfying the MATCH clauses and WHERE predicate."""
-    stream: Iterable = ({},)
+    """All variable bindings satisfying the MATCH clauses and WHERE predicate.
+
+    WHERE runs on the shared scope as soon as the last stage has filled it,
+    in binding order, and only a binding it keeps is copied out.
+    """
+    scope: Binding = {}
+    stream: Iterable = (None,)
     bound: set[str] = set()
     for clause in query.matches:
         # Uniqueness needs tracking only where one clause has two edges.
         used = set() if sum(len(path.edges) for path in clause.paths) > 1 else None
         for path in clause.paths:
-            stream = _start_stage(graph, path.nodes[0], bound)(stream)
+            stream = _start_stage(graph, path.nodes[0], bound, scope)(stream)
             for edge, pattern in zip(path.edges, path.nodes[1:]):
-                stream = _edge_stage(graph, edge, pattern, bound, used)(stream)
-            stream = (binding for binding, _ in stream)
+                stream = _edge_stage(graph, edge, pattern, bound, used, scope)(stream)
     if query.where is None:
-        return list(stream)
+        return [scope.copy() for _ in stream]
     where = _compile(query.where)
-    return [binding for binding in stream if where(binding) is True]
+    return [scope.copy() for _ in stream if where(scope) is True]
 
 
 # --- projection -----------------------------------------------------------------
@@ -596,16 +623,11 @@ def _row_function(items) -> Callable[[dict], tuple]:
     return lambda scope: tuple([fn(scope) for fn in compiled])
 
 
-def _project(query: Query, bindings: list[Binding]) -> tuple[list[tuple], list[Binding] | None]:
-    """Rows, and the binding of each row; None for aggregated or DISTINCT rows.
+def _group(query: Query, bindings: list[Binding]) -> list[tuple]:
+    """One row per group of the non-aggregated items, in order of first appearance.
 
-    DISTINCT groups like count() does, by every non-aggregated item, so each
-    group is one row in order of first appearance.
+    DISTINCT groups like count() does, by every non-aggregated item.
     """
-    if not query.distinct and not any(contains_aggregate(item.expr) for item in query.items):
-        row = _row_function(query.items)
-        return [row(binding) for binding in bindings], bindings
-
     plain = [i for i, item in enumerate(query.items) if not contains_aggregate(item.expr)]
     key_values = _row_function([query.items[i] for i in plain]) if plain else lambda scope: ()
     groups: dict[tuple, tuple[tuple, list[Binding]]] = {}
@@ -632,79 +654,79 @@ def _project(query: Query, bindings: list[Binding]) -> tuple[list[tuple], list[B
         else:
             arg = _compile(call.args[0])
             cells.append(lambda values, members, arg=arg: sum(1 for b in members if arg(b) is not None))
-    rows = [tuple([cell(values, members) for cell in cells]) for values, members in groups.values()]
-    return rows, None
+    return [tuple([cell(values, members) for cell in cells]) for values, members in groups.values()]
+
+
+def _plain_read(expr: Expr, names: set[str]) -> bool:
+    """Whether ``expr`` is a literal, a property access or a pattern variable:
+    a read that no binding makes fail."""
+    return isinstance(expr, (Literal, PropertyAccess)) or (isinstance(expr, Variable) and expr.name in names)
 
 
 # --- ordering -------------------------------------------------------------------
 
 
-def _order_value(query: Query, entry, columns: list[str], grouped: bool) -> Callable[[tuple, Binding | None], CellValue]:
-    """One ORDER BY entry as ``(row, binding) -> value``."""
+def _column_value(entry, columns: list[str]) -> Callable[[tuple], CellValue]:
+    """An ORDER BY entry over aggregated or DISTINCT rows, as ``row -> value``.
+
+    The entry must name a projected column, by alias or by identical
+    expression text.
+    """
     position = {name: i for i, name in enumerate(columns)}
-    if grouped:
-        # Aggregated/distinct rows: the sort key must be a projected column
-        # (by alias or by identical expression text).
-        if isinstance(entry.expr, Variable) and entry.expr.name in position:
-            index = position[entry.expr.name]
-        elif entry.source_text and entry.source_text in position:
-            index = position[entry.source_text]
-        else:
-
-            def unreferenced(row, binding):
-                raise SemanticError("ORDER BY over aggregated or DISTINCT rows must reference a returned column")
-
-            return unreferenced
-        return lambda row, binding: row[index]
-    compiled = _compile(entry.expr)
-    node_vars, edge_vars = pattern_variables(query)
-    if expr_variables(entry.expr) <= node_vars | edge_vars:
-        return lambda row, binding: compiled(binding)
-
-    def over_row(row, binding):
-        scope = dict(zip(columns, row))
-        scope.update(binding)
-        return compiled(scope)
-
-    return over_row
+    if isinstance(entry.expr, Variable) and entry.expr.name in position:
+        return itemgetter(position[entry.expr.name])
+    if entry.source_text and entry.source_text in position:
+        return itemgetter(position[entry.source_text])
+    return _raiser(SemanticError("ORDER BY over aggregated or DISTINCT rows must reference a returned column"))
 
 
-def _order_rows(query: Query, columns: list[str], rows: list[tuple], bindings: list[Binding] | None) -> list[tuple]:
-    """Apply ORDER BY and LIMIT; ties keep row order."""
+def _order_rows(query: Query, values: list[Callable], scopes: Iterable, count: int) -> Sequence[int]:
+    """Indices of the ``count`` rows that ORDER BY and LIMIT keep, in order.
+
+    ``scopes`` yields what each row's ORDER BY ``values`` read; ties keep
+    row order.
+    """
     limit = query.limit
-    if not query.order_by or not rows:
-        return rows if limit is None else rows[:limit]
-    values = [_order_value(query, entry, columns, bindings is None) for entry in query.order_by]
+    if not query.order_by or not count:
+        return range(count)[:limit]
     if len(values) == 1:
-        (value,) = values
-        keys = [sort_key(value(row, binding)) for row, binding in zip(rows, bindings or repeat(None))]
+        keys = list(map(sort_key, map(values[0], scopes)))
     else:
-        keys = [
-            tuple([sort_key(value(row, binding)) for value in values])
-            for row, binding in zip(rows, bindings or repeat(None))
-        ]
+        keys = [tuple([sort_key(value(scope)) for value in values]) for scope in scopes]
 
     directions = [entry.ascending for entry in query.order_by]
-    indices = range(len(rows))
+    indices = range(count)
     if len(set(directions)) == 1:
         descending = not directions[0]
-        if limit is not None and limit < len(rows):
+        if limit is not None and limit < count:
             top = heapq.nlargest if descending else heapq.nsmallest
-            order = top(limit, indices, key=keys.__getitem__)
-        else:
-            order = sorted(indices, key=keys.__getitem__, reverse=descending)
-    else:
-        # Stable passes from the last key to the first.
-        order = list(indices)
-        for position in reversed(range(len(directions))):
-            order.sort(key=lambda i: keys[i][position], reverse=not directions[position])
-        order = order[:limit]
-    return [rows[i] for i in order]
+            return top(limit, indices, key=keys.__getitem__)
+        return sorted(indices, key=keys.__getitem__, reverse=descending)
+    # Stable passes from the last key to the first.
+    order = list(indices)
+    for position in reversed(range(len(directions))):
+        order.sort(key=lambda i: keys[i][position], reverse=not directions[position])
+    return order[:limit]
 
 
 def execute(graph: PropertyGraph, query: Query) -> ResultSet:
     """Execute a parsed query and return its result set."""
     bindings = enumerate_bindings(graph, query)
     columns = [item.column_name() for item in query.items]
-    rows, row_bindings = _project(query, bindings)
-    return ResultSet(columns=columns, rows=_order_rows(query, columns, rows, row_bindings))
+    if query.distinct or any(contains_aggregate(item.expr) for item in query.items):
+        rows = _group(query, bindings)
+        values = [_column_value(entry, columns) for entry in query.order_by]
+        return ResultSet(columns=columns, rows=[rows[i] for i in _order_rows(query, values, rows, len(rows))])
+    names = set().union(*pattern_variables(query))
+    by_binding = all(expr_variables(entry.expr) <= names for entry in query.order_by)
+    # Rows that cannot fail and that ORDER BY does not read are projected
+    # only once ORDER BY and LIMIT have picked them.
+    late = by_binding and all(_plain_read(item.expr, names) for item in query.items)
+    row = _row_function(query.items)
+    rows = None if late else [row(binding) for binding in bindings]
+    # An entry that reads a column reads the binding laid over its row, so
+    # pattern variables shadow column names.
+    scopes = bindings if by_binding else ({**dict(zip(columns, r)), **b} for r, b in zip(rows, bindings))
+    values = [_compile(entry.expr) for entry in query.order_by]
+    kept = _order_rows(query, values, scopes, len(bindings))
+    return ResultSet(columns=columns, rows=[row(bindings[i]) for i in kept] if rows is None else [rows[i] for i in kept])

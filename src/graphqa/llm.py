@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 
 from .datafiles import atomic_write
 from .errors import GatewayError, ReplayMissError
@@ -149,15 +150,17 @@ class LiveBackend:
         import urllib.request
 
         body = {"model": request.model_name, "prompt": request.prompt, "stream": False, "options": _GENERATE_OPTIONS}
+        deadline = time.monotonic() + self.timeout_s
         try:
             http_request = urllib.request.Request(
                 self.url, data=json.dumps(body).encode("utf-8"), headers={"Content-Type": "application/json"}
             )
             with urllib.request.urlopen(http_request, timeout=self.timeout_s) as http_response:
-                raw = http_response.read(_MAX_RESPONSE_BYTES + 1)
+                raw = _read_body(http_response, deadline, self.timeout_s)
         except (OSError, ValueError, http.client.HTTPException) as exc:
-            # OSError covers refused connections, timeouts and HTTP >= 400
-            # (urllib.error.HTTPError); ValueError a malformed URL.
+            # OSError covers refused connections, timeouts (the deadline's
+            # too) and HTTP >= 400 (urllib.error.HTTPError); ValueError a
+            # malformed URL.
             raise GatewayError(f"completion request failed: {exc}") from exc
         if len(raw) > _MAX_RESPONSE_BYTES:
             raise GatewayError(f"endpoint response larger than {_MAX_RESPONSE_BYTES} bytes")
@@ -171,6 +174,26 @@ class LiveBackend:
         if not isinstance(response, str):
             raise GatewayError("endpoint response 'response' field is not a string")
         return response
+
+
+def _read_body(http_response, deadline: float, timeout_s: float) -> bytes:
+    """The reply body, up to one byte past the size cap, read in chunks.
+
+    No chunk is requested past ``deadline``. ``timeout_s`` bounds each wait
+    on the socket, so a server that drips its body holds a request for at
+    most about twice ``timeout_s``.
+    """
+    chunks: list[bytes] = []
+    size = 0
+    while size <= _MAX_RESPONSE_BYTES:
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"reply not complete within {timeout_s} s")
+        chunk = http_response.read1(_MAX_RESPONSE_BYTES + 1 - size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+    return b"".join(chunks)
 
 
 class ReplayBackend:

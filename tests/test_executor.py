@@ -7,8 +7,8 @@ from generators import build_graph, random_graph, random_query_ast
 from oracle import cell_key, oracle_ordered_rows, oracle_rows
 from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
-from graphqa.cypher.ast import FunctionCall, Query, ReturnItem, Variable
-from graphqa.cypher.executor import sort_key
+from graphqa.cypher.ast import Binary, FunctionCall, Literal, OrderItem, PropertyAccess, Query, ReturnItem, Variable
+from graphqa.cypher.executor import _compile, enumerate_bindings, sort_key, value_equals, value_less_than
 from graphqa.errors import EngineError, ParseError, RuntimeQueryError, SemanticError, ValidationError
 from graphqa.graph import load_dataset_file
 from graphqa.graph.store import PropertyGraph
@@ -582,3 +582,110 @@ def test_errors_wait_for_a_row_to_reach_them():
         execute(g, some_rows)
     # AND does not evaluate its right side once the left is false.
     assert rows(g, "MATCH (n:A) WHERE n.p = 0 AND n.p / 0 = 1 RETURN n") == (["n"], [])
+
+
+def test_an_error_on_a_row_outside_limit_is_still_raised():
+    g = build_graph([({"A"}, {"Tower": n}) for n in range(1, 6)])
+    kept = "MATCH (a:A) RETURN a.Tower AS t ORDER BY a.Tower DESC LIMIT 1"
+    assert rows(g, kept) == (["t"], [(5,)])
+    with pytest.raises(RuntimeQueryError, match="division by zero"):
+        rows(g, "MATCH (a:A) RETURN 1 / (a.Tower - 3) AS v ORDER BY a.Tower DESC LIMIT 1")
+    with pytest.raises(RuntimeQueryError, match="division by zero"):
+        rows(g, "MATCH (a:A) RETURN a.Tower, 1 / (a.Tower - 3) LIMIT 1")
+
+
+def test_an_unbound_return_variable_fails_under_limit_0():
+    # The parser rejects the unbound name, so build the AST directly.
+    g = small_graph()
+    items = (ReturnItem(Variable("x"), None),)
+    for matches in [(), parse_query("MATCH (n:A) RETURN n").matches]:
+        for order_by in [(), (OrderItem(PropertyAccess("n", "p"), True),)]:
+            with pytest.raises(SemanticError, match="variable 'x' is not bound"):
+                execute(g, Query(matches, None, False, items, order_by, 0))
+
+
+def test_a_where_that_fails_on_one_product_binding_fails_the_query():
+    g = build_graph([({"A"}, {"p": n}) for n in range(1, 5)])
+    one_pair = "MATCH (a:A), (b:A) WHERE a.p * 10 + b.p = 23 AND {} RETURN a.p, b.p"
+    assert rows(g, one_pair.format("true")) == (["a.p", "b.p"], [(2, 3)])
+    with pytest.raises(RuntimeQueryError, match="division by zero"):
+        rows(g, one_pair.format("1 / 0 = 1"))
+    # The parser rejects unknown functions, so build the AST directly.
+    product = parse_query(one_pair.format("true"))
+    size = Binary("AND", product.where.left, FunctionCall("size", (Variable("b"),)))
+    with pytest.raises(SemanticError, match=r"unknown function size\(\)"):
+        execute(g, Query(product.matches, size, False, product.items))
+    # The binding that fails is the last one the product reaches.
+    last = parse_query("MATCH (a:A), (b:A), (c:A) WHERE a.p + b.p + c.p < 12 OR 1 / 0 = 1 RETURN count(*)")
+    with pytest.raises(RuntimeQueryError, match="division by zero"):
+        execute(g, last)
+
+
+def test_bindings_equal_a_post_filter_of_the_unfiltered_match():
+    def outcome(run):
+        try:
+            return [list(binding.items()) for binding in run()]
+        except EngineError as exc:
+            return type(exc)
+
+    rng = random.Random(20240817)
+    compared = 0
+    for _ in range(500):
+        graph = random_graph(rng, max_nodes=30, max_rels=36)
+        query = random_query_ast(rng, max_total_edges=3)
+        if query.where is None:
+            continue
+        unfiltered = Query(query.matches, None, query.distinct, query.items, query.order_by, query.limit)
+        where = _compile(query.where)
+        expected = outcome(lambda: [b for b in enumerate_bindings(graph, unfiltered) if where(b) is True])
+        assert outcome(lambda: enumerate_bindings(graph, query)) == expected, print_query(query)
+        compared += 1
+    assert compared > 250
+
+
+class _Tag(str):
+    pass
+
+
+# Frozen from value_less_than and value_equals before either had a fast path
+# for two values of one plain type. T is true, F false, - unknown (None);
+# row i, column j is f(values[i], values[j]), where values are these and
+# nodes 0 and 1 of a graph.
+_CMP_VALUES = [True, False, 1, 1.0, 2, float("nan"), "b", _Tag("b"), _Tag("a"), None]
+_LESS_THAN = [
+    "FF----------",
+    "TF----------",
+    "--FFTF------",
+    "--FFTF------",
+    "--FFFF------",
+    "--FFFF------",
+    "------FFF---",
+    "------FFF---",
+    "------TTF---",
+    "------------",
+    "------------",
+    "------------",
+]
+_EQUALS = [
+    "TF----------",
+    "FT----------",
+    "--TTFF------",
+    "--TTFF------",
+    "--FFTF------",
+    "--FFFF------",
+    "------TTF---",
+    "------TTF---",
+    "------FFT---",
+    "------------",
+    "----------TF",
+    "----------FT",
+]
+
+
+@pytest.mark.parametrize("compare, table", [(value_less_than, _LESS_THAN), (value_equals, _EQUALS)])
+def test_mixed_type_comparisons_are_pinned(compare, table):
+    g = build_graph([({"A"}, {}), ({"A"}, {})])
+    values = [*_CMP_VALUES, g.node(0), g.node(1)]
+    code = {True: "T", False: "F", None: "-"}
+    got = ["".join(code[compare(a, b)] for b in values) for a in values]
+    assert got == table

@@ -38,6 +38,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.loads(raw)
         if body["model"] == "slow":
             time.sleep(0.3)
+        if body["model"] == "drip":
+            self._drip(b'{"response": "' + b"d" * 14 + b'"}', interval_s=0.02)
+            return
         # Deterministic canned reply derived from the prompt.
         response = {"response": f"echo({body['model']}): {body['prompt'][-20:]}"}
         status, payload = self.FAULTS.get(body["model"], (200, json.dumps(response).encode()))
@@ -46,6 +49,19 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+    def _drip(self, payload, interval_s):
+        """Send a whole, valid reply one byte at a time; stop once the client has gone."""
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        try:
+            for i in range(len(payload)):
+                self.wfile.write(payload[i : i + 1])
+                time.sleep(interval_s)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
 
     def log_message(self, *args):
         pass
@@ -97,6 +113,15 @@ def test_live_faulty_replies_raise_gateway_error(stub_server, model, message):
 def test_live_read_timeout_raises_gateway_error(stub_server):
     with pytest.raises(GatewayError, match="completion request failed: .*timed out"):
         LiveBackend(stub_server, timeout_s=0.1).complete(CompletionRequest("slow", "p"))
+
+
+def test_live_dripped_body_is_cut_at_the_deadline(stub_server):
+    # 30 bytes at 50 B/s: each byte arrives well inside the socket timeout,
+    # but the whole reply takes 0.6 s.
+    started = time.monotonic()
+    with pytest.raises(GatewayError, match="completion request failed: reply not complete within 0.1 s"):
+        LiveBackend(stub_server, timeout_s=0.1).complete(CompletionRequest("drip", "p"))
+    assert time.monotonic() - started < 0.5
 
 
 def test_transcript_round_trip(tmp_path):
