@@ -717,12 +717,14 @@ def execute(graph: PropertyGraph, query: Query) -> ResultSet:
         rows = _group(query, bindings)
         values = [_column_value(entry, columns) for entry in query.order_by]
         return ResultSet(columns=columns, rows=[rows[i] for i in _order_rows(query, values, rows, len(rows))])
+    row = _row_function(query.items)
+    if not query.order_by and query.limit is None:
+        return ResultSet(columns=columns, rows=[row(binding) for binding in bindings])
     names = set().union(*pattern_variables(query))
     by_binding = all(expr_variables(entry.expr) <= names for entry in query.order_by)
     # Rows that cannot fail and that ORDER BY does not read are projected
     # only once ORDER BY and LIMIT have picked them.
     late = by_binding and all(_plain_read(item.expr, names) for item in query.items)
-    row = _row_function(query.items)
     rows = None if late else [row(binding) for binding in bindings]
     # An entry that reads a column reads the binding laid over its row, so
     # pattern variables shadow column names.

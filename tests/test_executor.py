@@ -7,7 +7,7 @@ from generators import build_graph, random_graph, random_query_ast
 from oracle import cell_key, oracle_ordered_rows, oracle_rows
 from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
-from graphqa.cypher.ast import Binary, FunctionCall, Literal, OrderItem, PropertyAccess, Query, ReturnItem, Variable
+from graphqa.cypher.ast import Binary, FunctionCall, OrderItem, PropertyAccess, Query, ReturnItem, Variable
 from graphqa.cypher.executor import _compile, enumerate_bindings, sort_key, value_equals, value_less_than
 from graphqa.errors import EngineError, ParseError, RuntimeQueryError, SemanticError, ValidationError
 from graphqa.graph import load_dataset_file
