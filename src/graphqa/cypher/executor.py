@@ -36,12 +36,13 @@ breaking ties by row position. It reads the binding, or the binding laid
 over the projected row when an entry names something else. If no RETURN
 item can fail (each is a literal, a property access or a pattern variable)
 and ORDER BY reads bindings only, the rows are picked first and only those
-that LIMIT keeps are projected. A ``point.distance`` argument becomes a
-prepared point (degrees, radians and the latitude's cosine) once per node
-if it reads one variable that holds a node, so a closest-pair query over n
-nodes prepares n points, not two per pair; the memo lives only as long as
-one ``execute`` call. Errors are raised only when a row reaches the part of
-the query that fails, so a query that matches nothing succeeds.
+that LIMIT keeps are projected. ``point()`` builds every point from its
+map; ``point.distance`` prepares each point it gets (degrees, radians and
+the latitude's cosine), once per node if its argument reads one variable
+that holds a node, so a closest-pair query over n nodes prepares n points,
+not two per pair; the memo lives only as long as one ``execute`` call.
+Errors are raised only when a row reaches the part of the query that
+fails, so a query that matches nothing succeeds.
 
 All functions here only read the graph, and a built graph does not change,
 so independent queries may safely execute concurrently.
@@ -331,15 +332,23 @@ def _compile_binary(expr: Binary) -> Compiled:
     return calculate
 
 
+_POINT_KEYS = {"latitude", "longitude"}
+
+
 def _compile_function(call: FunctionCall) -> Compiled:
     if call.name == "count":
         return _raiser(SemanticError("count() outside of a RETURN item"))
     if call.name == "point":
-        coordinates = _compile_coordinates(call.args[0])
+        compiled = _compile(call.args[0])
 
         def point(scope):
-            pair = coordinates(scope)
-            return None if pair is None else Point(*pair)
+            value = compiled(scope)
+            if not isinstance(value, dict):
+                return None
+            if set(value) != _POINT_KEYS:
+                raise RuntimeQueryError("point() requires exactly latitude and longitude")
+            lat, lon = value["latitude"], value["longitude"]
+            return Point(float(lat), float(lon)) if is_numeric(lat) and is_numeric(lon) else None
 
         return point
     if call.name == "point.distance":
@@ -358,43 +367,6 @@ def _compile_function(call: FunctionCall) -> Compiled:
     return _raiser(SemanticError(f"unknown function {call.name}()"))
 
 
-_POINT_KEYS = {"latitude", "longitude"}
-
-
-def _compile_coordinates(arg: Expr) -> Compiled:
-    """``point(arg)`` as a ``(latitude, longitude)`` pair, or None for null.
-
-    A literal ``{latitude: .., longitude: ..}`` map is read entry by entry
-    in written order, without building the map.
-    """
-    if isinstance(arg, MapLiteral) and len(arg.entries) == 2 and {k for k, _ in arg.entries} == _POINT_KEYS:
-        (first_key, first), (_, second) = [(key, _compile(value)) for key, value in arg.entries]
-        lat_first = first_key == "latitude"
-
-        def from_entries(scope):
-            a, b = first(scope), second(scope)
-            return _coordinate_pair(a, b) if lat_first else _coordinate_pair(b, a)
-
-        return from_entries
-    compiled = _compile(arg)
-
-    def from_map(scope):
-        value = compiled(scope)
-        if not isinstance(value, dict):
-            return None
-        if set(value) != _POINT_KEYS:
-            raise RuntimeQueryError("point() requires exactly latitude and longitude")
-        return _coordinate_pair(value["latitude"], value["longitude"])
-
-    return from_map
-
-
-def _coordinate_pair(lat, lon) -> tuple[float, float] | None:
-    if not (is_numeric(lat) and is_numeric(lon)):
-        return None
-    return float(lat), float(lon)
-
-
 _UNSET = object()
 
 
@@ -405,18 +377,11 @@ def _compile_location(arg: Expr) -> Compiled:
     node id when the argument reads one variable. An evaluation that raises
     is not kept. ``execute`` compiles anew per call, so no memo sees two graphs.
     """
-    if isinstance(arg, FunctionCall) and arg.name == "point":
-        coordinates = _compile_coordinates(arg.args[0])
-    else:
-        compiled = _compile(arg)
-
-        def coordinates(scope):
-            value = compiled(scope)
-            return (value.latitude, value.longitude) if isinstance(value, Point) else None
+    compiled = _compile(arg)
 
     def location(scope):
-        pair = coordinates(scope)
-        return None if pair is None else prepare_point(*pair)
+        value = compiled(scope)
+        return prepare_point(value.latitude, value.longitude) if isinstance(value, Point) else None
 
     names = expr_variables(arg)
     if len(names) != 1:

@@ -8,7 +8,10 @@ from oracle import cell_key, oracle_ordered_rows, oracle_rows
 from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
 from graphqa.cypher.ast import Binary, FunctionCall, OrderItem, PropertyAccess, Query, ReturnItem, Variable
+from graphqa.cypher import executor
 from graphqa.cypher.executor import _compile, enumerate_bindings, sort_key, value_equals, value_less_than
+from graphqa.cypher.geo import prepare_point
+from graphqa.cypher.records import Point
 from graphqa.errors import EngineError, ParseError, RuntimeQueryError, SemanticError, ValidationError
 from graphqa.graph import load_dataset_file
 from graphqa.graph.store import PropertyGraph
@@ -390,6 +393,82 @@ def test_one_query_on_two_graphs_gives_each_graph_its_own_distances():
     assert results[0] == results[2] == oracle_ordered_rows(first, query)
     assert results[1] == oracle_ordered_rows(second, query)
     assert results[0] != results[1]
+
+
+def test_closest_towers_prepares_one_point_per_tower_and_side(shipped_dataset_path, corpus, monkeypatch):
+    calls = []
+
+    def counting(lat, lon):
+        calls.append((lat, lon))
+        return prepare_point(lat, lon)
+
+    monkeypatch.setattr(executor, "prepare_point", counting)
+    spec = next(s for s in corpus if s.id == "closest-towers")
+    graph = load_dataset_file(shipped_dataset_path)
+    execute(graph, parse_query(spec.ground_truth_query))
+    # 13 towers make 78 pairs with a.Tower < b.Tower, and 12 towers reach
+    # each side: each side's argument is prepared once per tower it meets.
+    assert len(calls) == 24
+
+
+def point_table_graph():
+    return build_graph([({"P"}, {"lat": 32.5, "lon": -106.7, "ilat": 33, "ilon": -106, "s": "x", "b": True})])
+
+
+OTHER_POINT = "point({latitude: 33, longitude: -106})"
+
+
+def point_outcomes(graph, arg):
+    """What ``point(arg)``, and ``point.distance`` with it on either side,
+    return for the one node, or the error class and message they raise."""
+
+    def outcome(expr):
+        try:
+            (cell,) = execute(graph, parse_query(f"MATCH (n:P) RETURN {expr}")).rows[0]
+        except EngineError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return f"point({cell.latitude!r}, {cell.longitude!r})" if isinstance(cell, Point) else repr(cell)
+
+    point = f"point({arg})"
+    distances = [f"point.distance({point}, {OTHER_POINT})", f"point.distance({OTHER_POINT}, {point})"]
+    return [outcome(point), *map(outcome, distances)]
+
+
+_REQUIRES_KEYS = "RuntimeQueryError: point() requires exactly latitude and longitude"
+_LATITUDE_95 = "RuntimeQueryError: latitude 95.0 out of range [-90, 90]"
+
+# Frozen before point() became the only code that reads a map into a point:
+# the argument of point(), what point() returns, and what point.distance
+# returns with that point on either side of the constant (33, -106).
+_POINT_TABLE = [
+    ("{latitude: n.lat, longitude: n.lon}", "point(32.5, -106.7)", "85886.49642623762"),
+    ("{longitude: n.lon, latitude: n.lat}", "point(32.5, -106.7)", "85886.49642623762"),
+    ("{latitude: 1, longitude: n.lon, latitude: n.lat}", "point(32.5, -106.7)", "85886.49642623762"),
+    ("{latitude: n.lat, longitude: n.lon, x: 1}", _REQUIRES_KEYS, _REQUIRES_KEYS),
+    ("{latitude: n.lat}", _REQUIRES_KEYS, _REQUIRES_KEYS),
+    ("{latitude: n.s, longitude: n.lon}", "None", "None"),
+    ("{latitude: 'x', longitude: 0}", "None", "None"),
+    ("{latitude: n.lat, longitude: n.b}", "None", "None"),
+    ("{latitude: true, longitude: 0}", "None", "None"),
+    ("{latitude: n.missing, longitude: n.lon}", "None", "None"),
+    ("{latitude: null, longitude: 0}", "None", "None"),
+    ("{latitude: n.ilat, longitude: n.ilon}", "point(33.0, -106.0)", "0.0"),
+    ("{longitude: -106, latitude: 33}", "point(33.0, -106.0)", "0.0"),
+    ("n.lat", "None", "None"),
+    ("{latitude: 95, longitude: n.lon}", "point(95.0, -106.7)", _LATITUDE_95),
+    ("{latitude: 95, longitude: 0}", "point(95.0, 0.0)", _LATITUDE_95),
+    ("{latitude: n.lat, longitude: 1e308 * 10}", "point(32.5, inf)", "RuntimeQueryError: longitude inf is not finite"),
+    (
+        "{latitude: 0, longitude: 1e308 * 10 - 1e308 * 10}",
+        "point(0.0, nan)",
+        "RuntimeQueryError: longitude nan is not finite",
+    ),
+]
+
+
+@pytest.mark.parametrize("arg, point, distance", _POINT_TABLE)
+def test_point_and_distance_outcomes_are_pinned(arg, point, distance):
+    assert point_outcomes(point_table_graph(), arg) == [point, distance, distance]
 
 
 # An integer literal past float range (about 1.8e308), so past 64 bits too.
