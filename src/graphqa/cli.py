@@ -171,6 +171,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     if not models:
         raise CliError("--models must name at least one model", EXIT_CONFIG)
+    # Each model's runs go to one file; a second model that maps to the same
+    # file would overwrite the first's runs while the report counts both.
+    by_file: dict[str, str] = {}
+    for model in models:
+        runs_name = sanitize_model_name(model) + ".runs.jsonl"
+        if runs_name in by_file:
+            first = by_file[runs_name]
+            raise CliError(f"--models names {first!r} and {model!r}, which would both write {runs_name}", EXIT_CONFIG)
+        by_file[runs_name] = model
     os.makedirs(args.out, exist_ok=True)
 
     all_rows = []

@@ -71,12 +71,17 @@ def load_corpus(path: str) -> list[QuestionSpec]:
     questions = data.get("questions", [])
     if not isinstance(questions, list):
         raise CorpusError(f"corpus {path}: questions must be a list")
-    specs = []
+    specs, ids = [], set()
     for idx, raw in enumerate(questions):
         try:
-            specs.append(_question(raw))
+            spec = _question(raw)
         except TypeError as exc:
             raise CorpusError(f"corpus {path}: question #{idx} malformed: {exc}") from exc
+        # Reports key questions by id, so a repeated id would merge two questions.
+        if spec.id in ids:
+            raise CorpusError(f"corpus {path}: question #{idx} repeats id {spec.id!r}")
+        ids.add(spec.id)
+        specs.append(spec)
     if not specs:
         raise CorpusError(f"corpus {path}: no questions")
     return specs

@@ -279,6 +279,32 @@ def test_eval_corpus_questions_not_a_list_exits_corpus_code(tmp_path, capsys, qu
     assert f"corpus {path}: questions must be a list" in capsys.readouterr().err
 
 
+def test_eval_repeated_question_id_exits_corpus_code(tmp_path, capsys):
+    corpus = json.loads(open(data_path("corpus.json"), encoding="utf-8").read())
+    again = {**corpus["questions"][3], "question": "Where is tower 4?", "rephrasings": []}
+    assert again["id"] == "location-tower-4"
+    corpus["questions"].append(again)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    args = ["eval", "--corpus", str(path), "--models", "llama3.1:8b", "--out", str(tmp_path / "out")]
+    assert main([*args, "--replay", data_path("transcripts"), "--originals-only"]) == EXIT_CORPUS
+    assert f"corpus {path}: question #7 repeats id 'location-tower-4'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "models", ["llama3.1:8b,llama3.1:8b", "llama3.1:8b,llama3.1_8b", "gemma2:2b,llama3.1:8b,gemma2:2b"]
+)
+def test_eval_models_sharing_a_runs_file_exit_config_code(tmp_path, capsys, models):
+    out = tmp_path / "out"
+    args = ["eval", "--models", models, "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"]
+    assert main(args) == EXIT_CONFIG
+    first, *_, last = models.split(",")
+    runs_name = first.replace(":", "_") + ".runs.jsonl"
+    assert f"--models names {first!r} and {last!r}, which would both write {runs_name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_malformed_run_record_exits_corpus_code(tmp_path, capsys):
     out = tmp_path / "out"
     main(["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"])
