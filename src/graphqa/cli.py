@@ -173,23 +173,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError("--models must name at least one model", EXIT_CONFIG)
     # Each model's runs go to one file; a second model that maps to the same
     # file would overwrite the first's runs while the report counts both.
-    by_file: dict[str, str] = {}
+    runs_names: dict[str, str] = {}
     for model in models:
         runs_name = sanitize_model_name(model) + ".runs.jsonl"
-        if runs_name in by_file:
-            first = by_file[runs_name]
+        if runs_name in runs_names:
+            first = runs_names[runs_name]
             raise CliError(f"--models names {first!r} and {model!r}, which would both write {runs_name}", EXIT_CONFIG)
-        by_file[runs_name] = model
+        runs_names[runs_name] = model
     os.makedirs(args.out, exist_ok=True)
 
     all_rows = []
-    for model in models:
+    for runs_name, model in runs_names.items():
         gateway = _make_gateway(args, model)
         config = PipelineConfig(model_task1=model, model_task2=args.model_task2, templates=templates)
         records = evaluation.evaluate_model(
             graph, specs, gateway, config, include_rephrasings=not args.originals_only
         )
-        runs_path = os.path.join(args.out, sanitize_model_name(model) + ".runs.jsonl")
+        runs_path = os.path.join(args.out, runs_name)
         evaluation.save_run_records(runs_path, model, records)
         all_rows.extend(evaluation.metric_rows(records, {s.id: s for s in specs}))
         print(f"{model}: {len(records)} runs -> {runs_path}")

@@ -332,9 +332,6 @@ def _compile_binary(expr: Binary) -> Compiled:
     return calculate
 
 
-_POINT_KEYS = {"latitude", "longitude"}
-
-
 def _compile_function(call: FunctionCall) -> Compiled:
     if call.name == "count":
         return _raiser(SemanticError("count() outside of a RETURN item"))
@@ -365,6 +362,9 @@ def _compile_function(call: FunctionCall) -> Compiled:
 
         return distance
     return _raiser(SemanticError(f"unknown function {call.name}()"))
+
+
+_POINT_KEYS = {"latitude", "longitude"}
 
 
 _UNSET = object()

@@ -6,9 +6,9 @@ import pytest
 from generators import build_graph, random_graph, random_query_ast
 from oracle import cell_key, oracle_ordered_rows, oracle_rows
 from graphqa.cypher import execute, parse_query, serialize_records
+from graphqa.cypher import executor
 from graphqa.cypher.ast import print_query
 from graphqa.cypher.ast import Binary, FunctionCall, OrderItem, PropertyAccess, Query, ReturnItem, Variable
-from graphqa.cypher import executor
 from graphqa.cypher.executor import _compile, enumerate_bindings, sort_key, value_equals, value_less_than
 from graphqa.cypher.geo import prepare_point
 from graphqa.cypher.records import Point
