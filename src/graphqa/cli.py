@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graph import load_dataset_file, serialize_dataset
 from .llm import Gateway, LiveBackend, ReplayBackend, Transcript
-from .pipeline import PipelineConfig, load_templates
+from .pipeline import PipelineConfig, answer_question, load_templates
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,16 +69,20 @@ def _load_templates(directory: str | None):
 
 def _make_gateway(args: argparse.Namespace, model: str) -> Gateway:
     if args.replay:
-        path = args.replay
-        if os.path.isdir(path):
-            path = os.path.join(path, sanitize_model_name(model) + ".jsonl")
-        try:
-            transcript = Transcript.load(path)
-        except OSError as exc:
-            raise CliError(f"cannot read transcript {path}: {exc}", EXIT_CONFIG) from exc
-        except GatewayError as exc:
-            raise CliError(f"transcript {path}: {exc}", EXIT_GATEWAY) from exc
-        return Gateway(ReplayBackend(transcript))
+        paths = [args.replay]
+        if os.path.isdir(args.replay):
+            # One file per model: the task-1 model's, and the task-2 model's if it differs.
+            models = dict.fromkeys([model, args.model_task2 or model])
+            paths = [os.path.join(args.replay, sanitize_model_name(name) + ".jsonl") for name in models]
+        entries = []
+        for path in paths:
+            try:
+                entries.extend(Transcript.load(path).entries)
+            except OSError as exc:
+                raise CliError(f"cannot read transcript {path}: {exc}", EXIT_CONFIG) from exc
+            except GatewayError as exc:
+                raise CliError(f"transcript {path}: {exc}", EXIT_GATEWAY) from exc
+        return Gateway(ReplayBackend(Transcript(entries)))
     endpoint = args.endpoint or os.environ.get("GRAPHQA_ENDPOINT")
     if not endpoint:
         raise CliError("either --replay or --endpoint (or GRAPHQA_ENDPOINT) is required", EXIT_CONFIG)
@@ -120,8 +124,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _run_one_question(question: str, graph, gateway, config, show_query: bool) -> tuple[str, bool]:
-    from .pipeline import answer_question
-
     run = answer_question(question, graph, gateway, config)
     lines = []
     if show_query:
@@ -208,12 +210,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         names = sorted(name for name in os.listdir(args.runs) if name.endswith(".runs.jsonl"))
         if not names:
-            raise CliError(f"no .runs.jsonl files in {args.runs}", EXIT_CORPUS)
+            raise CliError(f"--runs {args.runs}: no .runs.jsonl files", EXIT_CORPUS)
         for name in names:
             _, records = evaluation.load_run_records(os.path.join(args.runs, name))
             rows.extend(evaluation.metric_rows(records))
     except OSError as exc:
         raise CliError(f"cannot read run records in {args.runs}: {exc}", EXIT_CONFIG) from exc
+    if not rows:
+        raise CliError(f"--runs {args.runs}: the .runs.jsonl files hold no runs", EXIT_CORPUS)
     report = evaluation.compute_metrics(rows)
     if args.format == "table-text":
         text = evaluation.render_text_report(report)

@@ -24,13 +24,15 @@ How it runs: ``execute`` compiles every expression once into a closure, so
 no row re-dispatches on the AST. Matching is a pipeline of generators, one
 stage per pattern part, that expands each node through the store's
 adjacency lists. The stages write their variables into one scope dict they
-share, and WHERE runs on it as soon as the last stage has filled it; only a
-binding that WHERE keeps is copied out. A labelled start node whose first
-inline entry is a number, string or boolean takes its candidates from the
-store's equality index instead of the label's nodes, and still tests each
-one in full. Bindings come out in the order of a scan of nodes and
-relationships by ascending id, so the row order without ORDER BY does not
-depend on how the store is indexed.
+share, and WHERE runs on it as soon as the last stage has filled it.
+Grouped queries, and those with neither ORDER BY nor LIMIT, take that
+scope through WHERE and RETURN one binding at a time and copy none; only
+ORDER BY or LIMIT keeps a copy of each binding that WHERE keeps. A labelled
+start node whose first inline entry is a number, string or boolean takes
+its candidates from the store's equality index instead of the label's
+nodes, and still tests each one in full. Bindings come out in the order of
+a scan of nodes and relationships by ascending id, so the row order without
+ORDER BY does not depend on how the store is indexed.
 ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
 breaking ties by row position. It reads the binding, or the binding laid
 over the projected row when an entry names something else. If no RETURN
@@ -41,8 +43,8 @@ map; ``point.distance`` prepares each point it gets (degrees, radians and
 the latitude's cosine), once per node if its argument reads one variable
 that holds a node, so a closest-pair query over n nodes prepares n points,
 not two per pair; the memo lives only as long as one ``execute`` call.
-Errors are raised only when a row reaches the part of the query that
-fails, so a query that matches nothing succeeds.
+Errors are raised only when a binding reaches the part of the query that
+fails, in binding order, so a query that matches nothing succeeds.
 
 All functions here only read the graph, and a built graph does not change,
 so independent queries may safely execute concurrently.
@@ -558,11 +560,11 @@ def _edge_stage(
     return expand
 
 
-def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
-    """All variable bindings satisfying the MATCH clauses and WHERE predicate.
+def _matches(graph: PropertyGraph, query: Query) -> Iterator[Binding]:
+    """The stages' shared scope, yielded once per binding that WHERE keeps.
 
-    WHERE runs on the shared scope as soon as the last stage has filled it,
-    in binding order, and only a binding it keeps is copied out.
+    It is never copied, and the next binding overwrites it: a consumer reads
+    what it needs before it pulls again, and never keeps the scope.
     """
     scope: Binding = {}
     stream: Iterable = (None,)
@@ -574,10 +576,13 @@ def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
             stream = _start_stage(graph, path.nodes[0], bound, scope)(stream)
             for edge, pattern in zip(path.edges, path.nodes[1:]):
                 stream = _edge_stage(graph, edge, pattern, bound, used, scope)(stream)
-    if query.where is None:
-        return [scope.copy() for _ in stream]
-    where = _compile(query.where)
-    return [scope.copy() for _ in stream if where(scope) is True]
+    where = None if query.where is None else _compile(query.where)
+    return (scope for _ in stream if where is None or where(scope) is True)
+
+
+def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
+    """All variable bindings satisfying the MATCH clauses and WHERE predicate."""
+    return [scope.copy() for scope in _matches(graph, query)]
 
 
 # --- projection -----------------------------------------------------------------
@@ -588,38 +593,33 @@ def _row_function(items) -> Callable[[dict], tuple]:
     return lambda scope: tuple([fn(scope) for fn in compiled])
 
 
-def _group(query: Query, bindings: list[Binding]) -> list[tuple]:
+def _group(query: Query, scopes: Iterable[Binding]) -> list[tuple]:
     """One row per group of the non-aggregated items, in order of first appearance.
 
-    DISTINCT groups like count() does, by every non-aggregated item.
+    DISTINCT groups like count() does, by every non-aggregated item. A group
+    keeps the values of its first binding and one counter per count() item,
+    and reads each scope in full before it pulls the next.
     """
-    plain = [i for i, item in enumerate(query.items) if not contains_aggregate(item.expr)]
-    key_values = _row_function([query.items[i] for i in plain]) if plain else lambda scope: ()
-    groups: dict[tuple, tuple[tuple, list[Binding]]] = {}
-    for binding in bindings:
-        values = key_values(binding)
+    items = query.items
+    plain = [i for i, item in enumerate(items) if not contains_aggregate(item.expr)]
+    key_values = _row_function([items[i] for i in plain]) if plain else lambda scope: ()
+    # (position, argument) per count() item; count(*) has no argument.
+    calls = [(i, item.expr) for i, item in enumerate(items) if i not in plain]
+    counters = [(i, None if call.star else _compile(call.args[0])) for i, call in calls]
+    # With no grouping item there is one group, even when nothing matches.
+    groups: dict[tuple, list] = {} if plain else {(): [0] * len(items)}
+    for scope in scopes:
+        values = key_values(scope)
         key = tuple([group_key(value) for value in values])
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = (values, [binding])
-        else:
-            bucket[1].append(binding)
-    if not plain and not groups:
-        groups[()] = ((), [])
-
-    cells: list[Callable[[tuple, list[Binding]], CellValue]] = []
-    for i, item in enumerate(query.items):
-        call = item.expr
-        if i in plain:
-            cells.append(lambda values, members, at=plain.index(i): values[at])
-            continue
-        assert isinstance(call, FunctionCall) and call.name == "count"
-        if call.star:
-            cells.append(lambda values, members: len(members))
-        else:
-            arg = _compile(call.args[0])
-            cells.append(lambda values, members, arg=arg: sum(1 for b in members if arg(b) is not None))
-    return [tuple([cell(values, members) for cell in cells]) for values, members in groups.values()]
+        row = groups.get(key)
+        if row is None:
+            row = groups[key] = [0] * len(items)
+            for i, value in zip(plain, values):
+                row[i] = value
+        for i, arg in counters:
+            if arg is None or arg(scope) is not None:
+                row[i] += 1
+    return [tuple(row) for row in groups.values()]
 
 
 def _plain_read(expr: Expr, names: set[str]) -> bool:
@@ -676,15 +676,15 @@ def _order_rows(query: Query, values: list[Callable], scopes: Iterable, count: i
 
 def execute(graph: PropertyGraph, query: Query) -> ResultSet:
     """Execute a parsed query and return its result set."""
-    bindings = enumerate_bindings(graph, query)
     columns = [item.column_name() for item in query.items]
     if query.distinct or any(contains_aggregate(item.expr) for item in query.items):
-        rows = _group(query, bindings)
+        rows = _group(query, _matches(graph, query))
         values = [_column_value(entry, columns) for entry in query.order_by]
         return ResultSet(columns=columns, rows=[rows[i] for i in _order_rows(query, values, rows, len(rows))])
     row = _row_function(query.items)
     if not query.order_by and query.limit is None:
-        return ResultSet(columns=columns, rows=[row(binding) for binding in bindings])
+        return ResultSet(columns=columns, rows=[row(scope) for scope in _matches(graph, query)])
+    bindings = enumerate_bindings(graph, query)
     names = set().union(*pattern_variables(query))
     by_binding = all(expr_variables(entry.expr) <= names for entry in query.order_by)
     # Rows that cannot fail and that ORDER BY does not read are projected

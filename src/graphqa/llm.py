@@ -274,11 +274,11 @@ def _first_fenced_block(text: str) -> str | None:
     return text[body_start + 1 : end]
 
 
-def _scan_statement(text: str) -> tuple[str, int] | None:
+def _scan_statement(text: str) -> str | None:
     """Find the first MATCH/RETURN and take through end of statement.
 
     The statement ends at a semicolon, a blank line, a closing code fence, or
-    the end of the text, whichever comes first. Returns (statement, offset).
+    the end of the text, whichever comes first.
     """
     best: int | None = None
     for word in _QUERY_STARTERS:
@@ -300,7 +300,7 @@ def _scan_statement(text: str) -> tuple[str, int] | None:
         pos = tail.find(terminator)
         if pos >= 0:
             cut = min(cut, pos + (1 if terminator == ";" else 0))
-    return tail[:cut].strip(), best
+    return tail[:cut].strip()
 
 
 def extract_cypher(llm_text: str) -> CypherCandidate:
@@ -321,13 +321,12 @@ def extract_cypher(llm_text: str) -> CypherCandidate:
             block = rest.strip()
         if _starts_with_query(block):
             return CypherCandidate(block.rstrip(";").strip(), "fenced-block")
-        scanned = _scan_statement(block)
-        if scanned is not None:
-            return CypherCandidate(scanned[0].rstrip(";").strip(), "fenced-block")
+        statement = _scan_statement(block)
+        if statement is not None:
+            return CypherCandidate(statement.rstrip(";").strip(), "fenced-block")
 
-    scanned = _scan_statement(llm_text)
-    if scanned is not None:
-        statement, offset = scanned
+    statement = _scan_statement(llm_text)
+    if statement is not None:
         method = "whole-text" if llm_text.strip() == statement else "keyword-scan"
         return CypherCandidate(statement.rstrip(";").strip(), method)
 

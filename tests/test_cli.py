@@ -96,6 +96,23 @@ def test_ask_show_query_sections(capsys):
     assert "answer:" in out
 
 
+def test_ask_replay_directory_loads_the_task2_models_transcript(capsys):
+    args = ["ask", "How many towers are there?", "--model-task2", "gemma2:2b", "--replay", data_path("transcripts")]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == "There are 13 towers.\n"
+
+
+def test_eval_replay_directory_loads_the_task2_models_transcript(tmp_path):
+    out = tmp_path / "out"
+    args = ["eval", "--models", "llama3.1:8b", "--model-task2", "gemma2:2b", "--out", str(out)]
+    assert main([*args, "--replay", data_path("transcripts"), "--originals-only"]) == EXIT_OK
+    header, row = (out / "report.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    # Every stage-2 call finds its entry; a miss would read 0.0 for both.
+    assert round(float(cells["output_score"]), 1) == 42.9
+    assert round(float(cells["absolute_score"]), 1) == 42.9
+
+
 def test_ask_replay_miss_exits_gateway_code(capsys):
     code = main(
         [
@@ -243,6 +260,17 @@ def test_report_rebuild_from_runs_is_identical(tmp_path):
 
 def test_report_empty_dir_exits_corpus_code(tmp_path):
     assert main(["report", "--runs", str(tmp_path), "--format", "table-text"]) == EXIT_CORPUS
+
+
+@pytest.mark.parametrize("layout", ["no run files", "run files without runs"])
+def test_report_without_runs_exits_corpus_code_and_names_runs(tmp_path, capsys, layout):
+    from graphqa.evaluation import save_run_records
+
+    if layout == "run files without runs":
+        save_run_records(str(tmp_path / "m.runs.jsonl"), "m", [])
+    assert main(["report", "--runs", str(tmp_path), "--format", "table-text"]) == EXIT_CORPUS
+    assert capsys.readouterr().err.startswith(f"error: --runs {tmp_path}: ")
+    assert not (tmp_path / "report.txt").exists()
 
 
 @pytest.mark.parametrize("layout", ["missing directory", "run file is a directory"])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -698,6 +699,47 @@ def test_a_where_that_fails_on_one_product_binding_fails_the_query():
     last = parse_query("MATCH (a:A), (b:A), (c:A) WHERE a.p + b.p + c.p < 12 OR 1 / 0 = 1 RETURN count(*)")
     with pytest.raises(RuntimeQueryError, match="division by zero"):
         execute(g, last)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "MATCH (n:A) WHERE 10 / n.v > 0 RETURN n.v * 9223372036854775807 * 2",
+        "MATCH (n:A) WHERE 10 / n.v > 0 RETURN DISTINCT n.v * 9223372036854775807 * 2",
+        "MATCH (n:A) WHERE 10 / n.v > 0 RETURN count(n.v * 9223372036854775807 * 2)",
+        "MATCH (n:A) WHERE 10 / n.v > 0 RETURN n.v * 9223372036854775807 * 2 AS x ORDER BY n.v",
+    ],
+    ids=["plain", "distinct", "count", "order-by"],
+)
+def test_two_faults_on_two_bindings_fail_as_runtime_whichever_comes_first(text):
+    # The first binding (v = 1) passes WHERE and overflows in RETURN; the
+    # second (v = 0) divides by zero in WHERE. A streamed query reports the
+    # overflow, ORDER BY runs WHERE on every binding first and reports the
+    # division; the kind is the same either way.
+    g = build_graph([({"A"}, {"v": 1}), ({"A"}, {"v": 0})])
+    with pytest.raises(RuntimeQueryError, match="integer overflow|division by zero"):
+        rows(g, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "MATCH (a),(b) RETURN count(*)",
+        "MATCH (a),(b) RETURN DISTINCT a.Status",
+        "MATCH (a),(b) RETURN a.Status, count(b.Unit)",
+    ],
+)
+def test_a_grouped_product_keeps_no_binding(shipped_dataset_path, text):
+    # 18,225 bindings on the shipped graph; a group keeps its first values
+    # and its counters, never the bindings themselves.
+    graph, query = load_dataset_file(shipped_dataset_path), parse_query(text)
+    tracemalloc.start()
+    try:
+        execute(graph, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_bindings_equal_a_post_filter_of_the_unfiltered_match():
