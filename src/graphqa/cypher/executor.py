@@ -24,27 +24,26 @@ How it runs: ``execute`` compiles every expression once into a closure, so
 no row re-dispatches on the AST. Matching is a pipeline of generators, one
 stage per pattern part, that expands each node through the store's
 adjacency lists. The stages write their variables into one scope dict they
-share, and WHERE runs on it as soon as the last stage has filled it.
-Grouped queries, and those with neither ORDER BY nor LIMIT, take that
-scope through WHERE and RETURN one binding at a time and copy none; only
-ORDER BY or LIMIT keeps a copy of each binding that WHERE keeps. A labelled
-start node whose first inline entry is a number, string or boolean takes
-its candidates from the store's equality index instead of the label's
-nodes, and still tests each one in full. Bindings come out in the order of
-a scan of nodes and relationships by ascending id, so the row order without
-ORDER BY does not depend on how the store is indexed.
-ORDER BY computes one key per row and sorts on it (a top-k under LIMIT),
-breaking ties by row position. It reads the binding, or the binding laid
-over the projected row when an entry names something else. If no RETURN
-item can fail (each is a literal, a property access or a pattern variable)
-and ORDER BY reads bindings only, the rows are picked first and only those
-that LIMIT keeps are projected. ``point()`` builds every point from its
-map; ``point.distance`` prepares each point it gets (degrees, radians and
-the latitude's cosine), once per node if its argument reads one variable
-that holds a node, so a closest-pair query over n nodes prepares n points,
-not two per pair; the memo lives only as long as one ``execute`` call.
-Errors are raised only when a binding reaches the part of the query that
-fails, in binding order, so a query that matches nothing succeeds.
+share, and WHERE runs on it as soon as the last stage has filled it. Every
+query is one pull over that scope: a group keeps its first values and
+counters, and ORDER BY and LIMIT key each row before they pull the next and
+keep only the rows LIMIT can return (every row under mixed sort
+directions). A labelled start node whose first inline entry is a number,
+string or boolean takes its candidates from the store's equality index
+instead of the label's nodes, and still tests each one in full. Bindings
+come out in the order of a scan of nodes and relationships by ascending id,
+so the row order without ORDER BY does not depend on how the store is
+indexed. ORDER BY breaks ties by row position and reads the binding laid
+over the projected row. If no RETURN item can fail (each is a literal, a
+property access or a pattern variable) and ORDER BY reads pattern variables
+only, a row carries a copy of its binding, and only the rows LIMIT keeps
+are projected. ``point()`` builds every point from its map;
+``point.distance`` prepares each point it gets (degrees, radians and the
+latitude's cosine), once per node if its argument reads one variable that
+holds a node, so a closest-pair query over n nodes prepares n points, not
+two per pair; the memo lives only as long as one ``execute`` call. Errors
+are raised only when a binding reaches the part of the query that fails,
+in binding order, so a query that matches nothing succeeds.
 
 All functions here only read the graph, and a built graph does not change,
 so independent queries may safely execute concurrently.
@@ -53,8 +52,9 @@ so independent queries may safely execute concurrently.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from operator import add, attrgetter, itemgetter, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from ..errors import RuntimeQueryError, SemanticError, ValidationError
 from ..graph.store import _INT64_MAX, _INT64_MIN, Node, PropertyGraph, Relationship
@@ -645,55 +645,61 @@ def _column_value(entry, columns: list[str]) -> Callable[[tuple], CellValue]:
     return _raiser(SemanticError("ORDER BY over aggregated or DISTINCT rows must reference a returned column"))
 
 
-def _order_rows(query: Query, values: list[Callable], scopes: Iterable, count: int) -> Sequence[int]:
-    """Indices of the ``count`` rows that ORDER BY and LIMIT keep, in order.
+def _order_rows(query: Query, values: list[Callable], pairs: Iterable[tuple]) -> list:
+    """What the rows that ORDER BY and LIMIT keep carry, in order.
 
-    ``scopes`` yields what each row's ORDER BY ``values`` read; ties keep
-    row order.
+    ``pairs`` yields, per row, what the row carries and what its ORDER BY
+    ``values`` read. A pair is keyed before the next is pulled, since what
+    ORDER BY reads may be a shared scope. Every pair is pulled, so an error
+    on a row past LIMIT still fails the query. Ties keep row order.
     """
-    limit = query.limit
-    if not query.order_by or not count:
-        return range(count)[:limit]
+    limit, order_by = query.limit, query.order_by
     if len(values) == 1:
-        keys = list(map(sort_key, map(values[0], scopes)))
+        (value,) = values
+        keyed = ((sort_key(value(scope)), carried) for carried, scope in pairs)
     else:
-        keys = [tuple([sort_key(value(scope)) for value in values]) for scope in scopes]
-
-    directions = [entry.ascending for entry in query.order_by]
-    indices = range(count)
-    if len(set(directions)) == 1:
-        descending = not directions[0]
-        if limit is not None and limit < count:
-            top = heapq.nlargest if descending else heapq.nsmallest
-            return top(limit, indices, key=keys.__getitem__)
-        return sorted(indices, key=keys.__getitem__, reverse=descending)
-    # Stable passes from the last key to the first.
-    order = list(indices)
-    for position in reversed(range(len(directions))):
-        order.sort(key=lambda i: keys[i][position], reverse=not directions[position])
-    return order[:limit]
+        keyed = ((tuple([sort_key(value(scope)) for value in values]), carried) for carried, scope in pairs)
+    if not order_by:
+        kept = list(islice(keyed, limit))
+    elif len({entry.ascending for entry in order_by}) == 1:
+        descending = not order_by[0].ascending
+        if limit is None:
+            kept = sorted(keyed, key=itemgetter(0), reverse=descending)
+        else:  # both equal sorted(...)[:limit], so ties keep row order
+            kept = (heapq.nlargest if descending else heapq.nsmallest)(limit, keyed, key=itemgetter(0))
+    else:  # stable passes from the last key to the first
+        kept = list(keyed)
+        for position in reversed(range(len(order_by))):
+            kept.sort(key=lambda pair: pair[0][position], reverse=not order_by[position].ascending)
+        kept = kept[:limit]
+    for _ in keyed:
+        pass
+    return [carried for _, carried in kept]
 
 
 def execute(graph: PropertyGraph, query: Query) -> ResultSet:
     """Execute a parsed query and return its result set."""
     columns = [item.column_name() for item in query.items]
+    matches = _matches(graph, query)
     if query.distinct or any(contains_aggregate(item.expr) for item in query.items):
-        rows = _group(query, _matches(graph, query))
         values = [_column_value(entry, columns) for entry in query.order_by]
-        return ResultSet(columns=columns, rows=[rows[i] for i in _order_rows(query, values, rows, len(rows))])
+        return ResultSet(columns=columns, rows=_order_rows(query, values, ((r, r) for r in _group(query, matches))))
     row = _row_function(query.items)
     if not query.order_by and query.limit is None:
-        return ResultSet(columns=columns, rows=[row(scope) for scope in _matches(graph, query)])
-    bindings = enumerate_bindings(graph, query)
-    names = set().union(*pattern_variables(query))
-    by_binding = all(expr_variables(entry.expr) <= names for entry in query.order_by)
-    # Rows that cannot fail and that ORDER BY does not read are projected
-    # only once ORDER BY and LIMIT have picked them.
-    late = by_binding and all(_plain_read(item.expr, names) for item in query.items)
-    rows = None if late else [row(binding) for binding in bindings]
-    # An entry that reads a column reads the binding laid over its row, so
-    # pattern variables shadow column names.
-    scopes = bindings if by_binding else ({**dict(zip(columns, r)), **b} for r, b in zip(rows, bindings))
+        return ResultSet(columns=columns, rows=[row(scope) for scope in matches])
     values = [_compile(entry.expr) for entry in query.order_by]
-    kept = _order_rows(query, values, scopes, len(bindings))
-    return ResultSet(columns=columns, rows=[row(bindings[i]) for i in kept] if rows is None else [rows[i] for i in kept])
+    names = set().union(*pattern_variables(query))
+    # Rows that cannot fail, ordered by the binding alone, carry a copy of it
+    # and are projected only once ORDER BY and LIMIT have picked them.
+    by_binding = all(expr_variables(entry.expr) <= names for entry in query.order_by)
+    if by_binding and all(_plain_read(item.expr, names) for item in query.items):
+        kept = _order_rows(query, values, ((scope.copy(), scope) for scope in matches))
+        return ResultSet(columns=columns, rows=[row(binding) for binding in kept])
+
+    # Otherwise ORDER BY reads the binding laid over the projected row, so
+    # pattern variables shadow column names.
+    def projected(scope):
+        cells = row(scope)
+        return cells, {**dict(zip(columns, cells)), **scope}
+
+    return ResultSet(columns=columns, rows=_order_rows(query, values, map(projected, matches)))

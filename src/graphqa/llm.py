@@ -1,13 +1,13 @@
-"""LLM gateway: HTTP completion client, transcript record/replay, and
-extraction of Cypher from raw model output.
+"""LLM gateway: HTTP completion client, transcript replay, and extraction
+of Cypher from raw model output.
 
 The live backend speaks the single-turn "generate" convention of local model
 servers (POST {model, prompt, stream: false, options} -> {"response": ...})
 over the standard library's ``urllib``, always at temperature 0.
-Every live completion can be recorded into a transcript; a replay backend
-answers exclusively from a transcript, keyed by exact (model, prompt) match,
-which makes any pipeline run reproducible offline. A replay miss raises: it
-never silently falls back to a live call.
+A replay backend answers exclusively from a transcript, keyed by exact
+(model, prompt) match, which makes any pipeline run reproducible offline; a
+run record holds the same pairs for both of its calls. A replay miss raises:
+it never silently falls back to a live call.
 """
 
 from __future__ import annotations
@@ -213,27 +213,21 @@ class ReplayBackend:
 
 
 class Gateway:
-    """Shared completion entry point with optional recording.
+    """Shared completion entry point over one backend.
 
     A lock serializes in-flight requests: one model at a time on a
     memory-constrained device.
     """
 
-    def __init__(self, backend, record_to: Transcript | None = None):
+    def __init__(self, backend):
         self.backend = backend
-        self.record_to = record_to
         self._lock = threading.Lock()
         self.calls = 0
 
     def complete(self, request: CompletionRequest) -> str:
         with self._lock:
             self.calls += 1
-            response = self.backend.complete(request)
-            if self.record_to is not None:
-                self.record_to.add(
-                    TranscriptEntry(model_name=request.model_name, prompt=request.prompt, response=response)
-                )
-            return response
+            return self.backend.complete(request)
 
 
 # --- Cypher extraction -----------------------------------------------------------

@@ -672,6 +672,10 @@ def test_an_error_on_a_row_outside_limit_is_still_raised():
         rows(g, "MATCH (a:A) RETURN 1 / (a.Tower - 3) AS v ORDER BY a.Tower DESC LIMIT 1")
     with pytest.raises(RuntimeQueryError, match="division by zero"):
         rows(g, "MATCH (a:A) RETURN a.Tower, 1 / (a.Tower - 3) LIMIT 1")
+    # LIMIT 0 keeps no row, yet every row is still projected.
+    for limit_0 in ["LIMIT 0", "ORDER BY a.Tower LIMIT 0"]:
+        with pytest.raises(RuntimeQueryError, match="division by zero"):
+            rows(g, f"MATCH (a:A) RETURN 1 / (a.Tower - 3) AS v {limit_0}")
 
 
 def test_an_unbound_return_variable_fails_under_limit_0():
@@ -713,9 +717,8 @@ def test_a_where_that_fails_on_one_product_binding_fails_the_query():
 )
 def test_two_faults_on_two_bindings_fail_as_runtime_whichever_comes_first(text):
     # The first binding (v = 1) passes WHERE and overflows in RETURN; the
-    # second (v = 0) divides by zero in WHERE. A streamed query reports the
-    # overflow, ORDER BY runs WHERE on every binding first and reports the
-    # division; the kind is the same either way.
+    # second (v = 0) divides by zero in WHERE. Every query shape streams, so
+    # each reports the overflow; the kind would be the same either way.
     g = build_graph([({"A"}, {"v": 1}), ({"A"}, {"v": 0})])
     with pytest.raises(RuntimeQueryError, match="integer overflow|division by zero"):
         rows(g, text)
@@ -727,11 +730,15 @@ def test_two_faults_on_two_bindings_fail_as_runtime_whichever_comes_first(text):
         "MATCH (a),(b) RETURN count(*)",
         "MATCH (a),(b) RETURN DISTINCT a.Status",
         "MATCH (a),(b) RETURN a.Status, count(b.Unit)",
+        "MATCH (a),(b) RETURN a.Name LIMIT 1",
+        "MATCH (a),(b) RETURN a.Name ORDER BY b.Name LIMIT 1",
+        "MATCH (a),(b) RETURN a.Name AS n ORDER BY n DESC LIMIT 3",
     ],
 )
 def test_a_grouped_product_keeps_no_binding(shipped_dataset_path, text):
     # 18,225 bindings on the shipped graph; a group keeps its first values
-    # and its counters, never the bindings themselves.
+    # and its counters, and ORDER BY ... LIMIT k keeps k rows, never the
+    # bindings themselves.
     graph, query = load_dataset_file(shipped_dataset_path), parse_query(text)
     tracemalloc.start()
     try:

@@ -170,17 +170,28 @@ def test_replay_hit_and_miss():
         gateway.complete(CompletionRequest("other-model", "p"))
 
 
-def test_live_stub_is_deterministic_and_records(stub_server):
-    recording = Transcript()
-    gateway = Gateway(LiveBackend(stub_server), record_to=recording)
+def _transcript_of(run) -> Transcript:
+    """A transcript of the run record's two calls, enough to replay it."""
+    return Transcript(
+        [
+            TranscriptEntry(run.model_task1, run.task1_prompt, run.task1_response),
+            TranscriptEntry(run.model_task2, run.task2_prompt, run.answer),
+        ]
+    )
+
+
+def test_live_stub_is_deterministic_and_records(stub_server, fixture_graph, templates):
+    from graphqa.pipeline import PipelineConfig, answer_question
+
+    gateway = Gateway(LiveBackend(stub_server))
     request = CompletionRequest("m1", "say hi")
-    first = gateway.complete(request)
-    second = gateway.complete(request)
-    assert first == second
-    assert len(recording) == 2  # every live call recorded
-    # Record-then-replay equivalence.
-    replay = Gateway(ReplayBackend(recording))
-    assert replay.complete(request) == first
+    assert gateway.complete(request) == gateway.complete(request)
+    # The run record holds what each live call answered.
+    config = PipelineConfig(model_task1="m1", templates=templates)
+    run = answer_question("How many towers are there?", fixture_graph, gateway, config)
+    replay = Gateway(ReplayBackend(_transcript_of(run)))
+    request = CompletionRequest(run.model_task1, run.task1_prompt)
+    assert replay.complete(request) == gateway.complete(request)
 
 
 def test_live_gateway_error_on_unreachable_endpoint():
@@ -198,11 +209,10 @@ def test_pipeline_record_then_replay_end_to_end_equivalence(stub_server, fixture
     from graphqa.pipeline import PipelineConfig, answer_question
 
     config = PipelineConfig(model_task1="stub-model", templates=templates)
-    recording = Transcript()
-    live = Gateway(LiveBackend(stub_server), record_to=recording)
+    live = Gateway(LiveBackend(stub_server))
     first = answer_question("How many towers are there?", fixture_graph, live, config)
 
-    replay = Gateway(ReplayBackend(recording))
+    replay = Gateway(ReplayBackend(_transcript_of(first)))
     second = answer_question("How many towers are there?", fixture_graph, replay, config)
 
     strip = lambda run: {k: v for k, v in run.to_dict().items() if k != "durations"}
