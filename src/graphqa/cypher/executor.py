@@ -27,8 +27,8 @@ adjacency lists. The stages write their variables into one scope dict they
 share, and WHERE runs on it as soon as the last stage has filled it. Every
 query is one pull over that scope: a group keeps its first values and
 counters, and ORDER BY and LIMIT key each row before they pull the next and
-keep only the rows LIMIT can return (every row under mixed sort
-directions). A labelled start node whose first inline entry is a number,
+keep only the rows LIMIT can return (under mixed sort directions, at most
+twice that many). A labelled start node whose first inline entry is a number,
 string or boolean takes its candidates from the store's equality index
 instead of the label's nodes, and still tests each one in full. Bindings
 come out in the order of a scan of nodes and relationships by ascending id,
@@ -645,6 +645,13 @@ def _column_value(entry, columns: list[str]) -> Callable[[tuple], CellValue]:
     return _raiser(SemanticError("ORDER BY over aggregated or DISTINCT rows must reference a returned column"))
 
 
+def _stable_sorted(pairs: list, order_by) -> list:
+    """Sort keyed pairs in place, one stable pass per key from the last."""
+    for position in reversed(range(len(order_by))):
+        pairs.sort(key=lambda pair: pair[0][position], reverse=not order_by[position].ascending)
+    return pairs
+
+
 def _order_rows(query: Query, values: list[Callable], pairs: Iterable[tuple]) -> list:
     """What the rows that ORDER BY and LIMIT keep carry, in order.
 
@@ -667,11 +674,16 @@ def _order_rows(query: Query, values: list[Callable], pairs: Iterable[tuple]) ->
             kept = sorted(keyed, key=itemgetter(0), reverse=descending)
         else:  # both equal sorted(...)[:limit], so ties keep row order
             kept = (heapq.nlargest if descending else heapq.nsmallest)(limit, keyed, key=itemgetter(0))
-    else:  # stable passes from the last key to the first
-        kept = list(keyed)
-        for position in reversed(range(len(order_by))):
-            kept.sort(key=lambda pair: pair[0][position], reverse=not order_by[position].ascending)
-        kept = kept[:limit]
+    else:
+        # Stable passes over a buffer cut back to LIMIT rows once it holds
+        # twice that many. Ties keep row order, since the kept rows come
+        # before every later row, so the rows kept are those a full sort keeps.
+        kept = list(keyed) if limit is None else []
+        for pair in keyed:  # left to pull only under a LIMIT
+            kept.append(pair)
+            if len(kept) >= 2 * limit:
+                kept = _stable_sorted(kept, order_by)[:limit]
+        kept = _stable_sorted(kept, order_by)[:limit]
     for _ in keyed:
         pass
     return [carried for _, carried in kept]

@@ -62,9 +62,7 @@ from .ast import (
     ReturnItem,
     Unary,
     Variable,
-    contains_aggregate,
     expr_children,
-    expr_variables,
     pattern_variables,
 )
 from .tokens import UNSUPPORTED_KEYWORDS, Token, tokenize, unescape_string
@@ -78,14 +76,16 @@ _MAX_DEPTH = 100
 _NOT_LEVEL = 3
 _COMPARISON_LEVEL = 4
 _BINARY_LEVELS = {
-    ("keyword", "OR"): 1,
-    ("keyword", "AND"): 2,
-    **{("symbol", op): _COMPARISON_LEVEL for op in ("=", "<>", "<", "<=", ">", ">=")},
-    ("symbol", "+"): 5,
-    ("symbol", "-"): 5,
-    ("symbol", "*"): 6,
-    ("symbol", "/"): 6,
+    "OR": 1,
+    "AND": 2,
+    **dict.fromkeys(("=", "<>", "<", "<=", ">", ">="), _COMPARISON_LEVEL),
+    "+": 5,
+    "-": 5,
+    "*": 6,
+    "/": 6,
 }
+
+_KEYWORD_VALUES = {"TRUE": True, "FALSE": False, "NULL": None}
 
 # Appended to every token list, so looking ahead always finds a token.
 _END = Token("end", "end of query", None)
@@ -109,6 +109,10 @@ class _Parser:
         # The end token makes every lookahead a token: the parser never
         # consumes it, so ``pos`` always indexes the padded list.
         self.tokens = [*tokens, _END]
+        # Each token's text, upper-cased: a keyword's key is its name and a
+        # symbol's its text, and no other token's key is either, since a word
+        # whose upper case is a keyword is a keyword.
+        self.keys = [tok.text.upper() for tok in self.tokens]
         self.source = source
         self.pos = 0
         self.depth = 0
@@ -116,61 +120,56 @@ class _Parser:
 
     # -- token helpers ---------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
     def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return ParseError(f"{expected}, found {tok.text!r}", tok.offset)
 
-    def match_symbol(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text == text:
+    def match(self, key: str) -> bool:
+        """Consume the next token if it is the symbol or keyword ``key``."""
+        if self.keys[self.pos] == key:
             self.pos += 1
             return True
         return False
 
-    def match_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.upper() == word:
-            self.pos += 1
-            return True
-        return False
+    def expect(self, key: str) -> None:
+        if self.keys[self.pos] != key:
+            raise self.fail(f"expected {key}" if key.isalpha() else f"expected {key!r}")
+        self.pos += 1
 
-    def expect_symbol(self, text: str) -> None:
-        if not self.match_symbol(text):
-            raise self.fail(f"expected {text!r}")
-
-    def expect_keyword(self, word: str) -> None:
-        if not self.match_keyword(word):
-            raise self.fail(f"expected {word}")
-
-    def expect_identifier(self, what: str) -> Token:
-        if self.peek().kind != "identifier":
+    def expect_identifier(self, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok.kind != "identifier":
             raise self.fail(f"expected {what}")
-        return self.advance()
+        self.pos += 1
+        return tok.text
 
-    def nest(self) -> None:
-        """Enter one more bracket or prefix operator; undone by ``depth -= 1``."""
+    def nested(self, parse, *args):
+        """``parse(*args)`` inside one more bracket or prefix operator."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError("expression nested too deeply")
+        parsed = parse(*args)
+        self.depth -= 1
+        return parsed
 
     def _reject_unsupported(self) -> None:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.upper() in UNSUPPORTED_KEYWORDS:
-            raise ParseError(f"unsupported construct {tok.upper()}", tok.offset)
+        key = self.keys[self.pos]
+        if key in UNSUPPORTED_KEYWORDS:
+            raise ParseError(f"unsupported construct {key}", self.tokens[self.pos].offset)
 
-    def _slice(self, start_idx: int, end_idx: int) -> str:
-        """Exact source text spanning tokens [start_idx, end_idx); never empty."""
-        first = self.tokens[start_idx]
-        last = self.tokens[end_idx - 1]
-        return self.source[first.offset : last.offset + len(last.text)].strip()
+    def parse_list(self, parse_one) -> tuple:
+        """One or more of what ``parse_one`` parses, separated by commas."""
+        parsed = [parse_one()]
+        while self.match(","):
+            parsed.append(parse_one())
+        return tuple(parsed)
+
+    def parse_sliced_expr(self) -> tuple[Expr, str]:
+        """An expression and its exact source text, which is never empty."""
+        start = self.pos
+        expr = self.parse_expr()
+        first, last = self.tokens[start], self.tokens[self.pos - 1]
+        return expr, self.source[first.offset : last.offset + len(last.text)].strip()
 
     # -- query structure ---------------------------------------------------
 
@@ -178,36 +177,30 @@ class _Parser:
         matches: list[MatchClause] = []
         wheres: list[Expr] = []
         self._reject_unsupported()
-        while self.match_keyword("MATCH"):
-            paths = [self.parse_path()]
-            while self.match_symbol(","):
-                paths.append(self.parse_path())
-            matches.append(MatchClause(tuple(paths)))
-            if self.match_keyword("WHERE"):
+        while self.match("MATCH"):
+            matches.append(MatchClause(self.parse_list(self.parse_path)))
+            if self.match("WHERE"):
                 wheres.append(self.parse_expr())
             self._reject_unsupported()
 
-        self.expect_keyword("RETURN")
-        distinct = self.match_keyword("DISTINCT")
-        items = [self.parse_return_item()]
-        while self.match_symbol(","):
-            items.append(self.parse_return_item())
-
-        order_by: list[OrderItem] = []
-        if self.match_keyword("ORDER"):
-            self.expect_keyword("BY")
-            order_by.append(self.parse_order_item())
-            while self.match_symbol(","):
-                order_by.append(self.parse_order_item())
+        self.expect("RETURN")
+        distinct = self.match("DISTINCT")
+        items = self.parse_list(self.parse_return_item)
+        order_by: tuple[OrderItem, ...] = ()
+        if self.match("ORDER"):
+            self.expect("BY")
+            order_by = self.parse_list(self.parse_order_item)
 
         limit: int | None = None
-        if self.match_keyword("LIMIT"):
-            if self.peek().kind != "integer":
+        if self.match("LIMIT"):
+            tok = self.tokens[self.pos]
+            if tok.kind != "integer":
                 raise self.fail("LIMIT requires an integer")
-            limit = _integer(self.advance())
+            limit = _integer(tok)
+            self.pos += 1
 
-        self.match_symbol(";")
-        tok = self.peek()
+        self.match(";")
+        tok = self.tokens[self.pos]
         if tok.kind != "end":
             self._reject_unsupported()
             raise ParseError(f"unexpected token {tok.text!r} after query", tok.offset)
@@ -215,47 +208,29 @@ class _Parser:
         where = None
         for predicate in wheres:
             where = predicate if where is None else Binary("AND", where, predicate)
-        query = Query(
-            matches=tuple(matches),
-            where=where,
-            distinct=distinct,
-            items=tuple(items),
-            order_by=tuple(order_by),
-            limit=limit,
-        )
+        query = Query(tuple(matches), where, distinct, items, order_by, limit)
         _validate(query)
         return query
 
     def parse_return_item(self) -> ReturnItem:
-        start = self.pos
-        expr = self.parse_expr()
-        text = self._slice(start, self.pos)
-        alias = None
-        if self.match_keyword("AS"):
-            alias = self.expect_identifier("alias name").text
-        return ReturnItem(expr=expr, alias=alias, source_text=text)
+        expr, text = self.parse_sliced_expr()
+        alias = self.expect_identifier("alias name") if self.match("AS") else None
+        return ReturnItem(expr, alias, text)
 
     def parse_order_item(self) -> OrderItem:
-        start = self.pos
-        expr = self.parse_expr()
-        text = self._slice(start, self.pos)
-        ascending = True
-        tok = self.peek()
-        if tok.kind == "keyword":
-            word = tok.upper()
-            if word in ("ASC", "ASCENDING"):
-                self.advance()
-            elif word in ("DESC", "DESCENDING"):
-                self.advance()
-                ascending = False
-        return OrderItem(expr=expr, ascending=ascending, source_text=text)
+        expr, text = self.parse_sliced_expr()
+        key = self.keys[self.pos]
+        ascending = key not in ("DESC", "DESCENDING")
+        if key in ("ASC", "ASCENDING") or not ascending:
+            self.pos += 1
+        return OrderItem(expr, ascending, text)
 
     # -- patterns ----------------------------------------------------------
 
     def parse_path(self) -> PathPattern:
         nodes = [self.parse_node_pattern()]
         edges: list[EdgePattern] = []
-        while (tok := self.peek()).kind == "symbol" and tok.text in ("-", "<"):
+        while self.keys[self.pos] in ("-", "<"):
             edges.append(self.parse_edge_pattern())
             nodes.append(self.parse_node_pattern())
         return PathPattern(tuple(nodes), tuple(edges))
@@ -264,260 +239,245 @@ class _Parser:
         self.node_patterns += 1
         if self.node_patterns > _MAX_DEPTH:
             raise ParseError("pattern too long")
-        self.expect_symbol("(")
-        variable = None
-        if self.peek().kind == "identifier":
-            variable = self.advance().text
+        self.expect("(")
+        variable = self._variable()
         labels: list[str] = []
-        while self.match_symbol(":"):
-            labels.append(self.expect_identifier("label").text)
-        properties = self.parse_property_map() if self.peek().text == "{" else ()
-        self.expect_symbol(")")
+        while self.match(":"):
+            labels.append(self.expect_identifier("label"))
+        properties = self.parse_properties()
+        self.expect(")")
         return NodePattern(variable, tuple(labels), properties)
 
+    def _variable(self) -> str | None:
+        """Consume an identifier naming a pattern variable, if one is next."""
+        tok = self.tokens[self.pos]
+        if tok.kind != "identifier":
+            return None
+        self.pos += 1
+        return tok.text
+
     def parse_edge_pattern(self) -> EdgePattern:
-        left_arrow = self.match_symbol("<")
-        self.expect_symbol("-")
-        variable = None
-        rel_type = None
+        left_arrow = self.match("<")
+        self.expect("-")
+        variable = rel_type = None
         properties: tuple = ()
-        if self.match_symbol("["):
-            if self.peek().kind == "identifier":
-                variable = self.advance().text
-            if self.match_symbol(":"):
-                rel_type = self.expect_identifier("relationship type").text
-            tok = self.peek()
-            if tok.text == "*":
-                raise ParseError("unsupported construct: variable-length relationship", tok.offset)
-            if tok.text == "{":
-                properties = self.parse_property_map()
-            self.expect_symbol("]")
-        self.expect_symbol("-")
-        right_arrow = self.match_symbol(">")
+        if self.match("["):
+            variable = self._variable()
+            if self.match(":"):
+                rel_type = self.expect_identifier("relationship type")
+            if self.keys[self.pos] == "*":
+                raise ParseError("unsupported construct: variable-length relationship", self.tokens[self.pos].offset)
+            properties = self.parse_properties()
+            self.expect("]")
+        self.expect("-")
+        right_arrow = self.match(">")
         if left_arrow and right_arrow:
             raise ParseError("relationship cannot point both ways")
         direction = "left" if left_arrow else "right" if right_arrow else "any"
         return EdgePattern(variable, rel_type, direction, properties)
 
-    def parse_property_map(self) -> tuple[tuple[str, Literal], ...]:
-        self.expect_symbol("{")
-        entries: list[tuple[str, Literal]] = []
-        if not self.match_symbol("}"):
+    def parse_properties(self) -> tuple[tuple[str, Literal], ...]:
+        """A pattern's ``{key: literal, ...}`` map if one is next, else none."""
+        if self.keys[self.pos] != "{":
+            return ()
+        return self.parse_entries("property key", self.parse_pattern_literal)
+
+    def parse_entries(self, what: str, parse_value) -> tuple:
+        """``{key: value, ...}``, each value parsed by ``parse_value``."""
+        self.expect("{")
+        entries = []
+        if not self.match("}"):
             while True:
-                key = self.expect_identifier("property key").text
-                self.expect_symbol(":")
-                entries.append((key, self.parse_pattern_literal()))
-                if self.match_symbol("}"):
+                key = self.expect_identifier(what)
+                self.expect(":")
+                entries.append((key, parse_value()))
+                if self.match("}"):
                     break
-                self.expect_symbol(",")
+                self.expect(",")
         return tuple(entries)
 
     def parse_pattern_literal(self) -> Literal:
-        negative = self.match_symbol("-")
-        tok = self.peek()
-        value = self._literal_value(tok, negative)
+        negative = self.match("-")
+        tok = self.tokens[self.pos]
+        value = self._literal_value(negative)
         if value is NotImplemented:
             raise self.fail("expected literal value")
-        self.advance()
+        self.pos += 1
         if negative and tok.kind not in ("integer", "float"):
             raise ParseError("'-' applies to numbers only in property maps", tok.offset)
         return Literal(value)
 
-    def _literal_value(self, tok: Token, negative: bool = False):
-        """The token's literal value, NotImplemented if it is none.
+    def _literal_value(self, negative: bool = False):
+        """The next token's literal value, NotImplemented if it is none.
 
         ``negative`` negates a number before its range is checked (the
         64-bit range is not symmetric) and is ignored for other kinds.
         """
-        if tok.kind == "integer":
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "integer":
             return _integer(tok, negative)
-        if tok.kind == "float":
+        if kind == "float":
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ParseError("float literal out of range", tok.offset)
             return -value if negative else value
-        if tok.kind == "string":
+        if kind == "string":
             return unescape_string(tok.text)
-        if tok.kind == "keyword":
-            word = tok.upper()
-            if word == "TRUE":
-                return True
-            if word == "FALSE":
-                return False
-            if word == "NULL":
-                return None
-        return NotImplemented
+        return _KEYWORD_VALUES.get(self.keys[self.pos], NotImplemented)
 
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self, min_level: int = 1) -> Expr:
         """Parse operators binding at ``min_level`` or tighter (precedence climbing)."""
-        if min_level <= _NOT_LEVEL and self.match_keyword("NOT"):
-            self.nest()
-            left: Expr = Unary("NOT", self.parse_expr(_NOT_LEVEL))
-            self.depth -= 1
+        keys = self.keys
+        if min_level <= _NOT_LEVEL and keys[self.pos] == "NOT":
+            self.pos += 1
+            left: Expr = Unary("NOT", self.nested(self.parse_expr, _NOT_LEVEL))
         else:
-            left = self.parse_unary()
+            left = self.parse_unary() if keys[self.pos] == "-" else self.parse_primary()
         while True:
-            tok = self.peek()
-            op = tok.upper() if tok.kind == "keyword" else tok.text
-            level = _BINARY_LEVELS.get((tok.kind, op), 0)
+            op = keys[self.pos]
+            level = _BINARY_LEVELS.get(op, 0)
             if level < min_level:
                 return left
             self.pos += 1
             right = self.parse_expr(level + 1)
-            if level == _COMPARISON_LEVEL:
-                follow = self.peek()
-                if _BINARY_LEVELS.get((follow.kind, follow.text)) == _COMPARISON_LEVEL:
-                    raise ParseError("chained comparisons are not supported", follow.offset)
+            if level == _COMPARISON_LEVEL and _BINARY_LEVELS.get(keys[self.pos]) == _COMPARISON_LEVEL:
+                raise ParseError("chained comparisons are not supported", self.tokens[self.pos].offset)
             left = Binary(op, left, right)
 
     def parse_unary(self) -> Expr:
-        if self.match_symbol("-"):
-            tok = self.peek()
-            if tok.kind in ("integer", "float"):
-                self.advance()
-                return Literal(self._literal_value(tok, negative=True))
-            self.nest()
-            operand = self.parse_unary()
-            self.depth -= 1
-            is_number = isinstance(operand, Literal) and isinstance(operand.value, (int, float))
-            # Negating -2**63 leaves 64 bits; execution reports that overflow.
-            if is_number and not isinstance(operand.value, bool) and operand.value != _INT64_MIN:
-                return Literal(-operand.value)
-            return Unary("-", operand)
-        return self.parse_primary()
+        """A prefix minus and its operand."""
+        self.pos += 1
+        if self.tokens[self.pos].kind in ("integer", "float"):
+            value = self._literal_value(negative=True)
+            self.pos += 1
+            return Literal(value)
+        operand = self.nested(self.parse_unary if self.keys[self.pos] == "-" else self.parse_primary)
+        is_number = isinstance(operand, Literal) and isinstance(operand.value, (int, float))
+        # Negating -2**63 leaves 64 bits; execution reports that overflow.
+        if is_number and not isinstance(operand.value, bool) and operand.value != _INT64_MIN:
+            return Literal(-operand.value)
+        return Unary("-", operand)
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        self._reject_unsupported()
-
-        value = self._literal_value(tok)
-        if value is not NotImplemented:
-            self.advance()
-            return Literal(value)
-
-        if tok.kind == "symbol" and tok.text == "(":
-            self.advance()
-            self.nest()
-            expr = self.parse_expr()
-            self.depth -= 1
-            self.expect_symbol(")")
-            return expr
-
-        if tok.kind == "symbol" and tok.text == "{":
-            return self.parse_map_literal()
-
-        if tok.kind == "identifier":
-            name = self.advance().text
-            nxt = self.peek()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "identifier":
+            self.pos += 1
+            keys = self.keys
+            nxt = keys[self.pos]
             # Namespaced function, e.g. point.distance(a, b). Neither '.' nor
             # an identifier is the end token, so both lookaheads exist.
-            if (
-                nxt.text == "."
-                and self.tokens[self.pos + 1].kind == "identifier"
-                and self.tokens[self.pos + 2].text == "("
-            ):
-                self.advance()
-                member = self.advance().text
-                return self.parse_call(f"{name}.{member}".lower(), tok.offset)
-            if nxt.text == "(":
-                return self.parse_call(name.lower(), tok.offset)
-            if nxt.text == ".":
-                self.advance()
-                key = self.expect_identifier("property name").text
-                return PropertyAccess(name, key)
-            return Variable(name)
-
-        if tok.kind == "end":
+            if nxt == "." and self.tokens[self.pos + 1].kind == "identifier" and keys[self.pos + 2] == "(":
+                member = self.tokens[self.pos + 1].text
+                self.pos += 2
+                return self.parse_call(f"{tok.text}.{member}".lower(), tok.offset)
+            if nxt == "(":
+                return self.parse_call(tok.text.lower(), tok.offset)
+            if nxt == ".":
+                self.pos += 1
+                return PropertyAccess(tok.text, self.expect_identifier("property name"))
+            return Variable(tok.text)
+        if kind == "symbol":
+            if tok.text == "(":
+                self.pos += 1
+                expr = self.nested(self.parse_expr)
+                self.expect(")")
+                return expr
+            if tok.text == "{":
+                return MapLiteral(self.nested(self.parse_entries, "map key", self.parse_expr))
+        elif kind == "end":
             raise ParseError("unexpected end of query")
+        else:
+            self._reject_unsupported()
+            value = self._literal_value()
+            if value is not NotImplemented:
+                self.pos += 1
+                return Literal(value)
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
-
-    def parse_map_literal(self) -> MapLiteral:
-        self.expect_symbol("{")
-        self.nest()
-        entries: list[tuple[str, Expr]] = []
-        if not self.match_symbol("}"):
-            while True:
-                key = self.expect_identifier("map key").text
-                self.expect_symbol(":")
-                entries.append((key, self.parse_expr()))
-                if self.match_symbol("}"):
-                    break
-                self.expect_symbol(",")
-        self.depth -= 1
-        return MapLiteral(tuple(entries))
 
     def parse_call(self, name: str, offset: int) -> FunctionCall:
         if name not in KNOWN_FUNCTIONS:
             raise SemanticError(f"unknown function {name}()", offset)
-        self.expect_symbol("(")
-        if name == "count" and self.match_symbol("*"):
-            self.expect_symbol(")")
+        self.expect("(")
+        if name == "count" and self.match("*"):
+            self.expect(")")
             return FunctionCall("count", (), star=True)
-        self.nest()
-        args: list[Expr] = []
-        if not self.match_symbol(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.match_symbol(")"):
-                    break
-                self.expect_symbol(",")
-        self.depth -= 1
+        args = self.nested(self.parse_args)
         arity = {"count": 1, "point": 1, "point.distance": 2}[name]
         if len(args) != arity:
             raise SemanticError(f"{name}() takes {arity} argument(s), got {len(args)}", offset)
         return FunctionCall(name, tuple(args))
 
+    def parse_args(self) -> list[Expr]:
+        """A call's arguments, after its opening parenthesis."""
+        args: list[Expr] = []
+        if not self.match(")"):
+            while True:
+                args.append(self.parse_expr())
+                if self.match(")"):
+                    break
+                self.expect(",")
+        return args
 
-def _check_depth(expr: Expr, depth: int = 1) -> None:
-    """Fail if ``expr`` has more than ``_MAX_DEPTH`` non-leaf nodes on one path."""
+
+def _scan(expr: Expr, names: set[str], depth: int = 1) -> bool:
+    """Add the variables ``expr`` reads to ``names``; true if it holds count().
+
+    Fails if ``expr`` has more than ``_MAX_DEPTH`` non-leaf nodes on one path.
+    """
+    kind = type(expr)
+    if kind is PropertyAccess:
+        names.add(expr.variable)
+        return False
+    if kind is Variable:
+        names.add(expr.name)
+        return False
     children = expr_children(expr)
     if children and depth > _MAX_DEPTH:
         raise ParseError("expression nested too deeply")
+    aggregate = kind is FunctionCall and expr.name == "count"
     for child in children:
-        _check_depth(child, depth + 1)
+        aggregate |= _scan(child, names, depth + 1)
+    return aggregate
 
 
 def _validate(query: Query) -> None:
+    # Every expression is walked once, before any other check, so a tree
+    # nested too deeply fails first wherever it is.
+    checks = []  # (clause, variables it reads, the error its aggregate is, if any)
     if query.where is not None:
-        _check_depth(query.where)
-    for item in (*query.items, *query.order_by):
-        _check_depth(item.expr)
+        names: set[str] = set()
+        checks.append(("WHERE", names, _scan(query.where, names) and "aggregation is not allowed in WHERE"))
+    for item in query.items:
+        names = set()
+        misplaced = _scan(item.expr, names) and not (type(item.expr) is FunctionCall and item.expr.name == "count")
+        checks.append(("RETURN", names, misplaced and "count() must be a top-level RETURN item"))
+    order_aggregate = False
+    for entry in query.order_by:
+        order_aggregate |= _scan(entry.expr, set())
     node_vars, edge_vars = pattern_variables(query)
     shared = node_vars & edge_vars
     if shared:
         raise SemanticError(f"name used for both a node and a relationship: {sorted(shared)[0]}")
-    seen_edge_vars: set[str] = set()
+    seen: set[str] = set()
     for clause in query.matches:
         for path in clause.paths:
             for edge in path.edges:
+                if edge.variable in seen:
+                    raise SemanticError(f"relationship variable {edge.variable!r} is bound more than once")
                 if edge.variable:
-                    if edge.variable in seen_edge_vars:
-                        raise SemanticError(
-                            f"relationship variable {edge.variable!r} is bound more than once"
-                        )
-                    seen_edge_vars.add(edge.variable)
-    bound = node_vars | edge_vars
-
-    def check_bound(expr: Expr, context: str) -> None:
-        unbound = expr_variables(expr) - bound
+                    seen.add(edge.variable)
+    for clause, names, error in checks:
+        unbound = names - node_vars - edge_vars
         if unbound:
-            raise SemanticError(f"variable {sorted(unbound)[0]!r} in {context} is not bound by a MATCH pattern")
-
-    if query.where is not None:
-        check_bound(query.where, "WHERE")
-        if contains_aggregate(query.where):
-            raise SemanticError("aggregation is not allowed in WHERE")
-    for item in query.items:
-        check_bound(item.expr, "RETURN")
-        if contains_aggregate(item.expr) and not (
-            isinstance(item.expr, FunctionCall) and item.expr.name == "count"
-        ):
-            raise SemanticError("count() must be a top-level RETURN item")
-    for entry in query.order_by:
-        if contains_aggregate(entry.expr):
-            raise SemanticError("aggregation is not allowed in ORDER BY")
+            raise SemanticError(f"variable {sorted(unbound)[0]!r} in {clause} is not bound by a MATCH pattern")
+        if error:
+            raise SemanticError(error)
+    if order_aggregate:
+        raise SemanticError("aggregation is not allowed in ORDER BY")
 
 
 def parse_query(query_text: str) -> Query:

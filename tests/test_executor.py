@@ -733,6 +733,7 @@ def test_two_faults_on_two_bindings_fail_as_runtime_whichever_comes_first(text):
         "MATCH (a),(b) RETURN a.Name LIMIT 1",
         "MATCH (a),(b) RETURN a.Name ORDER BY b.Name LIMIT 1",
         "MATCH (a),(b) RETURN a.Name AS n ORDER BY n DESC LIMIT 3",
+        "MATCH (a),(b) RETURN a.Name AS n ORDER BY n DESC, b.Name LIMIT 3",
     ],
 )
 def test_a_grouped_product_keeps_no_binding(shipped_dataset_path, text):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from graphqa.cypher.ast import (
     Variable,
 )
 from graphqa.errors import EngineError, ParseError, SemanticError
+from graphqa.llm import Transcript, extract_cypher
 
 REFERENCE_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
 
@@ -289,3 +291,37 @@ def test_parse_outcomes_match_frozen_digest(corpus):
     for text in texts:
         digest.update(repr(_parse_outcome(text)).encode("utf-8"))
     assert digest.hexdigest() == FROZEN_PARSE_DIGEST
+
+
+def _shipped_queries(transcripts_dir, templates, corpus) -> list[str]:
+    """Every query extracted from a shipped stage-1 reply, then the corpus references."""
+    task1_prefix = templates["task1"].body.split("{question}")[0]
+    queries = []
+    for name in sorted(os.listdir(transcripts_dir)):
+        for entry in Transcript.load(os.path.join(transcripts_dir, name)).entries:
+            if entry.prompt.startswith(task1_prefix):
+                query = extract_cypher(entry.response).extracted_query
+                if query is not None:
+                    queries.append(query)
+    return queries + [spec.ground_truth_query for spec in corpus]
+
+
+def _token_outcome(text: str):
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except EngineError as exc:
+        return (type(exc).__name__, str(exc), exc.offset)
+
+
+# SHA-256 of the token lists and parse outcomes of the queries the models
+# wrote in the shipped transcripts and of the corpus references.
+SHIPPED_QUERY_COUNT = 295
+SHIPPED_OUTCOME_DIGEST = "aee0e6bbac5e74f6c418e5682ae5066c3ae43b9b6e72add53e9ee3fae788872a"
+
+
+def test_shipped_query_outcomes_match_frozen_digest(transcripts_dir, templates, corpus):
+    queries = _shipped_queries(transcripts_dir, templates, corpus)
+    digest = hashlib.sha256()
+    for text in queries:
+        digest.update(repr((_token_outcome(text), _parse_outcome(text))).encode("utf-8"))
+    assert (len(queries), digest.hexdigest()) == (SHIPPED_QUERY_COUNT, SHIPPED_OUTCOME_DIGEST)

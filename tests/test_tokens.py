@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphqa.cypher import parse_query
 from graphqa.cypher.tokens import tokenize
 from graphqa.errors import LexError
 
@@ -67,7 +68,7 @@ def test_tokens_are_lossless_source_slices():
 
 def test_keywords_recognized_case_insensitively():
     tokens = tokenize("match (n) return n")
-    assert tokens[0].kind == "keyword" and tokens[0].upper() == "MATCH"
+    assert tokens[0].kind == "keyword" and tokens[0].text.upper() == "MATCH"
 
 
 def test_numbers_and_floats():
@@ -136,3 +137,19 @@ def test_tokenizer_outcomes_match_frozen_digest():
             outcome = (type(exc).__name__, str(exc), exc.offset)
         digest.update(repr(outcome).encode("utf-8"))
     assert digest.hexdigest() == FROZEN_FUZZ_DIGEST
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        pytest.param("RETURN ) ^", "illegal character '^'", 9, id="later-lex-error-beats-earlier-parse-error"),
+        pytest.param("MATCH (n) WHERE n.p = 'x RETURN n", "unterminated string literal", 22, id="unterminated-quote"),
+        pytest.param("MATCH (n) RETURN 12²", "illegal character '²'", 19, id="numeral-after-valid-prefix"),
+        pytest.param("RETURN ^ ²", "illegal character '^'", 7, id="first-gap-beats-later-bad-word-start"),
+        pytest.param("RETURN ² ^", "illegal character '²'", 7, id="first-bad-word-start-beats-later-gap"),
+    ],
+)
+def test_the_first_lex_error_in_the_text_wins(text, message, offset):
+    with pytest.raises(LexError) as excinfo:
+        parse_query(text)
+    assert (str(excinfo.value), excinfo.value.offset) == (f"{message} (at offset {offset})", offset)
