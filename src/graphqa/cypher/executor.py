@@ -26,11 +26,14 @@ stage per pattern part, that expands each node through the store's
 adjacency lists. The stages write their variables into one scope dict they
 share, and WHERE runs on it as soon as the last stage has filled it. Every
 query is one pull over that scope: a group keeps its first values and
-counters, and ORDER BY and LIMIT key each row before they pull the next and
-keep only the rows LIMIT can return (under mixed sort directions, at most
-twice that many). A labelled start node whose first inline entry is a number,
-string or boolean takes its candidates from the store's equality index
-instead of the label's nodes, and still tests each one in full. Bindings
+counters; a RETURN whose every item is count(*) or count() of a pattern
+variable (never null, as there is no OPTIONAL MATCH) counts the bindings
+WHERE keeps and builds no group key; and ORDER BY and LIMIT key each row
+before they pull the next and keep only the rows LIMIT can return (under
+mixed sort directions, at most twice that many). A labelled start node
+whose first inline entry is a number, string or boolean takes its
+candidates from the store's equality index instead of the label's nodes,
+and still tests each one in full. Bindings
 come out in the order of a scan of nodes and relationships by ascending id,
 so the row order without ORDER BY does not depend on how the store is
 indexed. ORDER BY breaks ties by row position and reads the binding laid
@@ -598,9 +601,15 @@ def _group(query: Query, scopes: Iterable[Binding]) -> list[tuple]:
 
     DISTINCT groups like count() does, by every non-aggregated item. A group
     keeps the values of its first binding and one counter per count() item,
-    and reads each scope in full before it pulls the next.
+    and reads each scope in full before it pulls the next. When every item
+    is count(*) or count() of a pattern variable, which no binding leaves
+    null, the one row holds the number of bindings, counted as they stream.
     """
     items = query.items
+    names = set().union(*pattern_variables(query))
+    if all(_counts_bindings(item.expr, names) for item in items):
+        total = sum(1 for _ in scopes)
+        return [(total,) * len(items)]
     plain = [i for i, item in enumerate(items) if not contains_aggregate(item.expr)]
     key_values = _row_function([items[i] for i in plain]) if plain else lambda scope: ()
     # (position, argument) per count() item; count(*) has no argument.
@@ -620,6 +629,13 @@ def _group(query: Query, scopes: Iterable[Binding]) -> list[tuple]:
             if arg is None or arg(scope) is not None:
                 row[i] += 1
     return [tuple(row) for row in groups.values()]
+
+
+def _counts_bindings(expr: Expr, names: set[str]) -> bool:
+    """Whether ``expr`` is count(*) or count(v) of a pattern variable ``v``."""
+    if not (isinstance(expr, FunctionCall) and expr.name == "count"):
+        return False
+    return expr.star or (isinstance(expr.args[0], Variable) and expr.args[0].name in names)
 
 
 def _plain_read(expr: Expr, names: set[str]) -> bool:

@@ -6,6 +6,12 @@ output: ``[<Record col1=v1 col2=v2>, ...]`` with an empty result rendered as
 rendered with Python ``repr`` (single-quoted in the common case), and nulls
 render as ``None``. This exact format is a contract consumed by the pipeline
 and the evaluation harness, so change it only with care.
+
+A cell whose type is exactly ``str``, ``int`` or ``float`` is rendered by
+``repr`` straight from one table; every other cell (``None``, a boolean, a
+subclass of one of those three, a node, a relationship or a point) falls
+back to ``render_value``, which gives it the same text. A result renders
+column by column, each column's ``name=`` prefix built once.
 """
 
 from __future__ import annotations
@@ -38,15 +44,20 @@ class ResultSet:
         self.rows = [] if rows is None else rows
 
 
+# Cells of exactly these types render as their ``repr``; every other cell,
+# a subclass of one of them included, goes through ``render_value``.
+_REPR = {str: repr, int: repr, float: repr}
+
+
 def render_value(value: CellValue) -> str:
     """Render one cell the way it appears inside a serialized record."""
+    if type(value) in _REPR:
+        return repr(value)
     if value is None:
         return "None"
     if isinstance(value, bool):
         return "True" if value else "False"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)):
         return repr(value)
     if isinstance(value, Node):
         labels = "frozenset({" + ", ".join(repr(x) for x in sorted(value.labels)) + "})"
@@ -62,18 +73,24 @@ def render_value(value: CellValue) -> str:
 
 
 def _render_map(properties: dict) -> str:
-    return "{" + ", ".join(f"{key!r}: {render_value(val)}" for key, val in properties.items()) + "}"
+    get = _REPR.get
+    return "{" + ", ".join(f"{key!r}: {get(type(val), render_value)(val)}" for key, val in properties.items()) + "}"
 
 
 def serialize_records(result: ResultSet) -> str:
-    """Serialize a result set to the exact record-list text format."""
+    """Serialize a result set to the exact record-list text format.
+
+    Each column renders as one list of ``name=value`` fields; a record joins
+    its row's fields with spaces.
+    """
     if not result.rows:
         return "[]"
-    records = []
-    for row in result.rows:
-        fields = " ".join(f"{col}={render_value(cell)}" for col, cell in zip(result.columns, row))
-        records.append(f"<Record {fields}>")
-    return "[" + ", ".join(records) + "]"
+    get = _REPR.get
+    columns = [
+        [prefix + get(type(cell), render_value)(cell) for cell in cells]
+        for prefix, cells in zip([f"{name}=" for name in result.columns], zip(*result.rows))
+    ]
+    return "[<Record " + ">, <Record ".join(map(" ".join, zip(*columns))) + ">]"
 
 
 def canonicalize_query(query_text: str) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from generators import build_graph
 from graphqa.cypher import canonicalize_query, execute, parse_query, serialize_records
 from graphqa.cypher.records import Point, ResultSet, render_value
+from graphqa.graph.store import Node, Relationship
 
 REFERENCE_RECORD = "[<Record Lat=32.58088351 Long=-106.7533307>]"
 
@@ -66,6 +68,56 @@ def test_relationship_rendering():
     g = build_graph([({"A"}, {}), ({"B"}, {})], [(0, "R", 1, {"w": 2})])
     out = serialize_records(execute(g, parse_query("MATCH (x)-[e:R]->(y) RETURN e")))
     assert out == "[<Record e=<Relationship id=0 type='R' start=0 end=1 properties={'w': 2}>>]"
+
+
+class TaggedInt(int):
+    def __repr__(self):
+        return f"TaggedInt({int(self)})"
+
+
+class TaggedStr(str):
+    def __repr__(self):
+        return f"TaggedStr({str(self)!r})"
+
+
+SCALARS = [True, False, TaggedInt(5), TaggedStr("sub"), 0, 42, -0.0, 2.5, math.inf, -math.inf, math.nan]
+SCALARS += [2**63 - 1, -(2**63), "", "it's", 'say "hi"', None]
+EVERY_KIND = {f"k{i}": value for i, value in enumerate(SCALARS) if value is not None}
+CELLS = SCALARS + [
+    Point(1.5, -2.0),
+    Node(3, frozenset({"Sensor", "Device"}), EVERY_KIND),
+    Relationship(4, 3, 0, "HAS", EVERY_KIND),
+]
+
+
+def per_row_reference(result):
+    """The record text built row by row, one f-string per field."""
+    if not result.rows:
+        return "[]"
+    records = []
+    for row in result.rows:
+        fields = " ".join(f"{col}={render_value(cell)}" for col, cell in zip(result.columns, row))
+        records.append(f"<Record {fields}>")
+    return "[" + ", ".join(records) + "]"
+
+
+def test_subclass_cells_render_through_render_value():
+    assert render_value(TaggedInt(5)) == "TaggedInt(5)"
+    assert render_value(TaggedStr("sub")) == "TaggedStr('sub')"
+    out = serialize_records(ResultSet(columns=["i", "s"], rows=[(TaggedInt(5), TaggedStr("sub"))]))
+    assert out == "[<Record i=TaggedInt(5) s=TaggedStr('sub')>]"
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_serialization_equals_the_per_row_reference(width):
+    columns = ["n", "Name", "count(*)"][:width]
+    # Every cell in every column, then a seeded mix.
+    rows = [tuple(CELLS[(i + j) % len(CELLS)] for j in range(width)) for i in range(len(CELLS))]
+    rng = random.Random(width)
+    rows += [tuple(rng.choice(CELLS) for _ in range(width)) for _ in range(60)]
+    for count in (0, 1, 2, len(rows)):
+        result = ResultSet(columns=columns, rows=rows[:count])
+        assert serialize_records(result) == per_row_reference(result)
 
 
 def test_canonicalize_collapses_whitespace_and_semicolon():
