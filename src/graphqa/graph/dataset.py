@@ -17,14 +17,23 @@ extra data, bad JSON) goes through ``json.loads`` for the same value or its
 error. Lines are never joined and decoded together: ``{"x":1},{"y":2}``,
 ``{"c":[{}`` and ``{}]}`` each fail, yet joined they make three objects.
 
+The scanner decodes every line's keys and labels afresh, so a file of many
+lines alike would hold one copy of each key per line. ``parse_dataset``
+keeps one string per property key, label and relationship type: it rebuilds
+each decoded map, in its order and with its values, on the key objects of
+the first map with the same key sequence, and gives each node a list of the
+shared labels. ``dataset_to_graph`` gives nodes with one label sequence one
+frozenset. Only immutable strings, key sequences and label sets are shared:
+every entry, and the graph, owns its maps and lists.
+
 A ``NodeEntry`` or ``RelationshipEntry`` checks its labels, relationship
 type and property map with the store's rules when it is built and when one
 is assigned, so parsed, generated and hand-built entries are all checked,
 once; ``parse_dataset`` adds the line number. (A map or label list changed
 in place is not checked again.) ``dataset_to_graph`` is the one way a graph
 is built: it checks endpoint indexes and stores entries through the graph's
-unchecked private paths, which copy each map (the decoded dict is kept, so
-that is its one copy). Nothing writes to the graph after it returns.
+unchecked private paths, which copy each map. Nothing writes to the graph
+after it returns.
 """
 
 from __future__ import annotations
@@ -61,8 +70,11 @@ class NodeEntry:
     properties = _checked("properties", validate_property_map)
 
     def __init__(self, labels: list[str], properties: PropertyMap):
-        self.labels = labels
-        self.properties = properties
+        # The setters' checks, in their order, without the two setter calls.
+        validate_labels(labels)
+        validate_property_map(properties)
+        self._labels = labels
+        self._properties = properties
 
 
 class RelationshipEntry:
@@ -72,10 +84,12 @@ class RelationshipEntry:
     properties = _checked("properties", validate_property_map)
 
     def __init__(self, src_index: int, rel_type: str, dst_index: int, properties: PropertyMap):
+        validate_rel_type(rel_type)
+        validate_property_map(properties)
         self.src_index = src_index
-        self.rel_type = rel_type
+        self._rel_type = rel_type
         self.dst_index = dst_index
-        self.properties = properties
+        self._properties = properties
 
 
 class DatasetFile:
@@ -109,10 +123,29 @@ def _collector_paused(function):
     return run
 
 
+def _rekeyed(properties: dict, key_maps: dict[tuple, dict], names: dict[str, str]) -> dict:
+    """A new map of ``properties``, in its order, on the key objects of the
+    first map parsed with the same key sequence."""
+    keys = tuple(properties)
+    template = key_maps.get(keys)
+    if template is None:
+        template = key_maps[keys] = dict.fromkeys([names.setdefault(key, key) for key in keys])
+    rebuilt = template.copy()
+    rebuilt.update(properties)  # an update of an equal key keeps the template's key object
+    return rebuilt
+
+
 @_collector_paused
 def parse_dataset(source: str) -> DatasetFile:
     """Parse a dataset document into its file-level representation."""
     dataset = DatasetFile()
+    # One string per property key, label and relationship type; per distinct
+    # property-key sequence, a map of those keys to None; per distinct label
+    # sequence, a list of those labels. Entries get copies of the maps and
+    # lists, never the ones kept here.
+    names: dict[str, str] = {}
+    key_maps: dict[tuple, dict] = {}
+    label_lists: dict[tuple, list[str]] = {}
     saw_header = False
     for lineno, line in enumerate(source.splitlines(), start=1):
         try:
@@ -144,8 +177,13 @@ def parse_dataset(source: str) -> DatasetFile:
                     raise DatasetFormatError("node 'labels' must be a non-empty list of strings", lineno)
                 if type(properties) is not dict:
                     raise DatasetFormatError("node 'properties' must be an object", lineno)
-                # An exact-size copy: a decoded list keeps spare capacity.
-                dataset.nodes.append(NodeEntry(list(labels), properties))
+                if properties:
+                    properties = _rekeyed(properties, key_maps, names)
+                key = tuple(labels)
+                shared_labels = label_lists.get(key)
+                if shared_labels is None:
+                    shared_labels = label_lists[key] = [names.setdefault(label, label) for label in labels]
+                dataset.nodes.append(NodeEntry(shared_labels.copy(), properties))
             elif kind == "rel":
                 try:
                     src = obj["src"]
@@ -159,6 +197,9 @@ def parse_dataset(source: str) -> DatasetFile:
                     raise DatasetFormatError("relationship 'rel_type' must be a non-empty string", lineno)
                 if type(properties) is not dict:
                     raise DatasetFormatError("relationship 'properties' must be an object", lineno)
+                if properties:
+                    properties = _rekeyed(properties, key_maps, names)
+                rel_type = names.setdefault(rel_type, rel_type)
                 dataset.relationships.append(RelationshipEntry(src, rel_type, dst, properties))
             else:
                 raise DatasetFormatError(f"unknown line kind {kind!r}", lineno)
@@ -208,8 +249,14 @@ def dataset_to_graph(dataset: DatasetFile) -> PropertyGraph:
     order from 0. The graph is complete when this returns."""
     graph = PropertyGraph()
     store_node = graph._store_node
+    label_sets: dict[tuple, frozenset[str]] = {}  # one frozenset per distinct label sequence
     for node in dataset.nodes:
-        store_node(frozenset(node.labels), node.properties)
+        labels = node.labels
+        key = tuple(labels)
+        label_set = label_sets.get(key)
+        if label_set is None:
+            label_set = label_sets[key] = frozenset(labels)
+        store_node(label_set, node.properties)
     node_count = len(dataset.nodes)
     store_relationship = graph._store_relationship
     for rel in dataset.relationships:

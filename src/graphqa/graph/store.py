@@ -12,6 +12,11 @@ relationships. Ids follow file order, so every map and list is kept in id
 order by appending and no read sorts. A third, the equality index of
 ``nodes_with_property``, is built lazily: the first read of a (label, key)
 pair buckets that label's nodes by the key's value, and the buckets are kept.
+
+Each node and relationship owns its property map, but what is immutable is
+shared as loaded: a node's label set is one frozenset per distinct label
+sequence, and a property key, label or relationship type is one string
+however many maps, sets or relationships hold it.
 """
 
 from __future__ import annotations
@@ -35,9 +40,15 @@ def validate_property_map(properties: PropertyMap) -> None:
     if not isinstance(properties, dict):
         raise ValidationError(f"property map must be a dict, got {type(properties).__name__}")
     for key, value in properties.items():
-        # Text and booleans under a plain key need no more; the rest, and
-        # subclasses, take the full checks below.
-        if type(key) is str and key and (type(value) is str or type(value) is bool):
+        # Text, booleans, 64-bit integers and finite floats under a plain key
+        # need no more; the rest, and subclasses, take the full checks below.
+        kind = type(value)
+        if type(key) is str and key and (
+            kind is str
+            or kind is bool
+            or (kind is int and _INT64_MIN <= value <= _INT64_MAX)
+            or (kind is float and math.isfinite(value))
+        ):
             continue
         if not isinstance(key, str) or not key:
             raise ValidationError(f"property key must be a non-empty string, got {key!r}")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -281,3 +282,96 @@ def test_loading_leaves_the_collector_as_it_found_it():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_loaded_graph_keeps_one_copy_of_each_key_label_and_type():
+    config = GeneratorConfig(tower_count=40, attached_sensors=2000, seed=5)
+    text = serialize_dataset(generate_msa_fixture(config))
+    tracemalloc.start()
+    try:
+        dataset = parse_dataset(text)
+        graph = dataset_to_graph(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # With a copy of every key and label per line and a label set per node
+    # the peak was about 4.8 MB; with them shared it is about 3.4 MB.
+    assert peak < 4.0e6
+    first, second = dataset.nodes[-2], dataset.nodes[-1]
+    assert list(first.properties) == list(second.properties)
+    assert all(a is b for a, b in zip(first.properties, second.properties, strict=True))
+    assert first.properties is not second.properties
+    assert first.labels == second.labels and first.labels is not second.labels
+    assert first.labels[0] is second.labels[0]
+    label_sets = {id(node.labels) for node in graph.nodes()}
+    assert len(label_sets) == len({tuple(entry.labels) for entry in dataset.nodes}) == 2
+    assert len({id(rel.rel_type) for rel in graph.relationships()}) == 1
+
+
+def test_parse_and_serialize_keep_the_bytes_of_a_large_dataset():
+    config = GeneratorConfig(tower_count=400, attached_sensors=20000, seed=7)
+    text = serialize_dataset(generate_msa_fixture(config))
+    assert serialize_dataset(parse_dataset(text)) == text
+
+
+def _last_entry_outcome(text: str):
+    """What parse_dataset makes of a document's last line: its error, or the
+    last entry's labels or type and its property items, with their kinds."""
+    try:
+        dataset = parse_dataset(text)
+    except DatasetFormatError as exc:
+        return ("error", exc.line, str(exc))
+    if dataset.relationships:
+        rel = dataset.relationships[-1]
+        return ("rel", rel.src_index, rel.rel_type, rel.dst_index, repr(list(rel.properties.items())))
+    node = dataset.nodes[-1]
+    return ("node", node.labels, repr(list(node.properties.items())))
+
+
+def _node(labels: str, properties: str) -> str:
+    return f'{{"kind": "node", "labels": {labels}, "properties": {properties}}}'
+
+
+def _rel(rel_type: str, properties: str) -> str:
+    return f'{{"kind": "rel", "src": 0, "rel_type": {rel_type}, "dst": 0, "properties": {properties}}}'
+
+
+# A line that shares no key sequence, label or relationship type with any case.
+UNRELATED = _node('["Z"]', '{"z": 0}')
+
+# (valid line with the same key sequence or labels, line under test)
+SEEN_BEFORE = {
+    "int-out-of-range": (_node('["A"]', '{"x": 1}'), _node('["A"]', '{"x": 9223372036854775808}')),
+    "int-out-of-range-second-key": (NODE, _node('["A"]', '{"x": 9223372036854775808, "s": "t"}')),
+    "nan": (NODE, NODE.replace("1", "NaN")),
+    "infinity": (NODE, NODE.replace("1", "Infinity")),
+    "minus-infinity": (NODE, NODE.replace("1", "-Infinity")),
+    "truncated": (NODE, NODE[:-7]),
+    "comma-joined": (NODE, NODE + "," + NODE),
+    "two-values": (NODE, NODE + " " + NODE),
+    "bom": (NODE, "\ufeff" + NODE),
+    "empty-key": (_node('["A"]', "{}"), _node('["A"]', '{"": 1}')),
+    "rel-int-out-of-range": (_rel('"R"', '{"w": 1}'), _rel('"R"', '{"w": -9223372036854775809}')),
+    "rel-empty-type": (_rel('"R"', "{}"), _rel('""', "{}")),
+    "rel-int-type": (_rel('"R"', "{}"), _rel("1", "{}")),
+    "unhashable-labels": (_node('["A"]', "{}"), _node('[["A"]]', "{}")),
+    "int-labels": (_node('["A"]', "{}"), _node("[1]", "{}")),
+    "true-labels": (_node('["A"]', "{}"), _node("[true]", "{}")),
+    "empty-label": (_node('["A"]', "{}"), _node('["A", ""]', "{}")),
+    "labels-and-map-bad": (NODE, _node("[1]", "[]")),
+    "map-not-object": (NODE, _node('["A"]', "[]")),
+    "repeated-key": (_node('["A"]', '{"x": 5}'), _node('["A"]', '{"x": 1, "x": 2}')),
+    "repeated-key-of-two": (_node('["A"]', '{"x": 0, "y": 0}'), _node('["A"]', '{"x": 1, "y": 2, "x": 3}')),
+    "keys-in-another-order": (_node('["A"]', '{"x": 1, "y": 2}'), _node('["A"]', '{"y": 3, "x": 4}')),
+    "labels-in-another-order": (_node('["A", "B"]', "{}"), _node('["B", "A"]', "{}")),
+    "value-kinds": (_node('["A"]', '{"i": 1, "f": 1.0, "b": true}'), _node('["A"]', '{"i": true, "f": 1, "b": 1.0}')),
+    "rel-keys": (_rel('"R"', '{"w": 1, "v": 2}'), _rel('"R"', '{"v": 2.5, "w": false}')),
+}
+
+
+@pytest.mark.parametrize("seen, line", SEEN_BEFORE.values(), ids=SEEN_BEFORE)
+def test_a_line_parses_the_same_after_one_with_its_keys_or_labels(seen, line):
+    alone = _last_entry_outcome("\n".join([HEADER, UNRELATED, line]))
+    assert _last_entry_outcome("\n".join([HEADER, seen, line])) == alone
+    if alone[0] != "error":  # the map keeps its line's key order and values
+        assert alone[-1] == repr(list(json.loads(line)["properties"].items()))

@@ -9,17 +9,22 @@ Each tree is a full checkout, or a copy of its tracked files (for example
 ``perfbench/run.py --trace 0`` in both trees, one run at a time, ``--pairs``
 times, the parent first in odd pairs and the change first in even ones, so a
 slow stretch of the host falls on both sides. Runs use
-``PYTHONDONTWRITEBYTECODE=1`` so neither tree gains bytecode files.
+``PYTHONDONTWRITEBYTECODE=1`` so neither tree gains bytecode files, and each
+run record says so under ``env``. A copy of tracked files holds no
+``__pycache__``, so cli-cold, which starts a fresh interpreter per
+``graphqa ask``, compiles every module it imports on each invocation: its
+figures include that compilation.
 
-The output keeps every run (its fingerprint, digest, return code, wall time
-and final JSON line) and, per workload, a summary: whether the digests of
-both sides agree, each side's attempted operations, and per end-to-end metric
-of the change tree's ``BENCHMARK.json`` each side's median and quartiles, the
-pairs the change won, the share by which the change's median is worse (a
-negative share is a gain) and the parent's interquartile range as a share of
-its median. A metric whose parent spread is wider than its bound is
-``unresolved``; otherwise it is ``within bound`` or ``worse than bound``. The
-file is rewritten after every run, so an interrupted session keeps what ran.
+The output keeps every run (its environment, fingerprint, digest, return
+code, wall time and final JSON line) and, per workload, a summary: whether
+the digests of both sides agree, each side's attempted operations, and per
+end-to-end metric of the change tree's ``BENCHMARK.json`` each side's median
+and quartiles, the pairs the change won, the share by which the change's
+median is worse (a negative share is a gain) and the parent's interquartile
+range as a share of its median. A metric whose parent spread is wider than
+its bound is ``unresolved``; otherwise it is ``within bound`` or ``worse than
+bound``. The file is rewritten after every run, so an interrupted session
+keeps what ran.
 """
 
 from __future__ import annotations
@@ -33,18 +38,25 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+# Set for every run, on top of the caller's environment; see the docstring.
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in ``tree``: what its output reports."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", str(seconds), "--trace", "0"]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=tree, env=os.environ | RUN_ENV, capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = done.stdout.splitlines()
-    record = {"returncode": done.returncode, "wall_s": round(wall, 1), "fingerprint": None, "digest": None}
+    record = {
+        "env": dict(RUN_ENV),
+        "returncode": done.returncode,
+        "wall_s": round(wall, 1),
+        "fingerprint": None,
+        "digest": None,
+    }
     for line in lines:
         if line.startswith("# fingerprint "):
             record["fingerprint"] = json.loads(line[len("# fingerprint ") :])
