@@ -33,7 +33,9 @@ before they pull the next and keep only the rows LIMIT can return (under
 mixed sort directions, at most twice that many). A labelled start node
 whose first inline entry is a number, string or boolean takes its
 candidates from the store's equality index instead of the label's nodes,
-and still tests each one in full. Bindings
+and still tests each one in full. Each path start that no earlier part
+binds finds its pool before the first pull, and if any pool is empty the
+stream is empty, so a product with an empty part ends at once. Bindings
 come out in the order of a scan of nodes and relationships by ascending id,
 so the row order without ORDER BY does not depend on how the store is
 indexed. ORDER BY breaks ties by row position and reads the binding laid
@@ -470,7 +472,11 @@ def _either_way(graph: PropertyGraph, node_id: int):
     return sorted([*outgoing, *(rel for rel in incoming if rel.src != rel.dst)], key=_by_id)
 
 
-def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str], scope: Binding) -> Stage:
+def _start_stage(
+    graph: PropertyGraph, pattern: NodePattern, bound: set[str], scope: Binding
+) -> tuple[Stage, list[Node] | None]:
+    """The stage of a path's first node, and the nodes it can bind: None
+    when the node is bound earlier, else its pool, found now."""
     test, variable = _node_test(pattern), pattern.variable
     if variable and variable in bound:
 
@@ -480,26 +486,22 @@ def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str], sc
                 if isinstance(node, Node) and (test is None or test(node)):
                     yield node
 
-        return from_binding
+        return from_binding, None
     if variable:
         bound.add(variable)
     if not pattern.labels:
-        candidates = graph.nodes
+        nodes = graph.nodes()
     elif pattern.properties and _kind(pattern.properties[0][1].value) <= BOOL:
         # The index bucket holds every node of the label that the first
         # entry admits, in id order; the test below checks the rest.
         (key, literal), label = pattern.properties[0], pattern.labels[0]
-        candidates = lambda: graph.nodes_with_property(label, key, literal.value)  # noqa: E731
+        nodes = graph.nodes_with_property(label, key, literal.value)
     else:
-        candidates = lambda: graph.nodes_with_label(pattern.labels[0])  # noqa: E731
-    pool: list[Node] | None = None
+        nodes = graph.nodes_with_label(pattern.labels[0])
+    pool = nodes if test is None else [node for node in nodes if test(node)]
 
     def scan(stream):
-        nonlocal pool
         for _ in stream:
-            if pool is None:
-                nodes = candidates()
-                pool = nodes if test is None else [node for node in nodes if test(node)]
             if variable:
                 for node in pool:
                     scope[variable] = node
@@ -507,7 +509,7 @@ def _start_stage(graph: PropertyGraph, pattern: NodePattern, bound: set[str], sc
             else:
                 yield from pool
 
-    return scan
+    return scan, pool
 
 
 def _edge_stage(
@@ -572,13 +574,18 @@ def _matches(graph: PropertyGraph, query: Query) -> Iterator[Binding]:
     scope: Binding = {}
     stream: Iterable = (None,)
     bound: set[str] = set()
+    empty = False
     for clause in query.matches:
         # Uniqueness needs tracking only where one clause has two edges.
         used = set() if sum(len(path.edges) for path in clause.paths) > 1 else None
         for path in clause.paths:
-            stream = _start_stage(graph, path.nodes[0], bound, scope)(stream)
+            stage, pool = _start_stage(graph, path.nodes[0], bound, scope)
+            empty = empty or pool is not None and not pool
+            stream = stage(stream)
             for edge, pattern in zip(path.edges, path.nodes[1:]):
                 stream = _edge_stage(graph, edge, pattern, bound, used, scope)(stream)
+    if empty:  # a path start that no node fits: no binding, whatever comes before it
+        stream = ()
     where = None if query.where is None else _compile(query.where)
     return (scope for _ in stream if where is None or where(scope) is True)
 

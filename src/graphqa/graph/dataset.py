@@ -17,30 +17,42 @@ extra data, bad JSON) goes through ``json.loads`` for the same value or its
 error. Lines are never joined and decoded together: ``{"x":1},{"y":2}``,
 ``{"c":[{}`` and ``{}]}`` each fail, yet joined they make three objects.
 
-The scanner decodes every line's keys and labels afresh, so a file of many
-lines alike would hold one copy of each key per line. ``parse_dataset``
-keeps one string per property key, label and relationship type: it rebuilds
-each decoded map, in its order and with its values, on the key objects of
-the first map with the same key sequence, and gives each node a list of the
-shared labels. ``dataset_to_graph`` gives nodes with one label sequence one
-frozenset. Only immutable strings, key sequences and label sets are shared:
-every entry, and the graph, owns its maps and lists.
+The scanner decodes every line's keys, labels and values afresh, so a file
+of many lines alike would hold one copy of each per line. A parse keeps, for
+as long as it runs, one string per property key, label, relationship type
+and string value: it rebuilds each decoded map, in its order and with its
+values, on the key objects of the first map with the same key sequence,
+replaces each string value by the first equal one in the pass that checks
+the map, and gives each node a list of the shared labels. Only values of
+exact type ``str`` are shared, since ``True``, ``1`` and ``1.0`` are equal
+and hash alike. The graph gives nodes with one label sequence one frozenset.
+Only immutable strings, key sequences and label sets are shared: every
+entry, and the graph, owns its maps and lists.
+
+One parser serves two consumers. It splits lines exactly as
+``str.splitlines`` does, a piece of the text (or file) at a time.
+``parse_dataset`` makes entries; ``load_dataset`` and ``load_dataset_file``
+store each entry in the graph as soon as its line is parsed, and the graph
+adopts its fresh map, so a load never holds the parsed entries or a list of
+every line beside the graph. Endpoints are checked after the last line, so
+a load raises what ``dataset_to_graph(parse_dataset(text))`` raises.
 
 A ``NodeEntry`` or ``RelationshipEntry`` checks its labels, relationship
 type and property map with the store's rules when it is built and when one
-is assigned, so parsed, generated and hand-built entries are all checked,
-once; ``parse_dataset`` adds the line number. (A map or label list changed
-in place is not checked again.) ``dataset_to_graph`` is the one way a graph
-is built: it checks endpoint indexes and stores entries through the graph's
-unchecked private paths, which copy each map. Nothing writes to the graph
-after it returns.
+is assigned, so generated and hand-built entries are checked once; a parse
+runs the same checks on each line and adds the line number. (A map or label
+list changed in place is not checked again.) ``dataset_to_graph`` stores a
+copy of each entry's map through the graph's unchecked private paths, and
+the graph checks endpoint indexes when the build ends. Nothing writes to
+the graph after that.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from functools import wraps
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial, wraps
 from operator import attrgetter
 
 from ..errors import DatasetFormatError, ValidationError
@@ -135,19 +147,49 @@ def _rekeyed(properties: dict, key_maps: dict[tuple, dict], names: dict[str, str
     return rebuilt
 
 
-@_collector_paused
-def parse_dataset(source: str) -> DatasetFile:
-    """Parse a dataset document into its file-level representation."""
-    dataset = DatasetFile()
-    # One string per property key, label and relationship type; per distinct
-    # property-key sequence, a map of those keys to None; per distinct label
-    # sequence, a list of those labels. Entries get copies of the maps and
-    # lists, never the ones kept here.
+# Characters of a document cut per piece when it is split into lines.
+_CHUNK = 1 << 16
+
+
+def _pieces(source: str) -> Iterator[str]:
+    return (source[i : i + _CHUNK] for i in range(0, len(source), _CHUNK))
+
+
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines ``str.splitlines`` cuts from the text the chunks make.
+
+    Each chunk is split up to just after its last ``\n``, and the rest goes
+    before the next chunk. Only ``\r\n`` is a separator of two characters,
+    and it ends with ``\n``, so no cut splits a separator.
+    """
+    rest = ""
+    for chunk in chunks:
+        text = rest + chunk
+        cut = text.rfind("\n") + 1
+        yield from text[:cut].splitlines()
+        rest = text[cut:]
+    yield from rest.splitlines()
+
+
+def _parse(lines: Iterable[str], add_node: Callable, add_relationship: Callable) -> None:
+    """Parse a document's lines, passing each entry's fields, checked as an
+    entry checks them, to ``add_node(labels, properties)`` or
+    ``add_relationship(src, rel_type, dst, properties)`` in file order.
+
+    Each call gets a fresh map. ``labels`` is the list kept for its label
+    sequence, which ``add_node`` must not change. A ``DatasetFormatError``
+    names the line that fails.
+    """
+    # One string per property key, label, relationship type and string
+    # value; per distinct property-key sequence, a map of those keys to
+    # None; per distinct label sequence, a list of those labels. Entries get
+    # copies of the maps and lists, never the ones kept here.
     names: dict[str, str] = {}
+    strings: dict[str, str] = {}
     key_maps: dict[tuple, dict] = {}
     label_lists: dict[tuple, list[str]] = {}
     saw_header = False
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         try:
             obj, end = _scan(line, 0)
         except (StopIteration, json.JSONDecodeError):
@@ -173,17 +215,23 @@ def parse_dataset(source: str) -> DatasetFile:
         try:
             if kind == "node":
                 labels = obj.get("labels")
-                if type(labels) is not list or not labels or not all(type(x) is str for x in labels):
+                try:  # a label sequence kept below has passed every label check
+                    shared_labels = label_lists.get(tuple(labels)) if type(labels) is list else None
+                except TypeError:  # an unhashable label, which the checks reject
+                    shared_labels = None
+                if shared_labels is None and (
+                    type(labels) is not list or not labels or not all(type(x) is str for x in labels)
+                ):
                     raise DatasetFormatError("node 'labels' must be a non-empty list of strings", lineno)
                 if type(properties) is not dict:
                     raise DatasetFormatError("node 'properties' must be an object", lineno)
                 if properties:
                     properties = _rekeyed(properties, key_maps, names)
-                key = tuple(labels)
-                shared_labels = label_lists.get(key)
                 if shared_labels is None:
-                    shared_labels = label_lists[key] = [names.setdefault(label, label) for label in labels]
-                dataset.nodes.append(NodeEntry(shared_labels.copy(), properties))
+                    validate_labels(labels)
+                    shared_labels = label_lists[tuple(labels)] = [names.setdefault(label, label) for label in labels]
+                validate_property_map(properties, strings)
+                add_node(shared_labels, properties)
             elif kind == "rel":
                 try:
                     src = obj["src"]
@@ -199,8 +247,8 @@ def parse_dataset(source: str) -> DatasetFile:
                     raise DatasetFormatError("relationship 'properties' must be an object", lineno)
                 if properties:
                     properties = _rekeyed(properties, key_maps, names)
-                rel_type = names.setdefault(rel_type, rel_type)
-                dataset.relationships.append(RelationshipEntry(src, rel_type, dst, properties))
+                validate_property_map(properties, strings)
+                add_relationship(src, names.setdefault(rel_type, rel_type), dst, properties)
             else:
                 raise DatasetFormatError(f"unknown line kind {kind!r}", lineno)
         except ValidationError as exc:  # an entry's own check
@@ -208,6 +256,31 @@ def parse_dataset(source: str) -> DatasetFile:
 
     if not saw_header:
         raise DatasetFormatError("missing header line", 1)
+
+
+@_collector_paused
+def parse_dataset(source: str) -> DatasetFile:
+    """Parse a dataset document into its file-level representation."""
+    dataset = DatasetFile()
+    new_node, add_node = NodeEntry.__new__, dataset.nodes.append
+    new_rel, add_rel = RelationshipEntry.__new__, dataset.relationships.append
+
+    # The parse has run the entries' checks, so the entries are built without them.
+    def node(labels, properties):
+        entry = new_node(NodeEntry)
+        entry._labels = labels.copy()
+        entry._properties = properties
+        add_node(entry)
+
+    def relationship(src, rel_type, dst, properties):
+        entry = new_rel(RelationshipEntry)
+        entry.src_index = src
+        entry._rel_type = rel_type
+        entry.dst_index = dst
+        entry._properties = properties
+        add_rel(entry)
+
+    _parse(_lines(_pieces(source)), node, relationship)
     return dataset
 
 
@@ -246,36 +319,41 @@ def serialize_dataset(dataset: DatasetFile) -> str:
 @_collector_paused
 def dataset_to_graph(dataset: DatasetFile) -> PropertyGraph:
     """Build the graph of ``dataset``; node and relationship ids follow file
-    order from 0. The graph is complete when this returns."""
+    order from 0. The graph stores a copy of each map and is complete when
+    this returns."""
     graph = PropertyGraph()
     store_node = graph._store_node
-    label_sets: dict[tuple, frozenset[str]] = {}  # one frozenset per distinct label sequence
     for node in dataset.nodes:
-        labels = node.labels
-        key = tuple(labels)
-        label_set = label_sets.get(key)
-        if label_set is None:
-            label_set = label_sets[key] = frozenset(labels)
-        store_node(label_set, node.properties)
-    node_count = len(dataset.nodes)
+        store_node(node.labels, dict(node.properties))
     store_relationship = graph._store_relationship
     for rel in dataset.relationships:
-        src = rel.src_index
-        dst = rel.dst_index
-        for endpoint in (src, dst):
-            if type(endpoint) is not int or not 0 <= endpoint < node_count:
-                raise ValidationError(
-                    f"relationship endpoint index {endpoint!r} is not an integer in 0..{node_count - 1}"
-                )
-        store_relationship(src, rel.rel_type, dst, rel.properties)
+        store_relationship(rel.src_index, rel.rel_type, rel.dst_index, dict(rel.properties))
+    graph._freeze()
+    return graph
+
+
+@_collector_paused
+def _load(chunks: Iterable[str]) -> PropertyGraph:
+    """The graph of the document the chunks make, stored entry by entry as
+    each line is parsed; the graph adopts each entry's fresh map."""
+    graph = PropertyGraph()
+    _parse(_lines(chunks), graph._store_node, graph._store_relationship)
+    graph._freeze()  # endpoints are checked once every line is parsed, as dataset_to_graph checks them
     return graph
 
 
 def load_dataset(source: str) -> PropertyGraph:
-    """Parse and materialize in one step."""
-    return dataset_to_graph(parse_dataset(source))
+    """The graph ``dataset_to_graph(parse_dataset(source))`` builds, or its
+    error, without holding the parsed entries beside the graph."""
+    return _load(_pieces(source))
 
 
 def load_dataset_file(path: str) -> PropertyGraph:
+    """``load_dataset`` of a UTF-8 file read in text mode, a piece at a time.
+
+    Bytes that are not UTF-8 raise ``UnicodeDecodeError`` when the read
+    reaches them, so an error on an earlier line is raised first, and the
+    error's position counts from the start of the piece being decoded.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return load_dataset(fh.read())
+        return _load(iter(partial(fh.read, _CHUNK), ""))

@@ -5,18 +5,21 @@ directed, typed edges between existing nodes. Property values are restricted
 to 64-bit integers, finite floats, text, and booleans, and the value kind is
 preserved exactly from load through query execution to serialization.
 
-A graph is built once, by ``dataset_to_graph``, and nothing writes to it
-afterwards, so concurrent readers are safe. Two indexes sit beside the id
-maps: the nodes of each label, and each node's outgoing and incoming
-relationships. Ids follow file order, so every map and list is kept in id
-order by appending and no read sorts. A third, the equality index of
-``nodes_with_property``, is built lazily: the first read of a (label, key)
-pair buckets that label's nodes by the key's value, and the buckets are kept.
+A graph is built once, by ``dataset_to_graph`` or a load, and nothing writes
+to it afterwards, so concurrent readers are safe. Ids follow file order from
+0, so nodes and relationships are kept in lists indexed by id, and only an
+``int`` in ``0..n-1`` names one: ``node(True)``, ``node(1.0)`` and
+``node(-1)`` fail as any missing id does. Beside them sit the nodes of each
+label, in id order, and each node's outgoing and incoming relationships,
+frozen into tuples in id order when the build ends, so no read sorts. A
+third index, the equality index of ``nodes_with_property``, is built lazily:
+the first read of a (label, key) pair buckets that label's nodes by the
+key's value, and the buckets are kept.
 
 Each node and relationship owns its property map, but what is immutable is
 shared as loaded: a node's label set is one frozenset per distinct label
-sequence, and a property key, label or relationship type is one string
-however many maps, sets or relationships hold it.
+sequence, and a property key, label, relationship type or string value is
+one string however many maps, sets or relationships hold it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Collection, Sequence
+from itertools import groupby
+from operator import attrgetter
 
 from ..errors import ValidationError
 
@@ -34,9 +39,15 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def validate_property_map(properties: PropertyMap) -> None:
+def validate_property_map(properties: PropertyMap, strings: dict[str, str] | None = None) -> None:
     """Reject a map that is not a dict, non-string keys, out-of-range
-    integers, and non-finite floats."""
+    integers, and non-finite floats.
+
+    A parse passes ``strings``, its table of string values: each value of
+    exact type ``str`` is then replaced, in place, by the equal string the
+    table held first, so equal values are one object. Only exact strings go
+    in: a table of every value would merge ``True``, ``1`` and ``1.0``.
+    """
     if not isinstance(properties, dict):
         raise ValidationError(f"property map must be a dict, got {type(properties).__name__}")
     for key, value in properties.items():
@@ -49,6 +60,8 @@ def validate_property_map(properties: PropertyMap) -> None:
             or (kind is int and _INT64_MIN <= value <= _INT64_MAX)
             or (kind is float and math.isfinite(value))
         ):
+            if kind is str and strings is not None:
+                properties[key] = strings.setdefault(value, value)  # a key's value changes; no key is added
             continue
         if not isinstance(key, str) or not key:
             raise ValidationError(f"property key must be a non-empty string, got {key!r}")
@@ -141,44 +154,63 @@ class GraphStats:
 class PropertyGraph:
     """Embedded property graph with integer node/relationship handles.
 
-    ``dataset_to_graph`` fills it through ``_store_node`` and
-    ``_store_relationship``, which check nothing: entries are checked when
-    they are built. Each stored property map is the graph's own copy.
+    A build fills it through ``_store_node`` and ``_store_relationship``,
+    which check nothing and store the map they are given (entries are
+    checked when they are built), then calls ``_freeze``.
     """
 
     def __init__(self) -> None:
-        self._nodes: dict[int, Node] = {}
-        self._rels: dict[int, Relationship] = {}
+        self._nodes: list[Node] = []  # by id
+        self._rels: list[Relationship] = []  # by id
         self._nodes_by_label: defaultdict[str, list[Node]] = defaultdict(list)
-        self._outgoing: defaultdict[int, list[Relationship]] = defaultdict(list)
-        self._incoming: defaultdict[int, list[Relationship]] = defaultdict(list)
+        self._outgoing: list[tuple[Relationship, ...]] = []  # by node id; see _freeze
+        self._incoming: list[tuple[Relationship, ...]] = []
+        self._label_sets: dict[tuple, frozenset[str]] = {}  # see _store_node
         self._schema_memo: str | None = None  # see schema_description
         self._property_index: dict[tuple[str, str], dict] = {}  # see nodes_with_property
 
-    def _store_node(self, labels: frozenset[str], properties: PropertyMap) -> None:
-        node = Node(len(self._nodes), labels, dict(properties))
-        self._nodes[node.id] = node
-        for label in labels:
+    def _store_node(self, labels: Collection[str], properties: PropertyMap) -> None:
+        """Append a node; nodes with one label sequence share one frozenset."""
+        key = tuple(labels)
+        label_set = self._label_sets.get(key)
+        if label_set is None:
+            label_set = self._label_sets[key] = frozenset(labels)
+        node = Node(len(self._nodes), label_set, properties)
+        self._nodes.append(node)
+        for label in label_set:
             self._nodes_by_label[label].append(node)
 
     def _store_relationship(self, src: int, rel_type: str, dst: int, properties: PropertyMap) -> None:
-        """Append a relationship; ``src`` and ``dst`` must be stored node ids."""
-        rel = Relationship(len(self._rels), src, dst, rel_type, dict(properties))
-        self._rels[rel.id] = rel
-        self._outgoing[src].append(rel)
-        self._incoming[dst].append(rel)
+        """Append a relationship; ``_freeze`` checks its endpoints."""
+        self._rels.append(Relationship(len(self._rels), src, dst, rel_type, properties))
+
+    def _freeze(self) -> None:
+        """End the build: check that every relationship's endpoints are
+        stored node ids, in id order, then give each node its outgoing and
+        incoming relationships as tuples in id order."""
+        node_count = len(self._nodes)
+        for rel in self._rels:
+            for endpoint in (rel.src, rel.dst):
+                if type(endpoint) is not int or not 0 <= endpoint < node_count:
+                    raise ValidationError(
+                        f"relationship endpoint index {endpoint!r} is not an integer in 0..{node_count - 1}"
+                    )
+        self._outgoing = _adjacency(self._rels, "src", node_count)
+        self._incoming = _adjacency(self._rels, "dst", node_count)
 
     def node(self, node_id: int) -> Node:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ValidationError(f"no node with id {node_id}") from None
+        if type(node_id) is int and node_id >= 0:  # a bool or -1 would index the list
+            try:
+                return self._nodes[node_id]
+            except IndexError:
+                pass
+        raise ValidationError(f"no node with id {node_id}")
 
     def nodes(self) -> list[Node]:
-        return list(self._nodes.values())
+        return list(self._nodes)
 
     def relationships(self) -> list[Relationship]:
-        return list(self._rels.values())
+        return list(self._rels)
 
     def nodes_with_label(self, label: str) -> list[Node]:
         return list(self._nodes_by_label.get(label, ()))
@@ -201,21 +233,21 @@ class PropertyGraph:
         return buckets.get((isinstance(value, bool), value), ())
 
     def outgoing(self, node_id: int) -> Sequence[Relationship]:
-        """Relationships whose source is ``node_id``, in id order. Read-only."""
-        return self._outgoing.get(node_id, ())
+        """Relationships whose source is ``node_id``, in id order; none if no node has that id."""
+        return self._outgoing[node_id] if type(node_id) is int and 0 <= node_id < len(self._outgoing) else ()
 
     def incoming(self, node_id: int) -> Sequence[Relationship]:
-        """Relationships whose target is ``node_id``, in id order. Read-only."""
-        return self._incoming.get(node_id, ())
+        """Relationships whose target is ``node_id``, in id order; none if no node has that id."""
+        return self._incoming[node_id] if type(node_id) is int and 0 <= node_id < len(self._incoming) else ()
 
     def stats(self) -> GraphStats:
         keys: set[str] = set()
         label_counts: dict[str, int] = {}
-        for node in self._nodes.values():
+        for node in self._nodes:
             keys.update(node.properties)
             for label in node.labels:
                 label_counts[label] = label_counts.get(label, 0) + 1
-        for rel in self._rels.values():
+        for rel in self._rels:
             keys.update(rel.properties)
         return GraphStats(
             node_count=len(self._nodes),
@@ -223,6 +255,19 @@ class PropertyGraph:
             property_key_count=len(keys),
             label_counts=dict(sorted(label_counts.items())),
         )
+
+
+def _adjacency(rels: list[Relationship], endpoint: str, node_count: int) -> list[tuple[Relationship, ...]]:
+    """Per node id, the relationships whose ``endpoint`` it is, in id order.
+
+    A stable sort by endpoint keeps id order within a node; each node's run
+    becomes one tuple, and a node with none shares the empty tuple.
+    """
+    by_node: list[tuple[Relationship, ...]] = [()] * node_count
+    key = attrgetter(endpoint)
+    for node_id, run in groupby(sorted(rels, key=key), key):
+        by_node[node_id] = tuple(run)
+    return by_node
 
 
 def schema_description(graph: PropertyGraph) -> str:

@@ -9,7 +9,14 @@ import pytest
 
 import graphqa
 from graphqa.errors import DatasetFormatError, ValidationError
-from graphqa.graph import GeneratorConfig, dataset_to_graph, generate_msa_fixture, load_dataset, serialize_dataset
+from graphqa.graph import (
+    GeneratorConfig,
+    dataset_to_graph,
+    generate_msa_fixture,
+    load_dataset,
+    load_dataset_file,
+    serialize_dataset,
+)
 from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, parse_dataset
 
 HEADER = '{"kind": "header", "schema_version": "1"}'
@@ -28,13 +35,11 @@ def test_round_trip_is_lossless(dataset_text):
     ]
 
 
+KINDS_DOC = HEADER + "\n" + '{"kind": "node", "labels": ["A"], "properties": {"i": 4, "f": 4.0, "s": "4", "b": true}}'
+
+
 def test_value_kinds_survive_round_trip():
-    text = "\n".join(
-        [
-            HEADER,
-            '{"kind": "node", "labels": ["A"], "properties": {"i": 4, "f": 4.0, "s": "4", "b": true}}',
-        ]
-    )
+    text = KINDS_DOC
     graph = load_dataset(text)
     props = graph.node(0).properties
     assert props["i"] == 4 and isinstance(props["i"], int) and not isinstance(props["i"], bool)
@@ -44,19 +49,33 @@ def test_value_kinds_survive_round_trip():
     assert serialize_dataset(parse_dataset(text)).splitlines()[1].count("4.0") == 1
 
 
+EMPTY_DOC = HEADER + "\n"
+NO_HEADER_DOC = '{"kind": "node", "labels": ["A"], "properties": {}}'
+BAD_JSON_DOC = HEADER + "\n" + '{"kind": "node", "labels": ["A"], "properties": {}}' + "\n" + "{oops"
+UNKNOWN_KIND_DOC = HEADER + "\n" + '{"kind": "edge"}'
+BAD_ENDPOINT_DOC = "\n".join(
+    [
+        HEADER,
+        '{"kind": "node", "labels": ["A"], "properties": {}}',
+        '{"kind": "rel", "src": 0, "rel_type": "R", "dst": 1, "properties": {}}',
+    ]
+)
+NAN_DOC = HEADER + "\n" + '{"kind": "node", "labels": ["A"], "properties": {"x": NaN}}'
+
+
 def test_empty_dataset():
-    graph = load_dataset(HEADER + "\n")
+    graph = load_dataset(EMPTY_DOC)
     stats = graph.stats()
     assert (stats.node_count, stats.relationship_count) == (0, 0)
 
 
 def test_missing_header_rejected():
     with pytest.raises(DatasetFormatError):
-        parse_dataset('{"kind": "node", "labels": ["A"], "properties": {}}')
+        parse_dataset(NO_HEADER_DOC)
 
 
 def test_parse_error_reports_line_number():
-    text = HEADER + "\n" + '{"kind": "node", "labels": ["A"], "properties": {}}' + "\n" + "{oops"
+    text = BAD_JSON_DOC
     with pytest.raises(DatasetFormatError) as excinfo:
         parse_dataset(text)
     assert excinfo.value.line == 3
@@ -65,18 +84,11 @@ def test_parse_error_reports_line_number():
 
 def test_unknown_kind_rejected():
     with pytest.raises(DatasetFormatError):
-        parse_dataset(HEADER + "\n" + '{"kind": "edge"}')
+        parse_dataset(UNKNOWN_KIND_DOC)
 
 
 def test_out_of_range_relationship_index():
-    text = "\n".join(
-        [
-            HEADER,
-            '{"kind": "node", "labels": ["A"], "properties": {}}',
-            '{"kind": "rel", "src": 0, "rel_type": "R", "dst": 1, "properties": {}}',
-        ]
-    )
-    dataset = parse_dataset(text)
+    dataset = parse_dataset(BAD_ENDPOINT_DOC)
     with pytest.raises(ValidationError):
         dataset_to_graph(dataset)
 
@@ -89,25 +101,26 @@ def test_src_index_equal_to_node_count_rejected():
 
 
 def test_non_finite_property_rejected_with_position():
-    text = HEADER + "\n" + '{"kind": "node", "labels": ["A"], "properties": {"x": NaN}}'
     with pytest.raises(DatasetFormatError) as excinfo:
-        parse_dataset(text)
+        parse_dataset(NAN_DOC)
     assert excinfo.value.line == 2
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        '{"kind": "node", "labels": ["A"], "properties": {"x": 9223372036854775808}}',
-        '{"kind": "node", "labels": ["A"], "properties": {"": 1}}',
-        '{"kind": "rel", "src": 0, "rel_type": "R", "dst": 0, "properties": {"w": -9223372036854775809}}',
-    ],
-    ids=["int-out-of-range", "empty-key", "rel-int-out-of-range"],
-)
+STORE_REJECTS = {
+    "int-out-of-range": '{"kind": "node", "labels": ["A"], "properties": {"x": 9223372036854775808}}',
+    "empty-key": '{"kind": "node", "labels": ["A"], "properties": {"": 1}}',
+    "rel-int-out-of-range": '{"kind": "rel", "src": 0, "rel_type": "R", "dst": 0, "properties": {"w": -9223372036854775809}}',
+}
+
+
+def _store_rejects_doc(line: str) -> str:
+    return "\n".join([HEADER, '{"kind": "node", "labels": ["A"], "properties": {}}', line])
+
+
+@pytest.mark.parametrize("line", STORE_REJECTS.values(), ids=STORE_REJECTS)
 def test_property_the_store_rejects_fails_the_parse_with_its_line(line):
-    node = '{"kind": "node", "labels": ["A"], "properties": {}}'
     with pytest.raises(DatasetFormatError) as excinfo:
-        parse_dataset("\n".join([HEADER, node, line]))
+        parse_dataset(_store_rejects_doc(line))
     assert excinfo.value.line == 3
 
 
@@ -132,51 +145,37 @@ def _reference_outcome(line: str):
     return _outcome(HEADER + "\n" + json.dumps(value))
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        NODE,
-        NODE + " ",
-        " " + NODE,
-        "\t" + NODE + "\t",
-        "\ufeff" + NODE,
-        NODE + " " + NODE,
-        NODE + "," + NODE,
-        NODE[:-7],
-        NODE.replace("1", "NaN"),
-        NODE.replace("1", "Infinity"),
-        NODE.replace("1", "-Infinity"),
-        "[]",
-        '"x"',
-        "1",
-        "nul",
-    ],
-    ids=[
-        "valid",
-        "trailing-space",
-        "leading-space",
-        "tabs",
-        "bom",
-        "two-values",
-        "comma-joined",
-        "truncated",
-        "nan",
-        "infinity",
-        "minus-infinity",
-        "array",
-        "string",
-        "number",
-        "bad-literal",
-    ],
-)
+DECODED_LINES = {
+    "valid": NODE,
+    "trailing-space": NODE + " ",
+    "leading-space": " " + NODE,
+    "tabs": "\t" + NODE + "\t",
+    "bom": "\ufeff" + NODE,
+    "two-values": NODE + " " + NODE,
+    "comma-joined": NODE + "," + NODE,
+    "truncated": NODE[:-7],
+    "nan": NODE.replace("1", "NaN"),
+    "infinity": NODE.replace("1", "Infinity"),
+    "minus-infinity": NODE.replace("1", "-Infinity"),
+    "array": "[]",
+    "string": '"x"',
+    "number": "1",
+    "bad-literal": "nul",
+}
+
+
+@pytest.mark.parametrize("line", DECODED_LINES.values(), ids=DECODED_LINES)
 def test_line_decoding_matches_json_loads(line):
     assert _outcome(HEADER + "\n" + line) == _reference_outcome(line)
+
+
+JOINED_DOC = "\n".join([HEADER, '{"x":1},{"y":2}', '{"c":[{}', "{}]}"])
 
 
 def test_lines_are_decoded_one_at_a_time():
     # Joined with commas inside brackets these three lines decode to three
     # objects; each line alone is not one JSON value.
-    text = "\n".join([HEADER, '{"x":1},{"y":2}', '{"c":[{}', "{}]}"])
+    text = JOINED_DOC
     assert json.loads("[" + ",".join(text.splitlines()[1:]) + "]") == [{"x": 1}, {"y": 2}, {"c": [{}, {}]}]
     with pytest.raises(DatasetFormatError) as excinfo:
         parse_dataset(text)
@@ -375,3 +374,137 @@ def test_a_line_parses_the_same_after_one_with_its_keys_or_labels(seen, line):
     assert _last_entry_outcome("\n".join([HEADER, seen, line])) == alone
     if alone[0] != "error":  # the map keeps its line's key order and values
         assert alone[-1] == repr(list(json.loads(line)["properties"].items()))
+
+
+def test_value_kinds_survive_sharing():
+    values = ['"1"', "1", "1.0", "true", '"true"', "0", "false"]
+    lines = [HEADER] + [_node('["A"]', f'{{"k": {value}}}') for value in values * 2]
+    lines.append(_node('["B"]', '{"other": "1", "k": "true"}'))
+    text = "\n".join(lines)
+    expected = [("1", str), (1, int), (1.0, float), (True, bool), ("true", str), (0, int), (False, bool)] * 2
+    for maps in (
+        [node.properties for node in load_dataset(text).nodes()],
+        [entry.properties for entry in parse_dataset(text).nodes],
+    ):
+        assert [(props["k"], type(props["k"])) for props in maps[:-1]] == expected
+        last = maps[-1]
+        assert maps[0]["k"] is maps[7]["k"] is last["other"]  # "1" under two keys
+        assert maps[4]["k"] is maps[11]["k"] is last["k"]  # "true"
+
+
+def _graph_outcome(load):
+    """A graph as ids, labels, maps (with value kinds) and adjacency, or the
+    class, message and line of the error it raised."""
+    try:
+        graph = load()
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    nodes = [(n.id, n.labels, repr(list(n.properties.items()))) for n in graph.nodes()]
+    rels = [(r.id, r.src, r.rel_type, r.dst, repr(list(r.properties.items()))) for r in graph.relationships()]
+    adjacency = [([r.id for r in graph.outgoing(n.id)], [r.id for r in graph.incoming(n.id)]) for n in graph.nodes()]
+    return ("graph", nodes, rels, adjacency)
+
+
+SEPARATORS = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+REL_LINE = '{"kind": "rel", "src": 0, "rel_type": "R", "dst": 1, "properties": {"w": 1}}'
+
+
+def _documents() -> dict[str, str]:
+    """Every document this module parses or loads, and the cases a
+    streaming load must agree on."""
+    docs = {
+        "fixture": serialize_dataset(generate_msa_fixture()),
+        "kinds": KINDS_DOC,
+        "empty": EMPTY_DOC,
+        "no-header": NO_HEADER_DOC,
+        "bad-json": BAD_JSON_DOC,
+        "unknown-kind": UNKNOWN_KIND_DOC,
+        "bad-endpoint": BAD_ENDPOINT_DOC,
+        "nan": NAN_DOC,
+        "joined": JOINED_DOC,
+        "oops": HEADER + "\n{oops",
+        "one-node": HEADER + "\n" + NODE,
+        "towers-40": serialize_dataset(generate_msa_fixture(GeneratorConfig(tower_count=40, attached_sensors=200, seed=5))),
+        "rel-before-its-nodes": "\n".join([HEADER, REL_LINE, NODE, NODE]),
+        "bad-endpoint-then-bad-json": "\n".join([HEADER, NODE, REL_LINE.replace('"dst": 1', '"dst": 5'), NODE, "{oops"]),
+        "bad-endpoint-then-no-header": "\n".join([NODE, REL_LINE]),
+        "no-trailing-newline": "\n".join([HEADER, NODE, NODE, REL_LINE]),
+        "blank-lines": "\n".join(["", HEADER, " ", NODE, "\t", NODE, REL_LINE, "", ""]),
+    }
+    for name, line in STORE_REJECTS.items():
+        docs["store-rejects-" + name] = _store_rejects_doc(line)
+    for name, line in DECODED_LINES.items():
+        docs["decoded-" + name] = HEADER + "\n" + line
+    for name, (seen, line) in SEEN_BEFORE.items():
+        docs["seen-" + name] = "\n".join([HEADER, seen, line])
+        docs["unseen-" + name] = "\n".join([HEADER, UNRELATED, line])
+    for separator in SEPARATORS:
+        code = f"U+{ord(separator[-1]):04X}" + ("-crlf" if separator == "\r\n" else "")
+        docs["between-lines-" + code] = separator.join([HEADER, NODE, NODE, REL_LINE]) + separator
+        docs["in-a-string-" + code] = "\n".join([HEADER, _node('["A"]', f'{{"s": "a{separator}b"}}')])
+        docs["in-a-label-" + code] = "\n".join([HEADER, _node(f'["A{separator}"]', "{}")])
+    return docs
+
+
+DOCUMENTS = _documents()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+def test_a_streaming_load_builds_what_parse_and_build_build(chunk, monkeypatch, tmp_path):
+    monkeypatch.setattr("graphqa.graph.dataset._CHUNK", chunk)  # pieces cut anywhere, even inside "\r\n"
+    path = tmp_path / "dataset.jsonl"
+    loaded = 0
+    for name, text in DOCUMENTS.items():
+        expected = _graph_outcome(lambda: dataset_to_graph(parse_dataset(text)))
+        assert _graph_outcome(lambda: load_dataset(text)) == expected, name
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:  # text mode, as load_dataset_file reads
+            read = fh.read()
+        assert _graph_outcome(lambda: load_dataset_file(str(path))) == _graph_outcome(
+            lambda: dataset_to_graph(parse_dataset(read))
+        ), name
+        loaded += expected[0] == "graph"
+    assert 0 < loaded < len(DOCUMENTS)
+    assert _graph_outcome(lambda: load_dataset(DOCUMENTS["rel-before-its-nodes"]))[0] == "graph"
+    assert _graph_outcome(lambda: load_dataset(DOCUMENTS["bad-endpoint-then-bad-json"]))[1:] == (
+        DatasetFormatError,
+        "line 5: invalid JSON: Expecting property name enclosed in double quotes",
+        5,
+    )
+
+
+def test_a_file_loads_at_a_peak_near_the_size_of_its_graph(tmp_path):
+    config = GeneratorConfig(tower_count=40, attached_sensors=2000, seed=5)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(serialize_dataset(generate_msa_fixture(config)), encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = load_dataset_file(str(path))
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.nodes()) == 2041
+    # Reading the whole file, splitting it into lines, parsing every entry and
+    # then copying each map into the graph peaked at 1.75 times the graph.
+    assert peak < 1.3 * size
+    assert peak < 2.5e6
+
+
+TWO_FAULTS = {
+    "empty-label-and-map-not-object": (_node('["A", ""]', "[]"), "node 'properties' must be an object"),
+    "empty-label-and-nan": (_node('["A", ""]', '{"x": NaN}'), "label must be a non-empty string, got ''"),
+    "nan-and-empty-key": (_node('["A"]', '{"x": NaN, "": 1}'), "float property x=nan must be finite"),
+    "rel-string-then-nan": (_rel('"R"', '{"w": "a", "v": NaN}'), "float property v=nan must be finite"),
+    "rel-empty-type-and-map-not-object": (_rel('""', "[]"), "relationship 'rel_type' must be a non-empty string"),
+    "unhashable-labels-and-map-not-object": (_node('[["A"]]', "[]"), "node 'labels' must be a non-empty list of strings"),
+}
+
+
+@pytest.mark.parametrize("line, message", TWO_FAULTS.values(), ids=TWO_FAULTS)
+def test_a_line_with_two_faults_reports_the_check_an_entry_runs_first(line, message):
+    # Labels, then the map's type, then the label strings, then the values.
+    for before in ([], [_node('["A"]', '{"x": 1}')]):
+        with pytest.raises(DatasetFormatError) as excinfo:
+            parse_dataset("\n".join([HEADER, *before, line]))
+        assert str(excinfo.value) == f"line {2 + len(before)}: {message}"

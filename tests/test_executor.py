@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+import graphqa
 from generators import _random_predicate, build_graph, random_graph, random_patterns, random_query_ast
 from oracle import cell_key, oracle_ordered_rows, oracle_rows
 from graphqa.cypher import execute, parse_query, serialize_records
@@ -734,6 +738,43 @@ def test_a_where_that_fails_on_one_product_binding_fails_the_query():
     last = parse_query("MATCH (a:A), (b:A), (c:A) WHERE a.p + b.p + c.p < 12 OR 1 / 0 = 1 RETURN count(*)")
     with pytest.raises(RuntimeQueryError, match="division by zero"):
         execute(g, last)
+
+
+def test_a_start_no_node_fits_ends_the_match_at_once():
+    # Run apart, so a product that did run on (135^4 bindings) is cut by the
+    # timeout rather than holding up the suite.
+    code = """
+import time
+from graphqa import data_path
+from graphqa.cypher import execute, parse_query
+from graphqa.graph import load_dataset_file
+graph = load_dataset_file(data_path("msa_dataset.jsonl"))
+for text in [
+    "MATCH (a),(b),(c),(e),(d:Nope) RETURN count(*)",
+    "MATCH (a),(b),(c),(e),(d:Tower {Tower: 999}) RETURN count(*)",
+    "MATCH (a),(b),(c),(e),(d {Tower: 999}) RETURN count(*)",
+    "MATCH (a),(b),(c),(e) MATCH (d:Nope) RETURN a.Name",
+]:
+    query = parse_query(text)
+    start = time.perf_counter()
+    rows = execute(graph, query).rows
+    print(rows, time.perf_counter() - start < 0.1)
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(graphqa.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[(0,)] True"] * 3 + ["[] True"]
+
+
+def test_an_empty_start_still_returns_what_an_empty_match_returns():
+    g = small_graph()
+    for text, expected in [
+        ("MATCH (a), (n:Nope) RETURN count(*), count(a)", [(0, 0)]),
+        ("MATCH (a), (n:A {p: 9}) RETURN a.name", []),
+        ("MATCH (a)-[r]->(b), (n {p: 'x'}) RETURN b ORDER BY b.name LIMIT 2", []),
+        ("MATCH (a:A), (b:A {p: 2}) RETURN a.name, b.name", [("a", "b"), ("b", "b")]),
+    ]:
+        assert rows(g, text)[1] == expected, text
 
 
 @pytest.mark.parametrize(

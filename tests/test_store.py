@@ -226,3 +226,21 @@ def test_dataset_round_trip_through_the_store_is_unchanged(dataset_text):
         for side in ("outgoing", "incoming"):
             ids = [r.id for r in getattr(rebuilt, side)(node.id)]
             assert ids == [r.id for r in getattr(graph, side)(node.id)]
+
+
+@pytest.mark.parametrize("node_id", [True, 1.0, -1, "n"], ids=["true", "float", "minus-one", "node-count"])
+def test_only_an_int_in_range_names_a_node(fixture_graph, node_id):
+    count = len(fixture_graph.nodes())
+    node_id = count if node_id == "n" else node_id
+    assert len(fixture_graph.outgoing(1)) == 10  # node 1 is a tower, whose id True and 1.0 equal
+    with pytest.raises(ValidationError, match=f"^no node with id {node_id}$"):
+        fixture_graph.node(node_id)
+    assert fixture_graph.outgoing(node_id) == () and fixture_graph.incoming(node_id) == ()
+    assert fixture_graph.node(count - 1).id == count - 1
+
+
+def test_adjacency_is_frozen_once_the_build_ends():
+    graph = _interleaved_graph(2)
+    for node in graph.nodes():
+        for side in (graph.outgoing, graph.incoming):
+            assert type(side(node.id)) is tuple and side(node.id) is side(node.id)

@@ -23,7 +23,10 @@ and quartiles, the pairs the change won, the share by which the change's
 median is worse (a negative share is a gain) and the parent's interquartile
 range as a share of its median. A metric whose parent spread is wider than
 its bound is ``unresolved``; otherwise it is ``within bound`` or ``worse than
-bound``. The file is rewritten after every run, so an interrupted session
+bound``. ``gain_shown`` says whether the runs show a gain: the change won
+at least 9 of every 10 pairs (a tie counts for neither side), and its
+median is better than the parent's by more than the parent's interquartile
+range. The file is rewritten after every run, so an interrupted session
 keeps what ran.
 """
 
@@ -103,6 +106,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         low, high = quartiles(values["parent"])
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         worse_by = ((change - parent) if lower else (parent - change)) / parent if parent else 0.0
+        better_by = (parent - change) if lower else (change - parent)
         iqr_share = (high - low) / parent if parent else 0.0
         if iqr_share > bound:
             verdict = "unresolved (parent spread wider than bound)"
@@ -118,6 +122,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "bound": bound,
             "parent_iqr_share": round(iqr_share, 4),
             "verdict": verdict,
+            "gain_shown": 10 * wins >= 9 * len(pairs) and better_by > high - low,
         }
     return summary
 
