@@ -22,33 +22,44 @@ test suite):
 
 How it runs: ``execute`` compiles every expression once into a closure, so
 no row re-dispatches on the AST. Matching is a pipeline of generators, one
-stage per pattern part, that expands each node through the store's
-adjacency lists. The stages write their variables into one scope dict they
-share, and WHERE runs on it as soon as the last stage has filled it. Every
-query is one pull over that scope: a group keeps its first values and
-counters; a RETURN whose every item is count(*) or count() of a pattern
-variable (never null, as there is no OPTIONAL MATCH) counts the bindings
-WHERE keeps and builds no group key; and ORDER BY and LIMIT key each row
-before they pull the next and keep only the rows LIMIT can return (under
-mixed sort directions, at most twice that many). A labelled start node
-whose first inline entry is a number, string or boolean takes its
-candidates from the store's equality index instead of the label's nodes,
-and still tests each one in full. Each path start that no earlier part
-binds finds its pool before the first pull, and if any pool is empty the
-stream is empty, so a product with an empty part ends at once. Bindings
-come out in the order of a scan of nodes and relationships by ascending id,
-so the row order without ORDER BY does not depend on how the store is
-indexed. ORDER BY breaks ties by row position and reads the binding laid
-over the projected row. If no RETURN item can fail (each is a literal, a
-property access or a pattern variable) and ORDER BY reads pattern variables
-only, a row carries a copy of its binding, and only the rows LIMIT keeps
-are projected. ``point()`` builds every point from its map;
-``point.distance`` prepares each point it gets (degrees, radians and the
-latitude's cosine), once per node if its argument reads one variable that
-holds a node, so a closest-pair query over n nodes prepares n points, not
-two per pair; the memo lives only as long as one ``execute`` call. Errors
-are raised only when a binding reaches the part of the query that fails,
-in binding order, so a query that matches nothing succeeds.
+stage per pattern part, that expands each node through the store's adjacency
+lists. The stages write their variables into one scope dict they share, and
+WHERE runs on it as soon as the last stage has filled it. Every query is one
+pull over that scope: a group keeps its first values and counters; a RETURN
+whose every item is count(*) or count() of a pattern variable (never null,
+as there is no OPTIONAL MATCH) counts the bindings WHERE keeps and builds no
+group key; and ORDER BY and LIMIT key each row before they pull the next and
+keep only the rows LIMIT can return (under mixed sort directions, at most
+twice that many). A labelled start node whose first inline entry is a
+number, string or boolean takes its candidates from the store's equality
+index instead of the label's nodes, and still tests each one in full; one
+with one label and no map takes that label's nodes untested. Each path start
+that no earlier part binds finds its pool before the first pull, and if any
+pool is empty the stream is empty, so a product with an empty part ends at
+once. An edge stage tests the relationship type and the label subset inline,
+calls a property test only for an inline map, and reaches the far node by
+indexing the store's id-ordered node list. Bindings come out in the order of
+a scan of nodes and relationships by ascending id, so the row order without
+ORDER BY does not depend on how the store is indexed. ORDER BY breaks ties
+by row position and reads the binding laid over the projected row. If no
+RETURN item can fail (each is a literal, a property access or a pattern
+variable) and ORDER BY reads pattern variables only, a row carries a copy of
+its binding, and only the rows LIMIT keeps are projected. ``point()`` builds
+every point from its map; ``point.distance`` prepares each point it gets
+(degrees, radians and the latitude's cosine), once per node if its argument
+reads one variable that holds a node, so a closest-pair query over n nodes
+prepares n points, not two per pair; the memo lives only as long as one
+``execute`` call. Errors are raised only when a binding reaches the part of
+the query that fails, in binding order, so a query that matches nothing
+succeeds.
+
+Each query has a budget, held by one ``_Work`` per ``execute`` call. Every
+stage counts the candidates it examines, in bulk per item it pulls: a scan
+adds its pool's size, an expansion the node's adjacency length. Past
+``_WORK_LIMIT`` candidates (about 4.2M), or past ``_SECONDS_LIMIT`` (5 s),
+checked each time the count crosses a multiple of 4,096, the query fails
+with ``BudgetError``. The 3-way product of the shipped graph's 135 nodes
+examines about 2.48M candidates in under half a second, and still answers.
 
 All functions here only read the graph, and a built graph does not change,
 so independent queries may safely execute concurrently.
@@ -57,11 +68,12 @@ so independent queries may safely execute concurrently.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+import time
+from itertools import compress, islice, repeat
 from operator import add, attrgetter, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator
 
-from ..errors import RuntimeQueryError, SemanticError, ValidationError
+from ..errors import BudgetError, RuntimeQueryError, SemanticError, ValidationError
 from ..graph.store import _INT64_MAX, _INT64_MIN, Node, PropertyGraph, Relationship
 from .ast import (
     Binary,
@@ -418,6 +430,42 @@ def _compile_location(arg: Expr) -> Compiled:
 # variable reads it as soon as the stage before it yields.
 Stage = Callable[[Iterable], Iterator]
 
+# The budget of one ``execute`` call (see the module docstring).
+_WORK_LIMIT = 2**22
+_SECONDS_LIMIT = 5.0
+_CHECK_EVERY = 4096
+
+
+class _Work:
+    """The candidates each stage of one query has examined, held to the budget.
+
+    A stage adds in bulk, once per item it pulls: its pool's size for a scan,
+    the adjacency's length for an expansion, 1 for a node bound earlier.
+    """
+
+    __slots__ = ("counts", "total", "check_at", "deadline")
+
+    def __init__(self) -> None:
+        self.counts: list[int] = []  # by stage, in pipeline order
+        self.total = 0
+        self.check_at = min(_CHECK_EVERY, _WORK_LIMIT + 1)
+        self.deadline = time.monotonic() + _SECONDS_LIMIT
+
+    def stage(self) -> int:
+        self.counts.append(0)
+        return len(self.counts) - 1
+
+    def add(self, stage: int, count: int) -> None:
+        self.counts[stage] += count
+        total = self.total = self.total + count
+        if total < self.check_at:
+            return
+        if total > _WORK_LIMIT:
+            raise BudgetError(f"matching examined more than {_WORK_LIMIT:,} candidates")
+        if time.monotonic() > self.deadline:
+            raise BudgetError(f"matching ran past {_SECONDS_LIMIT:g} s")
+        self.check_at = min(total - total % _CHECK_EVERY + _CHECK_EVERY, _WORK_LIMIT + 1)
+
 
 def _property_test(properties) -> Callable[[dict], bool] | None:
     """An inline property map as a test of a property dict; None if empty.
@@ -450,15 +498,6 @@ def _node_test(pattern: NodePattern) -> Callable[[Node], bool] | None:
     return lambda node: labels <= node.labels and props(node.properties)
 
 
-def _edge_test(pattern: EdgePattern) -> Callable[[Relationship], bool] | None:
-    rel_type, props = pattern.rel_type, _property_test(pattern.properties)
-    if props is None:
-        return None if rel_type is None else (lambda rel: rel.rel_type == rel_type)
-    if rel_type is None:
-        return lambda rel: props(rel.properties)
-    return lambda rel: rel.rel_type == rel_type and props(rel.properties)
-
-
 _by_id = attrgetter("id")
 
 
@@ -473,15 +512,17 @@ def _either_way(graph: PropertyGraph, node_id: int):
 
 
 def _start_stage(
-    graph: PropertyGraph, pattern: NodePattern, bound: set[str], scope: Binding
+    graph: PropertyGraph, pattern: NodePattern, bound: set[str], scope: Binding, work: _Work
 ) -> tuple[Stage, list[Node] | None]:
     """The stage of a path's first node, and the nodes it can bind: None
     when the node is bound earlier, else its pool, found now."""
-    test, variable = _node_test(pattern), pattern.variable
+    test, variable, labels = _node_test(pattern), pattern.variable, pattern.labels
+    stage, add = work.stage(), work.add
     if variable and variable in bound:
 
         def from_binding(stream):
             for _ in stream:
+                add(stage, 1)
                 node = scope[variable]
                 if isinstance(node, Node) and (test is None or test(node)):
                     yield node
@@ -489,19 +530,23 @@ def _start_stage(
         return from_binding, None
     if variable:
         bound.add(variable)
-    if not pattern.labels:
+    if not labels:
         nodes = graph.nodes()
     elif pattern.properties and _kind(pattern.properties[0][1].value) <= BOOL:
         # The index bucket holds every node of the label that the first
         # entry admits, in id order; the test below checks the rest.
-        (key, literal), label = pattern.properties[0], pattern.labels[0]
+        (key, literal), label = pattern.properties[0], labels[0]
         nodes = graph.nodes_with_property(label, key, literal.value)
     else:
-        nodes = graph.nodes_with_label(pattern.labels[0])
+        nodes = graph.nodes_with_label(labels[0])
+        if not pattern.properties and len(set(labels)) == 1:
+            test = None  # every node of the label fits
     pool = nodes if test is None else [node for node in nodes if test(node)]
+    size = len(pool)
 
     def scan(stream):
         for _ in stream:
+            add(stage, size)
             if variable:
                 for node in pool:
                     scope[variable] = node
@@ -519,12 +564,15 @@ def _edge_stage(
     bound: set[str],
     used: set[int] | None,
     scope: Binding,
+    work: _Work,
 ) -> Stage:
-    edge_test, node_test = _edge_test(edge), _node_test(pattern)
+    rel_type, rel_test = edge.rel_type, _property_test(edge.properties)
+    labels, node_test = frozenset(pattern.labels), _property_test(pattern.properties)
     variable, edge_variable, direction = pattern.variable, edge.variable, edge.direction
     joins = bool(variable) and variable in bound
     bound.update(name for name in (variable, edge_variable) if name)
-    node = graph.node
+    nodes = graph._nodes  # by id; _freeze has checked every endpoint
+    stage, add = work.stage(), work.add
     if direction == "right":
         adjacent = graph.outgoing
     elif direction == "left":
@@ -540,13 +588,19 @@ def _edge_stage(
                 if not isinstance(existing, Node):
                     continue
                 target = existing.id
-            for rel in adjacent(here):
+            rels = adjacent(here)
+            add(stage, len(rels))
+            for rel in rels:
+                if rel_type is not None and rel.rel_type != rel_type:
+                    continue
                 if used is not None and rel.id in used:
                     continue
-                if edge_test is not None and not edge_test(rel):
+                if rel_test is not None and not rel_test(rel.properties):
                     continue
-                other = node(rel.dst if rel.src == here else rel.src)
-                if node_test is not None and not node_test(other):
+                other = nodes[rel.dst if rel.src == here else rel.src]
+                if labels and not labels <= other.labels:
+                    continue
+                if node_test is not None and not node_test(other.properties):
                     continue
                 if joins:
                     if other.id != target:
@@ -565,34 +619,36 @@ def _edge_stage(
     return expand
 
 
-def _matches(graph: PropertyGraph, query: Query) -> Iterator[Binding]:
+def _matches(graph: PropertyGraph, query: Query, work: _Work) -> Iterator[Binding]:
     """The stages' shared scope, yielded once per binding that WHERE keeps.
 
     It is never copied, and the next binding overwrites it: a consumer reads
     what it needs before it pulls again, and never keeps the scope.
     """
     scope: Binding = {}
-    stream: Iterable = (None,)
+    stream: Iterable = (True,)  # true, as is each node a stage yields, for compress
     bound: set[str] = set()
     empty = False
     for clause in query.matches:
         # Uniqueness needs tracking only where one clause has two edges.
         used = set() if sum(len(path.edges) for path in clause.paths) > 1 else None
         for path in clause.paths:
-            stage, pool = _start_stage(graph, path.nodes[0], bound, scope)
+            stage, pool = _start_stage(graph, path.nodes[0], bound, scope, work)
             empty = empty or pool is not None and not pool
             stream = stage(stream)
             for edge, pattern in zip(path.edges, path.nodes[1:]):
-                stream = _edge_stage(graph, edge, pattern, bound, used, scope)(stream)
+                stream = _edge_stage(graph, edge, pattern, bound, used, scope, work)(stream)
     if empty:  # a path start that no node fits: no binding, whatever comes before it
         stream = ()
-    where = None if query.where is None else _compile(query.where)
-    return (scope for _ in stream if where is None or where(scope) is True)
+    if query.where is None:
+        return compress(repeat(scope), stream)
+    where = _compile(query.where)
+    return (scope for _ in stream if where(scope) is True)
 
 
 def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
     """All variable bindings satisfying the MATCH clauses and WHERE predicate."""
-    return [scope.copy() for scope in _matches(graph, query)]
+    return [scope.copy() for scope in _matches(graph, query, _Work())]
 
 
 # --- projection -----------------------------------------------------------------
@@ -601,6 +657,13 @@ def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
 def _row_function(items) -> Callable[[dict], tuple]:
     compiled = [_compile(item.expr) for item in items]
     return lambda scope: tuple([fn(scope) for fn in compiled])
+
+
+def _project(items, scopes: Iterable[Binding]) -> list[tuple]:
+    """The row of each scope, projected before the next scope is pulled."""
+    if len(items) == 1:  # zip over one iterator builds the 1-tuples
+        return list(zip(map(_compile(items[0].expr), scopes)))
+    return list(map(_row_function(items), scopes))
 
 
 def _group(query: Query, scopes: Iterable[Binding]) -> list[tuple]:
@@ -715,13 +778,12 @@ def _order_rows(query: Query, values: list[Callable], pairs: Iterable[tuple]) ->
 def execute(graph: PropertyGraph, query: Query) -> ResultSet:
     """Execute a parsed query and return its result set."""
     columns = [item.column_name() for item in query.items]
-    matches = _matches(graph, query)
+    matches = _matches(graph, query, _Work())
     if query.distinct or any(contains_aggregate(item.expr) for item in query.items):
         values = [_column_value(entry, columns) for entry in query.order_by]
         return ResultSet(columns=columns, rows=_order_rows(query, values, ((r, r) for r in _group(query, matches))))
-    row = _row_function(query.items)
     if not query.order_by and query.limit is None:
-        return ResultSet(columns=columns, rows=[row(scope) for scope in matches])
+        return ResultSet(columns=columns, rows=_project(query.items, matches))
     values = [_compile(entry.expr) for entry in query.order_by]
     names = set().union(*pattern_variables(query))
     # Rows that cannot fail, ordered by the binding alone, carry a copy of it
@@ -729,10 +791,12 @@ def execute(graph: PropertyGraph, query: Query) -> ResultSet:
     by_binding = all(expr_variables(entry.expr) <= names for entry in query.order_by)
     if by_binding and all(_plain_read(item.expr, names) for item in query.items):
         kept = _order_rows(query, values, ((scope.copy(), scope) for scope in matches))
-        return ResultSet(columns=columns, rows=[row(binding) for binding in kept])
+        return ResultSet(columns=columns, rows=_project(query.items, kept))
 
     # Otherwise ORDER BY reads the binding laid over the projected row, so
     # pattern variables shadow column names.
+    row = _row_function(query.items)
+
     def projected(scope):
         cells = row(scope)
         return cells, {**dict(zip(columns, cells)), **scope}

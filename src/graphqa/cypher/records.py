@@ -8,10 +8,11 @@ render as ``None``. This exact format is a contract consumed by the pipeline
 and the evaluation harness, so change it only with care.
 
 A cell whose type is exactly ``str``, ``int`` or ``float`` is rendered by
-``repr`` straight from one table; every other cell (``None``, a boolean, a
-subclass of one of those three, a node, a relationship or a point) falls
-back to ``render_value``, which gives it the same text. A result renders
-column by column, each column's ``name=`` prefix built once.
+``repr``; every other cell (``None``, a boolean, a subclass of one of those
+three, a node, a relationship or a point) falls back to ``render_value``,
+which gives it the same text. A result renders column by column, each
+column's ``name=`` prefix built once, and a column whose every cell is of
+those three types maps ``repr`` over its cells with no lookup per cell.
 """
 
 from __future__ import annotations
@@ -86,10 +87,13 @@ def serialize_records(result: ResultSet) -> str:
     if not result.rows:
         return "[]"
     get = _REPR.get
-    columns = [
-        [prefix + get(type(cell), render_value)(cell) for cell in cells]
-        for prefix, cells in zip([f"{name}=" for name in result.columns], zip(*result.rows))
-    ]
+    columns = []
+    for name, cells in zip(result.columns, zip(*result.rows)):
+        if _REPR.keys() >= set(map(type, cells)):
+            texts = map(repr, cells)
+        else:
+            texts = [get(type(cell), render_value)(cell) for cell in cells]
+        columns.append(list(map(f"{name}=".__add__, texts)))
     return "[<Record " + ">, <Record ".join(map(" ".join, zip(*columns))) + ">]"
 
 

@@ -21,7 +21,7 @@ class DatasetFormatError(GraphQAError):
 
 
 class EngineError(GraphQAError):
-    """Query engine failure. ``kind`` is one of lex/parse/semantic/runtime."""
+    """Query engine failure. ``kind`` is one of lex/parse/semantic/runtime/budget."""
 
     kind = "runtime"
 
@@ -45,6 +45,12 @@ class SemanticError(EngineError):
 
 class RuntimeQueryError(EngineError):
     kind = "runtime"
+
+
+class BudgetError(EngineError):
+    """Matching examined more candidates, or ran longer, than one query may."""
+
+    kind = "budget"
 
 
 class TemplateError(GraphQAError):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -17,9 +18,10 @@ from graphqa.cypher.ast import Binary, FunctionCall, OrderItem, PropertyAccess, 
 from graphqa.cypher.executor import _compile, enumerate_bindings, sort_key, value_equals, value_less_than
 from graphqa.cypher.geo import prepare_point
 from graphqa.cypher.records import Point
-from graphqa.errors import EngineError, ParseError, RuntimeQueryError, SemanticError, ValidationError
-from graphqa.graph import load_dataset_file
+from graphqa.errors import BudgetError, EngineError, ParseError, RuntimeQueryError, SemanticError, ValidationError
+from graphqa.graph import GeneratorConfig, generate_msa_fixture, load_dataset, load_dataset_file, serialize_dataset
 from graphqa.graph.store import PropertyGraph
+from graphqa.pipeline import NAN_SENTINEL, run_stage1
 
 
 def small_graph():
@@ -635,14 +637,18 @@ def test_nan_sorts_as_the_largest_number():
     assert [repr(v) for v in sorted(values, key=sort_key)] == ["-1", "2.5", "inf", "nan", "'s'", "True", "None"]
 
 
-def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
+def corpus_shapes(corpus) -> list[str]:
     queries = [spec.ground_truth_query for spec in corpus if spec.ground_truth_query]
-    queries += [
+    return queries + [
         "MATCH (t:Tower {Tower: 8})-[:HAS_SENSOR]-(s) RETURN count(s)",
         "MATCH (s:Sensor)<-[:HAS_SENSOR]-(t:Tower {Tower: 3}) RETURN s.Name ORDER BY s.Name DESC",
         "MATCH (t:Tower {Tower: 99})-[:HAS_SENSOR]->(s:Sensor) RETURN s",
         "MATCH (a:Tower {Tower: 77}), (b:Tower {Tower: 78}) RETURN a.Tower, b.Tower",
     ]
+
+
+def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
+    queries = corpus_shapes(corpus)
     expected = [serialize_records(execute(fixture_graph, parse_query(q))) for q in queries]
     assert sum(text != "[]" for text in expected) >= len(queries) - 3
 
@@ -667,6 +673,22 @@ def test_no_full_scans_for_corpus_shapes(fixture_graph, corpus, monkeypatch):
     assert [serialize_records(execute(fixture_graph, parse_query(q))) for q, _ in point_lookups] == [t for _, t in point_lookups]
     with pytest.raises(AssertionError):
         execute(fixture_graph, parse_query("MATCH (t:Tower) RETURN count(t)"))
+
+
+def test_corpus_shapes_reach_far_nodes_without_a_lookup_by_id(fixture_graph, corpus, monkeypatch):
+    # An expansion indexes the store's node list; it never calls node().
+    queries = corpus_shapes(corpus) + [
+        "MATCH (s:Sensor)-[r]-(t:Tower:Tower) RETURN t.Tower, r LIMIT 3",
+        "MATCH (s)<-[:HAS_SENSOR]-(t {Tower: 5}) RETURN s.Name",
+    ]
+    expected = [serialize_records(execute(fixture_graph, parse_query(q))) for q in queries]
+    assert sum(text != "[]" for text in expected) >= len(queries) - 3
+
+    def lookup(self, node_id):
+        raise AssertionError("node() during execute")
+
+    monkeypatch.setattr(PropertyGraph, "node", lookup)
+    assert [serialize_records(execute(fixture_graph, parse_query(q))) for q in queries] == expected
 
 
 def test_inline_map_lookup_equals_the_label_scan_for_every_kind():
@@ -893,3 +915,65 @@ def test_mixed_type_comparisons_are_pinned(compare, table):
     code = {True: "T", False: "F", None: "-"}
     got = ["".join(code[compare(a, b)] for b in values) for a in values]
     assert got == table
+
+
+# --- budgets ---------------------------------------------------------------------
+
+
+def test_each_stage_counts_what_it_examines_in_bulk():
+    # 0 -> 1, 0 -> 2, 1 -> 2 and a self-loop on 2; nodes 0 and 1 are A.
+    g = build_graph([({"A"}, {}), ({"A"}, {}), ({"B"}, {})], [(0, "R", 1), (0, "R", 2), (1, "S", 2), (2, "R", 2)])
+    for text, counts in [
+        # A scan adds its pool per item it pulls: 2, then 2 per a.
+        ("MATCH (a:A), (b:A) RETURN count(*)", [2, 4]),
+        # An expansion adds the adjacency length of each node it expands:
+        # 2 + 1 outgoing from the A nodes, then 1 each from b = 1, 2, 2.
+        ("MATCH (a:A)-->(b)-->(c) RETURN count(*)", [2, 3, 3]),
+        # Undirected: every relationship at the node, a self-loop once.
+        ("MATCH (c:B)-[r]-(d) RETURN count(*)", [1, 3]),
+        # A start bound earlier examines the one node it is bound to.
+        ("MATCH (a:A)-->(b) MATCH (b)-->(c) RETURN count(*)", [2, 3, 3, 3]),
+    ]:
+        work = executor._Work()
+        sum(1 for _ in executor._matches(g, parse_query(text), work))
+        assert work.counts == counts, text
+        assert work.total == sum(counts)
+
+
+def test_a_three_way_product_of_the_shipped_graph_answers(shipped_dataset_path):
+    graph = load_dataset_file(shipped_dataset_path)
+    assert rows(graph, "MATCH (a),(b),(c) RETURN count(*)")[1] == [(135**3,)]
+
+
+def test_closest_pair_at_400_towers_answers_on_a_tenth_of_the_work_limit(corpus, monkeypatch):
+    # 400 + 400 x 400 candidates, about a twenty-sixth of the work limit.
+    graph = load_dataset(serialize_dataset(generate_msa_fixture(GeneratorConfig(tower_count=400, attached_sensors=400))))
+    (query,) = [parse_query(spec.ground_truth_query) for spec in corpus if spec.id == "closest-towers"]
+    expected = execute(graph, query).rows
+    monkeypatch.setattr(executor, "_WORK_LIMIT", executor._WORK_LIMIT // 10)
+    assert execute(graph, query).rows == expected
+    assert len(expected) == 1
+
+
+def test_a_four_way_product_fails_as_budget_within_a_bounded_time(shipped_dataset_path, monkeypatch):
+    # 135**4 = 332M bindings, unbounded without a budget. Each limit is
+    # lowered in turn, so each cuts the product well inside a second.
+    graph = load_dataset_file(shipped_dataset_path)
+    four_way = "MATCH (a),(b),(c),(e) RETURN count(*)"
+    for work_limit, seconds, reason in [(100_000, 60.0, "candidates"), (10**12, 0.1, "ran past")]:
+        monkeypatch.setattr(executor, "_WORK_LIMIT", work_limit)
+        monkeypatch.setattr(executor, "_SECONDS_LIMIT", seconds)
+        for text in [four_way, "MATCH (a),(b),(c),(e) RETURN a.Name LIMIT 1", "MATCH (a)--(b), (c), (e)--(f) RETURN b"]:
+            start = time.perf_counter()
+            with pytest.raises(BudgetError, match=reason) as raised:
+                rows(graph, text)
+            assert time.perf_counter() - start < 1.5, text
+            assert raised.value.kind == "budget"
+        _, output, why = run_stage1(graph, four_way)
+        assert (output, why.split(":")[0]) == (NAN_SENTINEL, "budget")
+    # Past the limit by one candidate fails; at it, the query answers.
+    monkeypatch.setattr(executor, "_WORK_LIMIT", 135 + 135 * 135)
+    assert rows(graph, "MATCH (a),(b) RETURN count(*)")[1] == [(135 * 135,)]
+    monkeypatch.setattr(executor, "_WORK_LIMIT", 135 + 135 * 135 - 1)
+    with pytest.raises(BudgetError):
+        rows(graph, "MATCH (a),(b) RETURN count(*)")

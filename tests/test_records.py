@@ -120,6 +120,36 @@ def test_serialization_equals_the_per_row_reference(width):
         assert serialize_records(result) == per_row_reference(result)
 
 
+class TaggedFloat(float):
+    pass
+
+
+PLAIN = [0, 42, -(2**63), 2.5, -0.0, math.inf, math.nan, "", "it's", 'say "hi"', "Tower 4"]
+COLUMN_KINDS = {
+    "plain": PLAIN,
+    "ints": [0, 1, -7, 2**63 - 1],
+    "strs": ["a", "", "it's", "\u00e9\n"],
+    "floats": [0.1, -1e300, math.nan, 3.0],
+    "mixed": PLAIN + [None, True, False, Point(1.5, -2.0), CELLS[-2]],
+    "one None": PLAIN + [None],
+    "one bool": PLAIN + [False],
+    "subclasses": [TaggedInt(1), TaggedStr("x"), TaggedFloat(2.5)],
+    "one subclass": PLAIN + [TaggedStr("x")],
+}
+
+
+@pytest.mark.parametrize("kinds", [("plain",), ("mixed",), ("subclasses",), tuple(COLUMN_KINDS)])
+def test_columns_render_as_render_value_renders_each_cell(kinds):
+    # A column of plain str, int and float cells maps repr over them; any
+    # other column, one odd cell among plain ones included, renders per cell.
+    length = max(len(COLUMN_KINDS[kind]) for kind in kinds)
+    columns = [[COLUMN_KINDS[kind][i % len(COLUMN_KINDS[kind])] for i in range(length)] for kind in kinds]
+    rows = list(zip(*columns))
+    for count in (1, 2, length):
+        result = ResultSet(columns=list(kinds), rows=rows[-count:])
+        assert serialize_records(result) == per_row_reference(result), (kinds, count)
+
+
 def test_canonicalize_collapses_whitespace_and_semicolon():
     assert (
         canonicalize_query("MATCH  (t:Tower)\n RETURN t ;")
