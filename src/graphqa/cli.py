@@ -60,6 +60,18 @@ def _load_graph(path: str):
         raise CliError(f"dataset {path}: {exc}", EXIT_ENGINE) from exc
 
 
+def _cannot_write(path: str, exc: OSError) -> CliError:
+    # An atomic write's own message names its temporary file, not ``path``.
+    return CliError(f"cannot write {path}: {exc.strerror or exc}", EXIT_CONFIG)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        atomic_write(path, text)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
 def _load_templates(directory: str | None):
     try:
         return load_templates(directory)
@@ -118,7 +130,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         dataset = generate_msa_fixture(config)
     except ValidationError as exc:
         raise CliError(f"generator: {exc}", EXIT_CONFIG) from exc
-    atomic_write(args.out, serialize_dataset(dataset))
+    _write(args.out, serialize_dataset(dataset))
     print(f"wrote {args.out}: {len(dataset.nodes)} nodes, {len(dataset.relationships)} relationships")
     return EXIT_OK
 
@@ -182,7 +194,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             first = runs_names[runs_name]
             raise CliError(f"--models names {first!r} and {model!r}, which would both write {runs_name}", EXIT_CONFIG)
         runs_names[runs_name] = model
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
 
     all_rows = []
     for runs_name, model in runs_names.items():
@@ -192,13 +207,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             graph, specs, gateway, config, include_rephrasings=not args.originals_only
         )
         runs_path = os.path.join(args.out, runs_name)
-        evaluation.save_run_records(runs_path, model, records)
+        try:
+            evaluation.save_run_records(runs_path, model, records)
+        except OSError as exc:
+            raise _cannot_write(runs_path, exc) from exc
         all_rows.extend(evaluation.metric_rows(records, {s.id: s for s in specs}))
         print(f"{model}: {len(records)} runs -> {runs_path}")
 
     report = evaluation.compute_metrics(all_rows)
-    atomic_write(os.path.join(args.out, "report.txt"), evaluation.render_text_report(report))
-    atomic_write(os.path.join(args.out, "report.csv"), evaluation.render_csv_report(report))
+    _write(os.path.join(args.out, "report.txt"), evaluation.render_text_report(report))
+    _write(os.path.join(args.out, "report.csv"), evaluation.render_csv_report(report))
     print(f"report -> {os.path.join(args.out, 'report.txt')}")
     return EXIT_OK
 
@@ -226,7 +244,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         text = evaluation.render_csv_report(report)
         default_name = "report.csv"
     out = args.out or os.path.join(args.runs, default_name)
-    atomic_write(out, text)
+    _write(out, text)
     print(f"report -> {out}")
     return EXIT_OK
 

@@ -29,20 +29,21 @@ pull over that scope: a group keeps its first values and counters; a RETURN
 whose every item is count(*) or count() of a pattern variable (never null,
 as there is no OPTIONAL MATCH) counts the bindings WHERE keeps and builds no
 group key; and ORDER BY and LIMIT key each row before they pull the next and
-keep only the rows LIMIT can return (under mixed sort directions, at most
-twice that many). A labelled start node whose first inline entry is a
-number, string or boolean takes its candidates from the store's equality
-index instead of the label's nodes, and still tests each one in full; one
-with one label and no map takes that label's nodes untested. Each path start
-that no earlier part binds finds its pool before the first pull, and if any
-pool is empty the stream is empty, so a product with an empty part ends at
-once. An edge stage tests the relationship type and the label subset inline,
-calls a property test only for an inline map, and reaches the far node by
-indexing the store's id-ordered node list. Bindings come out in the order of
-a scan of nodes and relationships by ascending id, so the row order without
-ORDER BY does not depend on how the store is indexed. ORDER BY breaks ties
-by row position and reads the binding laid over the projected row. If no
-RETURN item can fail (each is a literal, a property access or a pattern
+keep at most LIMIT rows, whatever the sort directions. A labelled start node
+whose first inline entry is a number, string or boolean takes its candidates
+from the store's equality index instead of the label's nodes, and still
+tests each one in full; one with one label and no map takes that label's
+nodes untested. Each path start that no earlier part binds finds its pool
+before the first pull, and if any pool is empty the stream is empty, so a
+product with an empty part ends at once. An edge stage tests the
+relationship type and the label subset inline, calls a property test only
+for an inline map, and reaches the far node by indexing the store's
+id-ordered node list. Bindings come out in the order of a scan of nodes and
+relationships by ascending id, so the row order without ORDER BY does not
+depend on how the store is indexed. ORDER BY compares its keys entry by
+entry, so a later key is compared only where the earlier ones tie, breaks
+ties by row position, and reads the binding laid over the projected row. If
+no RETURN item can fail (each is a literal, a property access or a pattern
 variable) and ORDER BY reads pattern variables only, a row carries a copy of
 its binding, and only the rows LIMIT keeps are projected. ``point()`` builds
 every point from its map; ``point.distance`` prepares each point it gets
@@ -646,11 +647,6 @@ def _matches(graph: PropertyGraph, query: Query, work: _Work) -> Iterator[Bindin
     return (scope for _ in stream if where(scope) is True)
 
 
-def enumerate_bindings(graph: PropertyGraph, query: Query) -> list[Binding]:
-    """All variable bindings satisfying the MATCH clauses and WHERE predicate."""
-    return [scope.copy() for scope in _matches(graph, query, _Work())]
-
-
 # --- projection -----------------------------------------------------------------
 
 
@@ -731,11 +727,20 @@ def _column_value(entry, columns: list[str]) -> Callable[[tuple], CellValue]:
     return _raiser(SemanticError("ORDER BY over aggregated or DISTINCT rows must reference a returned column"))
 
 
-def _stable_sorted(pairs: list, order_by) -> list:
-    """Sort keyed pairs in place, one stable pass per key from the last."""
-    for position in reversed(range(len(order_by))):
-        pairs.sort(key=lambda pair: pair[0][position], reverse=not order_by[position].ascending)
-    return pairs
+class _Backwards:
+    """The sort key of an ORDER BY entry whose direction is not the first
+    entry's: it compares the other way round, and equal ones stay tied."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, value: CellValue):
+        self.key = sort_key(value)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __lt__(self, other):
+        return other.key < self.key
 
 
 def _order_rows(query: Query, values: list[Callable], pairs: Iterable[tuple]) -> list:
@@ -743,33 +748,26 @@ def _order_rows(query: Query, values: list[Callable], pairs: Iterable[tuple]) ->
 
     ``pairs`` yields, per row, what the row carries and what its ORDER BY
     ``values`` read. A pair is keyed before the next is pulled, since what
-    ORDER BY reads may be a shared scope. Every pair is pulled, so an error
-    on a row past LIMIT still fails the query. Ties keep row order.
+    ORDER BY reads may be a shared scope. Keys compare entry by entry in the
+    first entry's direction, and a later entry is compared only where the
+    earlier ones tie. Under LIMIT at most LIMIT rows are kept, but every
+    pair is pulled, so an error on a row past LIMIT still fails the query.
+    Ties keep row order.
     """
     limit, order_by = query.limit, query.order_by
+    descending = bool(order_by) and not order_by[0].ascending
     if len(values) == 1:
         (value,) = values
         keyed = ((sort_key(value(scope)), carried) for carried, scope in pairs)
     else:
-        keyed = ((tuple([sort_key(value(scope)) for value in values]), carried) for carried, scope in pairs)
+        keys = [sort_key if entry.ascending == order_by[0].ascending else _Backwards for entry in order_by]
+        keyed = ((tuple([key(value(scope)) for key, value in zip(keys, values)]), carried) for carried, scope in pairs)
     if not order_by:
         kept = list(islice(keyed, limit))
-    elif len({entry.ascending for entry in order_by}) == 1:
-        descending = not order_by[0].ascending
-        if limit is None:
-            kept = sorted(keyed, key=itemgetter(0), reverse=descending)
-        else:  # both equal sorted(...)[:limit], so ties keep row order
-            kept = (heapq.nlargest if descending else heapq.nsmallest)(limit, keyed, key=itemgetter(0))
-    else:
-        # Stable passes over a buffer cut back to LIMIT rows once it holds
-        # twice that many. Ties keep row order, since the kept rows come
-        # before every later row, so the rows kept are those a full sort keeps.
-        kept = list(keyed) if limit is None else []
-        for pair in keyed:  # left to pull only under a LIMIT
-            kept.append(pair)
-            if len(kept) >= 2 * limit:
-                kept = _stable_sorted(kept, order_by)[:limit]
-        kept = _stable_sorted(kept, order_by)[:limit]
+    elif limit is None:
+        kept = sorted(keyed, key=itemgetter(0), reverse=descending)
+    else:  # both equal sorted(...)[:limit], so ties keep row order
+        kept = (heapq.nlargest if descending else heapq.nsmallest)(limit, keyed, key=itemgetter(0))
     for _ in keyed:
         pass
     return [carried for _, carried in kept]

@@ -2,12 +2,11 @@
 and the one way the package writes a file."""
 
 import os
-from importlib import resources
 
 
 def data_path(*parts: str) -> str:
     """Absolute path of a packaged data file."""
-    return str(resources.files("graphqa").joinpath("data", *parts))
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", *parts)
 
 
 def atomic_write(path: str, text: str) -> None:

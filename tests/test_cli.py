@@ -282,6 +282,30 @@ def test_report_unreadable_runs_exit_config_code(tmp_path, capsys, layout):
     assert capsys.readouterr().err.startswith(f"error: cannot read run records in {runs}: ")
 
 
+@pytest.mark.parametrize("command", ["gen-data", "report", "eval", "eval runs"])
+def test_an_unwritable_out_exits_config_code_and_names_it(tmp_path, capsys, command):
+    replay = ["--replay", data_path("transcripts")]
+    if command.startswith("eval"):
+        out = tmp_path / "taken"
+        if command == "eval":  # --out names a file, not a directory
+            out.write_text("")
+        else:  # the runs file's path is a directory
+            (out / "llama3.1_8b.runs.jsonl").mkdir(parents=True)
+        argv = ["eval", "--models", "llama3.1:8b", "--originals-only", "--out", str(out), *replay]
+    else:
+        out = tmp_path / "missing" / "out.txt"
+        argv = ["gen-data", "--out", str(out)]
+        if command == "report":
+            runs = tmp_path / "runs"
+            assert main(["eval", "--models", "llama3.1:8b", "--originals-only", "--out", str(runs), *replay]) == EXIT_OK
+            capsys.readouterr()
+            argv = ["report", "--runs", str(runs), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write") and str(out) in line
+    assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".part")]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("expected_values", [13]), ("question", 5), ("rephrasings", "abc"), ("id", None), ("is_trick", 0)],
@@ -409,6 +433,14 @@ def test_ask_loads_neither_dataclasses_nor_the_generator_nor_the_harness():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [TOWER_ANSWER, "0 []"]
+
+
+def test_cli_import_leaves_importlib_resources_unloaded():
+    # -S keeps site-packages' .pth files from importing it first.
+    code = "import sys, graphqa.cli; print('importlib.resources' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_package_import_leaves_the_pipeline_unloaded():

@@ -15,7 +15,7 @@ from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher import executor
 from graphqa.cypher.ast import print_query
 from graphqa.cypher.ast import Binary, FunctionCall, OrderItem, PropertyAccess, Query, ReturnItem, Variable
-from graphqa.cypher.executor import _compile, enumerate_bindings, sort_key, value_equals, value_less_than
+from graphqa.cypher.executor import _compile, _matches, _Work, sort_key, value_equals, value_less_than
 from graphqa.cypher.geo import prepare_point
 from graphqa.cypher.records import Point
 from graphqa.errors import BudgetError, EngineError, ParseError, RuntimeQueryError, SemanticError, ValidationError
@@ -181,6 +181,24 @@ def test_order_by_alias_over_aggregated_rows(fixture_graph):
 def test_order_by_unprojected_expr_over_aggregated_rows_rejected(fixture_graph):
     with pytest.raises(SemanticError):
         rows(fixture_graph, "MATCH (t:Tower) RETURN count(t) ORDER BY t.Tower")
+
+
+@pytest.mark.parametrize("limit", ["", " LIMIT 3"])
+@pytest.mark.parametrize("first", ["ASC", "DESC"])
+def test_a_later_order_key_is_compared_only_where_the_earlier_ones_tie(fixture_graph, first, limit):
+    # Tower numbers are unique, so the map key is never compared, whatever
+    # its direction; where the first key ties, a map fails either way.
+    def ordered(directions, first_key="t.Tower"):
+        order_by = f"{first_key} {directions[0]}, {{a: t.Tower}} {directions[1]}"
+        return rows(fixture_graph, f"MATCH (t:Tower) RETURN t.Tower ORDER BY {order_by}{limit}")
+
+    last = "DESC" if first == "ASC" else "ASC"
+    expected = ordered((first, first))
+    assert ordered((first, last)) == expected
+    assert expected[1][:3] == ([(0,), (1,), (2,)] if first == "ASC" else [(12,), (11,), (10,)])
+    for directions in [(first, first), (first, last)]:
+        with pytest.raises(RuntimeQueryError, match="ungroupable"):
+            ordered(directions, first_key="1")
 
 
 def test_returning_whole_nodes(fixture_graph):
@@ -847,6 +865,10 @@ def test_a_grouped_product_keeps_no_binding(shipped_dataset_path, text):
     assert peak < 1_000_000
 
 
+def bindings(graph, query):
+    return [scope.copy() for scope in _matches(graph, query, _Work())]
+
+
 def test_bindings_equal_a_post_filter_of_the_unfiltered_match():
     def outcome(run):
         try:
@@ -863,8 +885,8 @@ def test_bindings_equal_a_post_filter_of_the_unfiltered_match():
             continue
         unfiltered = Query(query.matches, None, query.distinct, query.items, query.order_by, query.limit)
         where = _compile(query.where)
-        expected = outcome(lambda: [b for b in enumerate_bindings(graph, unfiltered) if where(b) is True])
-        assert outcome(lambda: enumerate_bindings(graph, query)) == expected, print_query(query)
+        expected = outcome(lambda: [b for b in bindings(graph, unfiltered) if where(b) is True])
+        assert outcome(lambda: bindings(graph, query)) == expected, print_query(query)
         compared += 1
     assert compared > 250
 
