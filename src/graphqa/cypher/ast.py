@@ -1,209 +1,156 @@
 """AST for the supported Cypher subset, plus a canonical pretty-printer.
 
-``source_text`` fields carry the exact query slice an expression came from
-(used for result column naming, as the reference database does); they are
-excluded from structural equality so a pretty-printed and reparsed query
-compares equal to the original AST.
+Each node is a ``typing.NamedTuple``: read-only, copied and pickled as its
+fields, with the ``Name(field=value, ...)`` repr that the parse-outcome
+digest hashes. ``value_type`` (also used by ``records.Point``) makes two
+values equal only when they are of the same class and their fields are
+equal, so no value equals a plain tuple. A trailing ``source_text`` (the
+exact query slice, used for column naming as the reference database does)
+is left out, so a pretty-printed and reparsed query equals the original
+AST. A ``Literal`` compares its value's type too: ``true``, ``1`` and
+``1.0`` match different properties, so a printer must not swap them.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+from typing import NamedTuple, TypeVar
+
 from .tokens import escape_string
 
-_set = object.__setattr__
+_V = TypeVar("_V", bound=type)
 
 
-class Frozen:
-    """An immutable value whose equality, hash and repr come from ``__slots__``.
+def value_type(cls: _V) -> _V:
+    """Give a ``NamedTuple`` class the equality and hash described above; the
+    key is ``cls._key`` if the class defines one, else the fields up to ``source_text``."""
+    fields = cls._fields
+    key = cls.__dict__.get("_key") or itemgetter(slice(len(fields) - (fields[-1] == "source_text")))
 
-    Each subclass lists its fields in ``__slots__`` and sets them in
-    ``__init__`` with ``_set``; assigning to a field afterwards raises
-    ``AttributeError``. Two values are equal when they are of the same class
-    and their fields other than ``source_text`` are equal. The repr shows
-    every field: ``Name(field=value, ...)``.
-    """
-
-    __slots__ = ()
-    _compared: tuple[str, ...]
-
-    def __init_subclass__(cls) -> None:
-        cls._compared = tuple(name for name in cls.__slots__ if name != "source_text")
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
-
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
+            return key(self) == key(other)
+        # NotImplemented would let a plain tuple compare field by field.
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def __ne__(self, other):
+        equal = __eq__(self, other)
+        return equal if equal is NotImplemented else not equal
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+    def __hash__(self):
+        return hash(key(self))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, whose parameters follow __slots__.
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    return cls
 
 
 # --- expressions -----------------------------------------------------------
 
 
-class Expr(Frozen):
-    __slots__ = ()
+@value_type
+class Literal(NamedTuple):
+    value: int | float | str | bool | None
+
+    def _key(self) -> tuple:
+        return (type(self.value), self.value)
 
 
-class Literal(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | float | str | bool | None):
-        _set(self, "value", value)
+@value_type
+class Variable(NamedTuple):
+    name: str
 
 
-class Variable(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
-
-class PropertyAccess(Expr):
-    __slots__ = ("variable", "key")
-
-    def __init__(self, variable: str, key: str):
-        _set(self, "variable", variable)
-        _set(self, "key", key)
+@value_type
+class PropertyAccess(NamedTuple):
+    variable: str
+    key: str
 
 
-class Unary(Expr):
-    __slots__ = ("op", "operand")
-
-    def __init__(self, op: str, operand: Expr):
-        _set(self, "op", op)  # '-' or 'NOT'
-        _set(self, "operand", operand)
+@value_type
+class Unary(NamedTuple):
+    op: str  # '-' or 'NOT'
+    operand: Expr
 
 
-class Binary(Expr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        _set(self, "op", op)  # + - * / = <> < <= > >= AND OR
-        _set(self, "left", left)
-        _set(self, "right", right)
+@value_type
+class Binary(NamedTuple):
+    op: str  # + - * / = <> < <= > >= AND OR
+    left: Expr
+    right: Expr
 
 
-class MapLiteral(Expr):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[str, Expr], ...]):
-        _set(self, "entries", entries)
+@value_type
+class MapLiteral(NamedTuple):
+    entries: tuple[tuple[str, Expr], ...]
 
 
-class FunctionCall(Expr):
-    __slots__ = ("name", "args", "star")
+@value_type
+class FunctionCall(NamedTuple):
+    name: str  # normalized lowercase, e.g. 'count', 'point', 'point.distance'
+    args: tuple[Expr, ...]
+    star: bool = False  # count(*)
 
-    def __init__(self, name: str, args: tuple[Expr, ...], star: bool = False):
-        _set(self, "name", name)  # normalized lowercase, e.g. 'count', 'point', 'point.distance'
-        _set(self, "args", args)
-        _set(self, "star", star)  # count(*)
+
+Expr = Literal | Variable | PropertyAccess | Unary | Binary | MapLiteral | FunctionCall
 
 
 # --- patterns ---------------------------------------------------------------
 
 
-class NodePattern(Frozen):
-    __slots__ = ("variable", "labels", "properties")
-
-    def __init__(
-        self, variable: str | None, labels: tuple[str, ...], properties: tuple[tuple[str, Literal], ...] = ()
-    ):
-        _set(self, "variable", variable)
-        _set(self, "labels", labels)
-        _set(self, "properties", properties)
+@value_type
+class NodePattern(NamedTuple):
+    variable: str | None
+    labels: tuple[str, ...]
+    properties: tuple[tuple[str, Literal], ...] = ()
 
 
-class EdgePattern(Frozen):
-    __slots__ = ("variable", "rel_type", "direction", "properties")
-
-    def __init__(
-        self,
-        variable: str | None,
-        rel_type: str | None,
-        direction: str,
-        properties: tuple[tuple[str, Literal], ...] = (),
-    ):
-        _set(self, "variable", variable)
-        _set(self, "rel_type", rel_type)
-        _set(self, "direction", direction)  # 'right' | 'left' | 'any'
-        _set(self, "properties", properties)
+@value_type
+class EdgePattern(NamedTuple):
+    variable: str | None
+    rel_type: str | None
+    direction: str  # 'right' | 'left' | 'any'
+    properties: tuple[tuple[str, Literal], ...] = ()
 
 
-class PathPattern(Frozen):
-    __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes: tuple[NodePattern, ...], edges: tuple[EdgePattern, ...]):
-        _set(self, "nodes", nodes)
-        _set(self, "edges", edges)  # len(edges) == len(nodes) - 1
+@value_type
+class PathPattern(NamedTuple):
+    nodes: tuple[NodePattern, ...]
+    edges: tuple[EdgePattern, ...]  # len(edges) == len(nodes) - 1
 
 
-class MatchClause(Frozen):
-    __slots__ = ("paths",)
-
-    def __init__(self, paths: tuple[PathPattern, ...]):
-        _set(self, "paths", paths)
+@value_type
+class MatchClause(NamedTuple):
+    paths: tuple[PathPattern, ...]
 
 
 # --- query ------------------------------------------------------------------
 
 
-class ReturnItem(Frozen):
-    __slots__ = ("expr", "alias", "source_text")
-
-    def __init__(self, expr: Expr, alias: str | None, source_text: str = ""):
-        _set(self, "expr", expr)
-        _set(self, "alias", alias)
-        _set(self, "source_text", source_text)
+@value_type
+class ReturnItem(NamedTuple):
+    expr: Expr
+    alias: str | None
+    source_text: str = ""
 
     def column_name(self) -> str:
         return self.alias if self.alias is not None else (self.source_text or print_expr(self.expr))
 
 
-class OrderItem(Frozen):
-    __slots__ = ("expr", "ascending", "source_text")
-
-    def __init__(self, expr: Expr, ascending: bool = True, source_text: str = ""):
-        _set(self, "expr", expr)
-        _set(self, "ascending", ascending)
-        _set(self, "source_text", source_text)
+@value_type
+class OrderItem(NamedTuple):
+    expr: Expr
+    ascending: bool = True
+    source_text: str = ""
 
 
-class Query(Frozen):
-    __slots__ = ("matches", "where", "distinct", "items", "order_by", "limit")
-
-    def __init__(
-        self,
-        matches: tuple[MatchClause, ...],
-        where: Expr | None,
-        distinct: bool,
-        items: tuple[ReturnItem, ...],
-        order_by: tuple[OrderItem, ...] = (),
-        limit: int | None = None,
-    ):
-        _set(self, "matches", matches)
-        _set(self, "where", where)
-        _set(self, "distinct", distinct)
-        _set(self, "items", items)
-        _set(self, "order_by", order_by)
-        _set(self, "limit", limit)
+@value_type
+class Query(NamedTuple):
+    matches: tuple[MatchClause, ...]
+    where: Expr | None
+    distinct: bool
+    items: tuple[ReturnItem, ...]
+    order_by: tuple[OrderItem, ...] = ()
+    limit: int | None = None
 
 
 def pattern_variables(query: Query) -> tuple[set[str], set[str]]:

@@ -13,36 +13,37 @@ three, a node, a relationship or a point) falls back to ``render_value``,
 which gives it the same text. A result renders column by column, each
 column's ``name=`` prefix built once, and a column whose every cell is of
 those three types maps ``repr`` over its cells with no lookup per cell.
+
+``Point`` is a value like the AST nodes (see ``ast.value_type``): it equals
+only a point with equal coordinates, never a plain pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import NamedTuple
+
 from ..errors import RuntimeQueryError
 from ..graph.store import Node, Relationship
-from .ast import Frozen, _set
+from .ast import value_type
 
 
-class Point(Frozen):
+@value_type
+class Point(NamedTuple):
     """Geographic point produced by the ``point()`` query function."""
 
-    __slots__ = ("latitude", "longitude")
-
-    def __init__(self, latitude: float, longitude: float):
-        _set(self, "latitude", latitude)
-        _set(self, "longitude", longitude)
+    latitude: float
+    longitude: float
 
 
 CellValue = int | float | str | bool | None | Node | Relationship | Point
 
 
-class ResultSet:
+class ResultSet(NamedTuple):
     """Executed query output: ordered columns and per-row cell tuples."""
 
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: list[str], rows: list[tuple[CellValue, ...]] | None = None):
-        self.columns = columns
-        self.rows = [] if rows is None else rows
+    columns: list[str]
+    rows: Sequence[tuple[CellValue, ...]] = ()
 
 
 # Cells of exactly these types render as their ``repr``; every other cell,

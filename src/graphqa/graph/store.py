@@ -29,6 +29,7 @@ from collections import defaultdict
 from collections.abc import Collection, Sequence
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 from ..errors import ValidationError
 
@@ -139,16 +140,11 @@ class Relationship:
         )
 
 
-class GraphStats:
-    __slots__ = ("node_count", "relationship_count", "property_key_count", "label_counts")
-
-    def __init__(
-        self, node_count: int, relationship_count: int, property_key_count: int, label_counts: dict[str, int]
-    ):
-        self.node_count = node_count
-        self.relationship_count = relationship_count
-        self.property_key_count = property_key_count
-        self.label_counts = label_counts
+class GraphStats(NamedTuple):
+    node_count: int
+    relationship_count: int
+    property_key_count: int
+    label_counts: dict[str, int]
 
 
 class PropertyGraph:

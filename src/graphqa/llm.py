@@ -16,6 +16,7 @@ import hashlib
 import json
 import threading
 import time
+from typing import NamedTuple
 
 from .datafiles import atomic_write
 from .errors import GatewayError, ReplayMissError
@@ -30,12 +31,9 @@ _GENERATE_OPTIONS = {"temperature": 0.0}
 _MAX_RESPONSE_BYTES = 1 << 20
 
 
-class CompletionRequest:
-    __slots__ = ("model_name", "prompt")
-
-    def __init__(self, model_name: str, prompt: str):
-        self.model_name = model_name
-        self.prompt = prompt
+class CompletionRequest(NamedTuple):
+    model_name: str
+    prompt: str
 
 
 def request_hash(model_name: str, prompt: str) -> str:
@@ -46,14 +44,11 @@ def request_hash(model_name: str, prompt: str) -> str:
     return digest.hexdigest()
 
 
-class TranscriptEntry:
-    __slots__ = ("model_name", "prompt", "response", "timestamp")
-
-    def __init__(self, model_name: str, prompt: str, response: str, timestamp: str = ""):
-        self.model_name = model_name
-        self.prompt = prompt
-        self.response = response
-        self.timestamp = timestamp
+class TranscriptEntry(NamedTuple):
+    model_name: str
+    prompt: str
+    response: str
+    timestamp: str = ""
 
     @property
     def key(self) -> tuple[str, str]:
@@ -233,12 +228,9 @@ class Gateway:
 # --- Cypher extraction -----------------------------------------------------------
 
 
-class CypherCandidate:
-    __slots__ = ("extracted_query", "extraction_method")
-
-    def __init__(self, extracted_query: str | None, extraction_method: str | None = None):
-        self.extracted_query = extracted_query
-        self.extraction_method = extraction_method  # fenced-block | keyword-scan | whole-text
+class CypherCandidate(NamedTuple):
+    extracted_query: str | None
+    extraction_method: str | None = None  # fenced-block | keyword-scan | whole-text
 
 
 _QUERY_STARTERS = ("MATCH", "RETURN")

@@ -1,6 +1,7 @@
-"""The value contract of AST nodes: structural equality by node type,
-``source_text`` left out of equality and hash, immutability, and the
-``Name(field=value, ...)`` repr that the frozen parse-outcome digest hashes."""
+"""The value contract of AST nodes and ``Point``: structural equality by
+node type (and by a literal's value type), ``source_text`` left out of
+equality and hash, immutability, and the ``Name(field=value, ...)`` repr that
+the frozen parse-outcome digest hashes."""
 
 import copy
 import pickle
@@ -23,6 +24,8 @@ from graphqa.cypher.ast import (
     Unary,
     Variable,
 )
+from graphqa.cypher.parser import parse_query
+from graphqa.cypher.records import Point
 
 TOWER = NodePattern("t", ("Tower",), (("Tower", Literal(4)),))
 SENSOR = NodePattern("s", ("Sensor",))
@@ -78,6 +81,28 @@ def test_nodes_of_different_types_with_equal_fields_differ():
     assert Literal(1) != 1 and Literal(1) != (1,)
 
 
+@pytest.mark.parametrize("value", [PropertyAccess("t", "Lat"), EDGE, ITEM, Point(1.5, -2.0)], ids=type)
+def test_values_never_equal_a_plain_tuple_of_their_fields(value):
+    fields = tuple(value)
+    assert value != fields and fields != value
+    assert not value == fields and not fields == value
+    assert len({value, fields}) == 2
+
+
+@pytest.mark.parametrize("a, b", [(True, 1), (1, 1.0), (True, 1.0), (False, 0), (0, 0.0), (False, 0.0)])
+def test_literals_of_equal_value_but_different_type_differ(a, b):
+    assert Literal(a) != Literal(b) and hash(Literal(a)) != hash(Literal(b))
+    assert MapLiteral((("k", Literal(a)),)) != MapLiteral((("k", Literal(b)),))
+    assert NodePattern("t", (), (("x", Literal(a)),)) != NodePattern("t", (), (("x", Literal(b)),))
+    assert Literal(a) == Literal(a) and Literal(b) == Literal(b)
+
+
+def test_queries_whose_literals_differ_in_type_differ():
+    # The two match different nodes: true is not 1, and 1 is not 1.0.
+    assert parse_query("MATCH (t {x: true}) RETURN 1") != parse_query("MATCH (t {x: 1}) RETURN 1.0")
+    assert parse_query("MATCH (t) WHERE t.x = 1 RETURN t") != parse_query("MATCH (t) WHERE t.x = 1.0 RETURN t")
+
+
 def test_hash_agrees_with_equality():
     rebuilt = Query(
         (MatchClause((PathPattern((TOWER, SENSOR), (EdgePattern("r", "HAS_SENSOR", "right"),)),)),),
@@ -92,7 +117,10 @@ def test_hash_agrees_with_equality():
     assert Query(QUERY.matches, QUERY.where, QUERY.distinct, QUERY.items, QUERY.order_by) != QUERY
 
 
-@pytest.mark.parametrize("node, field", [(Literal(1), "value"), (QUERY, "limit"), (ITEM, "source_text"), (EDGE, "direction")])
+@pytest.mark.parametrize(
+    "node, field",
+    [(Literal(1), "value"), (QUERY, "limit"), (ITEM, "source_text"), (EDGE, "direction"), (Point(1.5, -2.0), "latitude")],
+)
 def test_fields_cannot_be_assigned(node, field):
     before = repr(node)
     with pytest.raises(AttributeError):
@@ -103,6 +131,6 @@ def test_fields_cannot_be_assigned(node, field):
 
 
 def test_copies_and_pickles_are_equal_values():
-    for node in (QUERY, ITEM, ORDER, Literal(None)):
+    for node in (QUERY, ITEM, ORDER, Literal(None), Point(1.5, -2.0)):
         for clone in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert clone == node and repr(clone) == repr(node)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,7 +312,7 @@ def test_an_unwritable_out_exits_config_code_and_names_it(tmp_path, capsys, comm
     [("expected_values", [13]), ("question", 5), ("rephrasings", "abc"), ("id", None), ("is_trick", 0)],
 )
 def test_eval_wrongly_typed_corpus_field_exits_corpus_code(tmp_path, capsys, field, value):
-    corpus = json.loads(open(data_path("corpus.json"), encoding="utf-8").read())
+    corpus = json.loads(Path(data_path("corpus.json")).read_text(encoding="utf-8"))
     corpus["questions"][2][field] = value
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(corpus))
@@ -332,7 +333,7 @@ def test_eval_corpus_questions_not_a_list_exits_corpus_code(tmp_path, capsys, qu
 
 
 def test_eval_repeated_question_id_exits_corpus_code(tmp_path, capsys):
-    corpus = json.loads(open(data_path("corpus.json"), encoding="utf-8").read())
+    corpus = json.loads(Path(data_path("corpus.json")).read_text(encoding="utf-8"))
     again = {**corpus["questions"][3], "question": "Where is tower 4?", "rephrasings": []}
     assert again["id"] == "location-tower-4"
     corpus["questions"].append(again)

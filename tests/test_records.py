@@ -6,7 +6,8 @@ import pytest
 from generators import build_graph
 from graphqa.cypher import canonicalize_query, execute, parse_query, serialize_records
 from graphqa.cypher.records import Point, ResultSet, render_value
-from graphqa.graph.store import Node, Relationship
+from graphqa.graph.store import GraphStats, Node, Relationship
+from graphqa.llm import CompletionRequest, CypherCandidate, TranscriptEntry
 
 REFERENCE_RECORD = "[<Record Lat=32.58088351 Long=-106.7533307>]"
 
@@ -43,9 +44,30 @@ def test_points_are_immutable_values():
     # WHERE point(...) = point(...) compares points by value.
     assert Point(1.5, -2.0) == Point(1.5, -2.0) and hash(Point(1.5, -2.0)) == hash(Point(1.5, -2.0))
     assert Point(1.5, -2.0) != Point(-2.0, 1.5)
+    assert Point(1.5, -2.0) != (1.5, -2.0) and (1.5, -2.0) != Point(1.5, -2.0)
     assert repr(Point(1.5, -2.0)) == "Point(latitude=1.5, longitude=-2.0)"
     with pytest.raises(AttributeError):
         Point(1.5, -2.0).latitude = 0.0
+
+
+RECORDS = [
+    (ResultSet, (["n"],), {"rows": ()}),
+    (GraphStats, (1, 0, 2, {"Tower": 1}), {}),
+    (CompletionRequest, ("m", "p"), {}),
+    (TranscriptEntry, ("m", "p", "r"), {"timestamp": ""}),
+    (CypherCandidate, (None,), {"extraction_method": None}),
+]
+
+
+@pytest.mark.parametrize("record, args, defaults", RECORDS, ids=[r.__name__ for r, _, _ in RECORDS])
+def test_plain_records_keep_their_signatures_and_are_read_only(record, args, defaults):
+    by_position = record(*args)
+    by_keyword = record(**dict(zip(record._fields, args)))
+    assert by_position == by_keyword and tuple(by_position) == args + tuple(defaults.values())
+    for name, value in defaults.items():
+        assert getattr(by_position, name) == value
+    with pytest.raises(AttributeError):
+        setattr(by_position, record._fields[0], None)
 
 
 def test_float_rendering_round_trips():

@@ -229,7 +229,10 @@ REPHRASINGS = {
 }
 
 
-def build_corpus(graph, dataset) -> list[QuestionSpec]:
+def build_corpus(
+    graph, dataset
+) -> tuple[list[QuestionSpec], tuple[int, int], tuple[int, int], int, dict[int, tuple[float, float]]]:
+    """The corpus, the closest and farthest tower pairs, tower 8's sensor count and each tower's position."""
     towers = {
         n.properties["Tower"]: (n.properties["Lat"], n.properties["Long"])
         for n in graph.nodes_with_label("Tower")
