@@ -14,14 +14,20 @@ which gives it the same text. A result renders column by column, each
 column's ``name=`` prefix built once, and a column whose every cell is of
 those three types maps ``repr`` over its cells with no lookup per cell.
 
+The text a node or relationship shares with others is built once per
+``serialize_records`` call: each label set's ``frozenset({...})``, each
+property key's ``'key': `` prefix and each relationship type's ``repr``. The
+memos holding them are made by the call and dropped when it returns; nothing
+is cached at module level, so calls may run concurrently.
+
 ``Point`` is a value like the AST nodes (see ``ast.value_type``): it equals
 only a point with equal coordinates, never a plain pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import NamedTuple
+from collections.abc import Callable, Sequence
+from typing import Any, NamedTuple
 
 from ..errors import RuntimeQueryError
 from ..graph.store import Node, Relationship
@@ -62,21 +68,55 @@ def render_value(value: CellValue) -> str:
     if isinstance(value, (int, float, str)):
         return repr(value)
     if isinstance(value, Node):
-        labels = "frozenset({" + ", ".join(repr(x) for x in sorted(value.labels)) + "})"
-        return f"<Node id={value.id} labels={labels} properties={_render_map(value.properties)}>"
+        return _renderers()[Node](value)
     if isinstance(value, Relationship):
-        return (
-            f"<Relationship id={value.id} type={value.rel_type!r} "
-            f"start={value.src} end={value.dst} properties={_render_map(value.properties)}>"
-        )
+        return _renderers()[Relationship](value)
     if isinstance(value, Point):
         return f"point({{latitude: {value.latitude!r}, longitude: {value.longitude!r}}})"
     raise RuntimeQueryError(f"cannot render value of type {type(value).__name__}")
 
 
-def _render_map(properties: dict) -> str:
+class _Memo(dict):
+    """Text pieces keyed by what they render; a missing one is made by ``make`` and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], str]):
+        self.make = make  # the dict itself starts empty
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.make(key)
+        return text
+
+
+def _labels_text(labels: frozenset[str]) -> str:
+    return "frozenset({" + ", ".join(map(repr, sorted(labels))) + "})"
+
+
+def _key_text(key: str) -> str:
+    return f"{key!r}: "
+
+
+def _renderers() -> dict[type, Callable[[Any], str]]:
+    """Cell renderers by exact type, sharing fresh memos of label-set,
+    property-key and relationship-type text for as long as the caller holds
+    them."""
+    labels, keys, types = _Memo(_labels_text), _Memo(_key_text), _Memo(repr)
     get = _REPR.get
-    return "{" + ", ".join(f"{key!r}: {get(type(val), render_value)(val)}" for key, val in properties.items()) + "}"
+
+    def properties(values: dict) -> str:
+        return "{" + ", ".join([keys[key] + get(type(val), render_value)(val) for key, val in values.items()]) + "}"
+
+    def node(value: Node) -> str:
+        return f"<Node id={value.id} labels={labels[value.labels]} properties={properties(value.properties)}>"
+
+    def relationship(value: Relationship) -> str:
+        return (
+            f"<Relationship id={value.id} type={types[value.rel_type]} "
+            f"start={value.src} end={value.dst} properties={properties(value.properties)}>"
+        )
+
+    return {**_REPR, Node: node, Relationship: relationship}
 
 
 def serialize_records(result: ResultSet) -> str:
@@ -87,12 +127,15 @@ def serialize_records(result: ResultSet) -> str:
     """
     if not result.rows:
         return "[]"
-    get = _REPR.get
+    renderers = None  # made by the first column that needs more than repr
     columns = []
     for name, cells in zip(result.columns, zip(*result.rows)):
         if _REPR.keys() >= set(map(type, cells)):
             texts = map(repr, cells)
         else:
+            if renderers is None:
+                renderers = _renderers()
+            get = renderers.get
             texts = [get(type(cell), render_value)(cell) for cell in cells]
         columns.append(list(map(f"{name}=".__add__, texts)))
     return "[<Record " + ">, <Record ".join(map(" ".join, zip(*columns))) + ">]"

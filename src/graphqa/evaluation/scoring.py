@@ -5,7 +5,9 @@ Metrics per run:
 - em: the predicted query equals the ground truth after canonicalization.
 - content: the database output contains every expected value (trick
   questions: the output is exactly the empty list). This and misinformation
-  read the outcome of ``pipeline.classify_db_outcome``.
+  read the outcome the pipeline recorded on the run
+  (``pipeline.classify_db_outcome`` against the question's expected values);
+  grading does not classify the output again.
 - content_length: character count of the serialized output, recorded only
   for content-correct runs.
 - misinformation: the query executed but retrieved semantically wrong data
@@ -17,7 +19,8 @@ Metrics per run:
   case-insensitive); a trick question answered from an empty list must state
   nonexistence; with failed/empty/wrong input the answer must not assert
   wrong values as fact. The phrase lexicons and the tolerance are module
-  constants, and every decision carries a logged reason.
+  constants, and every decision carries a logged reason. The answer is
+  lowercased once for all of these checks.
 - absolute_correct: the user actually got the right answer end to end.
 
 Aggregation reports percentages over all runs of a model, plus the stricter
@@ -30,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cypher import canonicalize_query
-from ..matching import find_numbers, find_output_text_values, is_numeric_text, numbers_match, value_occurs
+from ..matching import _value_occurs, find_numbers, find_output_text_values, is_numeric_text, numbers_match
 from ..errors import ValidationError
-from ..pipeline import OutcomeCase, PipelineRun, classify_db_outcome
+from ..pipeline import OutcomeCase, PipelineRun
 from .corpus import QuestionSpec
 
 NONEXISTENCE_LEXICON = (
@@ -85,19 +88,18 @@ def score_em(predicted: str | None, ground_truth: str) -> int:
     return 1 if canonicalize_query(predicted) == canonicalize_query(ground_truth) else 0
 
 
-def _lexicon_hit(answer: str, lexicon: tuple[str, ...]) -> str | None:
-    lowered = answer.lower()
+def _lexicon_hit(folded: str, lexicon: tuple[str, ...]) -> str | None:
     for phrase in lexicon:
-        if phrase in lowered:
+        if phrase in folded:
             return phrase
     return None
 
 
-def _expected_in_answer(answer: str, expected: str) -> bool:
+def _expected_in_answer(answer: str, folded: str, expected: str) -> bool:
     if is_numeric_text(expected):
         target = float(expected)
         return any(numbers_match(found, target, NUMERIC_REL_TOL) for found in find_numbers(answer))
-    return value_occurs(expected, answer)
+    return _value_occurs(expected, answer, folded)
 
 
 def grade_answer(
@@ -113,22 +115,23 @@ def grade_answer(
     """
     if answer is None:
         return 0, "no answer produced"
+    folded = answer.lower()
 
     if outcome is OutcomeCase.CONTENT:
-        missing = [v for v in spec.expected_values if not _expected_in_answer(answer, v)]
+        missing = [v for v in spec.expected_values if not _expected_in_answer(answer, folded, v)]
         if missing:
             return 0, f"answer missing expected value(s): {missing}"
         return 1, "all expected values present in answer"
 
     if outcome is OutcomeCase.EMPTY_LIST and spec.is_trick:
-        phrase = _lexicon_hit(answer, NONEXISTENCE_LEXICON)
+        phrase = _lexicon_hit(folded, NONEXISTENCE_LEXICON)
         if phrase:
             return 1, f"nonexistence stated ({phrase!r})"
         return 0, "trick question: answer does not state nonexistence"
 
     # Failure outcomes: NAN, non-trick EMPTY_LIST, WRONG_CONTENT. Correct
     # behavior is not to assert wrong values as fact.
-    phrase = _lexicon_hit(answer, NO_ASSERTION_LEXICON)
+    phrase = _lexicon_hit(folded, NO_ASSERTION_LEXICON)
     if phrase:
         return 1, f"failure acknowledged ({phrase!r})"
     expected_numbers = [float(v) for v in spec.expected_values if is_numeric_text(v)]
@@ -137,7 +140,7 @@ def grade_answer(
             return 0, f"asserts unexpected number {number:g} as fact"
     expected_texts = {v.lower() for v in spec.expected_values if not is_numeric_text(v)}
     for quoted in find_output_text_values(db_output):
-        if quoted.lower() not in expected_texts and value_occurs(quoted, answer):
+        if quoted.lower() not in expected_texts and _value_occurs(quoted, answer, folded):
             return 0, f"asserts unexpected value {quoted!r} from the database output"
     return 1, "no wrong values asserted"
 
@@ -170,8 +173,15 @@ class RunGrades:
 
 
 def grade_run(run: PipelineRun, spec: QuestionSpec) -> tuple[RunGrades, str]:
-    """Compute all per-run grades; returns (grades, output-grade reason)."""
-    outcome = classify_db_outcome(run.db_output, spec.expected_values)
+    """Compute all per-run grades; returns (grades, output-grade reason).
+
+    Content, misinformation and the answer's grade read ``run.outcome``, the
+    outcome the pipeline recorded; the output is not classified again. So the
+    run must have been answered with ``spec.expected_values``, as
+    ``evaluate_model`` does: its outcome must be
+    ``classify_db_outcome(run.db_output, spec.expected_values)``.
+    """
+    outcome = run.outcome
     content = 1 if outcome is spec.wanted_outcome else 0
     output_correct, reason = grade_answer(run.answer, spec, outcome, run.db_output)
     absolute = 1 if (output_correct == 1 and content == 1) else 0

@@ -22,7 +22,7 @@ from .datafiles import data_path
 from .errors import EngineError, GatewayError, TemplateError
 from .graph.store import PropertyGraph, schema_description
 from .llm import CompletionRequest, CypherCandidate, Gateway, extract_cypher
-from .matching import value_occurs
+from .matching import _value_occurs
 
 NAN_SENTINEL = "nan"
 EMPTY_OUTPUT = "[]"
@@ -127,18 +127,21 @@ def classify_db_outcome(db_output: str, expected_values: Sequence[str] | None) -
     """Classify a stage-1 result; total over all inputs.
 
     This is the only place a database output is compared with expected
-    values: grading and the corpus self-check read its outcome. The literal
+    values: grading reads the outcome ``answer_question`` records on the
+    run, and the corpus self-check calls it per reference query. The literal
     sentinel marks a failed query: a lex, parse, semantic or runtime error,
     or a failed extraction. An empty expected-value list (trick questions,
     or ad-hoc questions with no ground truth) makes any successful non-empty
     output count as CONTENT vacuously; for trick questions EMPTY_LIST is the
-    desired outcome and is checked first.
+    desired outcome and is checked first. The output is lowercased once for
+    all expected values.
     """
     if db_output == NAN_SENTINEL:
         return OutcomeCase.NAN
     if db_output == EMPTY_OUTPUT:
         return OutcomeCase.EMPTY_LIST
-    if all(value_occurs(value, db_output) for value in expected_values or ()):
+    folded = db_output.lower()
+    if all(_value_occurs(value, db_output, folded) for value in expected_values or ()):
         return OutcomeCase.CONTENT
     return OutcomeCase.WRONG_CONTENT
 
@@ -230,7 +233,8 @@ def answer_question(
 
     Exactly two completion calls are attempted per question and the graph is
     never written to. Gateway failures are recorded as stage failure markers,
-    never raised.
+    never raised. The run's ``outcome`` classifies its output against
+    ``expected_values``; it is the outcome grading reads.
     """
     task1_template = config.templates["task1"]
     task2_template = config.templates["task2"]

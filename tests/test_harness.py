@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+import sys
 
 import pytest
 
@@ -19,7 +20,7 @@ from graphqa.evaluation import (
     validate_corpus,
 )
 from graphqa.llm import Gateway, ReplayBackend, Transcript
-from graphqa.pipeline import PipelineConfig, build_task1_prompt
+from graphqa.pipeline import PipelineConfig, build_task1_prompt, classify_db_outcome
 
 MODEL = "llama3.1:8b"
 
@@ -43,6 +44,24 @@ def test_evaluate_model_makes_exactly_two_calls_per_question(fixture_graph, corp
     records = evaluate_model(fixture_graph, corpus, gateway, config, include_rephrasings=False)
     assert len(records) == 7
     assert gateway.calls == 14
+
+
+def test_evaluate_model_classifies_each_output_once(monkeypatch, fixture_graph, corpus, templates):
+    # Grading reads the outcome the pipeline recorded, so a replay classifies
+    # each instance's output once, wherever the classifier is bound.
+    calls = []
+
+    def counting(db_output, expected_values):
+        calls.append(db_output)
+        return classify_db_outcome(db_output, expected_values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphqa") and getattr(module, "classify_db_outcome", None) is classify_db_outcome:
+            monkeypatch.setattr(module, "classify_db_outcome", counting)
+    config = PipelineConfig(model_task1=MODEL, templates=templates)
+    records = evaluate_model(fixture_graph, corpus, _gateway(), config)
+    assert len(records) == 77
+    assert calls == [record.run.db_output for record in records]
 
 
 def test_run_records_save_load_round_trip(tmp_path, fixture_graph, corpus, templates):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from generators import build_graph
 from graphqa.cypher import canonicalize_query, execute, parse_query, serialize_records
 from graphqa.cypher.records import Point, ResultSet, render_value
+from graphqa.graph import load_dataset_file
 from graphqa.graph.store import GraphStats, Node, Relationship
 from graphqa.llm import CompletionRequest, CypherCandidate, TranscriptEntry
 
@@ -112,13 +114,32 @@ CELLS = SCALARS + [
 ]
 
 
+def reference_render(value):
+    """A cell rendered with the node and relationship formula written out in
+    full: every label set, property key and relationship type made afresh for
+    each value, none of them memoized."""
+    if isinstance(value, Node):
+        labels = "frozenset({" + ", ".join(repr(x) for x in sorted(value.labels)) + "})"
+        return f"<Node id={value.id} labels={labels} properties={reference_map(value.properties)}>"
+    if isinstance(value, Relationship):
+        return (
+            f"<Relationship id={value.id} type={value.rel_type!r} "
+            f"start={value.src} end={value.dst} properties={reference_map(value.properties)}>"
+        )
+    return render_value(value)
+
+
+def reference_map(properties):
+    return "{" + ", ".join(f"{key!r}: {render_value(val)}" for key, val in properties.items()) + "}"
+
+
 def per_row_reference(result):
     """The record text built row by row, one f-string per field."""
     if not result.rows:
         return "[]"
     records = []
     for row in result.rows:
-        fields = " ".join(f"{col}={render_value(cell)}" for col, cell in zip(result.columns, row))
+        fields = " ".join(f"{col}={reference_render(cell)}" for col, cell in zip(result.columns, row))
         records.append(f"<Record {fields}>")
     return "[" + ", ".join(records) + "]"
 
@@ -170,6 +191,69 @@ def test_columns_render_as_render_value_renders_each_cell(kinds):
     for count in (1, 2, length):
         result = ResultSet(columns=list(kinds), rows=rows[-count:])
         assert serialize_records(result) == per_row_reference(result), (kinds, count)
+
+
+# Text that repr quotes, escapes or leaves alone, and that a format string
+# would read as a directive.
+ODD_TEXT = ["it's", 'say "hi"', 'a\'b"c', "back\\slash", "100%", "%s %(k)s", "{x}", "{{}}"]
+ODD_TEXT += ["caf\u00e9", "\U0001F600", "tab\t\n"]
+ODD_MAP = {text: text for text in ODD_TEXT}
+# Label sets given out of order, equal sets built twice, and one of odd text.
+LABEL_SETS = [
+    frozenset(["Zeta", "alpha", "Beta"]),
+    frozenset(["Sensor"]),
+    frozenset(["Beta", "Zeta", "alpha"]),
+    frozenset(["Sensor"]),
+    frozenset(ODD_TEXT),
+    frozenset(),
+]
+PROPERTY_MAPS = [{}, EVERY_KIND, ODD_MAP, {"Name": "Temp-T08", "SensorId": 1042}, {"z": -0.0, "a": 0.0}]
+GRAPH_CELLS = [
+    Node(i, labels, PROPERTY_MAPS[i % len(PROPERTY_MAPS)]) for i, labels in enumerate(LABEL_SETS)
+] + [
+    Relationship(10 + i, i, i + 1, rel_type, PROPERTY_MAPS[i % len(PROPERTY_MAPS)])
+    for i, rel_type in enumerate(["HAS_SENSOR", "R", "HAS_SENSOR", *ODD_TEXT])
+]
+
+
+@pytest.mark.parametrize("cell", GRAPH_CELLS, ids=lambda cell: f"{type(cell).__name__}-{cell.id}")
+def test_node_and_relationship_text_equals_the_reference_formula(cell):
+    assert render_value(cell) == reference_render(cell)
+    assert serialize_records(ResultSet(columns=["x"], rows=[(cell,)])) == per_row_reference(
+        ResultSet(columns=["x"], rows=[(cell,)])
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_graph_columns_equal_the_reference_formula(width):
+    # Several label sets, relationship types and property maps share each
+    # column, beside every scalar kind, so the memos of one call are reused.
+    cells = GRAPH_CELLS + CELLS
+    rng = random.Random(100 + width)
+    rows = [tuple(rng.choice(cells) for _ in range(width)) for _ in range(120)]
+    rows += [tuple(GRAPH_CELLS[(i + j) % len(GRAPH_CELLS)] for j in range(width)) for i in range(len(GRAPH_CELLS))]
+    for count in (1, 2, len(rows)):
+        result = ResultSet(columns=["n", "r", "m"][:width], rows=rows[:count])
+        assert serialize_records(result) == per_row_reference(result)
+
+
+# The shipped graph's two widest renderings, pinned by length and SHA-256.
+SHIPPED_RENDERINGS = [
+    ("MATCH (n) RETURN n", 30_501, "4eb8db9f0ce5cb8db61f9e0b48fddd84f925732509f84b7f260a7f4ac0c6d559"),
+    (
+        "MATCH (n)-[r]-(m) RETURN n, r, m",
+        119_302,
+        "c453bb4ca4679781b8bfcf1cb4af4f13835b03800161f1022018620deceeca10",
+    ),
+]
+
+
+@pytest.mark.parametrize("query, length, digest", SHIPPED_RENDERINGS)
+def test_shipped_graph_renders_unchanged(shipped_dataset_path, query, length, digest):
+    result = execute(load_dataset_file(shipped_dataset_path), parse_query(query))
+    out = serialize_records(result)
+    assert out == per_row_reference(result)
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (length, digest)
 
 
 def test_canonicalize_collapses_whitespace_and_semicolon():

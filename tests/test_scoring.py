@@ -1,9 +1,13 @@
 import pytest
 
+from graphqa.cypher import serialize_records
+from graphqa.cypher.records import ResultSet
 from graphqa.errors import ValidationError
 from graphqa.evaluation import QuestionSpec, compute_metrics
 from graphqa.evaluation.scoring import RunGrades, grade_answer, grade_run, score_em
-from graphqa.pipeline import NAN_SENTINEL, OutcomeCase, PipelineRun
+from graphqa.graph.store import Node
+from graphqa.matching import find_output_text_values
+from graphqa.pipeline import NAN_SENTINEL, OutcomeCase, PipelineRun, classify_db_outcome
 
 TOWER_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
 TOWER_RECORD = "[<Record Lat=32.58088351 Long=-106.7533307>]"
@@ -39,7 +43,7 @@ def _content(db_output, expected_values, is_trick=False):
     spec = QuestionSpec(
         id="c", question="q", ground_truth_query="g", expected_values=expected_values, is_trick=is_trick
     )
-    return grade_run(_run(db_output=db_output), spec)[0].content
+    return grade_run(_run(db_output=db_output, spec=spec), spec)[0].content
 
 
 def test_score_content_substring_over_canonical_renderings():
@@ -136,6 +140,31 @@ def test_grade_answer_failure_outcomes():
     assert grade == 0
 
 
+# Values ``repr`` writes in double quotes (an apostrophe) or with escapes.
+REPR_QUOTED = ["O'Brien", 'a\'b"c', "back\\slash", "tab\there", "zero\x00width\u200b", "caf\u00e9", "\U0001F600"]
+
+
+@pytest.mark.parametrize("value", REPR_QUOTED + ["Temperature-T08", 'say "hi"'])
+def test_output_text_values_read_what_repr_wrote(value):
+    cell = serialize_records(ResultSet(columns=["n"], rows=[(value,)]))
+    node = serialize_records(ResultSet(columns=["s"], rows=[(Node(0, frozenset({"Sensor"}), {"Name": value}),)]))
+    assert find_output_text_values(cell) == [value]
+    assert find_output_text_values(node) == [value]
+
+
+def test_grade_answer_sees_a_wrong_value_written_in_double_quotes_or_escaped():
+    names_spec = QuestionSpec(id="s0", question="q", ground_truth_query="g", expected_values=["Temperature-T00"])
+    grade, reason = grade_answer(
+        "The sensor is O'Brien.", names_spec, OutcomeCase.WRONG_CONTENT, "[<Record n=\"O'Brien\">]"
+    )
+    assert (grade, reason) == (0, "asserts unexpected value \"O'Brien\" from the database output")
+    value = 'a\'b"c'
+    grade, reason = grade_answer(
+        f"The sensor is {value}.", names_spec, OutcomeCase.WRONG_CONTENT, f"[<Record n={value!r}>]"
+    )
+    assert (grade, reason) == (0, f"asserts unexpected value {value!r} from the database output")
+
+
 def _grades(em=0, content=0, length=None, misinfo=0, output=0, absolute=0):
     return RunGrades(
         em=em,
@@ -173,7 +202,8 @@ def test_score_misinformation_percentage():
     assert compute_metrics(rows).scores["m"].misinformation_score == pytest.approx(100.0 * 4 / 77)
 
 
-def _run(model="m", question="q", db_output="[]"):
+def _run(model="m", question="q", db_output="[]", spec=LOCATION_SPEC):
+    # The outcome the pipeline records when answering with the spec's values.
     return PipelineRun(
         question=question,
         model_task1=model,
@@ -184,7 +214,7 @@ def _run(model="m", question="q", db_output="[]"):
         extraction_method="whole-text",
         engine_error=None,
         db_output=db_output,
-        outcome=OutcomeCase.EMPTY_LIST,
+        outcome=classify_db_outcome(db_output, spec.expected_values),
         task2_prompt="p2",
         answer="a",
     )
