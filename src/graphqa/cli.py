@@ -123,9 +123,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         except (json.JSONDecodeError, ValidationError) as exc:
             raise CliError(f"config {args.config}: {exc}", EXIT_CONFIG) from exc
     if args.seed is not None:
-        config.seed = args.seed
+        config = config._replace(seed=args.seed)
     if args.tower_count is not None:
-        config.tower_count = args.tower_count
+        config = config._replace(tower_count=args.tower_count)
     try:
         dataset = generate_msa_fixture(config)
     except ValidationError as exc:
@@ -225,12 +225,24 @@ def cmd_report(args: argparse.Namespace) -> int:
     from . import evaluation
 
     rows = []
+    # A run counted twice (a copied file, or a repeated line) would skew every
+    # percentage, so each (model, question, variant) may appear once.
+    first_file: dict[tuple[str, str, int], str] = {}
     try:
         names = sorted(name for name in os.listdir(args.runs) if name.endswith(".runs.jsonl"))
         if not names:
             raise CliError(f"--runs {args.runs}: no .runs.jsonl files", EXIT_CORPUS)
         for name in names:
             _, records = evaluation.load_run_records(os.path.join(args.runs, name))
+            for record in records:
+                key = (record.run.model_task1, record.question_id, record.variant)
+                if key in first_file:
+                    raise CliError(
+                        f"{name} repeats the run of {key[0]!r} on {key[1]!r} variant {key[2]}, "
+                        f"already in {first_file[key]}",
+                        EXIT_CORPUS,
+                    )
+                first_file[key] = name
             rows.extend(evaluation.metric_rows(records))
     except OSError as exc:
         raise CliError(f"cannot read run records in {args.runs}: {exc}", EXIT_CONFIG) from exc

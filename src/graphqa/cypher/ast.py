@@ -2,8 +2,8 @@
 
 Each node is a ``typing.NamedTuple``: read-only, copied and pickled as its
 fields, with the ``Name(field=value, ...)`` repr that the parse-outcome
-digest hashes. ``value_type`` (also used by ``records.Point``) makes two
-values equal only when they are of the same class and their fields are
+digest hashes. ``value_type`` (also used by ``records.Point`` and by the
+pipeline's and the harness's records) makes two values equal only when they are of the same class and their fields are
 equal, so no value equals a plain tuple. A trailing ``source_text`` (the
 exact query slice, used for column naming as the reference database does)
 is left out, so a pretty-printed and reparsed query equals the original

@@ -1,5 +1,6 @@
 """Paths to packaged data files (dataset, corpus, templates, transcripts),
-and the one way the package writes a file."""
+the one way the package writes a file, and the one way a JSON record's
+field types are checked."""
 
 import os
 
@@ -26,3 +27,13 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _checked(data: object, types: dict[str, tuple[type, ...]], where: str) -> dict:
+    """``data`` if it is an object whose known fields have their JSON types."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{where} must be an object")
+    for name, value in data.items():
+        if name in types and type(value) not in types[name]:
+            raise TypeError(f"{where} field {name!r} has the wrong type {type(value).__name__}")
+    return data

@@ -15,9 +15,10 @@ list; their correct database outcome is the empty list.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Sequence
 
 from ..cypher import parse_query, execute, serialize_records
+from ..cypher.ast import value_type
 from ..datafiles import atomic_write
 from ..errors import CorpusError, EngineError
 from ..graph.store import PropertyGraph
@@ -33,14 +34,14 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass
-class QuestionSpec:
+@value_type
+class QuestionSpec(NamedTuple):
     id: str
     question: str
     ground_truth_query: str
-    expected_values: list[str] = field(default_factory=list)
+    expected_values: Sequence[str] = ()
     is_trick: bool = False
-    rephrasings: list[str] = field(default_factory=list)
+    rephrasings: Sequence[str] = ()
 
     @property
     def wanted_outcome(self) -> OutcomeCase:
@@ -49,10 +50,10 @@ class QuestionSpec:
 
 
 def _question(raw: object) -> QuestionSpec:
-    """One corpus entry; a wrongly typed field raises ``TypeError``."""
+    """One corpus entry; a wrongly typed field it gives raises ``TypeError``."""
     spec = QuestionSpec(**raw)
-    for name, kind in _FIELD_TYPES.items():
-        value = getattr(spec, name)
+    for name, value in raw.items():
+        kind = _FIELD_TYPES[name]
         if type(value) is not kind or (kind is list and any(type(item) is not str for item in value)):
             raise TypeError(f"field {name!r} must be {'a list of strings' if kind is list else kind.__name__}")
     return spec
@@ -88,7 +89,7 @@ def load_corpus(path: str) -> list[QuestionSpec]:
 
 
 def save_corpus(specs: list[QuestionSpec], path: str) -> None:
-    payload = {"schema_version": CORPUS_SCHEMA_VERSION, "questions": [asdict(s) for s in specs]}
+    payload = {"schema_version": CORPUS_SCHEMA_VERSION, "questions": [s._asdict() for s in specs]}
     atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 

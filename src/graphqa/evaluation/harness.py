@@ -8,9 +8,10 @@ re-running models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..datafiles import atomic_write
+from ..cypher.ast import value_type
+from ..datafiles import _checked, atomic_write
 from ..errors import CorpusError, ValidationError
 from ..graph.store import PropertyGraph
 from ..llm import Gateway
@@ -20,85 +21,44 @@ from .scoring import MetricRow, RunGrades, grade_run
 
 RUNS_SCHEMA_VERSION = "1"
 
-# The JSON types a run record line may hold in each field; a boolean is not
-# an integer here.
-_TEXT, _OPTIONAL_TEXT, _INT = (str,), (str, type(None)), (int,)
+# The JSON types a run record line may hold in each of its own fields; a
+# boolean is not an integer here. The run and its grades check their own.
 _RECORD_TYPES = {
-    "question_id": _TEXT,
-    "variant": _INT,
+    "question_id": (str,),
+    "variant": (int,),
     "is_trick": (bool,),
-    "original_question": _TEXT,
-    "reason": _TEXT,
-}
-_RUN_TYPES = {
-    **dict.fromkeys(
-        ("question", "model_task1", "model_task2", "task1_prompt", "db_output", "outcome", "task2_prompt"), _TEXT
-    ),
-    **dict.fromkeys(
-        ("task1_response", "extracted_query", "extraction_method", "engine_error", "answer", "failure"), _OPTIONAL_TEXT
-    ),
-    "durations": (dict,),
-}
-_GRADE_TYPES = {
-    **dict.fromkeys(("em", "content", "misinformation", "output_correct", "absolute_correct"), _INT),
-    "content_length": (int, type(None)),
+    "original_question": (str,),
+    "reason": (str,),
 }
 
 
-def _checked(data: object, types: dict[str, tuple[type, ...]], where: str) -> dict:
-    """``data`` if it is an object whose known fields have their JSON types."""
-    if not isinstance(data, dict):
-        raise TypeError(f"{where} must be an object")
-    for name, value in data.items():
-        if name in types and type(value) not in types[name]:
-            raise TypeError(f"{where} field {name!r} has the wrong type {type(value).__name__}")
-    return data
-
-
-@dataclass
-class RunRecord:
+@value_type
+class RunRecord(NamedTuple):
     question_id: str
     variant: int  # 0 = original question, 1..n = rephrasings
     is_trick: bool
     original_question: str
     run: PipelineRun
     grades: RunGrades
-    reason: str
+    reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "variant": self.variant,
-            "is_trick": self.is_trick,
-            "original_question": self.original_question,
-            "run": self.run.to_dict(),
-            "grades": self.grades.to_dict(),
-            "reason": self.reason,
-        }
+        data = self._asdict()
+        data["run"] = self.run.to_dict()
+        data["grades"] = self.grades.to_dict()
+        return data
 
     @classmethod
-    def from_dict(cls, data: object) -> "RunRecord":
-        data = _checked(data, _RECORD_TYPES, "record")
-        grades = RunGrades(**_checked(data["grades"], _GRADE_TYPES, "grades"))
-        grades.validate()
-        return cls(
-            question_id=data["question_id"],
-            variant=data["variant"],
-            is_trick=data["is_trick"],
-            original_question=data["original_question"],
-            run=PipelineRun.from_dict(_checked(data["run"], _RUN_TYPES, "run")),
-            grades=grades,
-            reason=data.get("reason", ""),
-        )
+    def from_dict(cls, data: object) -> RunRecord:
+        payload = dict(_checked(data, _RECORD_TYPES, "record"))
+        payload["grades"] = RunGrades.from_dict(payload["grades"])
+        payload["run"] = PipelineRun.from_dict(payload["run"])
+        return cls(**payload)
 
     def spec_stub(self) -> QuestionSpec:
         """Enough of a QuestionSpec to aggregate and report from disk."""
         return QuestionSpec(
-            id=self.question_id,
-            question=self.original_question,
-            ground_truth_query="",
-            expected_values=[],
-            is_trick=self.is_trick,
+            id=self.question_id, question=self.original_question, ground_truth_query="", is_trick=self.is_trick
         )
 
 
@@ -113,18 +73,7 @@ def evaluate_model(
     records: list[RunRecord] = []
     for spec, variant, question in corpus_instances(specs, include_rephrasings):
         run = answer_question(question, graph, gateway, config, expected_values=spec.expected_values)
-        grades, reason = grade_run(run, spec)
-        records.append(
-            RunRecord(
-                question_id=spec.id,
-                variant=variant,
-                is_trick=spec.is_trick,
-                original_question=spec.question,
-                run=run,
-                grades=grades,
-                reason=reason,
-            )
-        )
+        records.append(RunRecord(spec.id, variant, spec.is_trick, spec.question, run, *grade_run(run, spec)))
     return records
 
 

@@ -13,18 +13,7 @@ import csv
 import io
 
 from ..errors import ValidationError
-from .scoring import MetricsReport
-
-_CSV_COLUMNS = [
-    "model",
-    "n",
-    "em_score",
-    "content_score",
-    "output_score",
-    "misinformation_score",
-    "absolute_score",
-    "absolute_em_only",
-]
+from .scoring import MetricsReport, ModelScores
 
 
 def _pct(value: float) -> str:
@@ -90,19 +79,8 @@ def render_csv_report(report: MetricsReport) -> str:
         raise ValidationError("empty report")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(("model", *ModelScores._fields))
     for model in sorted(report.scores):
-        s = report.scores[model]
-        writer.writerow(
-            [
-                model,
-                s.n,
-                repr(s.em_score),
-                repr(s.content_score),
-                repr(s.output_score),
-                repr(s.misinformation_score),
-                repr(s.absolute_score),
-                repr(s.absolute_em_only),
-            ]
-        )
+        n, *percentages = report.scores[model]
+        writer.writerow([model, n, *map(repr, percentages)])
     return buffer.getvalue()

@@ -20,7 +20,7 @@ Metrics per run:
   nonexistence; with failed/empty/wrong input the answer must not assert
   wrong values as fact. The phrase lexicons and the tolerance are module
   constants, and every decision carries a logged reason. The answer is
-  lowercased once for all of these checks.
+  lowercased, and scanned for numbers, at most once for all of these checks.
 - absolute_correct: the user actually got the right answer end to end.
 
 Aggregation reports percentages over all runs of a model, plus the stricter
@@ -30,9 +30,12 @@ provided content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from ..cypher import canonicalize_query
+from ..cypher.ast import value_type
+from ..datafiles import _checked
 from ..matching import _value_occurs, find_numbers, find_output_text_values, is_numeric_text, numbers_match
 from ..errors import ValidationError
 from ..pipeline import OutcomeCase, PipelineRun
@@ -95,13 +98,6 @@ def _lexicon_hit(folded: str, lexicon: tuple[str, ...]) -> str | None:
     return None
 
 
-def _expected_in_answer(answer: str, folded: str, expected: str) -> bool:
-    if is_numeric_text(expected):
-        target = float(expected)
-        return any(numbers_match(found, target, NUMERIC_REL_TOL) for found in find_numbers(answer))
-    return _value_occurs(expected, answer, folded)
-
-
 def grade_answer(
     answer: str | None,
     spec: QuestionSpec,
@@ -118,7 +114,16 @@ def grade_answer(
     folded = answer.lower()
 
     if outcome is OutcomeCase.CONTENT:
-        missing = [v for v in spec.expected_values if not _expected_in_answer(answer, folded, v)]
+        numbers = None  # find_numbers(answer), scanned at the first numeric value
+        missing = []
+        for value in spec.expected_values:
+            if is_numeric_text(value):
+                numbers = find_numbers(answer) if numbers is None else numbers
+                found = any(numbers_match(number, float(value), NUMERIC_REL_TOL) for number in numbers)
+            else:
+                found = _value_occurs(value, answer, folded)
+            if not found:
+                missing.append(value)
         if missing:
             return 0, f"answer missing expected value(s): {missing}"
         return 1, "all expected values present in answer"
@@ -145,8 +150,8 @@ def grade_answer(
     return 1, "no wrong values asserted"
 
 
-@dataclass
-class RunGrades:
+@value_type
+class RunGrades(NamedTuple):
     em: int
     content: int
     content_length: int | None
@@ -169,7 +174,18 @@ class RunGrades:
             raise ValidationError("grade invariant violated: absolute requires output and content")
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
+
+    @classmethod
+    def from_dict(cls, data: object) -> RunGrades:
+        """Valid grades from their ``to_dict`` form; a wrongly typed field raises ``TypeError``."""
+        grades = cls(**_checked(data, _GRADE_TYPES, "grades"))
+        grades.validate()
+        return grades
+
+
+# The JSON types a saved grade may hold; a boolean is not an integer here.
+_GRADE_TYPES = {**dict.fromkeys(RunGrades._fields, (int,)), "content_length": (int, type(None))}
 
 
 def grade_run(run: PipelineRun, spec: QuestionSpec) -> tuple[RunGrades, str]:
@@ -197,8 +213,8 @@ def grade_run(run: PipelineRun, spec: QuestionSpec) -> tuple[RunGrades, str]:
     return grades, reason
 
 
-@dataclass
-class ModelScores:
+@value_type
+class ModelScores(NamedTuple):
     n: int
     em_score: float
     content_score: float
@@ -211,10 +227,15 @@ class ModelScores:
 MetricRow = tuple[PipelineRun, QuestionSpec, RunGrades]
 
 
-@dataclass
-class MetricsReport:
+@value_type
+class MetricsReport(NamedTuple):
+    """Scores per model; equality reads only the scores, not the graded runs behind them."""
+
     scores: dict[str, ModelScores]
-    graded: dict[str, list[MetricRow]] = field(default_factory=dict, compare=False, repr=False)
+    graded: Mapping[str, list[MetricRow]] = MappingProxyType({})
+
+    def _key(self) -> dict[str, ModelScores]:
+        return self.scores
 
 
 def compute_metrics(runs: list[MetricRow]) -> MetricsReport:

@@ -15,8 +15,9 @@ Generation is fully deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ..cypher.ast import value_type
 from ..errors import ValidationError
 from .dataset import DatasetFile, NodeEntry, RelationshipEntry
 
@@ -40,8 +41,8 @@ _METERS_PER_MILE = 1609.344
 _METERS_PER_DEGREE_LAT = 111320.0
 
 
-@dataclass
-class GeneratorConfig:
+@value_type
+class GeneratorConfig(NamedTuple):
     tower_count: int = 13
     attached_sensors: int = 121
     seed: int = 42
@@ -51,7 +52,7 @@ class GeneratorConfig:
         """Build a config from parsed JSON: an object whose values are integers."""
         if not isinstance(raw, dict):
             raise ValidationError("generator config must be a JSON object")
-        unknown = raw.keys() - cls.__dataclass_fields__
+        unknown = raw.keys() - set(cls._fields)
         if unknown:
             raise ValidationError(f"unknown generator config keys: {sorted(unknown)}")
         for key, value in raw.items():

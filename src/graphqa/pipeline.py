@@ -15,10 +15,12 @@ from __future__ import annotations
 import enum
 import re
 import time
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .cypher import execute, parse_query, serialize_records
-from .datafiles import data_path
+from .cypher.ast import value_type
+from .datafiles import _checked, data_path
 from .errors import EngineError, GatewayError, TemplateError
 from .graph.store import PropertyGraph, schema_description
 from .llm import CompletionRequest, CypherCandidate, Gateway, extract_cypher
@@ -98,13 +100,11 @@ def load_templates(directory: str | None = None) -> dict[str, PromptTemplate]:
     }
 
 
-class PipelineConfig:
-    __slots__ = ("model_task1", "templates", "model_task2")
-
-    def __init__(self, model_task1: str, templates: dict[str, PromptTemplate], model_task2: str | None = None):
-        self.model_task1 = model_task1
-        self.templates = templates
-        self.model_task2 = model_task2  # defaults to the stage-1 model
+@value_type
+class PipelineConfig(NamedTuple):
+    model_task1: str
+    templates: dict[str, PromptTemplate]
+    model_task2: str | None = None  # defaults to the stage-1 model
 
     @property
     def task2_model(self) -> str:
@@ -146,61 +146,48 @@ def classify_db_outcome(db_output: str, expected_values: Sequence[str] | None) -
     return OutcomeCase.WRONG_CONTENT
 
 
-class PipelineRun:
+@value_type
+class PipelineRun(NamedTuple):
     """Every artifact produced while answering one question."""
 
-    __slots__ = (
-        "question", "model_task1", "model_task2", "task1_prompt", "task1_response", "extracted_query",
-        "extraction_method", "engine_error", "db_output", "outcome", "task2_prompt", "answer", "failure", "durations"
-    )
-
-    def __init__(
-        self,
-        question: str,
-        model_task1: str,
-        model_task2: str,
-        task1_prompt: str,
-        task1_response: str | None,
-        extracted_query: str | None,
-        extraction_method: str | None,
-        engine_error: str | None,
-        db_output: str,
-        outcome: OutcomeCase,
-        task2_prompt: str,
-        answer: str | None,
-        failure: str | None = None,
-        durations: dict[str, float] | None = None,
-    ):
-        self.question = question
-        self.model_task1 = model_task1
-        self.model_task2 = model_task2
-        self.task1_prompt = task1_prompt
-        self.task1_response = task1_response
-        self.extracted_query = extracted_query
-        self.extraction_method = extraction_method
-        self.engine_error = engine_error
-        self.db_output = db_output  # serialized records, "[]", or the "nan" sentinel
-        self.outcome = outcome
-        self.task2_prompt = task2_prompt
-        self.answer = answer
-        self.failure = failure  # "task1: ..." / "task2: ..." gateway marker
-        self.durations = {} if durations is None else durations
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.to_dict() == other.to_dict()
-        return NotImplemented
+    question: str
+    model_task1: str
+    model_task2: str
+    task1_prompt: str
+    task1_response: str | None
+    extracted_query: str | None
+    extraction_method: str | None
+    engine_error: str | None
+    db_output: str  # serialized records, "[]", or the "nan" sentinel
+    outcome: OutcomeCase
+    task2_prompt: str
+    answer: str | None
+    failure: str | None = None  # "task1: ..." / "task2: ..." gateway marker
+    durations: Mapping[str, float] = MappingProxyType({})
 
     def to_dict(self) -> dict:
-        data = {name: getattr(self, name) for name in self.__slots__}
+        data = self._asdict()
         data["outcome"] = self.outcome.value
+        data["durations"] = dict(self.durations)
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineRun":
-        payload = dict(data)
+    def from_dict(cls, data: object) -> PipelineRun:
+        """A run from its ``to_dict`` form; a wrongly typed field raises ``TypeError``."""
+        payload = dict(_checked(data, _RUN_TYPES, "run"))
         payload["outcome"] = OutcomeCase(payload["outcome"])
         return cls(**payload)
+
+
+# The JSON types a saved run may hold in each field: text, unless listed here.
+_RUN_TYPES = {
+    **dict.fromkeys(PipelineRun._fields, (str,)),
+    **dict.fromkeys(
+        ("task1_response", "extracted_query", "extraction_method", "engine_error", "answer", "failure"),
+        (str, type(None)),
+    ),
+    "durations": (dict,),
+}
 
 
 def run_stage1(graph: PropertyGraph, llm_text: str | None) -> tuple[CypherCandidate, str, str | None]:

@@ -368,6 +368,38 @@ def test_report_malformed_run_record_exits_corpus_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "repeat, first_file",
+    [
+        ("copied-file", "copy.runs.jsonl"),
+        ("one-copied-line", "copy.runs.jsonl"),
+        ("repeated-line", "llama3.1_8b.runs.jsonl"),
+    ],
+)
+def test_report_run_counted_twice_exits_corpus_code(tmp_path, capsys, repeat, first_file):
+    # The copy's name sorts first, so the original file holds the repeat.
+    out = tmp_path / "out"
+    argv = ["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"]
+    assert main(argv) == EXIT_OK
+    runs = out / "llama3.1_8b.runs.jsonl"
+    header, first, *rest = runs.read_text().splitlines()
+    if repeat == "copied-file":
+        (out / "copy.runs.jsonl").write_text(runs.read_text())
+    elif repeat == "one-copied-line":
+        (out / "copy.runs.jsonl").write_text(f"{header}\n{first}\n")
+    else:
+        runs.write_text("\n".join([header, first, *rest, first]) + "\n")
+    question_id = json.loads(first)["question_id"]
+    (out / "report.txt").unlink()
+    capsys.readouterr()
+    assert main(["report", "--runs", str(out)]) == EXIT_CORPUS
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: llama3.1_8b.runs.jsonl repeats the run of 'llama3.1:8b' on {question_id!r} variant 0, "
+        f"already in {first_file}"
+    ]
+    assert not (out / "report.txt").exists()
+
+
 def test_report_wrongly_typed_grade_exits_corpus_code(tmp_path, capsys):
     out = tmp_path / "out"
     main(["eval", "--models", "llama3.1:8b", "--out", str(out), "--replay", data_path("transcripts"), "--originals-only"])
@@ -434,6 +466,28 @@ def test_ask_loads_neither_dataclasses_nor_the_generator_nor_the_harness():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [TOWER_ANSWER, "0 []"]
+
+
+@pytest.mark.parametrize("command", ["eval", "report", "gen-data"])
+def test_eval_report_and_gen_data_load_neither_dataclasses_nor_inspect(tmp_path, command):
+    # Every record is a named tuple, so no command pays for dataclasses.
+    runs = tmp_path / "runs"
+    eval_argv = ["eval", "--models", "llama3.1:8b", "--originals-only", "--out", str(runs), "--replay", data_path("transcripts")]
+    argv = {
+        "eval": eval_argv,
+        "report": ["report", "--runs", str(runs)],
+        "gen-data": ["gen-data", "--out", str(tmp_path / "data.jsonl")],
+    }[command]
+    if command == "report":
+        assert main(eval_argv) == EXIT_OK
+    code = (
+        "import sys, graphqa.cli; "
+        f"code = graphqa.cli.main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_import_leaves_importlib_resources_unloaded():

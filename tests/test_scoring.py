@@ -4,9 +4,10 @@ from graphqa.cypher import serialize_records
 from graphqa.cypher.records import ResultSet
 from graphqa.errors import ValidationError
 from graphqa.evaluation import QuestionSpec, compute_metrics
+from graphqa.evaluation import scoring
 from graphqa.evaluation.scoring import RunGrades, grade_answer, grade_run, score_em
 from graphqa.graph.store import Node
-from graphqa.matching import find_output_text_values
+from graphqa.matching import find_numbers, find_output_text_values
 from graphqa.pipeline import NAN_SENTINEL, OutcomeCase, PipelineRun, classify_db_outcome
 
 TOWER_QUERY = "MATCH (t:Tower {Tower: 4}) RETURN t.Lat AS Lat, t.Long AS Long"
@@ -88,6 +89,27 @@ def test_grade_answer_content_tolerates_units_and_case():
     assert grade == 1
     grade, _ = grade_answer("tower 0 has a temperature sensor.", names_spec, OutcomeCase.CONTENT, "")
     assert grade == 0
+
+
+def test_content_grade_scans_the_answer_for_numbers_at_most_once(monkeypatch):
+    # Both expected values are numbers; the answer is scanned once for both,
+    # and not at all when no expected value is a number.
+    scans = []
+
+    def counting(text):
+        scans.append(text)
+        return find_numbers(text)
+
+    monkeypatch.setattr(scoring, "find_numbers", counting)
+    answer = "Tower 4 stands at 32.58088351, -106.7533307."
+    assert grade_answer(answer, LOCATION_SPEC, OutcomeCase.CONTENT, TOWER_RECORD) == (
+        1,
+        "all expected values present in answer",
+    )
+    assert scans == [answer]
+    names_spec = LOCATION_SPEC._replace(expected_values=["Temperature-T00", "Humidity-T00"])
+    assert grade_answer("temperature-t00 and humidity-t00", names_spec, OutcomeCase.CONTENT, "")[0] == 1
+    assert scans == [answer]
 
 
 def test_grade_answer_numeric_tolerance():
