@@ -1,8 +1,15 @@
 """Paths to packaged data files (dataset, corpus, templates, transcripts),
-the one way the package writes a file, and the one way a JSON record's
-field types are checked."""
+the one way the package writes a file, the one way a JSON-lines file is
+read, and the one way a JSON record's field types are checked."""
 
+from __future__ import annotations
+
+import json
 import os
+from collections.abc import Callable, Iterable, Iterator
+
+# The C scanner under json.loads, without its wrapper; see json_lines.
+_scan = json.JSONDecoder().scan_once
 
 
 def data_path(*parts: str) -> str:
@@ -27,6 +34,35 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def json_lines(
+    lines: Iterable[str], invalid: Callable[[int, json.JSONDecodeError], Exception]
+) -> Iterator[tuple[int, object]]:
+    """The number, from 1, and the JSON value of each line that is not blank.
+
+    Each line is decoded alone, by the scanner under ``json.loads`` called
+    directly; a line that is not exactly one JSON value (blank, padded, a
+    BOM, extra data, bad JSON) goes through ``json.loads`` for the same value
+    or its error. A line that is not JSON raises ``invalid(lineno, error)``.
+    Lines are never joined and decoded together: ``{"x":1},{"y":2}``,
+    ``{"c":[{}`` and ``{}]}`` each fail, yet joined they make three objects.
+    The dataset, transcript and run-record formats are all read here.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            value, end = _scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            # Blank, or not one bare JSON value: json.loads gives it or its error.
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise invalid(lineno, exc) from exc
+        yield lineno, value
 
 
 def _checked(data: object, types: dict[str, tuple[type, ...]], where: str) -> dict:

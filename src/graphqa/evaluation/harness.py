@@ -11,7 +11,7 @@ import json
 from typing import NamedTuple
 
 from ..cypher.ast import value_type
-from ..datafiles import _checked, atomic_write
+from ..datafiles import _checked, atomic_write, json_lines
 from ..errors import CorpusError, ValidationError
 from ..graph.store import PropertyGraph
 from ..llm import Gateway
@@ -98,20 +98,24 @@ def save_run_records(path: str, model: str, records: list[RunRecord]) -> None:
 def load_run_records(path: str) -> tuple[str, list[RunRecord]]:
     """Read a run record file; any malformed line raises ``CorpusError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise CorpusError(f"run record file {path} is empty")
+
+    def line_error(lineno: int, exc: Exception) -> CorpusError:
+        return CorpusError(f"run record file {path} line {lineno}: {type(exc).__name__}: {exc}")
+
+    lines = json_lines(text.splitlines(), line_error)
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or (header.get("kind"), header.get("schema_version")) != ("runs", RUNS_SCHEMA_VERSION):
+        lineno, header = next(lines)
+    except (StopIteration, CorpusError):  # only blank lines, or the first other line is not JSON
+        lineno, header = 0, None
+    if lineno != 1 or type(header) is not dict or (header.get("kind"), header.get("schema_version")) != ("runs", RUNS_SCHEMA_VERSION):
         raise CorpusError(f"run record file {path} has no valid header")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise CorpusError(f"run record file {path} line {lineno}: {type(exc).__name__}: {exc}") from exc
+    for lineno, data in lines:
+        try:
+            records.append(RunRecord.from_dict(data))
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise line_error(lineno, exc) from exc
     return header.get("model", ""), records

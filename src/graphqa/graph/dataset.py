@@ -11,11 +11,9 @@ appearance. JSON keeps integer vs float property kinds distinct and floats
 are written with their shortest round-trip representation, so a file parsed
 and serialized again keeps its bytes.
 
-Each line is decoded alone, by the scanner under ``json.loads`` called
-directly; a line that is not exactly one JSON value (blank, padded, a BOM,
-extra data, bad JSON) goes through ``json.loads`` for the same value or its
-error. Lines are never joined and decoded together: ``{"x":1},{"y":2}``,
-``{"c":[{}`` and ``{}]}`` each fail, yet joined they make three objects.
+Lines are decoded by ``datafiles.json_lines``, the reader of every
+JSON-lines format in the package: each line alone, never joined with the
+next, and a blank line skipped.
 
 The scanner decodes every line's keys, labels and values afresh, so a file
 of many lines alike would hold one copy of each per line. A parse keeps, for
@@ -55,13 +53,11 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import partial, wraps
 from operator import attrgetter
 
+from ..datafiles import json_lines
 from ..errors import DatasetFormatError, ValidationError
 from .store import PropertyGraph, PropertyMap, validate_labels, validate_property_map, validate_rel_type
 
 SCHEMA_VERSION = "1"
-
-# The C scanner under json.loads, without its wrapper; see the module docstring.
-_scan = json.JSONDecoder().scan_once
 
 
 def _checked(name: str, check) -> property:
@@ -171,6 +167,10 @@ def _lines(chunks: Iterable[str]) -> Iterator[str]:
     yield from rest.splitlines()
 
 
+def _invalid_json(lineno: int, exc: json.JSONDecodeError) -> DatasetFormatError:
+    return DatasetFormatError(f"invalid JSON: {exc.msg}", lineno)
+
+
 def _parse(lines: Iterable[str], add_node: Callable, add_relationship: Callable) -> None:
     """Parse a document's lines, passing each entry's fields, checked as an
     entry checks them, to ``add_node(labels, properties)`` or
@@ -189,19 +189,7 @@ def _parse(lines: Iterable[str], add_node: Callable, add_relationship: Callable)
     key_maps: dict[tuple, dict] = {}
     label_lists: dict[tuple, list[str]] = {}
     saw_header = False
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            obj, end = _scan(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(line):
-            # Blank, or not one bare JSON value: json.loads gives it or its error.
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+    for lineno, obj in json_lines(lines, _invalid_json):
         if type(obj) is not dict or "kind" not in obj:
             raise DatasetFormatError("each line must be an object with a 'kind' field", lineno)
         kind = obj["kind"]

@@ -16,9 +16,10 @@ import hashlib
 import json
 import threading
 import time
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from .datafiles import atomic_write
+from .datafiles import atomic_write, json_lines
 from .errors import GatewayError, ReplayMissError
 
 TRANSCRIPT_SCHEMA_VERSION = "1"
@@ -37,11 +38,7 @@ class CompletionRequest(NamedTuple):
 
 
 def request_hash(model_name: str, prompt: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(model_name.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(prompt.encode("utf-8"))
-    return digest.hexdigest()
+    return hashlib.sha256(f"{model_name}\x00{prompt}".encode("utf-8")).hexdigest()
 
 
 class TranscriptEntry(NamedTuple):
@@ -50,21 +47,43 @@ class TranscriptEntry(NamedTuple):
     response: str
     timestamp: str = ""
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.model_name, self.prompt)
+
+def _invalid_json(lineno: int, exc: json.JSONDecodeError) -> GatewayError:
+    return GatewayError(f"transcript line {lineno}: invalid JSON: {exc.msg}")
+
+
+def _entry_number(position: int) -> str:
+    return f"entry {position + 1}"
 
 
 class Transcript:
-    """Recorded (model, prompt) -> response pairs, stored as JSON lines."""
+    """Recorded (model, prompt) -> response pairs, stored as JSON lines.
+
+    Each request has one response: an entry that repeats a recorded request
+    with another response is a ``GatewayError`` that names both entries, by
+    line in a loaded file. An identical repeat is kept.
+    """
 
     def __init__(self, entries: list[TranscriptEntry] | None = None):
-        self.entries: list[TranscriptEntry] = list(entries or [])
-        self._index: dict[tuple[str, str], str] = {e.key: e.response for e in self.entries}
+        self.entries: list[TranscriptEntry] = []
+        self._index: dict[tuple[str, str], str] = {}
+        self._extend(entries or (), _entry_number)
 
     def add(self, entry: TranscriptEntry) -> None:
-        self.entries.append(entry)
-        self._index[entry.key] = entry.response
+        self._extend((entry,), _entry_number)
+
+    def _extend(self, entries: Iterable[TranscriptEntry], name: Callable[[int], str]) -> None:
+        """Append and index ``entries``; ``name(i)`` names the entry that is
+        or will be at position ``i`` of ``self.entries``."""
+        kept, index = self.entries, self._index
+        for entry in entries:
+            key = entry[:2]  # (model_name, prompt), the key lookup takes
+            if index.setdefault(key, entry.response) != entry.response:
+                first = next(i for i, known in enumerate(kept) if known[:2] == key)
+                raise GatewayError(
+                    f"transcript {name(len(kept))}: response differs from {name(first)} for the same model and prompt"
+                )
+            kept.append(entry)
 
     def lookup(self, model_name: str, prompt: str) -> str | None:
         return self._index.get((model_name, prompt))
@@ -93,40 +112,36 @@ class Transcript:
         atomic_write(path, self.dumps())
 
     @classmethod
-    def loads(cls, text: str) -> "Transcript":
-        transcript = cls()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GatewayError(f"transcript line {lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
+    def loads(cls, text: str) -> Transcript:
+        entries: list[TranscriptEntry] = []
+        linenos: list[int] = []
+        for lineno, obj in json_lines(text.splitlines(), _invalid_json):
+            if type(obj) is not dict:
                 raise GatewayError(f"transcript line {lineno}: not a JSON object")
             if obj.get("kind") == "transcript":
                 if obj.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
                     raise GatewayError(f"unsupported transcript schema_version {obj.get('schema_version')!r}")
                 continue
             try:
-                entry = TranscriptEntry(
-                    model_name=obj["model"],
-                    prompt=obj["prompt"],
-                    response=obj["response"],
-                    timestamp=obj.get("timestamp", ""),
-                )
+                model_name, prompt, response = obj["model"], obj["prompt"], obj["response"]
             except KeyError as exc:
                 raise GatewayError(f"transcript line {lineno}: missing field {exc.args[0]!r}") from exc
-            if not all(isinstance(text, str) for text in (entry.model_name, entry.prompt, entry.response)):
+            if type(model_name) is not str or type(prompt) is not str or type(response) is not str:
                 raise GatewayError(f"transcript line {lineno}: model, prompt and response must be strings")
+            timestamp = obj.get("timestamp", "")
+            if type(timestamp) is not str:
+                raise GatewayError(f"transcript line {lineno}: timestamp must be a string")
             expected = obj.get("request_sha256")
-            if expected and expected != request_hash(entry.model_name, entry.prompt):
+            if expected and expected != request_hash(model_name, prompt):
                 raise GatewayError(f"transcript line {lineno}: request hash mismatch")
-            transcript.add(entry)
+            entries.append(TranscriptEntry(model_name, prompt, response, timestamp))
+            linenos.append(lineno)
+        transcript = cls()
+        transcript._extend(entries, lambda i: f"line {linenos[i]}")
         return transcript
 
     @classmethod
-    def load(cls, path: str) -> "Transcript":
+    def load(cls, path: str) -> Transcript:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.loads(fh.read())
 

@@ -83,3 +83,19 @@ def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_wider_than_the_parent_sprea
     assert metrics["ops_per_s"]["gain_shown"] is False
     mirrored = _pairs([-x for x in PARENT], [-x for x in change])
     assert mirrored["ops_per_s"]["gain_shown"] is shown
+
+
+def test_a_tree_holding_bytecode_is_refused_and_kept(tmp_path, capsys):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    cache = tmp_path / "change" / "src" / "pkg" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "module.cpython-311.pyc").write_bytes(b"")
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([*argv, "--seed", "1", "--workloads", "replay-eval", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert str(cache) in capsys.readouterr().err
+    assert (cache / "module.cpython-311.pyc").exists() and not out.exists()

@@ -133,6 +133,20 @@ def test_ask_malformed_transcript_exits_gateway_code(tmp_path):
     assert main(["ask", TOWER_QUESTION, "--replay", str(tmp_path), "--model-task1", "m"]) == EXIT_GATEWAY
 
 
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_a_transcript_answering_a_request_two_ways_exits_gateway_code(tmp_path, capsys, command):
+    lines = ['{"kind": "transcript", "schema_version": "1"}']
+    lines += [json.dumps({"model": "m", "prompt": "p", "response": reply}) for reply in ("a", "b")]
+    (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
+    replay = ["--replay", str(tmp_path)]
+    if command == "ask":
+        argv = ["ask", TOWER_QUESTION, "--model-task1", "m", *replay]
+    else:
+        argv = ["eval", "--models", "m", "--out", str(tmp_path / "out"), "--originals-only", *replay]
+    assert main(argv) == EXIT_GATEWAY
+    assert "transcript line 3: response differs from line 2" in capsys.readouterr().err
+
+
 def test_ask_requires_gateway_configuration(monkeypatch):
     monkeypatch.delenv("GRAPHQA_ENDPOINT", raising=False)
     assert main(["ask", TOWER_QUESTION]) == EXIT_CONFIG

@@ -89,6 +89,10 @@ def _with_grade(record, name, value):
     return record
 
 
+class _Raw(str):
+    """A corrupt line written as it is, not as JSON."""
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -102,6 +106,7 @@ def _with_grade(record, name, value):
         lambda record: _with_grade(record, "content_length", 4.5),
         lambda record: _with_run_field(record, "model_task1"),
         lambda record: {**record, "is_trick": 0},
+        lambda record: _Raw("{oops"),
     ],
     ids=[
         "unknown-outcome",
@@ -114,6 +119,7 @@ def _with_grade(record, name, value):
         "float-length",
         "number-model",
         "number-trick-flag",
+        "invalid-json",
     ],
 )
 def test_malformed_run_record_line_raises_corpus_error(tmp_path, fixture_graph, corpus, templates, corrupt):
@@ -122,7 +128,8 @@ def test_malformed_run_record_line_raises_corpus_error(tmp_path, fixture_graph, 
     path = tmp_path / "runs.jsonl"
     save_run_records(str(path), MODEL, records)
     header, first, second = path.read_text().splitlines()
-    path.write_text("\n".join([header, first, json.dumps(corrupt(json.loads(second)))]) + "\n")
+    line = corrupt(json.loads(second))
+    path.write_text("\n".join([header, first, line if isinstance(line, _Raw) else json.dumps(line)]) + "\n")
     with pytest.raises(CorpusError, match="line 3"):
         load_run_records(str(path))
 

@@ -145,19 +145,63 @@ def test_transcript_hash_mismatch_rejected(tmp_path):
         Transcript.loads('{"kind": "transcript", "schema_version": "1"}\n' + bad)
 
 
+HEADER = '{"kind": "transcript", "schema_version": "1"}'
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("[1, 2]", "not a JSON object"),
-        ('"reply"', "not a JSON object"),
-        ("null", "not a JSON object"),
-        ('{"model": 1, "prompt": "p", "response": "r", "request_sha256": "0"}', "model, prompt and response must be strings"),
-        ('{"model": "m", "prompt": "p", "response": 5}', "model, prompt and response must be strings"),
+        ("[1, 2]", "transcript line 2: not a JSON object"),
+        ('"reply"', "transcript line 2: not a JSON object"),
+        ("null", "transcript line 2: not a JSON object"),
+        (
+            '{"model": 1, "prompt": "p", "response": "r", "request_sha256": "0"}',
+            "transcript line 2: model, prompt and response must be strings",
+        ),
+        ('{"model": "m", "prompt": "p", "response": 5}', "transcript line 2: model, prompt and response must be strings"),
+        ("{oops", "transcript line 2: invalid JSON: Expecting property name enclosed in double quotes$"),
+        ("{} {}", "transcript line 2: invalid JSON: Extra data$"),
+        ('\ufeff{"model": "m", "prompt": "p", "response": "r"}', r"transcript line 2: invalid JSON: Unexpected UTF-8 BOM \("),
+        ('{"model": "m", "response": "r"}', "transcript line 2: missing field 'prompt'$"),
+        (
+            json.dumps({"request_sha256": "0" * 64, "model": "m", "prompt": "p", "response": "r"}),
+            "transcript line 2: request hash mismatch$",
+        ),
+        ('{"kind": "transcript", "schema_version": "2"}', "unsupported transcript schema_version '2'$"),
+        ('{"model": "m", "prompt": "p", "response": "r", "timestamp": 5}', "transcript line 2: timestamp must be a string$"),
     ],
 )
 def test_malformed_transcript_line_rejected(line, message):
-    with pytest.raises(GatewayError, match=f"transcript line 2: {message}"):
-        Transcript.loads('{"kind": "transcript", "schema_version": "1"}\n' + line)
+    with pytest.raises(GatewayError, match=f"^{message}"):
+        Transcript.loads(HEADER + "\n" + line)
+
+
+def test_padded_line_loads_and_whitespace_only_line_is_skipped():
+    line = json.dumps({"model": "m", "prompt": "p", "response": "r"})
+    transcript = Transcript.loads("\n".join([HEADER, " \t ", f"  {line}\t"]))
+    assert transcript.entries == [TranscriptEntry("m", "p", "r")]
+    # The skipped line still counts: the next line is line 4.
+    with pytest.raises(GatewayError, match="^transcript line 4: not a JSON object$"):
+        Transcript.loads("\n".join([HEADER, " \t ", f"  {line}\t", "[]"]))
+
+
+def test_a_request_has_one_response():
+    first, second = (json.dumps({"model": "m", "prompt": "p", "response": reply}) for reply in ("a", "b"))
+    other_model = json.dumps({"model": "n", "prompt": "p", "response": "b"})
+    text = "\n".join([HEADER, first, other_model, second])
+    with pytest.raises(GatewayError, match="^transcript line 4: response differs from line 2 for the same model and prompt$"):
+        Transcript.loads(text)
+    with pytest.raises(GatewayError, match="^transcript entry 3: response differs from entry 1 "):
+        Transcript([TranscriptEntry("m", "p", "a"), TranscriptEntry("n", "p", "b"), TranscriptEntry("m", "p", "b")])
+    transcript = Transcript([TranscriptEntry("m", "p", "a")])
+    with pytest.raises(GatewayError, match="^transcript entry 2: response differs from entry 1 "):
+        transcript.add(TranscriptEntry("m", "p", "b", "2025-08-01T00:00:00Z"))
+    assert transcript.entries == [TranscriptEntry("m", "p", "a")]
+    # An identical repeat loads and is kept, as before.
+    repeated = Transcript.loads("\n".join([HEADER, first, first]))
+    assert len(repeated) == 2 and repeated.lookup("m", "p") == "a"
+    transcript.add(TranscriptEntry("m", "p", "a", "2025-08-01T00:00:00Z"))
+    assert len(transcript) == 2
 
 
 def test_replay_hit_and_miss():

@@ -13,7 +13,10 @@ slow stretch of the host falls on both sides. Runs use
 run record says so under ``env``. A copy of tracked files holds no
 ``__pycache__``, so cli-cold, which starts a fresh interpreter per
 ``graphqa ask``, compiles every module it imports on each invocation: its
-figures include that compilation.
+figures include that compilation. Python still reads a ``.pyc`` file that
+exists, even under ``PYTHONDONTWRITEBYTECODE``, so a tree with a
+``__pycache__`` directory under ``src/`` is refused, with the directory
+named; the script deletes nothing.
 
 The output keeps every run (its environment, fingerprint, digest, return
 code, wall time and final JSON line) and, per workload, a summary: whether
@@ -142,6 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     for tree in trees.values():
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             parser.error(f"{tree} has no perfbench/run.py")
+        for directory, subdirectories, _ in os.walk(os.path.join(tree, "src")):
+            if "__pycache__" in subdirectories:
+                parser.error(f"{os.path.join(directory, '__pycache__')} holds bytecode that runs would read")
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     workloads = args.workloads.split(",")
