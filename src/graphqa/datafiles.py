@@ -1,6 +1,7 @@
 """Paths to packaged data files (dataset, corpus, templates, transcripts),
 the one way the package writes a file, the one way a JSON-lines file is
-read, and the one way a JSON record's field types are checked."""
+read, the one encoder of every sorted-key JSON line it writes, and the one
+way a JSON record's field types are checked."""
 
 from __future__ import annotations
 
@@ -10,6 +11,11 @@ from collections.abc import Callable, Iterable, Iterator
 
 # The C scanner under json.loads, without its wrapper; see json_lines.
 _scan = json.JSONDecoder().scan_once
+
+# ``json.dumps(value, sort_keys=True)``, from one encoder: json.dumps builds a
+# new encoder on each call that passes an option. Each call keeps its own
+# state, so the one encoder serves every line of every document.
+sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def data_path(*parts: str) -> str:

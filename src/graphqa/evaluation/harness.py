@@ -11,7 +11,7 @@ import json
 from typing import NamedTuple
 
 from ..cypher.ast import value_type
-from ..datafiles import _checked, atomic_write, json_lines
+from ..datafiles import _checked, atomic_write, json_lines, sorted_json
 from ..errors import CorpusError, ValidationError
 from ..graph.store import PropertyGraph
 from ..llm import Gateway
@@ -91,7 +91,7 @@ def metric_rows(
 def save_run_records(path: str, model: str, records: list[RunRecord]) -> None:
     lines = [json.dumps({"kind": "runs", "schema_version": RUNS_SCHEMA_VERSION, "model": model})]
     for record in records:
-        lines.append(json.dumps(record.to_dict(), sort_keys=True))
+        lines.append(sorted_json(record.to_dict()))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -53,7 +53,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import partial, wraps
 from operator import attrgetter
 
-from ..datafiles import json_lines
+from ..datafiles import json_lines, sorted_json
 from ..errors import DatasetFormatError, ValidationError
 from .store import PropertyGraph, PropertyMap, validate_labels, validate_property_map, validate_rel_type
 
@@ -119,12 +119,12 @@ def _collector_paused(function):
     """
 
     @wraps(function)
-    def run(*args):
+    def run(*args, **kwargs):
         if not gc.isenabled():
-            return function(*args)
+            return function(*args, **kwargs)
         gc.disable()
         try:
-            return function(*args)
+            return function(*args, **kwargs)
         finally:
             gc.enable()
 
@@ -277,28 +277,22 @@ def serialize_dataset(dataset: DatasetFile) -> str:
 
     A node's labels keep their order when they are a list, as parsed and
     generated entries hold them, and are sorted otherwise: a set's order
-    depends on the string hash seed.
+    depends on the string hash seed. Every line is encoded by one encoder.
     """
-    lines = [json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}, sort_keys=True)]
+    lines = [sorted_json({"kind": "header", "schema_version": SCHEMA_VERSION})]
     for node in dataset.nodes:
         labels = node.labels if type(node.labels) is list else sorted(node.labels)
-        lines.append(
-            json.dumps(
-                {"kind": "node", "labels": labels, "properties": node.properties},
-                sort_keys=True,
-            )
-        )
+        lines.append(sorted_json({"kind": "node", "labels": labels, "properties": node.properties}))
     for rel in dataset.relationships:
         lines.append(
-            json.dumps(
+            sorted_json(
                 {
                     "kind": "rel",
                     "src": rel.src_index,
                     "rel_type": rel.rel_type,
                     "dst": rel.dst_index,
                     "properties": rel.properties,
-                },
-                sort_keys=True,
+                }
             )
         )
     return "\n".join(lines) + "\n"

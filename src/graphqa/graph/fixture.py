@@ -10,16 +10,35 @@ and 11 distinct property keys in total.
 Tower 4 (the last tower when there are fewer) sits exactly at ``_CENTER``;
 the rest are placed pseudo-randomly within ``_RADIUS_MILES`` of it.
 Generation is fully deterministic for a fixed seed.
+
+The draw order is part of the output. Every drawn value comes from one
+xorshift64* stream, in this order, and a change to the order changes every
+generated byte after it:
+
+- each tower, in number order: its distance and bearing from the center
+  (none for the anchor), then its height, install year, month and day;
+- each attached sensor, in file order: install year, month and day, then
+  model number;
+- each spare sensor: the same four, then its name suffix.
+
+Each value is drawn where it is formatted, in one pass. Text that no draw
+changes (a slot's sensor type, model prefix, name stem and unit; a tower's
+``-Tnn`` suffix) is made once. Every entry is still built through
+``NodeEntry`` and ``RelationshipEntry``, with all their checks. The
+generator runs with the cyclic garbage collector paused, as a parse does:
+it builds only acyclic objects. ``serialize_dataset`` then writes every
+line through one encoder, as ``Transcript.dumps`` does.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from ..cypher.ast import value_type
 from ..errors import ValidationError
-from .dataset import DatasetFile, NodeEntry, RelationshipEntry
+from .dataset import DatasetFile, NodeEntry, RelationshipEntry, _collector_paused
 
 # (SensorType, CamelCase stem of names like "WindSpeed-T03", Unit), in the
 # order a tower's sensor slots take them.
@@ -61,28 +80,26 @@ class GeneratorConfig(NamedTuple):
         return cls(**raw)
 
 
-class _Rng:
-    """Small deterministic PRNG (xorshift64*), stable across platforms."""
+_MASK = 0xFFFFFFFFFFFFFFFF
+_UNIT = 1.0 / (1 << 53)  # (draw >> 11) * _UNIT: a draw's top 53 bits as a float in [0, 1)
 
-    def __init__(self, seed: int):
-        self._state = (seed ^ 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF or 1
+# Text pieces of the drawn fields: "20YY-" (towers draw 2021..2023, sensors
+# 2021..2024), "MM-" and "DD" (days 1..28).
+_YEARS = ("2021-", "2022-", "2023-", "2024-")
+_MONTHS = tuple(f"{month:02d}-" for month in range(1, 13))
+_DAYS = tuple(f"{day:02d}" for day in range(1, 29))
 
-    def _next(self) -> int:
-        x = self._state
-        x ^= (x >> 12) & 0xFFFFFFFFFFFFFFFF
-        x = (x ^ (x << 25)) & 0xFFFFFFFFFFFFFFFF
-        x ^= (x >> 27) & 0xFFFFFFFFFFFFFFFF
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF
 
-    def random(self) -> float:
-        return (self._next() >> 11) / float(1 << 53)
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def randint(self, lo: int, hi: int) -> int:
-        return lo + self._next() % (hi - lo + 1)
+def _xorshift64star(seed: int) -> Iterator[int]:
+    """The outputs of a small deterministic PRNG (xorshift64*), stable across
+    platforms. The state stays below 2**64, so only the left shift and the
+    product need the mask."""
+    x = (seed ^ 0x9E3779B97F4A7C15) & _MASK or 1
+    while True:
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK
+        x ^= x >> 27
+        yield (x * 0x2545F4914F6CDD1D) & _MASK
 
 
 def _sensor_counts(tower_count: int, attached: int) -> list[int]:
@@ -91,6 +108,14 @@ def _sensor_counts(tower_count: int, attached: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(tower_count)]
 
 
+def _slot_text(slot: int) -> tuple[str, str, str, str]:
+    """(SensorType, Model prefix, Name stem, Unit) of a tower's sensor ``slot``."""
+    sensor_type, stem, unit = _SENSOR_TYPES[slot % len(_SENSOR_TYPES)]
+    occurrence = slot // len(_SENSOR_TYPES) + 1
+    return sensor_type, f"MSA-{stem[:4].upper()}", f"{stem}{occurrence if occurrence > 1 else ''}", unit
+
+
+@_collector_paused
 def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
     """Generate the tower/sensor dataset for ``config`` (defaults shown above).
 
@@ -104,8 +129,9 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
         raise ValidationError("attached_sensors must be non-negative")
     anchor = min(_ANCHOR_TOWER, cfg.tower_count - 1)
 
-    rng = _Rng(cfg.seed)
+    draw = _xorshift64star(cfg.seed).__next__
     dataset = DatasetFile()
+    nodes, relationships = dataset.nodes, dataset.relationships
     center_lat, center_long = _CENTER
     radius_m = _RADIUS_MILES * _METERS_PER_MILE
 
@@ -114,20 +140,20 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
             lat, long = center_lat, center_long
         else:
             # Uniform over the disc around the center.
-            dist = radius_m * math.sqrt(rng.random())
-            bearing = 2.0 * math.pi * rng.random()
+            dist = radius_m * math.sqrt((draw() >> 11) * _UNIT)
+            bearing = 2.0 * math.pi * ((draw() >> 11) * _UNIT)
             lat = round(center_lat + dist * math.cos(bearing) / _METERS_PER_DEGREE_LAT, 8)
             long = round(
                 center_long
                 + dist * math.sin(bearing) / (_METERS_PER_DEGREE_LAT * math.cos(math.radians(center_lat))),
                 8,
             )
-        dataset.nodes.append(
+        nodes.append(
             NodeEntry(
-                labels=["Tower"],
-                properties={
-                    "Height": round(rng.uniform(15.0, 45.0), 2),
-                    "InstallDate": f"20{rng.randint(21, 23)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
+                ["Tower"],
+                {
+                    "Height": round(15.0 + 30.0 * ((draw() >> 11) * _UNIT), 2),
+                    "InstallDate": _YEARS[draw() % 3] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
                     "Lat": lat,
                     "Long": long,
                     "Name": f"MSA-T{tower:02d}",
@@ -138,18 +164,18 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
         )
 
     counts = _sensor_counts(cfg.tower_count, cfg.attached_sensors)
+    slots = [_slot_text(slot) for slot in range(counts[0])]  # the first tower has the most
     sensor_id = 1000
     for tower, count in enumerate(counts):
-        for slot in range(count):
-            sensor_type, stem, unit = _SENSOR_TYPES[slot % len(_SENSOR_TYPES)]
-            occurrence = slot // len(_SENSOR_TYPES) + 1
-            dataset.nodes.append(
+        suffix = f"-T{tower:02d}"
+        for sensor_type, model_prefix, name_stem, unit in slots[:count]:
+            nodes.append(
                 NodeEntry(
-                    labels=["Sensor"],
-                    properties={
-                        "InstallDate": f"20{rng.randint(21, 24)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
-                        "Model": f"MSA-{stem[:4].upper()}{rng.randint(100, 999)}",
-                        "Name": f"{stem}{occurrence if occurrence > 1 else ''}-T{tower:02d}",
+                    ["Sensor"],
+                    {
+                        "InstallDate": _YEARS[draw() % 4] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
+                        "Model": model_prefix + str(100 + draw() % 900),
+                        "Name": name_stem + suffix,
                         "SensorId": sensor_id,
                         "SensorType": sensor_type,
                         "Status": "active",
@@ -157,19 +183,18 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
                     },
                 )
             )
-            node_index = len(dataset.nodes) - 1
-            dataset.relationships.append(RelationshipEntry(tower, "HAS_SENSOR", node_index, {}))
+            relationships.append(RelationshipEntry(tower, "HAS_SENSOR", len(nodes) - 1, {}))
             sensor_id += 1
 
     for spare in range(_SPARE_SENSORS):
-        sensor_type, stem, unit = _SENSOR_TYPES[spare % len(_SENSOR_TYPES)]
-        dataset.nodes.append(
+        sensor_type, model_prefix, _, unit = _slot_text(spare)
+        nodes.append(
             NodeEntry(
-                labels=["Sensor"],
-                properties={
-                    "InstallDate": f"20{rng.randint(21, 24)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
-                    "Model": f"MSA-{stem[:4].upper()}{rng.randint(100, 999)}",
-                    "Name": f"Spare{spare + 1}-X{rng.randint(10, 99)}",
+                ["Sensor"],
+                {
+                    "InstallDate": _YEARS[draw() % 4] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
+                    "Model": model_prefix + str(100 + draw() % 900),
+                    "Name": f"Spare{spare + 1}-X{10 + draw() % 90}",
                     "SensorId": sensor_id,
                     "SensorType": sensor_type,
                     "Status": "spare",

@@ -19,7 +19,7 @@ import time
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from .datafiles import atomic_write, json_lines
+from .datafiles import atomic_write, json_lines, sorted_json
 from .errors import GatewayError, ReplayMissError
 
 TRANSCRIPT_SCHEMA_VERSION = "1"
@@ -38,7 +38,9 @@ class CompletionRequest(NamedTuple):
 
 
 def request_hash(model_name: str, prompt: str) -> str:
-    return hashlib.sha256(f"{model_name}\x00{prompt}".encode("utf-8")).hexdigest()
+    # A lone surrogate (argv decodes a stray byte to one) is hashed as its
+    # three UTF-8-style bytes; every valid string keeps its strict digest.
+    return hashlib.sha256(f"{model_name}\x00{prompt}".encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class TranscriptEntry(NamedTuple):
@@ -92,18 +94,18 @@ class Transcript:
         return len(self.entries)
 
     def dumps(self) -> str:
-        lines = [json.dumps({"kind": "transcript", "schema_version": TRANSCRIPT_SCHEMA_VERSION})]
+        """The transcript document; each line's keys are sorted, and one encoder writes every line."""
+        lines = [sorted_json({"kind": "transcript", "schema_version": TRANSCRIPT_SCHEMA_VERSION})]
         for entry in self.entries:
             lines.append(
-                json.dumps(
+                sorted_json(
                     {
                         "request_sha256": request_hash(entry.model_name, entry.prompt),
                         "model": entry.model_name,
                         "prompt": entry.prompt,
                         "response": entry.response,
                         "timestamp": entry.timestamp,
-                    },
-                    sort_keys=True,
+                    }
                 )
             )
         return "\n".join(lines) + "\n"

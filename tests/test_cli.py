@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,17 @@ def test_ask_replay_miss_exits_gateway_code(capsys):
         ]
     )
     assert code == EXIT_GATEWAY
+
+
+def test_ask_with_an_undecodable_argument_byte_gives_the_replay_miss_answer():
+    # argv decodes the byte 0xff to the lone surrogate "\udcff", which the
+    # request hash must take like any other character.
+    argv = [sys.executable, "-m", "graphqa.cli", "ask", b"tower \xff", "--replay", data_path("transcripts")]
+    result = subprocess.run([*argv, "--model-task1", "llama3.1:8b"], capture_output=True, env=CHILD_ENV)
+    assert result.returncode == EXIT_GATEWAY, result.stderr
+    miss = rb"\(no answer: task1: no recorded response for model 'llama3\.1:8b' \(request [0-9a-f]{12}\)\)\n"
+    assert re.fullmatch(miss, result.stdout)
+    assert b"Traceback" not in result.stderr
 
 
 def test_ask_malformed_transcript_exits_gateway_code(tmp_path):

@@ -283,6 +283,35 @@ def test_loading_leaves_the_collector_as_it_found_it():
         gc.enable()
 
 
+def test_generating_leaves_the_collector_as_it_found_it():
+    assert gc.isenabled()
+    phases = []
+
+    def seen(phase, info):
+        phases.append(phase)
+
+    gc.callbacks.append(seen)
+    try:
+        # Far more allocations than a collection's threshold: paused, none runs.
+        generate_msa_fixture(GeneratorConfig(tower_count=100, attached_sensors=2000, seed=0))
+    finally:
+        gc.callbacks.remove(seen)
+    assert phases == []
+    assert gc.isenabled()
+    with pytest.raises(ValidationError, match="^tower_count must be at least 1$"):
+        generate_msa_fixture(GeneratorConfig(tower_count=0))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        generate_msa_fixture(config=GeneratorConfig(tower_count=2, attached_sensors=3))
+        assert not gc.isenabled()
+        with pytest.raises(ValidationError, match="^attached_sensors must be non-negative$"):
+            generate_msa_fixture(GeneratorConfig(attached_sensors=-1))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_loaded_graph_keeps_one_copy_of_each_key_label_and_type():
     config = GeneratorConfig(tower_count=40, attached_sensors=2000, seed=5)
     text = serialize_dataset(generate_msa_fixture(config))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from graphqa.errors import ValidationError
@@ -67,10 +69,12 @@ def test_sensor_names_unique_across_graph(fixture_graph):
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^tower_count must be at least 1$"):
         generate_msa_fixture(GeneratorConfig(tower_count=0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^attached_sensors must be non-negative$"):
         generate_msa_fixture(GeneratorConfig(attached_sensors=-1))
+    with pytest.raises(ValidationError, match="^tower_count must be at least 1$"):
+        generate_msa_fixture(GeneratorConfig(tower_count=-3, attached_sensors=-1))
     with pytest.raises(ValidationError):
         GeneratorConfig.from_dict({"bogus_key": 1})
 
@@ -87,3 +91,22 @@ def test_custom_config_scales():
 def test_shipped_dataset_equals_regenerated_default(shipped_dataset_path, dataset_text):
     with open(shipped_dataset_path, "r", encoding="utf-8") as fh:
         assert fh.read() == dataset_text
+
+
+# sha256 of the serialized output per (tower_count, attached_sensors, seed).
+# The generator's draw order is part of its output: these pin every byte.
+PINNED_DIGESTS = {
+    (13, 121, 42): "1813f85a4caef7bd253f24e64842a974ebd62e8c5bf76d3c9c6bca9789e87fd3",  # the default
+    (100, 2000, 0): "396bf68814b41fd751b98740a23a50eacc36eb9a82129446a3007259a77e55c7",  # engine-scaled
+    (400, 20000, 3): "cba6eb956a035d8944afccd48492ad8d30f6a0417956c3b59b37ffc58bcaea01",
+    (1, 0, 9): "547770e7cb294c9767d3393ca6c6f1839a66f24c118d49a8139d0c273bdf1d8e",
+    (3, 7, 1): "a209a9503fb69ccf73e0cc996c02eaf9fa526fa886b8962a0e19f7aed43a295b",  # anchor clamped to tower 2
+    (150, 3000, 2): "abcf3af978f9ae884523572e614968f217d3cd3c781481551beae30678fc94ac",  # towers 100 and up
+}
+
+
+@pytest.mark.parametrize("config", sorted(PINNED_DIGESTS), ids=str)
+def test_generated_bytes_are_pinned(config):
+    text = serialize_dataset(generate_msa_fixture(GeneratorConfig(*config)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DIGESTS[config]
+

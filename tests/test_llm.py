@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -174,6 +175,18 @@ HEADER = '{"kind": "transcript", "schema_version": "1"}'
 def test_malformed_transcript_line_rejected(line, message):
     with pytest.raises(GatewayError, match=f"^{message}"):
         Transcript.loads(HEADER + "\n" + line)
+
+
+def test_a_prompt_holding_a_lone_surrogate_is_hashed_and_checked():
+    assert request_hash("m", "p") == hashlib.sha256(b"m\x00p").hexdigest()  # valid text keeps its digest
+    prompt = "tower \ud800"
+    line = {"request_sha256": request_hash("m", prompt), "model": "m", "prompt": prompt, "response": "r"}
+    transcript = Transcript.loads(HEADER + "\n" + json.dumps(line))
+    assert transcript.lookup("m", prompt) == "r"
+    assert Transcript.loads(transcript.dumps()).entries == transcript.entries
+    line["request_sha256"] = "0" * 64
+    with pytest.raises(GatewayError, match="^transcript line 2: request hash mismatch$"):
+        Transcript.loads(HEADER + "\n" + json.dumps(line))
 
 
 def test_padded_line_loads_and_whitespace_only_line_is_skipped():
