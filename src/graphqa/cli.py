@@ -56,7 +56,7 @@ def _load_graph(path: str):
         return load_dataset_file(path)
     except OSError as exc:
         raise CliError(f"cannot read dataset {path}: {exc}", EXIT_CONFIG) from exc
-    except (DatasetFormatError, ValidationError) as exc:
+    except (DatasetFormatError, ValidationError, UnicodeDecodeError) as exc:
         raise CliError(f"dataset {path}: {exc}", EXIT_ENGINE) from exc
 
 
@@ -92,7 +92,7 @@ def _make_gateway(args: argparse.Namespace, model: str) -> Gateway:
                 entries.extend(Transcript.load(path).entries)
             except OSError as exc:
                 raise CliError(f"cannot read transcript {path}: {exc}", EXIT_CONFIG) from exc
-            except GatewayError as exc:
+            except (GatewayError, UnicodeDecodeError) as exc:
                 raise CliError(f"transcript {path}: {exc}", EXIT_GATEWAY) from exc
         return Gateway(ReplayBackend(Transcript(entries)))
     endpoint = args.endpoint or os.environ.get("GRAPHQA_ENDPOINT")
@@ -120,18 +120,18 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
                 config = GeneratorConfig.from_dict(json.load(fh))
         except OSError as exc:
             raise CliError(f"cannot read config {args.config}: {exc}", EXIT_CONFIG) from exc
-        except (json.JSONDecodeError, ValidationError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, ValidationError) as exc:
             raise CliError(f"config {args.config}: {exc}", EXIT_CONFIG) from exc
     if args.seed is not None:
         config = config._replace(seed=args.seed)
     if args.tower_count is not None:
         config = config._replace(tower_count=args.tower_count)
     try:
-        dataset = generate_msa_fixture(config)
+        graph = generate_msa_fixture(config)
     except ValidationError as exc:
         raise CliError(f"generator: {exc}", EXIT_CONFIG) from exc
-    _write(args.out, serialize_dataset(dataset))
-    print(f"wrote {args.out}: {len(dataset.nodes)} nodes, {len(dataset.relationships)} relationships")
+    _write(args.out, serialize_dataset(graph))
+    print(f"wrote {args.out}: {len(graph.nodes())} nodes, {len(graph.relationships())} relationships")
     return EXIT_OK
 
 
@@ -233,7 +233,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not names:
             raise CliError(f"--runs {args.runs}: no .runs.jsonl files", EXIT_CORPUS)
         for name in names:
-            _, records = evaluation.load_run_records(os.path.join(args.runs, name))
+            path = os.path.join(args.runs, name)
+            try:
+                _, records = evaluation.load_run_records(path)
+            except UnicodeDecodeError as exc:
+                raise CliError(f"run record file {path}: {exc}", EXIT_CORPUS) from exc
             for record in records:
                 key = (record.run.model_task1, record.question_id, record.variant)
                 if key in first_file:

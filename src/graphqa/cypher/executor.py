@@ -1,5 +1,5 @@
-"""Query execution over a property graph, which nothing writes to once
-``dataset_to_graph`` has built it.
+"""Query execution over a property graph, which nothing writes to once it
+is built.
 
 Matching semantics (shared contract with the brute-force oracle used in the
 test suite):

@@ -65,7 +65,7 @@ def load_corpus(path: str) -> list[QuestionSpec]:
             data = json.load(fh)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError: JSON text is UTF-8
         raise CorpusError(f"corpus {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("schema_version") != CORPUS_SCHEMA_VERSION:
         raise CorpusError(f"corpus {path}: missing or unsupported schema_version")

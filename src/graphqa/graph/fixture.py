@@ -23,22 +23,24 @@ generated byte after it:
 
 Each value is drawn where it is formatted, in one pass. Text that no draw
 changes (a slot's sensor type, model prefix, name stem and unit; a tower's
-``-Tnn`` suffix) is made once. Every entry is still built through
-``NodeEntry`` and ``RelationshipEntry``, with all their checks. The
-generator runs with the cyclic garbage collector paused, as a parse does:
-it builds only acyclic objects. ``serialize_dataset`` then writes every
-line through one encoder, as ``Transcript.dumps`` does.
+``-Tnn`` suffix) is made once. The generator feeds each node and
+relationship straight into the graph builder of ``dataset.py``, which checks
+it as it checks a parsed line and stores it; the build runs with the cyclic
+garbage collector paused, as a load does. ``serialize_dataset`` writes the
+graph's lines through one encoder, as ``Transcript.dumps`` does.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from functools import partial
 from typing import NamedTuple
 
 from ..cypher.ast import value_type
 from ..errors import ValidationError
-from .dataset import DatasetFile, NodeEntry, RelationshipEntry, _collector_paused
+from .dataset import _build
+from .store import PropertyGraph
 
 # (SensorType, CamelCase stem of names like "WindSpeed-T03", Unit), in the
 # order a tower's sensor slots take them.
@@ -115,23 +117,28 @@ def _slot_text(slot: int) -> tuple[str, str, str, str]:
     return sensor_type, f"MSA-{stem[:4].upper()}", f"{stem}{occurrence if occurrence > 1 else ''}", unit
 
 
-@_collector_paused
-def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
-    """Generate the tower/sensor dataset for ``config`` (defaults shown above).
+def generate_msa_fixture(config: GeneratorConfig | None = None) -> PropertyGraph:
+    """Generate the tower/sensor graph for ``config`` (defaults shown above).
 
-    Tower nodes come first in the file (so tower N gets node id N on load),
-    followed by each tower's sensors in tower order, then spare sensors.
+    Tower nodes come first (so tower N has node id N), followed by each
+    tower's sensors in tower order, then spare sensors.
     """
     cfg = config or GeneratorConfig()
     if cfg.tower_count < 1:
         raise ValidationError("tower_count must be at least 1")
     if cfg.attached_sensors < 0:
         raise ValidationError("attached_sensors must be non-negative")
-    anchor = min(_ANCHOR_TOWER, cfg.tower_count - 1)
+    return _build(partial(_generate, cfg))
 
+
+_TOWER = ("Tower",)
+_SENSOR = ("Sensor",)
+
+
+def _generate(cfg: GeneratorConfig, node: Callable, relationship: Callable) -> None:
+    """Pass every node and relationship of ``cfg``'s dataset to the builder's sinks, in file order."""
+    anchor = min(_ANCHOR_TOWER, cfg.tower_count - 1)
     draw = _xorshift64star(cfg.seed).__next__
-    dataset = DatasetFile()
-    nodes, relationships = dataset.nodes, dataset.relationships
     center_lat, center_long = _CENTER
     radius_m = _RADIUS_MILES * _METERS_PER_MILE
 
@@ -148,60 +155,54 @@ def generate_msa_fixture(config: GeneratorConfig | None = None) -> DatasetFile:
                 + dist * math.sin(bearing) / (_METERS_PER_DEGREE_LAT * math.cos(math.radians(center_lat))),
                 8,
             )
-        nodes.append(
-            NodeEntry(
-                ["Tower"],
-                {
-                    "Height": round(15.0 + 30.0 * ((draw() >> 11) * _UNIT), 2),
-                    "InstallDate": _YEARS[draw() % 3] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
-                    "Lat": lat,
-                    "Long": long,
-                    "Name": f"MSA-T{tower:02d}",
-                    "Status": "active",
-                    "Tower": tower,
-                },
-            )
+        node(
+            _TOWER,
+            {
+                "Height": round(15.0 + 30.0 * ((draw() >> 11) * _UNIT), 2),
+                "InstallDate": _YEARS[draw() % 3] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
+                "Lat": lat,
+                "Long": long,
+                "Name": f"MSA-T{tower:02d}",
+                "Status": "active",
+                "Tower": tower,
+            },
         )
 
     counts = _sensor_counts(cfg.tower_count, cfg.attached_sensors)
     slots = [_slot_text(slot) for slot in range(counts[0])]  # the first tower has the most
+    node_id = cfg.tower_count
     sensor_id = 1000
     for tower, count in enumerate(counts):
         suffix = f"-T{tower:02d}"
         for sensor_type, model_prefix, name_stem, unit in slots[:count]:
-            nodes.append(
-                NodeEntry(
-                    ["Sensor"],
-                    {
-                        "InstallDate": _YEARS[draw() % 4] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
-                        "Model": model_prefix + str(100 + draw() % 900),
-                        "Name": name_stem + suffix,
-                        "SensorId": sensor_id,
-                        "SensorType": sensor_type,
-                        "Status": "active",
-                        "Unit": unit,
-                    },
-                )
+            node(
+                _SENSOR,
+                {
+                    "InstallDate": _YEARS[draw() % 4] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
+                    "Model": model_prefix + str(100 + draw() % 900),
+                    "Name": name_stem + suffix,
+                    "SensorId": sensor_id,
+                    "SensorType": sensor_type,
+                    "Status": "active",
+                    "Unit": unit,
+                },
             )
-            relationships.append(RelationshipEntry(tower, "HAS_SENSOR", len(nodes) - 1, {}))
+            relationship(tower, "HAS_SENSOR", node_id, {})
+            node_id += 1
             sensor_id += 1
 
     for spare in range(_SPARE_SENSORS):
         sensor_type, model_prefix, _, unit = _slot_text(spare)
-        nodes.append(
-            NodeEntry(
-                ["Sensor"],
-                {
-                    "InstallDate": _YEARS[draw() % 4] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
-                    "Model": model_prefix + str(100 + draw() % 900),
-                    "Name": f"Spare{spare + 1}-X{10 + draw() % 90}",
-                    "SensorId": sensor_id,
-                    "SensorType": sensor_type,
-                    "Status": "spare",
-                    "Unit": unit,
-                },
-            )
+        node(
+            _SENSOR,
+            {
+                "InstallDate": _YEARS[draw() % 4] + _MONTHS[draw() % 12] + _DAYS[draw() % 28],
+                "Model": model_prefix + str(100 + draw() % 900),
+                "Name": f"Spare{spare + 1}-X{10 + draw() % 90}",
+                "SensorId": sensor_id,
+                "SensorType": sensor_type,
+                "Status": "spare",
+                "Unit": unit,
+            },
         )
         sensor_id += 1
-
-    return dataset

@@ -5,16 +5,17 @@ directed, typed edges between existing nodes. Property values are restricted
 to 64-bit integers, finite floats, text, and booleans, and the value kind is
 preserved exactly from load through query execution to serialization.
 
-A graph is built once, by ``dataset_to_graph`` or a load, and nothing writes
-to it afterwards, so concurrent readers are safe. Ids follow file order from
-0, so nodes and relationships are kept in lists indexed by id, and only an
-``int`` in ``0..n-1`` names one: ``node(True)``, ``node(1.0)`` and
-``node(-1)`` fail as any missing id does. Beside them sit the nodes of each
-label, in id order, and each node's outgoing and incoming relationships,
-frozen into tuples in id order when the build ends, so no read sorts. A
-third index, the equality index of ``nodes_with_property``, is built lazily:
-the first read of a (label, key) pair buckets that label's nodes by the
-key's value, and the buckets are kept.
+A graph is built once, by the one builder in ``dataset.py`` (for a load or
+the generator), and nothing writes to it afterwards, so concurrent readers
+are safe. Ids follow file order from 0, so nodes and relationships are kept
+in lists indexed by id, and only an ``int`` in ``0..n-1`` names one:
+``node(True)``, ``node(1.0)`` and ``node(-1)`` fail as any missing id does.
+Beside them sit the nodes of each label, in id order, and each node's
+outgoing and incoming relationships, frozen into tuples in id order when the
+build ends, so no read sorts. A third index, the equality index of
+``nodes_with_property``, is built lazily: the first read of a (label, key)
+pair buckets that label's nodes by the key's value, and the buckets are
+kept.
 
 Each node and relationship owns its property map, but what is immutable is
 shared as loaded: a node's label set is one frozenset per distinct label
@@ -150,9 +151,9 @@ class GraphStats(NamedTuple):
 class PropertyGraph:
     """Embedded property graph with integer node/relationship handles.
 
-    A build fills it through ``_store_node`` and ``_store_relationship``,
-    which check nothing and store the map they are given (entries are
-    checked when they are built), then calls ``_freeze``.
+    The builder in ``dataset.py`` checks each entry, stores it through
+    ``_store_node`` or ``_store_relationship``, which check nothing and
+    adopt the map they are given, then calls ``_freeze``.
     """
 
     def __init__(self) -> None:

@@ -84,8 +84,11 @@ class PromptTemplate:
 
 def load_template_file(path: str, template_id: str) -> PromptTemplate:
     """Read a template; leading ``#`` header lines are not part of the prompt."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise TemplateError(f"{path}: {exc}") from exc
     body_start = 0
     while body_start < len(lines) and lines[body_start].startswith("#"):
         body_start += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from graphqa.cypher.ast import (
@@ -19,7 +20,7 @@ from graphqa.cypher.ast import (
     Unary,
     Variable,
 )
-from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, dataset_to_graph
+from graphqa.graph import load_dataset
 from graphqa.graph.store import PropertyGraph
 
 LABELS = ["A", "B", "C"]
@@ -29,18 +30,19 @@ STRINGS = ["x", "tower", "a b", "it's", "s-1"]
 
 
 def build_graph(nodes=(), rels=()) -> PropertyGraph:
-    """A graph built the way a load builds one: dataset entries through ``dataset_to_graph``.
+    """The graph ``load_dataset`` builds from the dataset lines of ``nodes`` and ``rels``.
 
     ``nodes`` holds ``(labels, properties)`` pairs. ``rels`` holds
     ``(src, rel_type, dst)`` or ``(src, rel_type, dst, properties)``, where
     ``src`` and ``dst`` index ``nodes``; node ids are those indexes.
     """
-    return dataset_to_graph(
-        DatasetFile(
-            [NodeEntry(list(labels), properties) for labels, properties in nodes],
-            [RelationshipEntry(src, rel_type, dst, props[0] if props else {}) for src, rel_type, dst, *props in rels],
-        )
-    )
+    lines = ['{"kind": "header", "schema_version": "1"}']
+    lines += [json.dumps({"kind": "node", "labels": sorted(labels), "properties": props}) for labels, props in nodes]
+    lines += [
+        json.dumps({"kind": "rel", "src": src, "rel_type": rel_type, "dst": dst, "properties": props[0] if props else {}})
+        for src, rel_type, dst, *props in rels
+    ]
+    return load_dataset("\n".join(lines))
 
 
 def random_graph(rng: random.Random, max_nodes: int = 30, max_rels: int = 40) -> PropertyGraph:

@@ -309,6 +309,31 @@ def test_report_unreadable_runs_exit_config_code(tmp_path, capsys, layout):
     assert capsys.readouterr().err.startswith(f"error: cannot read run records in {runs}: ")
 
 
+NOT_UTF8_INPUTS = {
+    # input: (where the file goes, argv given the file's path, the exit code of that file's format errors)
+    "ask --data": ("d.jsonl", lambda p: ["ask", TOWER_QUESTION, "--data", p, "--replay", data_path("transcripts")], EXIT_ENGINE),
+    "ask --replay": ("m.jsonl", lambda p: ["ask", TOWER_QUESTION, "--replay", p, "--model-task1", "m"], EXIT_GATEWAY),
+    "eval --corpus": ("c.json", lambda p: ["eval", "--corpus", p, "--models", "m", "--out", p + ".out"], EXIT_CORPUS),
+    "report --runs": ("runs/m.runs.jsonl", lambda p: ["report", "--runs", os.path.dirname(p)], EXIT_CORPUS),
+    "gen-data --config": ("g.json", lambda p: ["gen-data", "--config", p, "--out", p + ".out"], EXIT_CONFIG),
+    "ask --templates": (
+        "templates/task1.txt",
+        lambda p: ["ask", TOWER_QUESTION, "--templates", os.path.dirname(p), "--replay", data_path("transcripts")],
+        EXIT_CONFIG,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, argv, code", NOT_UTF8_INPUTS.values(), ids=NOT_UTF8_INPUTS)
+def test_an_input_file_that_is_not_utf8_gives_one_error_line_naming_it(tmp_path, capsys, name, argv, code):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(b"\xff\n")
+    assert main(argv(str(path))) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(path) in line and "can't decode byte 0xff" in line
+
+
 @pytest.mark.parametrize("command", ["gen-data", "report", "eval", "eval runs"])
 def test_an_unwritable_out_exits_config_code_and_names_it(tmp_path, capsys, command):
     replay = ["--replay", data_path("transcripts")]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -17,14 +18,14 @@ from graphqa.graph import (
     load_dataset_file,
     serialize_dataset,
 )
-from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, parse_dataset
+from graphqa.graph.dataset import _build, parse_dataset
 
 HEADER = '{"kind": "header", "schema_version": "1"}'
 
 
 def test_round_trip_is_lossless(dataset_text):
     graph = load_dataset(dataset_text)
-    again = serialize_dataset(parse_dataset(dataset_text))
+    again = serialize_dataset(graph)
     assert again == dataset_text
     graph2 = load_dataset(again)
     assert [(n.id, sorted(n.labels), n.properties) for n in graph.nodes()] == [
@@ -46,7 +47,7 @@ def test_value_kinds_survive_round_trip():
     assert props["f"] == 4.0 and isinstance(props["f"], float)
     assert props["s"] == "4" and isinstance(props["s"], str)
     assert props["b"] is True
-    assert serialize_dataset(parse_dataset(text)).splitlines()[1].count("4.0") == 1
+    assert serialize_dataset(graph).splitlines()[1].count("4.0") == 1
 
 
 EMPTY_DOC = HEADER + "\n"
@@ -71,38 +72,36 @@ def test_empty_dataset():
 
 def test_missing_header_rejected():
     with pytest.raises(DatasetFormatError):
-        parse_dataset(NO_HEADER_DOC)
+        load_dataset(NO_HEADER_DOC)
 
 
 def test_parse_error_reports_line_number():
     text = BAD_JSON_DOC
     with pytest.raises(DatasetFormatError) as excinfo:
-        parse_dataset(text)
+        load_dataset(text)
     assert excinfo.value.line == 3
     assert "line 3" in str(excinfo.value)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(DatasetFormatError):
-        parse_dataset(UNKNOWN_KIND_DOC)
+        load_dataset(UNKNOWN_KIND_DOC)
 
 
 def test_out_of_range_relationship_index():
-    dataset = parse_dataset(BAD_ENDPOINT_DOC)
     with pytest.raises(ValidationError):
-        dataset_to_graph(dataset)
+        load_dataset(BAD_ENDPOINT_DOC)
 
 
-def test_src_index_equal_to_node_count_rejected():
-    dataset = generate_msa_fixture()
-    dataset.relationships[0].src_index = len(dataset.nodes)
-    with pytest.raises(ValidationError):
-        dataset_to_graph(dataset)
+def test_src_index_equal_to_node_count_rejected(dataset_text):
+    first_rel = dataset_text.index('{"dst"')
+    with pytest.raises(ValidationError, match="^relationship endpoint index 135 is not an integer in 0..134$"):
+        load_dataset(dataset_text[:first_rel] + dataset_text[first_rel:].replace('"src": 0', '"src": 135', 1))
 
 
 def test_non_finite_property_rejected_with_position():
     with pytest.raises(DatasetFormatError) as excinfo:
-        parse_dataset(NAN_DOC)
+        load_dataset(NAN_DOC)
     assert excinfo.value.line == 2
 
 
@@ -120,7 +119,7 @@ def _store_rejects_doc(line: str) -> str:
 @pytest.mark.parametrize("line", STORE_REJECTS.values(), ids=STORE_REJECTS)
 def test_property_the_store_rejects_fails_the_parse_with_its_line(line):
     with pytest.raises(DatasetFormatError) as excinfo:
-        parse_dataset(_store_rejects_doc(line))
+        load_dataset(_store_rejects_doc(line))
     assert excinfo.value.line == 3
 
 
@@ -128,9 +127,9 @@ NODE = '{"kind": "node", "labels": ["A"], "properties": {"x": 1, "s": "t"}}'
 
 
 def _outcome(text: str):
-    """What parse_dataset does with a document: its rendering or its error."""
+    """What a load does with a document: its rendering or its error."""
     try:
-        return ("ok", serialize_dataset(parse_dataset(text)))
+        return ("ok", serialize_dataset(load_dataset(text)))
     except DatasetFormatError as exc:
         return ("error", exc.line, str(exc))
 
@@ -178,69 +177,81 @@ def test_lines_are_decoded_one_at_a_time():
     text = JOINED_DOC
     assert json.loads("[" + ",".join(text.splitlines()[1:]) + "]") == [{"x": 1}, {"y": 2}, {"c": [{}, {}]}]
     with pytest.raises(DatasetFormatError) as excinfo:
-        parse_dataset(text)
+        load_dataset(text)
     assert excinfo.value.line == 2
     assert str(excinfo.value) == "line 2: invalid JSON: Extra data"
 
 
-def _small_dataset() -> DatasetFile:
-    return DatasetFile(
-        nodes=[NodeEntry(["A"], {"k": 1}), NodeEntry(["B"], {})],
-        relationships=[RelationshipEntry(0, "R", 1, {"w": 2.5})],
-    )
+def _small_dataset() -> list[dict]:
+    """The entries of a small document, as the objects its lines hold."""
+    return [
+        {"kind": "node", "labels": ["A"], "properties": {"k": 1}},
+        {"kind": "node", "labels": ["B"], "properties": {}},
+        {"kind": "rel", "src": 0, "rel_type": "R", "dst": 1, "properties": {"w": 2.5}},
+    ]
+
+
+def _written(entries: list[dict]) -> str:
+    return "\n".join([HEADER, *map(json.dumps, entries)])
+
+
+def _fed(entries: list[dict]):
+    """A feed for the graph builder that passes it ``entries`` unchecked."""
+
+    def feed(node, relationship):
+        for entry in entries:
+            if entry["kind"] == "node":
+                node(entry["labels"], entry["properties"])
+            else:
+                relationship(entry["src"], entry["rel_type"], entry["dst"], entry["properties"])
+
+    return feed
+
+
+def _spoil(index: int, **fields):
+    return lambda entries: entries[index].update(fields)
+
+
+def _added(kind: str, **fields):
+    return lambda entries: entries.append({"kind": kind, **fields})
 
 
 BAD_ENTRIES = {
-    "empty-labels": lambda ds: ds.nodes.append(NodeEntry([], {})),
-    "string-labels": lambda ds: ds.nodes.append(NodeEntry("Tower", {"Tower": 1})),
-    "non-string-label": lambda ds: ds.nodes.append(NodeEntry([5], {})),
-    "empty-label": lambda ds: ds.nodes.append(NodeEntry(["A", ""], {})),
-    "empty-rel-type": lambda ds: ds.relationships.append(RelationshipEntry(0, "", 1, {})),
-    "nan-property": lambda ds: ds.nodes.append(NodeEntry(["A"], {"x": float("nan")})),
-    "int-out-of-range": lambda ds: ds.nodes.append(NodeEntry(["A"], {"x": 2**63})),
-    "list-property": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 1, {"x": [1]})),
-    "empty-key": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 1, {"": 1})),
-    "none-map": lambda ds: ds.nodes.append(NodeEntry(["A"], None)),
-    "rel-none-map": lambda ds: ds.relationships.append(RelationshipEntry(0, "R", 0, None)),
-    "pairs-map": lambda ds: ds.nodes.append(NodeEntry(["A"], [("x", 1)])),
-    "map-assigned-later": lambda ds: setattr(ds.nodes[0], "properties", {"x": float("nan")}),
-    "rel-map-assigned-later": lambda ds: setattr(ds.relationships[0], "properties", {"w": 2**63}),
-    "labels-assigned-later": lambda ds: setattr(ds.nodes[1], "labels", []),
-    "string-labels-assigned-later": lambda ds: setattr(ds.nodes[1], "labels", "AB"),
-    "rel-type-assigned-later": lambda ds: setattr(ds.relationships[0], "rel_type", ""),
-    "src-minus-one": lambda ds: setattr(ds.relationships[0], "src_index", -1),
-    "src-node-count": lambda ds: setattr(ds.relationships[0], "src_index", len(ds.nodes)),
-    "src-half": lambda ds: setattr(ds.relationships[0], "src_index", 0.5),
-    "src-true": lambda ds: setattr(ds.relationships[0], "src_index", True),
-    "dst-node-count": lambda ds: setattr(ds.relationships[0], "dst_index", len(ds.nodes)),
+    "empty-labels": _added("node", labels=[], properties={}),
+    "string-labels": _added("node", labels="Tower", properties={"Tower": 1}),
+    "non-string-label": _added("node", labels=[5], properties={}),
+    "empty-label": _added("node", labels=["A", ""], properties={}),
+    "empty-rel-type": _added("rel", src=0, rel_type="", dst=1, properties={}),
+    "nan-property": _added("node", labels=["A"], properties={"x": float("nan")}),
+    "int-out-of-range": _added("node", labels=["A"], properties={"x": 2**63}),
+    "list-property": _added("rel", src=0, rel_type="R", dst=1, properties={"x": [1]}),
+    "empty-key": _added("rel", src=0, rel_type="R", dst=1, properties={"": 1}),
+    "none-map": _added("node", labels=["A"], properties=None),
+    "rel-none-map": _added("rel", src=0, rel_type="R", dst=0, properties=None),
+    "pairs-map": _added("node", labels=["A"], properties=[("x", 1)]),
+    "src-minus-one": _spoil(2, src=-1),
+    "src-node-count": _spoil(2, src=2),
+    "src-half": _spoil(2, src=0.5),
+    "src-true": _spoil(2, src=True),
+    "dst-node-count": _spoil(2, dst=2),
 }
 
 
 @pytest.mark.parametrize("spoil", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
 def test_hand_built_dataset_is_fully_checked(spoil):
-    dataset = _small_dataset()
-    assert dataset_to_graph(dataset).stats().relationship_count == 1
-    with pytest.raises(ValidationError):
-        spoil(dataset)  # at construction or assignment,
-        dataset_to_graph(dataset)  # or here for the endpoint indexes
-
-
-def test_rejected_assignment_keeps_the_old_value():
-    entry = NodeEntry(["A"], {"k": 1})
-    with pytest.raises(ValidationError, match="must be finite"):
-        entry.properties = {"k": float("inf")}
-    with pytest.raises(ValidationError, match="at least one label"):
-        entry.labels = []
-    assert (entry.labels, entry.properties) == (["A"], {"k": 1})
+    entries = _small_dataset()
+    assert load_dataset(_written(entries)).stats().relationship_count == 1
+    assert _build(_fed(entries)).stats().relationship_count == 1
+    spoil(entries)
+    with pytest.raises((DatasetFormatError, ValidationError)):  # a line's error, or an endpoint's
+        load_dataset(_written(entries))
+    with pytest.raises(ValidationError):  # the builder's own checks, with no parse before them
+        _build(_fed(entries))
 
 
 def test_label_order_does_not_depend_on_the_hash_seed():
-    code = (
-        "from graphqa.graph import serialize_dataset; "
-        "from graphqa.graph.dataset import DatasetFile, NodeEntry; "
-        "print(serialize_dataset(DatasetFile(nodes=[NodeEntry(['Tower', 'Sensor', 'Device'], {}), "
-        "NodeEntry({'Tower', 'Sensor', 'Device'}, {}), NodeEntry(frozenset({'Zulu', 'Alpha', 'Mike'}), {})])), end='')"
-    )
+    lines = [HEADER, _node('["Tower", "Sensor", "Device"]', "{}"), _node('["Zulu", "Alpha", "Mike"]', "{}")]
+    code = f"from graphqa.graph import load_dataset, serialize_dataset; print(serialize_dataset(load_dataset({chr(10).join(lines)!r})), end='')"
     outputs = []
     for seed in ("1", "2", "3"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.path.dirname(os.path.dirname(graphqa.__file__))}
@@ -249,31 +260,31 @@ def test_label_order_does_not_depend_on_the_hash_seed():
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
     nodes = [json.loads(line) for line in outputs[0].decode().splitlines()[1:]]
-    assert [node["labels"] for node in nodes] == [
-        ["Tower", "Sensor", "Device"],  # a list keeps its order
-        ["Device", "Sensor", "Tower"],
-        ["Alpha", "Mike", "Zulu"],
-    ]
+    assert [node["labels"] for node in nodes] == [["Device", "Sensor", "Tower"], ["Alpha", "Mike", "Zulu"]]
 
 
-def test_loaded_graph_holds_its_entries_in_its_own_maps():
+def test_the_names_kept_for_the_benchmark_are_the_load_and_the_identity():
+    graph = parse_dataset(HEADER + "\n" + NODE)
+    assert _graph_outcome(lambda: graph) == _graph_outcome(lambda: load_dataset(HEADER + "\n" + NODE))
+    assert dataset_to_graph(graph) is graph
+    with pytest.raises(TypeError, match="^dataset_to_graph takes a PropertyGraph, got str$"):
+        dataset_to_graph(HEADER)
+
+
+def test_a_generated_graph_is_the_load_of_its_serialization():
     config = GeneratorConfig(tower_count=40, attached_sensors=2000, seed=5)
-    dataset = parse_dataset(serialize_dataset(generate_msa_fixture(config)))
-    graph = dataset_to_graph(dataset)
+    graph = generate_msa_fixture(config)
     assert len(graph.nodes()) == 2041
-    # The graph keeps its own copy of every map.
-    for i, (entry, node) in enumerate(zip(dataset.nodes, graph.nodes(), strict=True)):
-        assert (node.id, node.labels) == (i, frozenset(entry.labels))
-        assert node.properties == entry.properties and node.properties is not entry.properties
-    for i, (entry, rel) in enumerate(zip(dataset.relationships, graph.relationships(), strict=True)):
-        assert (rel.id, rel.src, rel.rel_type, rel.dst) == (i, entry.src_index, entry.rel_type, entry.dst_index)
-        assert rel.properties == entry.properties and rel.properties is not entry.properties
+    assert _graph_outcome(lambda: graph) == _graph_outcome(lambda: load_dataset(serialize_dataset(graph)))
+    # Every node and relationship owns its map.
+    maps = [entry.properties for entry in graph.nodes() + graph.relationships()]
+    assert len({id(properties) for properties in maps}) == len(maps)
 
 
 def test_loading_leaves_the_collector_as_it_found_it():
     assert gc.isenabled()
     with pytest.raises(DatasetFormatError):
-        parse_dataset(HEADER + "\n{oops")
+        load_dataset(HEADER + "\n{oops")
     assert gc.isenabled()
     gc.disable()
     try:
@@ -317,43 +328,43 @@ def test_loaded_graph_keeps_one_copy_of_each_key_label_and_type():
     text = serialize_dataset(generate_msa_fixture(config))
     tracemalloc.start()
     try:
-        dataset = parse_dataset(text)
-        graph = dataset_to_graph(dataset)
+        graph = load_dataset(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # With a copy of every key and label per line and a label set per node
-    # the peak was about 4.8 MB; with them shared it is about 3.4 MB.
-    assert peak < 4.0e6
-    first, second = dataset.nodes[-2], dataset.nodes[-1]
+    # With a copy of every key and string value per line and a label set per
+    # node the peak is about 3.3 MB; with them shared it is about 1.8 MB.
+    assert peak < 2.5e6
+    first, second = graph.nodes()[-2:]
     assert list(first.properties) == list(second.properties)
     assert all(a is b for a, b in zip(first.properties, second.properties, strict=True))
     assert first.properties is not second.properties
-    assert first.labels == second.labels and first.labels is not second.labels
-    assert first.labels[0] is second.labels[0]
-    label_sets = {id(node.labels) for node in graph.nodes()}
-    assert len(label_sets) == len({tuple(entry.labels) for entry in dataset.nodes}) == 2
+    assert first.properties["Status"] is graph.nodes()[0].properties["Status"]  # "active"
+    assert len({id(node.labels) for node in graph.nodes()}) == 2
     assert len({id(rel.rel_type) for rel in graph.relationships()}) == 1
 
 
-def test_parse_and_serialize_keep_the_bytes_of_a_large_dataset():
+def test_load_and_serialize_keep_the_bytes_of_a_large_dataset():
     config = GeneratorConfig(tower_count=400, attached_sensors=20000, seed=7)
     text = serialize_dataset(generate_msa_fixture(config))
-    assert serialize_dataset(parse_dataset(text)) == text
+    assert serialize_dataset(load_dataset(text)) == text
 
 
 def _last_entry_outcome(text: str):
-    """What parse_dataset makes of a document's last line: its error, or the
-    last entry's labels or type and its property items, with their kinds."""
+    """What a load makes of a document's last line: its error, or the last
+    entry's labels or type and its property items, with their kinds.
+
+    A line that shares nothing with the cases follows, as node 0 for the
+    relationships of a document with no other node."""
     try:
-        dataset = parse_dataset(text)
+        graph = load_dataset(text + "\n" + UNRELATED)
     except DatasetFormatError as exc:
         return ("error", exc.line, str(exc))
-    if dataset.relationships:
-        rel = dataset.relationships[-1]
-        return ("rel", rel.src_index, rel.rel_type, rel.dst_index, repr(list(rel.properties.items())))
-    node = dataset.nodes[-1]
-    return ("node", node.labels, repr(list(node.properties.items())))
+    if graph.relationships():
+        rel = graph.relationships()[-1]
+        return ("rel", rel.src, rel.rel_type, rel.dst, repr(list(rel.properties.items())))
+    node = graph.nodes()[-2]
+    return ("node", sorted(node.labels), repr(list(node.properties.items())))
 
 
 def _node(labels: str, properties: str) -> str:
@@ -411,14 +422,11 @@ def test_value_kinds_survive_sharing():
     lines.append(_node('["B"]', '{"other": "1", "k": "true"}'))
     text = "\n".join(lines)
     expected = [("1", str), (1, int), (1.0, float), (True, bool), ("true", str), (0, int), (False, bool)] * 2
-    for maps in (
-        [node.properties for node in load_dataset(text).nodes()],
-        [entry.properties for entry in parse_dataset(text).nodes],
-    ):
-        assert [(props["k"], type(props["k"])) for props in maps[:-1]] == expected
-        last = maps[-1]
-        assert maps[0]["k"] is maps[7]["k"] is last["other"]  # "1" under two keys
-        assert maps[4]["k"] is maps[11]["k"] is last["k"]  # "true"
+    maps = [node.properties for node in load_dataset(text).nodes()]
+    assert [(props["k"], type(props["k"])) for props in maps[:-1]] == expected
+    last = maps[-1]
+    assert maps[0]["k"] is maps[7]["k"] is last["other"]  # "1" under two keys
+    assert maps[4]["k"] is maps[11]["k"] is last["k"]  # "true"
 
 
 def _graph_outcome(load):
@@ -479,27 +487,46 @@ DOCUMENTS = _documents()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
-def test_a_streaming_load_builds_what_parse_and_build_build(chunk, monkeypatch, tmp_path):
+def test_a_load_cut_into_pieces_builds_what_a_whole_load_builds(chunk, monkeypatch, tmp_path):
+    whole = {name: _graph_outcome(lambda: load_dataset(text)) for name, text in DOCUMENTS.items()}
     monkeypatch.setattr("graphqa.graph.dataset._CHUNK", chunk)  # pieces cut anywhere, even inside "\r\n"
     path = tmp_path / "dataset.jsonl"
-    loaded = 0
     for name, text in DOCUMENTS.items():
-        expected = _graph_outcome(lambda: dataset_to_graph(parse_dataset(text)))
-        assert _graph_outcome(lambda: load_dataset(text)) == expected, name
+        assert _graph_outcome(lambda: load_dataset(text)) == whole[name], name
         path.write_bytes(text.encode("utf-8"))
         with open(path, encoding="utf-8") as fh:  # text mode, as load_dataset_file reads
             read = fh.read()
-        assert _graph_outcome(lambda: load_dataset_file(str(path))) == _graph_outcome(
-            lambda: dataset_to_graph(parse_dataset(read))
-        ), name
-        loaded += expected[0] == "graph"
-    assert 0 < loaded < len(DOCUMENTS)
-    assert _graph_outcome(lambda: load_dataset(DOCUMENTS["rel-before-its-nodes"]))[0] == "graph"
-    assert _graph_outcome(lambda: load_dataset(DOCUMENTS["bad-endpoint-then-bad-json"]))[1:] == (
+        assert _graph_outcome(lambda: load_dataset_file(str(path))) == _graph_outcome(lambda: load_dataset(read)), name
+    assert 0 < sum(outcome[0] == "graph" for outcome in whole.values()) < len(DOCUMENTS)
+    assert whole["rel-before-its-nodes"][0] == "graph"
+    assert whole["bad-endpoint-then-bad-json"][1:] == (
         DatasetFormatError,
         "line 5: invalid JSON: Expecting property name enclosed in double quotes",
         5,
     )
+
+
+def _stable_outcome(outcome) -> str:
+    """``_graph_outcome`` as text that no hash seed changes: sorted labels,
+    the error's class by name."""
+    if outcome[0] == "error":
+        _, cls, message, line = outcome
+        return repr(("error", cls.__name__, message, line))
+    _, nodes, rels, adjacency = outcome
+    return repr(("graph", [(i, sorted(labels), props) for i, labels, props in nodes], rels, adjacency))
+
+
+# sha256 over the outcome of every document in DOCUMENTS, taken when graphs
+# were still built by parsing into entries and copying them into the store.
+DOCUMENTS_DIGEST = "5e745d4852ae9d2ed9ec7fa7e52ab531989f8fc9748b6b9ab3b28cbe9ef5d370"
+
+
+def test_every_document_loads_to_its_pinned_outcome():
+    digest = hashlib.sha256()
+    for name, text in DOCUMENTS.items():
+        digest.update(f"{name}\t{_stable_outcome(_graph_outcome(lambda: load_dataset(text)))}\n".encode())
+    assert len(DOCUMENTS) == 118
+    assert digest.hexdigest() == DOCUMENTS_DIGEST
 
 
 def test_a_file_loads_at_a_peak_near_the_size_of_its_graph(tmp_path):

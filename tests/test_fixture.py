@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -48,10 +49,10 @@ def test_every_attached_sensor_links_to_exactly_one_tower(fixture_graph):
     assert fixture_graph.node(spare_id).properties["Status"] == "spare"
 
 
-def test_tower_8_sensor_count_matches_brute_force_over_file():
-    dataset = generate_msa_fixture()
+def test_tower_8_sensor_count_matches_brute_force_over_file(dataset_text):
     # Oracle: count HAS_SENSOR lines whose src index is tower 8's node index.
-    count = sum(1 for rel in dataset.relationships if rel.src_index == 8)
+    entries = [json.loads(line) for line in dataset_text.splitlines()]
+    count = sum(1 for entry in entries if entry["kind"] == "rel" and entry["src"] == 8)
     assert count == 9
 
 

@@ -6,10 +6,9 @@ import pytest
 from generators import build_graph
 from graphqa import data_path
 from graphqa.cypher import execute, parse_query
-from graphqa.errors import ValidationError
+from graphqa.errors import DatasetFormatError, ValidationError
 from graphqa.evaluation import evaluate_model
-from graphqa.graph import dataset_to_graph, load_dataset, load_dataset_file, serialize_dataset, store
-from graphqa.graph.dataset import DatasetFile, NodeEntry, RelationshipEntry, parse_dataset
+from graphqa.graph import load_dataset, load_dataset_file, serialize_dataset, store
 from graphqa.graph.store import PropertyGraph, schema_description
 from graphqa.llm import Gateway, ReplayBackend, Transcript
 from graphqa.pipeline import PipelineConfig
@@ -45,8 +44,8 @@ def test_ids_follow_file_order():
 
 def test_property_kinds_validated():
     for value in [float("nan"), math.inf, 2**63, [1, 2]]:
-        with pytest.raises(ValidationError):
-            NodeEntry(["A"], {"x": value})
+        with pytest.raises(DatasetFormatError, match="^line 2: "):
+            build_graph([({"A"}, {"x": value})])
 
 
 def test_stats_counts_distinct_property_keys():
@@ -106,9 +105,8 @@ def test_schema_description_lists_labels_keys_and_relationships(fixture_graph):
 
 def test_schema_description_new_label_changes_exactly_one_line(fixture_graph, dataset_text):
     before = schema_description(fixture_graph).splitlines()
-    dataset = parse_dataset(dataset_text)
-    dataset.nodes.append(NodeEntry(["Gateway"], {"Name": "GW-1"}))
-    after = schema_description(dataset_to_graph(dataset)).splitlines()
+    gateway = '{"kind": "node", "labels": ["Gateway"], "properties": {"Name": "GW-1"}}'
+    after = schema_description(load_dataset(dataset_text + gateway)).splitlines()
     added = [line for line in after if line not in before]
     removed = [line for line in before if line not in after]
     assert len(added) == 1 and "Gateway" in added[0]
@@ -209,19 +207,11 @@ def test_loading_a_dataset_builds_no_property_index(dataset_text):
     assert list(graph._property_index) == [("Tower", "Tower")]
 
 
-def _as_dataset(graph: PropertyGraph) -> DatasetFile:
-    """The file form of a graph; node ids run from 0, so they are the line indexes."""
-    return DatasetFile(
-        nodes=[NodeEntry(sorted(n.labels), n.properties) for n in graph.nodes()],
-        relationships=[RelationshipEntry(r.src, r.rel_type, r.dst, r.properties) for r in graph.relationships()],
-    )
-
-
 def test_dataset_round_trip_through_the_store_is_unchanged(dataset_text):
-    assert serialize_dataset(_as_dataset(dataset_to_graph(parse_dataset(dataset_text)))) == dataset_text
+    assert serialize_dataset(load_dataset(dataset_text)) == dataset_text
     graph = _interleaved_graph(5)
-    rebuilt = dataset_to_graph(_as_dataset(graph))
-    assert serialize_dataset(_as_dataset(rebuilt)) == serialize_dataset(_as_dataset(graph))
+    rebuilt = load_dataset(serialize_dataset(graph))
+    assert serialize_dataset(rebuilt) == serialize_dataset(graph)
     for node in graph.nodes():
         for side in ("outgoing", "incoming"):
             ids = [r.id for r in getattr(rebuilt, side)(node.id)]

@@ -230,7 +230,7 @@ REPHRASINGS = {
 
 
 def build_corpus(
-    graph, dataset
+    graph,
 ) -> tuple[list[QuestionSpec], tuple[int, int], tuple[int, int], int, dict[int, tuple[float, float]]]:
     """The corpus, the closest and farthest tower pairs, tower 8's sensor count and each tower's position."""
     towers = {
@@ -250,13 +250,9 @@ def build_corpus(
     assert not set(closest) & set(farthest), "misinformation pair must differ from the closest pair"
 
     def sensor_names(tower: int) -> list[str]:
-        names = []
-        for rel in dataset.relationships:
-            if rel.src_index == tower:
-                names.append(dataset.nodes[rel.dst_index].properties["Name"])
-        return names
+        return [graph.node(rel.dst).properties["Name"] for rel in graph.outgoing(tower)]
 
-    count_t8 = sum(1 for rel in dataset.relationships if rel.src_index == 8)
+    count_t8 = len(graph.outgoing(8))
 
     def sensors_spec(qid: str, tower: int, trick: bool) -> QuestionSpec:
         return QuestionSpec(
@@ -610,29 +606,24 @@ def verify(model: str, specs, graph, templates, transcript: Transcript) -> None:
 def main() -> None:
     os.makedirs(os.path.join(DATA_DIR, "transcripts"), exist_ok=True)
 
-    dataset = generate_msa_fixture()
-    dataset_text = serialize_dataset(dataset)
+    dataset_text = serialize_dataset(generate_msa_fixture())
     atomic_write(os.path.join(DATA_DIR, "msa_dataset.jsonl"), dataset_text)
     graph = load_dataset(dataset_text)
     stats = graph.stats()
     assert (stats.node_count, stats.relationship_count, stats.property_key_count) == (135, 121, 11)
 
-    specs, closest, farthest, count_t8, towers = build_corpus(graph, dataset)
+    specs, closest, farthest, count_t8, towers = build_corpus(graph)
     validate_corpus(graph, specs)
     save_corpus(specs, os.path.join(DATA_DIR, "corpus.json"))
     print(f"corpus: closest pair {closest}, farthest {farthest}, tower-8 sensors {count_t8}")
 
-    t8_names = [
-        dataset.nodes[rel.dst_index].properties["Name"]
-        for rel in dataset.relationships
-        if rel.src_index == 8
-    ]
+    t8_names = [graph.node(rel.dst).properties["Name"] for rel in graph.outgoing(8)]
     values = dict(
         t8_names=t8_names,
         t8_coords=towers[8],
         farthest=farthest,
-        t0_count=sum(1 for rel in dataset.relationships if rel.src_index == 0),
-        sensor_total=sum(1 for node in dataset.nodes if "Sensor" in node.labels),
+        t0_count=len(graph.outgoing(0)),
+        sensor_total=len(graph.nodes_with_label("Sensor")),
     )
     assert values["t0_count"] != count_t8, "misinformation count must differ from the true count"
 
