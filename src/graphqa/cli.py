@@ -8,8 +8,9 @@ Subcommands:
     report     Rebuild report files from saved run records.
 
 Every command is deterministic given its inputs (config, seed, replay
-transcripts); report files in particular are byte-stable across reruns. Exit
-codes distinguish failure classes: 2 config, 3 gateway, 4 corpus, 5 engine.
+transcripts or run records); report files in particular are byte-stable
+across reruns. Exit codes distinguish failure classes: 2 config, 3 gateway,
+4 corpus, 5 engine.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import load_dataset_file, serialize_dataset
-from .llm import Gateway, LiveBackend, ReplayBackend, Transcript
+from .llm import Gateway, LiveBackend, ReplayBackend, Transcript, TranscriptEntry
 from .pipeline import PipelineConfig, answer_question, load_templates
 
 EXIT_OK = 0
@@ -79,13 +80,33 @@ def _load_templates(directory: str | None):
         raise CliError(f"templates: {exc}", EXIT_CONFIG) from exc
 
 
-def _make_gateway(args: argparse.Namespace, model: str) -> Gateway:
+def _make_gateway(args: argparse.Namespace, models: list[str]) -> Gateway:
+    """One gateway for every call a command makes to ``models``."""
     if args.replay:
-        paths = [args.replay]
-        if os.path.isdir(args.replay):
-            # One file per model: the task-1 model's, and the task-2 model's if it differs.
-            models = dict.fromkeys([model, args.model_task2 or model])
-            paths = [os.path.join(args.replay, sanitize_model_name(name) + ".jsonl") for name in models]
+        return Gateway(ReplayBackend(_replay_transcript(args.replay, list(dict.fromkeys(models)))))
+    endpoint = args.endpoint or os.environ.get("GRAPHQA_ENDPOINT")
+    if not endpoint:
+        raise CliError("either --replay or --endpoint (or GRAPHQA_ENDPOINT) is required", EXIT_CONFIG)
+    return Gateway(LiveBackend(endpoint))
+
+
+def _replay_transcript(source: str, models: list[str]) -> Transcript:
+    """The transcript ``--replay source`` holds, with an entry for each of ``models``.
+
+    ``source`` is a transcript file, a directory of ``<model>.jsonl``
+    transcripts, or an ``eval --out`` directory: one that holds a
+    ``.runs.jsonl`` file replays its run records.
+    """
+    try:
+        runs_names = _runs_names(source) if os.path.isdir(source) else []
+        if runs_names:
+            transcript, recorded = _transcript_of_runs(source, runs_names)
+    except OSError as exc:
+        raise CliError(f"cannot read run records in {source}: {exc}", EXIT_CONFIG) from exc
+    if not runs_names:
+        paths = [source]
+        if os.path.isdir(source):  # one file per model
+            paths = [os.path.join(source, sanitize_model_name(model) + ".jsonl") for model in models]
         entries = []
         for path in paths:
             try:
@@ -94,18 +115,58 @@ def _make_gateway(args: argparse.Namespace, model: str) -> Gateway:
                 raise CliError(f"cannot read transcript {path}: {exc}", EXIT_CONFIG) from exc
             except (GatewayError, UnicodeDecodeError) as exc:
                 raise CliError(f"transcript {path}: {exc}", EXIT_GATEWAY) from exc
-        return Gateway(ReplayBackend(Transcript(entries)))
-    endpoint = args.endpoint or os.environ.get("GRAPHQA_ENDPOINT")
-    if not endpoint:
-        raise CliError("either --replay or --endpoint (or GRAPHQA_ENDPOINT) is required", EXIT_CONFIG)
-    return Gateway(LiveBackend(endpoint))
+        transcript = Transcript(entries)
+        recorded = {entry.model_name for entry in entries}
+    for model in models:
+        if model not in recorded:
+            raise CliError(f"--replay {source} has no entry for model {model!r}", EXIT_CONFIG)
+    return transcript
+
+
+def _runs_names(directory: str) -> list[str]:
+    return sorted(name for name in os.listdir(directory) if name.endswith(".runs.jsonl"))
+
+
+def _load_runs(path: str) -> list:
+    from .evaluation import load_run_records  # only run records load the grading code
+
+    try:
+        return load_run_records(path)[1]
+    except UnicodeDecodeError as exc:
+        raise CliError(f"run record file {path}: {exc}", EXIT_CORPUS) from exc
+
+
+def _transcript_of_runs(directory: str, names: list[str]) -> tuple[Transcript, set[str]]:
+    """The calls the run records in ``directory`` made, and the models they name.
+
+    A call that failed left no response and gives no entry, so it replays as
+    a miss; a model whose every call failed is still named.
+    """
+    entries: list[TranscriptEntry] = []
+    where: list[str] = []
+    recorded: set[str] = set()
+    for name in names:
+        path = os.path.join(directory, name)
+        for number, record in enumerate(_load_runs(path), start=1):
+            run = record.run
+            recorded.update((run.model_task1, run.model_task2))
+            for entry in (
+                TranscriptEntry(run.model_task1, run.task1_prompt, run.task1_response),
+                TranscriptEntry(run.model_task2, run.task2_prompt, run.answer),
+            ):
+                if entry.response is not None:
+                    entries.append(entry)
+                    where.append(f"{path} record {number}")
+    return Transcript(entries, where.__getitem__), recorded
 
 
 def _add_common_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", default=data_path("msa_dataset.jsonl"), help="dataset file")
     parser.add_argument("--templates", default=None, help="prompt template directory")
     parser.add_argument("--endpoint", default=None, help="live completion endpoint base URL")
-    parser.add_argument("--replay", default=None, help="replay transcript file or directory")
+    parser.add_argument(
+        "--replay", default=None, help="replay source: a transcript file, a transcript directory or an eval --out directory"
+    )
     parser.add_argument("--model-task1", default="llama3.1:8b", help="model for query generation")
     parser.add_argument("--model-task2", default=None, help="model for summarization (default: task-1 model)")
 
@@ -153,7 +214,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         model_task1=args.model_task1, model_task2=args.model_task2, templates=templates
     )
-    gateway = _make_gateway(args, args.model_task1)
+    gateway = _make_gateway(args, [config.model_task1, config.task2_model])
 
     if args.question is not None:
         text, ok = _run_one_question(args.question, graph, gateway, config, args.show_query)
@@ -194,6 +255,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             first = runs_names[runs_name]
             raise CliError(f"--models names {first!r} and {model!r}, which would both write {runs_name}", EXIT_CONFIG)
         runs_names[runs_name] = model
+    gateway = _make_gateway(args, [name for model in models for name in (model, args.model_task2 or model)])
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -201,7 +263,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     all_rows = []
     for runs_name, model in runs_names.items():
-        gateway = _make_gateway(args, model)
         config = PipelineConfig(model_task1=model, model_task2=args.model_task2, templates=templates)
         records = evaluation.evaluate_model(
             graph, specs, gateway, config, include_rephrasings=not args.originals_only
@@ -229,15 +290,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     # percentage, so each (model, question, variant) may appear once.
     first_file: dict[tuple[str, str, int], str] = {}
     try:
-        names = sorted(name for name in os.listdir(args.runs) if name.endswith(".runs.jsonl"))
+        names = _runs_names(args.runs)
         if not names:
             raise CliError(f"--runs {args.runs}: no .runs.jsonl files", EXIT_CORPUS)
         for name in names:
-            path = os.path.join(args.runs, name)
-            try:
-                _, records = evaluation.load_run_records(path)
-            except UnicodeDecodeError as exc:
-                raise CliError(f"run record file {path}: {exc}", EXIT_CORPUS) from exc
+            records = _load_runs(os.path.join(args.runs, name))
             for record in records:
                 key = (record.run.model_task1, record.question_id, record.variant)
                 if key in first_file:

@@ -26,15 +26,18 @@ def data_path(*parts: str) -> str:
 def atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all.
 
-    The text goes to a new uniquely named file beside ``path``, which then
-    replaces ``path``; on any failure the old file is left as it was and the
-    temporary file is removed. The new file gets the permissions ``open``
-    gives (not ``mkstemp``'s owner-only mode).
+    The text goes to a new uniquely named file beside ``path``, is flushed
+    to disk, and the file then replaces ``path``, so a power cut cannot
+    leave ``path`` renamed to an empty file. On any failure the old file is
+    left as it was and the temporary file is removed. The new file gets the
+    permissions ``open`` gives (not ``mkstemp``'s owner-only mode).
     """
     tmp = f"{path}.{os.urandom(6).hex()}.part"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,8 +6,9 @@ servers (POST {model, prompt, stream: false, options} -> {"response": ...})
 over the standard library's ``urllib``, always at temperature 0.
 A replay backend answers exclusively from a transcript, keyed by exact
 (model, prompt) match, which makes any pipeline run reproducible offline; a
-run record holds the same pairs for both of its calls. A replay miss raises:
-it never silently falls back to a live call.
+run record holds the same pairs for both of its calls, so the CLI replays an
+eval's run records too. A replay miss raises: it never silently falls back to
+a live call.
 """
 
 from __future__ import annotations
@@ -62,21 +63,14 @@ class Transcript:
     """Recorded (model, prompt) -> response pairs, stored as JSON lines.
 
     Each request has one response: an entry that repeats a recorded request
-    with another response is a ``GatewayError`` that names both entries, by
-    line in a loaded file. An identical repeat is kept.
+    with another response is a ``GatewayError`` that names both entries,
+    ``name(i)`` naming the one at position ``i`` of ``entries`` (by line in
+    a loaded file). An identical repeat is kept.
     """
 
-    def __init__(self, entries: list[TranscriptEntry] | None = None):
+    def __init__(self, entries: Iterable[TranscriptEntry] = (), name: Callable[[int], str] = _entry_number):
         self.entries: list[TranscriptEntry] = []
         self._index: dict[tuple[str, str], str] = {}
-        self._extend(entries or (), _entry_number)
-
-    def add(self, entry: TranscriptEntry) -> None:
-        self._extend((entry,), _entry_number)
-
-    def _extend(self, entries: Iterable[TranscriptEntry], name: Callable[[int], str]) -> None:
-        """Append and index ``entries``; ``name(i)`` names the entry that is
-        or will be at position ``i`` of ``self.entries``."""
         kept, index = self.entries, self._index
         for entry in entries:
             key = entry[:2]  # (model_name, prompt), the key lookup takes
@@ -138,9 +132,7 @@ class Transcript:
                 raise GatewayError(f"transcript line {lineno}: request hash mismatch")
             entries.append(TranscriptEntry(model_name, prompt, response, timestamp))
             linenos.append(lineno)
-        transcript = cls()
-        transcript._extend(entries, lambda i: f"line {linenos[i]}")
-        return transcript
+        return cls(entries, lambda i: f"line {linenos[i]}")
 
     @classmethod
     def load(cls, path: str) -> Transcript:

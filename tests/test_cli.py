@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -157,6 +158,80 @@ def test_a_transcript_answering_a_request_two_ways_exits_gateway_code(tmp_path, 
         argv = ["eval", "--models", "m", "--out", str(tmp_path / "out"), "--originals-only", *replay]
     assert main(argv) == EXIT_GATEWAY
     assert "transcript line 3: response differs from line 2" in capsys.readouterr().err
+
+
+SHIPPED_MODELS = "llama3.1:8b,llama3.2:3b,gemma2:2b,deepseek-coder:6.7b"
+
+
+def _without_durations(path: Path) -> list:
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    for record in records:
+        del record["run"]["durations"]
+    return [lines[0], *records]
+
+
+def test_an_eval_replays_from_its_own_out_directory(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    argv = ["eval", "--models", SHIPPED_MODELS, "--replay"]
+    assert main([*argv, data_path("transcripts"), "--out", str(first)]) == EXIT_OK
+    assert main([*argv, str(first), "--out", str(second)]) == EXIT_OK
+    digests = {"report.txt": "a3d9a88d7df124af", "report.csv": "35457968b6a4aef9"}
+    for name, digest in digests.items():
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+        assert hashlib.sha256((second / name).read_bytes()).hexdigest().startswith(digest)
+    runs = sorted(path.name for path in first.glob("*.runs.jsonl"))
+    assert len(runs) == 4 and sorted(path.name for path in second.glob("*.runs.jsonl")) == runs
+    for name in runs:
+        assert _without_durations(second / name) == _without_durations(first / name)
+
+
+@pytest.mark.parametrize("command", ["eval", "ask"])
+@pytest.mark.parametrize("source", ["transcript file", "transcript directory", "runs directory"])
+def test_a_replay_source_with_nothing_for_a_model_exits_config_code_naming_both(tmp_path, capsys, source, command):
+    shipped = data_path("transcripts", "llama3.1_8b.jsonl")
+    if source == "transcript file":
+        replay = shipped
+    elif source == "transcript directory":  # the model's file holds another model's entries
+        (tmp_path / "src").mkdir()
+        for name in ("llama3.1_8b.jsonl", "llama3.1_8x.jsonl"):
+            (tmp_path / "src" / name).write_bytes(Path(shipped).read_bytes())
+        replay = str(tmp_path / "src")
+    else:
+        replay = str(tmp_path / "src")
+        assert main(["eval", "--models", "llama3.1:8b", "--replay", shipped, "--out", replay, "--originals-only"]) == EXIT_OK
+        capsys.readouterr()
+    if command == "eval":
+        argv = ["eval", "--models", "llama3.1:8x", "--out", str(tmp_path / "out"), "--originals-only"]
+    else:
+        argv = ["ask", TOWER_QUESTION, "--model-task2", "llama3.1:8x"]
+    assert main([*argv, "--replay", replay]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --replay {replay} has no entry for model 'llama3.1:8x'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_records_answering_a_request_two_ways_exit_gateway_code_naming_both_runs(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    argv = ["eval", "--models", "llama3.1:8b", "--originals-only", "--replay"]
+    assert main([*argv, data_path("transcripts"), "--out", str(runs)]) == EXIT_OK
+    path = runs / "llama3.1_8b.runs.jsonl"
+    header, *lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["run"]["answer"] = "another answer"
+    (runs / "other.runs.jsonl").write_text(f"{header}\n{json.dumps(record)}\n")
+    capsys.readouterr()
+    assert main([*argv, str(runs), "--out", str(tmp_path / "out")]) == EXIT_GATEWAY
+    assert capsys.readouterr().err == (
+        f"gateway error: transcript {runs / 'other.runs.jsonl'} record 1: response differs from "
+        f"{path} record 3 for the same model and prompt\n"
+    )
+
+
+@pytest.mark.parametrize("content", [b'{"kind": "runs", "schema_version": "1"}\n[1]\n', b"\xff\n"], ids=["bad record", "not utf-8"])
+def test_a_malformed_runs_file_to_replay_exits_corpus_code(tmp_path, capsys, content):
+    (tmp_path / "m.runs.jsonl").write_bytes(content)
+    assert main(["ask", TOWER_QUESTION, "--replay", str(tmp_path)]) == EXIT_CORPUS
+    assert str(tmp_path / "m.runs.jsonl") in capsys.readouterr().err
 
 
 def test_ask_requires_gateway_configuration(monkeypatch):

@@ -165,14 +165,36 @@ def test_failed_write_keeps_old_file_and_leaves_no_part_file(tmp_path, monkeypat
     path = tmp_path / "model.runs.jsonl"
     path.write_bytes(b"old bytes\n")
 
-    def fail(src, dst):
+    def fail(*args):
         raise OSError("disk full")
 
-    monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
-        save(str(path))
-    assert path.read_bytes() == b"old bytes\n"
-    assert os.listdir(tmp_path) == ["model.runs.jsonl"]
+    for failing in ("replace", "fsync"):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, failing, fail)
+            with pytest.raises(OSError, match="disk full"):
+                save(str(path))
+        assert path.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["model.runs.jsonl"]
+
+
+def test_a_write_is_on_disk_before_it_replaces_the_old_file(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        stat_result = os.fstat(fd)
+        events.append(("fsync", stat_result.st_ino, stat_result.st_size))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    atomic_write(str(tmp_path / "report.txt"), "text\n")
+    inode = (tmp_path / "report.txt").stat().st_ino
+    assert events == [("fsync", inode, 5), ("replace", inode, 5)]
 
 
 def test_written_files_get_the_mode_open_gives(tmp_path):

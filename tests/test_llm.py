@@ -44,6 +44,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         # Deterministic canned reply derived from the prompt.
         response = {"response": f"echo({body['model']}): {body['prompt'][-20:]}"}
+        if body["model"] == "counter":  # one query, whatever the prompt
+            response = {"response": "MATCH (t:Tower) RETURN count(t) AS towers"}
         status, payload = self.FAULTS.get(body["model"], (200, json.dumps(response).encode()))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -126,9 +128,12 @@ def test_live_dripped_body_is_cut_at_the_deadline(stub_server):
 
 
 def test_transcript_round_trip(tmp_path):
-    transcript = Transcript()
-    transcript.add(TranscriptEntry("m", "prompt one", "reply one", "2025-08-01T00:00:00Z"))
-    transcript.add(TranscriptEntry("m", "prompt two", "reply\nwith newline", ""))
+    transcript = Transcript(
+        [
+            TranscriptEntry("m", "prompt one", "reply one", "2025-08-01T00:00:00Z"),
+            TranscriptEntry("m", "prompt two", "reply\nwith newline", ""),
+        ]
+    )
     path = tmp_path / "t.jsonl"
     transcript.save(str(path))
     loaded = Transcript.load(str(path))
@@ -204,16 +209,15 @@ def test_a_request_has_one_response():
     text = "\n".join([HEADER, first, other_model, second])
     with pytest.raises(GatewayError, match="^transcript line 4: response differs from line 2 for the same model and prompt$"):
         Transcript.loads(text)
+    entries = [TranscriptEntry("m", "p", "a"), TranscriptEntry("n", "p", "b"), TranscriptEntry("m", "p", "b")]
     with pytest.raises(GatewayError, match="^transcript entry 3: response differs from entry 1 "):
-        Transcript([TranscriptEntry("m", "p", "a"), TranscriptEntry("n", "p", "b"), TranscriptEntry("m", "p", "b")])
-    transcript = Transcript([TranscriptEntry("m", "p", "a")])
-    with pytest.raises(GatewayError, match="^transcript entry 2: response differs from entry 1 "):
-        transcript.add(TranscriptEntry("m", "p", "b", "2025-08-01T00:00:00Z"))
-    assert transcript.entries == [TranscriptEntry("m", "p", "a")]
+        Transcript(entries)
+    with pytest.raises(GatewayError, match="^transcript run c: response differs from run a "):
+        Transcript(entries, lambda i: f"run {'abc'[i]}")
     # An identical repeat loads and is kept, as before.
     repeated = Transcript.loads("\n".join([HEADER, first, first]))
     assert len(repeated) == 2 and repeated.lookup("m", "p") == "a"
-    transcript.add(TranscriptEntry("m", "p", "a", "2025-08-01T00:00:00Z"))
+    transcript = Transcript([TranscriptEntry("m", "p", "a"), TranscriptEntry("m", "p", "a", "2025-08-01T00:00:00Z")])
     assert len(transcript) == 2
 
 
@@ -227,28 +231,38 @@ def test_replay_hit_and_miss():
         gateway.complete(CompletionRequest("other-model", "p"))
 
 
-def _transcript_of(run) -> Transcript:
-    """A transcript of the run record's two calls, enough to replay it."""
-    return Transcript(
-        [
-            TranscriptEntry(run.model_task1, run.task1_prompt, run.task1_response),
-            TranscriptEntry(run.model_task2, run.task2_prompt, run.answer),
-        ]
-    )
-
-
-def test_live_stub_is_deterministic_and_records(stub_server, fixture_graph, templates):
-    from graphqa.pipeline import PipelineConfig, answer_question
-
+def test_live_stub_is_deterministic(stub_server):
     gateway = Gateway(LiveBackend(stub_server))
     request = CompletionRequest("m1", "say hi")
     assert gateway.complete(request) == gateway.complete(request)
-    # The run record holds what each live call answered.
-    config = PipelineConfig(model_task1="m1", templates=templates)
-    run = answer_question("How many towers are there?", fixture_graph, gateway, config)
-    replay = Gateway(ReplayBackend(_transcript_of(run)))
-    request = CompletionRequest(run.model_task1, run.task1_prompt)
-    assert replay.complete(request) == gateway.complete(request)
+
+
+def test_a_live_eval_replays_from_its_own_out_directory(stub_server, tmp_path):
+    from graphqa.cli import EXIT_OK, main
+    from graphqa.evaluation import load_run_records
+
+    # "counter" answers with a query the engine runs; every call to "http-500" fails.
+    args = ["eval", "--models", "m1,counter,http-500", "--originals-only"]
+    live, replay = tmp_path / "live", tmp_path / "replay"
+    assert main([*args, "--endpoint", stub_server, "--out", str(live)]) == EXIT_OK
+    assert main([*args, "--replay", str(live), "--out", str(replay)]) == EXIT_OK
+    for name in ("report.txt", "report.csv"):
+        assert (replay / name).read_bytes() == (live / name).read_bytes()
+
+    def runs(directory, name):
+        """The run records of a runs file, without their timings."""
+        records = load_run_records(str(directory / name))[1]
+        assert len(records) == 7
+        return [record._replace(run=record.run._replace(durations={})) for record in records]
+
+    for name in ("m1.runs.jsonl", "counter.runs.jsonl"):
+        assert runs(replay, name) == runs(live, name)
+    assert {record.run.db_output for record in runs(live, "counter.runs.jsonl")} == {"[<Record towers=13>]"}
+    # A call that failed live left no response, so it replays as a miss.
+    for record in runs(live, "http-500.runs.jsonl"):
+        assert record.run.failure.startswith("task1: completion request failed: HTTP Error 500")
+    for record in runs(replay, "http-500.runs.jsonl"):
+        assert record.run.failure.startswith("task1: no recorded response for model 'http-500'")
 
 
 def test_live_gateway_error_on_unreachable_endpoint():
@@ -260,20 +274,6 @@ def test_live_gateway_error_on_unreachable_endpoint():
     for url in ("127.0.0.1", "127.0.0.1:1"):
         with pytest.raises(GatewayError, match="completion request failed: .*unknown url type"):
             LiveBackend(url).complete(CompletionRequest("m", "p"))
-
-
-def test_pipeline_record_then_replay_end_to_end_equivalence(stub_server, fixture_graph, templates):
-    from graphqa.pipeline import PipelineConfig, answer_question
-
-    config = PipelineConfig(model_task1="stub-model", templates=templates)
-    live = Gateway(LiveBackend(stub_server))
-    first = answer_question("How many towers are there?", fixture_graph, live, config)
-
-    replay = Gateway(ReplayBackend(_transcript_of(first)))
-    second = answer_question("How many towers are there?", fixture_graph, replay, config)
-
-    strip = lambda run: {k: v for k, v in run.to_dict().items() if k != "durations"}
-    assert strip(first) == strip(second)
 
 
 def test_request_hash_distinguishes_model_and_prompt():

@@ -554,7 +554,7 @@ def expand_profiles(model: str, qid: str) -> list[str]:
 
 
 def build_transcript(model: str, specs, graph, templates, values: dict) -> Transcript:
-    transcript = Transcript()
+    entries = []
     style = 0
     for spec in specs:
         profiles = expand_profiles(model, spec.id)
@@ -562,14 +562,14 @@ def build_transcript(model: str, specs, graph, templates, values: dict) -> Trans
         for variant, (profile, question) in enumerate(zip(profiles, questions)):
             prompt1 = build_task1_prompt(question, graph, templates["task1"])
             response1 = task1_response(profile, spec, style, values)
-            transcript.add(TranscriptEntry(model, prompt1, response1, FIXED_TIMESTAMP))
+            entries.append(TranscriptEntry(model, prompt1, response1, FIXED_TIMESTAMP))
 
             _, db_output, _ = run_stage1(graph, response1)
             prompt2 = build_task2_prompt(question, db_output, templates["task2"])
             response2 = task2_response(profile, spec, style, values)
-            transcript.add(TranscriptEntry(model, prompt2, response2, FIXED_TIMESTAMP))
+            entries.append(TranscriptEntry(model, prompt2, response2, FIXED_TIMESTAMP))
             style += 1
-    return transcript
+    return Transcript(entries)
 
 
 def verify(model: str, specs, graph, templates, transcript: Transcript) -> None:
