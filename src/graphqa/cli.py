@@ -73,6 +73,25 @@ def _write(path: str, text: str) -> None:
         raise _cannot_write(path, exc) from exc
 
 
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
+def _write_reports(out_dir: str, records: list) -> None:
+    """Write ``report.txt`` and ``report.csv`` of ``records`` into ``out_dir``."""
+    from . import evaluation
+
+    _make_dir(out_dir)
+    report = evaluation.compute_metrics(records)
+    text_path = os.path.join(out_dir, "report.txt")
+    _write(text_path, evaluation.render_text_report(report))
+    _write(os.path.join(out_dir, "report.csv"), evaluation.render_csv_report(report))
+    print(f"report -> {text_path}")
+
+
 def _load_templates(directory: str | None):
     try:
         return load_templates(directory)
@@ -256,12 +275,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise CliError(f"--models names {first!r} and {model!r}, which would both write {runs_name}", EXIT_CONFIG)
         runs_names[runs_name] = model
     gateway = _make_gateway(args, [name for model in models for name in (model, args.model_task2 or model)])
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise _cannot_write(args.out, exc) from exc
+    _make_dir(args.out)
 
-    all_rows = []
+    all_records = []
     for runs_name, model in runs_names.items():
         config = PipelineConfig(model_task1=model, model_task2=args.model_task2, templates=templates)
         records = evaluation.evaluate_model(
@@ -272,20 +288,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             evaluation.save_run_records(runs_path, model, records)
         except OSError as exc:
             raise _cannot_write(runs_path, exc) from exc
-        all_rows.extend(evaluation.metric_rows(records, {s.id: s for s in specs}))
+        all_records.extend(records)
         print(f"{model}: {len(records)} runs -> {runs_path}")
 
-    report = evaluation.compute_metrics(all_rows)
-    _write(os.path.join(args.out, "report.txt"), evaluation.render_text_report(report))
-    _write(os.path.join(args.out, "report.csv"), evaluation.render_csv_report(report))
-    print(f"report -> {os.path.join(args.out, 'report.txt')}")
+    _write_reports(args.out, all_records)
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from . import evaluation
-
-    rows = []
+    all_records = []
     # A run counted twice (a copied file, or a repeated line) would skew every
     # percentage, so each (model, question, variant) may appear once.
     first_file: dict[tuple[str, str, int], str] = {}
@@ -304,21 +315,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                         EXIT_CORPUS,
                     )
                 first_file[key] = name
-            rows.extend(evaluation.metric_rows(records))
+            all_records.extend(records)
     except OSError as exc:
         raise CliError(f"cannot read run records in {args.runs}: {exc}", EXIT_CONFIG) from exc
-    if not rows:
+    if not all_records:
         raise CliError(f"--runs {args.runs}: the .runs.jsonl files hold no runs", EXIT_CORPUS)
-    report = evaluation.compute_metrics(rows)
-    if args.format == "table-text":
-        text = evaluation.render_text_report(report)
-        default_name = "report.txt"
-    else:
-        text = evaluation.render_csv_report(report)
-        default_name = "report.csv"
-    out = args.out or os.path.join(args.runs, default_name)
-    _write(out, text)
-    print(f"report -> {out}")
+    _write_reports(args.out or args.runs, all_records)
     return EXIT_OK
 
 
@@ -351,10 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="rebuild reports from run records")
     p.add_argument("--runs", required=True, help="directory containing .runs.jsonl files")
-    p.add_argument(
-        "--format", choices=("table-text", "delimited-values"), default="table-text"
-    )
-    p.add_argument("--out", default=None, help="output file (default: into --runs)")
+    p.add_argument("--out", default=None, help="output directory for report.txt and report.csv (default: --runs)")
     p.set_defaults(func=cmd_report)
     return parser
 

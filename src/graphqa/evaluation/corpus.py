@@ -82,6 +82,11 @@ def load_corpus(path: str) -> list[QuestionSpec]:
         if spec.id in ids:
             raise CorpusError(f"corpus {path}: question #{idx} repeats id {spec.id!r}")
         ids.add(spec.id)
+        # Each phrasing is run once per model, so a repeated one would count twice.
+        phrasings = [spec.question, *spec.rephrasings]
+        for i, text in enumerate(phrasings):
+            if text in phrasings[:i]:
+                raise CorpusError(f"corpus {path}: question #{idx} ({spec.id!r}) repeats the phrasing {text!r}")
         specs.append(spec)
     if not specs:
         raise CorpusError(f"corpus {path}: no questions")

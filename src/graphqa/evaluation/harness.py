@@ -17,7 +17,7 @@ from ..graph.store import PropertyGraph
 from ..llm import Gateway
 from ..pipeline import PipelineConfig, PipelineRun, answer_question
 from .corpus import QuestionSpec, corpus_instances
-from .scoring import MetricRow, RunGrades, grade_run
+from .scoring import RunGrades, grade_run
 
 RUNS_SCHEMA_VERSION = "1"
 
@@ -55,12 +55,6 @@ class RunRecord(NamedTuple):
         payload["run"] = PipelineRun.from_dict(payload["run"])
         return cls(**payload)
 
-    def spec_stub(self) -> QuestionSpec:
-        """Enough of a QuestionSpec to aggregate and report from disk."""
-        return QuestionSpec(
-            id=self.question_id, question=self.original_question, ground_truth_query="", is_trick=self.is_trick
-        )
-
 
 def evaluate_model(
     graph: PropertyGraph,
@@ -77,15 +71,10 @@ def evaluate_model(
     return records
 
 
-def metric_rows(
-    records: list[RunRecord], specs_by_id: dict[str, QuestionSpec] | None = None
-) -> list[MetricRow]:
-    """Shape run records for ``compute_metrics``."""
-    rows = []
-    for record in records:
-        spec = (specs_by_id or {}).get(record.question_id) or record.spec_stub()
-        rows.append((record.run, spec, record.grades))
-    return rows
+def metric_rows(records: list[RunRecord], specs_by_id: dict[str, QuestionSpec] | None = None) -> list[RunRecord]:
+    """The records as they are, since ``compute_metrics`` reads them directly;
+    kept, with its unused ``specs_by_id``, only for ``perfbench/workloads.py``."""
+    return list(records)
 
 
 def save_run_records(path: str, model: str, records: list[RunRecord]) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from operator import itemgetter
 
 from ..errors import ValidationError
 from .scoring import MetricsReport, ModelScores
@@ -59,12 +60,11 @@ def render_text_report(report: MetricsReport) -> str:
     rows = [[m, _pct(report.scores[m].misinformation_score)] for m in models]
     sections.append("Misinformation\n" + _table(["Model", "Misinformation score"], rows))
 
-    length_rows: list[list[str]] = []
-    for model in models:
-        for run, spec, grades in report.graded.get(model, []):
-            if run.question == spec.question:  # original phrasing only
-                length = grades.content_length
-                length_rows.append([model, spec.question, str(length) if length is not None else "-"])
+    # A stable sort keeps each model's rows in run order.
+    length_rows = [
+        [model, question, str(length) if length is not None else "-"]
+        for model, question, length in sorted(report.lengths, key=itemgetter(0))
+    ]
     if length_rows:
         sections.append(
             "Content length of correct database responses (original questions)\n"

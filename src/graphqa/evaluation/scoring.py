@@ -30,8 +30,7 @@ provided content.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..cypher import canonicalize_query
 from ..cypher.ast import value_type
@@ -40,6 +39,9 @@ from ..matching import _value_occurs, find_numbers, find_output_text_values, is_
 from ..errors import ValidationError
 from ..pipeline import OutcomeCase, PipelineRun
 from .corpus import QuestionSpec
+
+if TYPE_CHECKING:
+    from .harness import RunRecord
 
 NONEXISTENCE_LEXICON = (
     "does not exist",
@@ -224,33 +226,31 @@ class ModelScores(NamedTuple):
     absolute_em_only: float
 
 
-MetricRow = tuple[PipelineRun, QuestionSpec, RunGrades]
-
-
 @value_type
 class MetricsReport(NamedTuple):
-    """Scores per model; equality reads only the scores, not the graded runs behind them."""
+    """Scores per model, and one ``(model, original question, content length)``
+    row per run of an original (not rephrased) question, in run order."""
 
     scores: dict[str, ModelScores]
-    graded: Mapping[str, list[MetricRow]] = MappingProxyType({})
-
-    def _key(self) -> dict[str, ModelScores]:
-        return self.scores
+    lengths: tuple[tuple[str, str, int | None], ...] = ()
 
 
-def compute_metrics(runs: list[MetricRow]) -> MetricsReport:
+def compute_metrics(records: list[RunRecord]) -> MetricsReport:
     """Aggregate per-model percentage scores over a run set."""
-    if not runs:
+    if not records:
         raise ValidationError("cannot compute metrics over zero runs")
-    by_model: dict[str, list[MetricRow]] = {}
-    for run, spec, grades in runs:
+    by_model: dict[str, list[RunGrades]] = {}
+    lengths = []
+    for record in records:
+        grades, model = record.grades, record.run.model_task1
         grades.validate()
-        by_model.setdefault(run.model_task1, []).append((run, spec, grades))
+        by_model.setdefault(model, []).append(grades)
+        if record.variant == 0:
+            lengths.append((model, record.original_question, grades.content_length))
 
     scores: dict[str, ModelScores] = {}
-    for model, entries in by_model.items():
-        n = len(entries)
-        grade_list = [g for _, _, g in entries]
+    for model, grade_list in by_model.items():
+        n = len(grade_list)
         scores[model] = ModelScores(
             n=n,
             em_score=100.0 * sum(g.em for g in grade_list) / n,
@@ -260,4 +260,4 @@ def compute_metrics(runs: list[MetricRow]) -> MetricsReport:
             absolute_score=100.0 * sum(g.absolute_correct for g in grade_list) / n,
             absolute_em_only=100.0 * sum(1 for g in grade_list if g.em == 1 and g.output_correct == 1) / n,
         )
-    return MetricsReport(scores=scores, graded=by_model)
+    return MetricsReport(scores, tuple(lengths))

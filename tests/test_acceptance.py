@@ -18,7 +18,7 @@ from graphqa.cli import data_path, main
 from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
 from graphqa.errors import EngineError
-from graphqa.evaluation import compute_metrics, evaluate_model, metric_rows, validate_corpus
+from graphqa.evaluation import compute_metrics, evaluate_model, validate_corpus
 from graphqa.evaluation.scoring import grade_run
 from graphqa.llm import Gateway, ReplayBackend, Transcript, extract_cypher
 from graphqa.pipeline import (
@@ -117,18 +117,12 @@ def test_ground_truth_corpus_gate(fixture_graph, corpus):
         assert time.perf_counter() - started < 1.0
 
 
-def test_metric_arithmetic_reproduction(fixture_graph, corpus, graded_records):
+def test_metric_arithmetic_reproduction(graded_records):
     with criterion("metric reproduction: 7q table, 77q table, misinformation, EM-only, 19.4 gain"):
-        specs_by_id = {s.id: s for s in corpus}
-        rows_77 = []
-        rows_7 = []
-        for model in MODELS:
-            records = graded_records[model]
-            assert len(records) == 77
-            rows_77.extend(metric_rows(records, specs_by_id))
-            rows_7.extend(metric_rows([r for r in records if r.variant == 0], specs_by_id))
+        assert [len(graded_records[model]) for model in MODELS] == [77] * len(MODELS)
+        records_77 = [record for model in MODELS for record in graded_records[model]]
 
-        report_7 = compute_metrics(rows_7)
+        report_7 = compute_metrics([r for r in records_77 if r.variant == 0])
         for model, (em, content, output, absolute) in TABLE_7Q.items():
             scores = report_7.scores[model]
             assert scores.n == 7
@@ -137,7 +131,7 @@ def test_metric_arithmetic_reproduction(fixture_graph, corpus, graded_records):
             assert _close(scores.output_score, output), (model, "7q output", scores.output_score)
             assert _close(scores.absolute_score, absolute), (model, "7q absolute", scores.absolute_score)
 
-        report_77 = compute_metrics(rows_77)
+        report_77 = compute_metrics(records_77)
         for model, (em, content, output, absolute) in TABLE_77Q.items():
             scores = report_77.scores[model]
             assert scores.n == 77

@@ -354,14 +354,18 @@ def test_report_rebuild_from_runs_is_identical(tmp_path):
             data_path("transcripts"),
         ]
     )
-    first = (out / "report.txt").read_bytes()
-    assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_OK
-    assert (out / "report.txt").read_bytes() == first
-    assert main(["report", "--runs", str(out), "--format", "delimited-values"]) == EXIT_OK
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--runs", str(out), "--out", str(rebuilt)]) == EXIT_OK
+    for name in ("report.txt", "report.csv"):
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes()
+    (out / "report.csv").unlink()
+    assert main(["report", "--runs", str(out)]) == EXIT_OK  # --out defaults to --runs
+    for name in ("report.txt", "report.csv"):
+        assert (out / name).read_bytes() == (rebuilt / name).read_bytes()
 
 
 def test_report_empty_dir_exits_corpus_code(tmp_path):
-    assert main(["report", "--runs", str(tmp_path), "--format", "table-text"]) == EXIT_CORPUS
+    assert main(["report", "--runs", str(tmp_path)]) == EXIT_CORPUS
 
 
 @pytest.mark.parametrize("layout", ["no run files", "run files without runs"])
@@ -370,7 +374,7 @@ def test_report_without_runs_exits_corpus_code_and_names_runs(tmp_path, capsys, 
 
     if layout == "run files without runs":
         save_run_records(str(tmp_path / "m.runs.jsonl"), "m", [])
-    assert main(["report", "--runs", str(tmp_path), "--format", "table-text"]) == EXIT_CORPUS
+    assert main(["report", "--runs", str(tmp_path)]) == EXIT_CORPUS
     assert capsys.readouterr().err.startswith(f"error: --runs {tmp_path}: ")
     assert not (tmp_path / "report.txt").exists()
 
@@ -380,7 +384,7 @@ def test_report_unreadable_runs_exit_config_code(tmp_path, capsys, layout):
     runs = tmp_path / "runs"
     if layout == "run file is a directory":
         (runs / "m.runs.jsonl").mkdir(parents=True)
-    assert main(["report", "--runs", str(runs), "--format", "table-text"]) == EXIT_CONFIG
+    assert main(["report", "--runs", str(runs)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: cannot read run records in {runs}: ")
 
 
@@ -412,16 +416,16 @@ def test_an_input_file_that_is_not_utf8_gives_one_error_line_naming_it(tmp_path,
 @pytest.mark.parametrize("command", ["gen-data", "report", "eval", "eval runs"])
 def test_an_unwritable_out_exits_config_code_and_names_it(tmp_path, capsys, command):
     replay = ["--replay", data_path("transcripts")]
-    if command.startswith("eval"):
-        out = tmp_path / "taken"
-        if command == "eval":  # --out names a file, not a directory
-            out.write_text("")
-        else:  # the runs file's path is a directory
-            (out / "llama3.1_8b.runs.jsonl").mkdir(parents=True)
-        argv = ["eval", "--models", "llama3.1:8b", "--originals-only", "--out", str(out), *replay]
-    else:
+    if command == "gen-data":
         out = tmp_path / "missing" / "out.txt"
         argv = ["gen-data", "--out", str(out)]
+    else:
+        out = tmp_path / "taken"
+        if command == "eval runs":  # the runs file's path is a directory
+            (out / "llama3.1_8b.runs.jsonl").mkdir(parents=True)
+        else:  # --out names a file, not a directory
+            out.write_text("")
+        argv = ["eval", "--models", "llama3.1:8b", "--originals-only", "--out", str(out), *replay]
         if command == "report":
             runs = tmp_path / "runs"
             assert main(["eval", "--models", "llama3.1:8b", "--originals-only", "--out", str(runs), *replay]) == EXIT_OK
@@ -471,6 +475,23 @@ def test_eval_repeated_question_id_exits_corpus_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("repeat", ["the question", "a rephrasing"])
+def test_eval_repeated_phrasing_exits_corpus_code(tmp_path, capsys, repeat):
+    # Each phrasing is run once, so a repeated one would count twice in every score.
+    corpus = json.loads(Path(data_path("corpus.json")).read_text(encoding="utf-8"))
+    question = corpus["questions"][3]
+    assert question["id"] == "location-tower-4" and len(set(question["rephrasings"])) == 10
+    text = question["question"] if repeat == "the question" else question["rephrasings"][4]
+    question["rephrasings"].insert(7, text)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    args = ["eval", "--corpus", str(path), "--models", "llama3.1:8b", "--out", str(tmp_path / "out")]
+    assert main([*args, "--replay", data_path("transcripts")]) == EXIT_CORPUS
+    message = f"corpus {path}: question #3 ('location-tower-4') repeats the phrasing {text!r}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "models", ["llama3.1:8b,llama3.1:8b", "llama3.1:8b,llama3.1_8b", "gemma2:2b,llama3.1:8b,gemma2:2b"]
 )
@@ -490,7 +511,7 @@ def test_report_malformed_run_record_exits_corpus_code(tmp_path, capsys):
     runs = out / "llama3.1_8b.runs.jsonl"
     lines = runs.read_text().splitlines()
     runs.write_text("\n".join([*lines[:2], "[1, 2]", *lines[3:]]) + "\n")
-    assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_CORPUS
+    assert main(["report", "--runs", str(out)]) == EXIT_CORPUS
     assert "line 3" in capsys.readouterr().err
 
 
@@ -534,7 +555,7 @@ def test_report_wrongly_typed_grade_exits_corpus_code(tmp_path, capsys):
     record = json.loads(first)
     record["grades"]["em"] = str(record["grades"]["em"])
     runs.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
-    assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_CORPUS
+    assert main(["report", "--runs", str(out)]) == EXIT_CORPUS
     assert "line 2" in capsys.readouterr().err
 
 
@@ -547,7 +568,7 @@ def test_report_out_of_range_grade_exits_corpus_code(tmp_path, capsys):
     record = json.loads(first)
     record["grades"].update(em=2, content=2, output_correct=2)
     runs.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
-    assert main(["report", "--runs", str(out), "--format", "table-text"]) == EXIT_CORPUS
+    assert main(["report", "--runs", str(out)]) == EXIT_CORPUS
     err = capsys.readouterr().err
     assert "llama3.1_8b.runs.jsonl line 2" in err and "must be 0 or 1" in err
 

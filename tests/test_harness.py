@@ -15,7 +15,7 @@ from graphqa.evaluation import (
     corpus_instances,
     evaluate_model,
     load_run_records,
-    metric_rows,
+    render_text_report,
     save_run_records,
     validate_corpus,
 )
@@ -148,9 +148,17 @@ def test_report_can_be_rebuilt_from_disk_without_corpus(tmp_path, fixture_graph,
     path = tmp_path / "runs.jsonl"
     save_run_records(str(path), MODEL, records)
     _, loaded = load_run_records(str(path))
-    from_disk = compute_metrics(metric_rows(loaded))
-    fresh = compute_metrics(metric_rows(records, {s.id: s for s in corpus}))
-    assert from_disk.scores == fresh.scores
+    assert compute_metrics(loaded) == compute_metrics(records)
+
+
+def test_a_rephrasing_equal_to_its_question_leaves_one_length_row_per_question(fixture_graph, corpus, templates):
+    specs = [spec._replace(rephrasings=[spec.question, *spec.rephrasings[:1]]) for spec in corpus[:2]]
+    config = PipelineConfig(model_task1=MODEL, templates=templates)
+    records = evaluate_model(fixture_graph, specs, _gateway(), config)
+    assert [record.run.question for record in records[:2]] == [specs[0].question] * 2
+    text = render_text_report(compute_metrics(records))
+    table = text.split("(original questions)\n")[1].splitlines()[2:]
+    assert [row.split("  ")[1] for row in table] == [spec.question for spec in specs]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import pytest
 
@@ -65,3 +66,22 @@ def test_empty_report_rejected():
         render_text_report(MetricsReport(scores={}))
     with pytest.raises(ValidationError):
         render_csv_report(MetricsReport(scores={}))
+
+
+def test_length_rows_are_sorted_by_model_keeping_run_order_within_each():
+    lengths = (
+        ("llama3.1:8b", "Where is tower 4?", 44),
+        ("gemma2:2b", "Where is tower 4?", None),
+        ("llama3.1:8b", "How many sensors are on tower 8?", 21),
+        ("gemma2:2b", "How many sensors are on tower 8?", 9),
+        ("llama3.1:8b", "Are there sensors on tower 22?", 2),
+    )
+    text = render_text_report(_report()._replace(lengths=lengths))
+    table = text.split("(original questions)\n")[1].splitlines()
+    assert [re.split(r"\s{2,}", row) for row in table[2:]] == [
+        ["gemma2:2b", "Where is tower 4?", "-"],
+        ["gemma2:2b", "How many sensors are on tower 8?", "9"],
+        ["llama3.1:8b", "Where is tower 4?", "44"],
+        ["llama3.1:8b", "How many sensors are on tower 8?", "21"],
+        ["llama3.1:8b", "Are there sensors on tower 22?", "2"],
+    ]

@@ -5,6 +5,7 @@ from graphqa.cypher.records import ResultSet
 from graphqa.errors import ValidationError
 from graphqa.evaluation import QuestionSpec, compute_metrics
 from graphqa.evaluation import scoring
+from graphqa.evaluation.harness import RunRecord
 from graphqa.evaluation.scoring import RunGrades, grade_answer, grade_run, score_em
 from graphqa.graph.store import Node
 from graphqa.matching import find_numbers, find_output_text_values
@@ -220,8 +221,8 @@ def test_rungrades_range_enforced():
 
 
 def test_score_misinformation_percentage():
-    rows = [(_run(), LOCATION_SPEC, _grades(misinfo=1))] * 4 + [(_run(), LOCATION_SPEC, _grades())] * 73
-    assert compute_metrics(rows).scores["m"].misinformation_score == pytest.approx(100.0 * 4 / 77)
+    records = [_record(_grades(misinfo=1))] * 4 + [_record(_grades())] * 73
+    assert compute_metrics(records).scores["m"].misinformation_score == pytest.approx(100.0 * 4 / 77)
 
 
 def _run(model="m", question="q", db_output="[]", spec=LOCATION_SPEC):
@@ -242,15 +243,20 @@ def _run(model="m", question="q", db_output="[]", spec=LOCATION_SPEC):
     )
 
 
-def test_compute_metrics_hand_checked():
+def _record(grades, model="m", variant=0):
     spec = LOCATION_SPEC
-    rows = [
-        (_run(), spec, _grades(em=1, content=1, length=44, output=1, absolute=1)),
-        (_run(), spec, _grades(content=1, length=100, output=1, absolute=1)),
-        (_run(), spec, _grades(misinfo=1, output=0)),
-        (_run(), spec, _grades(output=1)),
+    question = spec.question if variant == 0 else f"{spec.question} ({variant})"
+    return RunRecord(spec.id, variant, spec.is_trick, spec.question, _run(model, question), grades)
+
+
+def test_compute_metrics_hand_checked():
+    records = [
+        _record(_grades(em=1, content=1, length=44, output=1, absolute=1)),
+        _record(_grades(content=1, length=100, output=1, absolute=1), variant=1),
+        _record(_grades(misinfo=1, output=0), variant=2),
+        _record(_grades(output=1), variant=3),
     ]
-    report = compute_metrics(rows)
+    report = compute_metrics(records)
     scores = report.scores["m"]
     assert scores.n == 4
     assert scores.em_score == pytest.approx(25.0)
@@ -259,11 +265,12 @@ def test_compute_metrics_hand_checked():
     assert scores.absolute_score == pytest.approx(50.0)
     assert scores.misinformation_score == pytest.approx(25.0)
     assert scores.absolute_em_only == pytest.approx(25.0)
+    assert report.lengths == (("m", LOCATION_SPEC.question, 44),)  # originals only
 
 
 def test_compute_metrics_single_all_correct_run():
-    rows = [(_run(), LOCATION_SPEC, _grades(em=1, content=1, length=44, output=1, absolute=1))]
-    scores = compute_metrics(rows).scores["m"]
+    records = [_record(_grades(em=1, content=1, length=44, output=1, absolute=1))]
+    scores = compute_metrics(records).scores["m"]
     assert (
         scores.em_score,
         scores.content_score,
@@ -279,11 +286,9 @@ def test_compute_metrics_rejects_empty():
 
 
 def test_compute_metrics_groups_by_model():
-    rows = [
-        (_run("m1"), LOCATION_SPEC, _grades(output=1)),
-        (_run("m2"), LOCATION_SPEC, _grades()),
-    ]
-    report = compute_metrics(rows)
+    records = [_record(_grades(output=1), model="m1"), _record(_grades(), model="m2")]
+    report = compute_metrics(records)
     assert set(report.scores) == {"m1", "m2"}
     assert report.scores["m1"].output_score == 100.0
     assert report.scores["m2"].output_score == 0.0
+    assert [model for model, _, _ in report.lengths] == ["m1", "m2"]

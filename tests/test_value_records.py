@@ -43,7 +43,7 @@ RECORDS = [
     GRADES,
     RECORD,
     SCORES,
-    MetricsReport(scores={"m": SCORES}),
+    MetricsReport(scores={"m": SCORES}, lengths=(("m", RUN.question, 21),)),
     QuestionSpec(id="q", question="q?", ground_truth_query="MATCH (n) RETURN n"),
     GeneratorConfig(),
 ]
@@ -73,10 +73,11 @@ def test_default_durations_are_read_only_and_saved_as_an_object():
     assert PipelineRun.from_dict(run.to_dict()) == run
 
 
-def test_metrics_report_equality_reads_only_the_scores():
-    graded = {"m": [(RUN, RECORD.spec_stub(), GRADES)]}
-    assert MetricsReport(scores={"m": SCORES}, graded=graded) == MetricsReport(scores={"m": SCORES})
-    assert MetricsReport(scores={"m": SCORES}) != MetricsReport(scores={"m": SCORES._replace(n=2)})
+def test_metrics_report_equality_reads_the_scores_and_the_lengths():
+    report = MetricsReport(scores={"m": SCORES}, lengths=(("m", RUN.question, 21),))
+    assert report == MetricsReport(scores={"m": SCORES}, lengths=(("m", RUN.question, 21),))
+    assert report != report._replace(lengths=(("m", RUN.question, None),))
+    assert report != report._replace(scores={"m": SCORES._replace(n=2)})
 
 
 def test_run_and_record_round_trip_through_their_json_form():

@@ -31,7 +31,6 @@ from graphqa.evaluation import (
     QuestionSpec,
     compute_metrics,
     evaluate_model,
-    metric_rows,
     save_corpus,
     validate_corpus,
 )
@@ -594,7 +593,7 @@ def verify(model: str, specs, graph, templates, transcript: Transcript) -> None:
     got_7 = {key: value for key, value in counts(originals).items() if key in TARGETS_7[model]}
     assert got_7 == TARGETS_7[model], f"{model} 7q: designed {TARGETS_7[model]}, got {got_7}"
 
-    report = compute_metrics(metric_rows(records, {s.id: s for s in specs}))
+    report = compute_metrics(records)
     scores = report.scores[model]
     print(
         f"  {model:>20}: EM {scores.em_score:.1f}  content {scores.content_score:.1f}  "
