@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from .datafiles import atomic_write, data_path
+from .datafiles import atomic_write, data_path, file_lines
 from .errors import (
     CorpusError,
     DatasetFormatError,
@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import load_dataset_file, serialize_dataset
-from .llm import Gateway, LiveBackend, ReplayBackend, Transcript, TranscriptEntry
+from .llm import Gateway, LiveBackend, ReplayBackend, Transcript, TranscriptEntry, read_transcript
 from .pipeline import PipelineConfig, answer_question, load_templates
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ def _load_graph(path: str):
         return load_dataset_file(path)
     except OSError as exc:
         raise CliError(f"cannot read dataset {path}: {exc}", EXIT_CONFIG) from exc
-    except (DatasetFormatError, ValidationError, UnicodeDecodeError) as exc:
+    except (DatasetFormatError, UnicodeDecodeError) as exc:
         raise CliError(f"dataset {path}: {exc}", EXIT_ENGINE) from exc
 
 
@@ -114,32 +114,48 @@ def _replay_transcript(source: str, models: list[str]) -> Transcript:
 
     ``source`` is a transcript file, a directory of ``<model>.jsonl``
     transcripts, or an ``eval --out`` directory: one that holds a
-    ``.runs.jsonl`` file replays its run records.
+    ``.runs.jsonl`` file replays its run records. A run's call that failed
+    left no response and gives no entry, so it replays as a miss; its model
+    is still recorded. One ``Transcript`` indexes every entry, named by its
+    file and line (or record).
     """
+    entries: list[TranscriptEntry] = []
+    where: list[str] = []
+    recorded: set[str] = set()
     try:
         runs_names = _runs_names(source) if os.path.isdir(source) else []
-        if runs_names:
-            transcript, recorded = _transcript_of_runs(source, runs_names)
+        for name in runs_names:
+            path = os.path.join(source, name)
+            for number, record in enumerate(_load_runs(path), start=1):
+                run = record.run
+                recorded.update((run.model_task1, run.model_task2))
+                for entry in (
+                    TranscriptEntry(run.model_task1, run.task1_prompt, run.task1_response),
+                    TranscriptEntry(run.model_task2, run.task2_prompt, run.answer),
+                ):
+                    if entry.response is not None:
+                        entries.append(entry)
+                        where.append(f"{path} record {number}")
     except OSError as exc:
         raise CliError(f"cannot read run records in {source}: {exc}", EXIT_CONFIG) from exc
     if not runs_names:
         paths = [source]
-        if os.path.isdir(source):  # one file per model
-            paths = [os.path.join(source, sanitize_model_name(model) + ".jsonl") for model in models]
-        entries = []
+        if os.path.isdir(source):  # one file per model, read once if two models share it
+            paths = list(dict.fromkeys(os.path.join(source, sanitize_model_name(model) + ".jsonl") for model in models))
         for path in paths:
             try:
-                entries.extend(Transcript.load(path).entries)
+                for lineno, entry in read_transcript(file_lines(path)):
+                    entries.append(entry)
+                    where.append(f"{path} line {lineno}")
+                    recorded.add(entry.model_name)
             except OSError as exc:
                 raise CliError(f"cannot read transcript {path}: {exc}", EXIT_CONFIG) from exc
             except (GatewayError, UnicodeDecodeError) as exc:
                 raise CliError(f"transcript {path}: {exc}", EXIT_GATEWAY) from exc
-        transcript = Transcript(entries)
-        recorded = {entry.model_name for entry in entries}
     for model in models:
         if model not in recorded:
             raise CliError(f"--replay {source} has no entry for model {model!r}", EXIT_CONFIG)
-    return transcript
+    return Transcript(entries, where.__getitem__)
 
 
 def _runs_names(directory: str) -> list[str]:
@@ -153,30 +169,6 @@ def _load_runs(path: str) -> list:
         return load_run_records(path)[1]
     except UnicodeDecodeError as exc:
         raise CliError(f"run record file {path}: {exc}", EXIT_CORPUS) from exc
-
-
-def _transcript_of_runs(directory: str, names: list[str]) -> tuple[Transcript, set[str]]:
-    """The calls the run records in ``directory`` made, and the models they name.
-
-    A call that failed left no response and gives no entry, so it replays as
-    a miss; a model whose every call failed is still named.
-    """
-    entries: list[TranscriptEntry] = []
-    where: list[str] = []
-    recorded: set[str] = set()
-    for name in names:
-        path = os.path.join(directory, name)
-        for number, record in enumerate(_load_runs(path), start=1):
-            run = record.run
-            recorded.update((run.model_task1, run.model_task2))
-            for entry in (
-                TranscriptEntry(run.model_task1, run.task1_prompt, run.task1_response),
-                TranscriptEntry(run.model_task2, run.task2_prompt, run.answer),
-            ):
-                if entry.response is not None:
-                    entries.append(entry)
-                    where.append(f"{path} record {number}")
-    return Transcript(entries, where.__getitem__), recorded
 
 
 def _add_common_pipeline_args(parser: argparse.ArgumentParser) -> None:

@@ -1,15 +1,17 @@
 """Paths to packaged data files (dataset, corpus, templates, transcripts),
-the one way the package writes a file, the one way a JSON-lines file is
-read, the one encoder of every sorted-key JSON line it writes, and the one
-way a JSON record's field types are checked."""
+the one way the package writes a file, the one way a JSON-lines document
+(dataset, transcript, run records) is read and written with its header,
+the one encoder of every sorted-key JSON line it writes, and the one way a
+JSON record's field types are checked."""
 
 from __future__ import annotations
 
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 
-# The C scanner under json.loads, without its wrapper; see json_lines.
+# The C scanner under json.loads, without its wrapper; see read_document.
 _scan = json.JSONDecoder().scan_once
 
 # ``json.dumps(value, sort_keys=True)``, from one encoder: json.dumps builds a
@@ -45,19 +47,71 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def json_lines(
-    lines: Iterable[str], invalid: Callable[[int, json.JSONDecodeError], Exception]
-) -> Iterator[tuple[int, object]]:
-    """The number, from 1, and the JSON value of each line that is not blank.
+# The header of each JSON-lines format, ``(kind, schema_version)``: the first
+# line that is not blank, and no other line, is an object with these two.
+DATASET = ("header", "1")
+TRANSCRIPT = ("transcript", "1")
+RUNS = ("runs", "1")
 
-    Each line is decoded alone, by the scanner under ``json.loads`` called
-    directly; a line that is not exactly one JSON value (blank, padded, a
-    BOM, extra data, bad JSON) goes through ``json.loads`` for the same value
-    or its error. A line that is not JSON raises ``invalid(lineno, error)``.
-    Lines are never joined and decoded together: ``{"x":1},{"y":2}``,
-    ``{"c":[{}`` and ``{}]}`` each fail, yet joined they make three objects.
-    The dataset, transcript and run-record formats are all read here.
+# Characters of a document cut per piece when it is split into lines.
+_CHUNK = 1 << 16
+
+
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines ``str.splitlines`` cuts from the text the chunks make.
+
+    Each chunk is split up to just after its last ``\n``, and the rest goes
+    before the next chunk. Only ``\r\n`` is a separator of two characters,
+    and it ends with ``\n``, so no cut splits a separator.
     """
+    rest = ""
+    for chunk in chunks:
+        text = rest + chunk
+        cut = text.rfind("\n") + 1
+        yield from text[:cut].splitlines()
+        rest = text[cut:]
+    yield from rest.splitlines()
+
+
+def text_lines(source: str) -> Iterator[str]:
+    """The lines of ``source``, cut a piece at a time: no list of them all."""
+    return _lines(source[i : i + _CHUNK] for i in range(0, len(source), _CHUNK))
+
+
+def file_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file, opened when the first is asked for and read
+    a piece at a time: bytes that are not UTF-8 fail when the read reaches them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from _lines(iter(partial(fh.read, _CHUNK), ""))
+    except UnicodeDecodeError:  # its position counts from a piece; the whole file's, from byte 0
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+        raise
+
+
+def read_document(
+    lines: Iterable[str], header: tuple[str, str], fault: Callable[[str, int], Exception]
+) -> tuple[dict, Iterator[tuple[int, object]]]:
+    """A document's header, and the number (from 1) and JSON value of each
+    later line that is not blank, decoded as the iterator is read.
+
+    The header is the first line that is not blank: an object with the
+    ``kind`` and ``schema_version`` of ``header``. No header, a second one,
+    or a line that is not JSON raises ``fault(message, lineno)``, the
+    format's own error. Each line is decoded alone, never joined with the
+    next: ``{"x":1},{"y":2}``, ``{"c":[{}`` and ``{}]}`` each fail. A line
+    that is not exactly one JSON value (padded, a BOM, extra data) goes
+    from the scanner under ``json.loads`` to ``json.loads`` itself.
+    """
+    values = _values(lines, header, fault)
+    return next(values)[1], values
+
+
+def _values(lines: Iterable[str], header: tuple[str, str], fault: Callable[[str, int], Exception]):
+    kind, version = header
+    missing = f"missing header line {sorted_json({'kind': kind, 'schema_version': version})}"
+    header_line = 0
     for lineno, line in enumerate(lines, start=1):
         try:
             value, end = _scan(line, 0)
@@ -70,8 +124,27 @@ def json_lines(
             try:
                 value = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise invalid(lineno, exc) from exc
+                raise fault(f"invalid JSON: {exc.msg}", lineno) from exc
+        if type(value) is dict and value.get("kind") == kind:
+            if header_line:
+                raise fault(f"a second header line; the header is line {header_line}", lineno)
+            if value.get("schema_version") != version:
+                raise fault(f"unsupported schema_version {value.get('schema_version')!r}", lineno)
+            header_line = lineno
+        elif not header_line:
+            raise fault(missing, lineno)
         yield lineno, value
+    if not header_line:
+        raise fault(missing, 1)
+
+
+def write_document(header: tuple[str, str], values: Iterable[dict], **fields: object) -> str:
+    """A document: the header of ``header`` and ``fields``, then a line per
+    value, each encoded by ``sorted_json`` and ended by ``\n``."""
+    kind, version = header
+    lines = [sorted_json({"kind": kind, "schema_version": version, **fields})]
+    lines.extend(map(sorted_json, values))
+    return "\n".join(lines) + "\n"
 
 
 def _checked(data: object, types: dict[str, tuple[type, ...]], where: str) -> dict:

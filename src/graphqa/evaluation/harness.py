@@ -7,19 +7,16 @@ re-running models.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from ..cypher.ast import value_type
-from ..datafiles import _checked, atomic_write, json_lines, sorted_json
+from ..datafiles import RUNS, _checked, atomic_write, file_lines, read_document, write_document
 from ..errors import CorpusError, ValidationError
 from ..graph.store import PropertyGraph
 from ..llm import Gateway
 from ..pipeline import PipelineConfig, PipelineRun, answer_question
 from .corpus import QuestionSpec, corpus_instances
 from .scoring import RunGrades, grade_run
-
-RUNS_SCHEMA_VERSION = "1"
 
 # The JSON types a run record line may hold in each of its own fields; a
 # boolean is not an integer here. The run and its grades check their own.
@@ -78,33 +75,21 @@ def metric_rows(records: list[RunRecord], specs_by_id: dict[str, QuestionSpec] |
 
 
 def save_run_records(path: str, model: str, records: list[RunRecord]) -> None:
-    lines = [json.dumps({"kind": "runs", "schema_version": RUNS_SCHEMA_VERSION, "model": model})]
-    for record in records:
-        lines.append(sorted_json(record.to_dict()))
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, write_document(RUNS, (record.to_dict() for record in records), model=model))
 
 
 def load_run_records(path: str) -> tuple[str, list[RunRecord]]:
-    """Read a run record file; any malformed line raises ``CorpusError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
-        raise CorpusError(f"run record file {path} is empty")
+    """The model a run record file's header names, and its records; any
+    fault in the file raises ``CorpusError`` naming the file and line."""
 
-    def line_error(lineno: int, exc: Exception) -> CorpusError:
-        return CorpusError(f"run record file {path} line {lineno}: {type(exc).__name__}: {exc}")
+    def fault(message: str, lineno: int) -> CorpusError:
+        return CorpusError(f"run record file {path} line {lineno}: {message}")
 
-    lines = json_lines(text.splitlines(), line_error)
-    try:
-        lineno, header = next(lines)
-    except (StopIteration, CorpusError):  # only blank lines, or the first other line is not JSON
-        lineno, header = 0, None
-    if lineno != 1 or type(header) is not dict or (header.get("kind"), header.get("schema_version")) != ("runs", RUNS_SCHEMA_VERSION):
-        raise CorpusError(f"run record file {path} has no valid header")
+    header, values = read_document(file_lines(path), RUNS, fault)
     records = []
-    for lineno, data in lines:
+    for lineno, data in values:
         try:
             records.append(RunRecord.from_dict(data))
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise line_error(lineno, exc) from exc
+            raise fault(f"{type(exc).__name__}: {exc}", lineno) from exc
     return header.get("model", ""), records

@@ -22,14 +22,12 @@ per distinct label sequence, ``validate_property_map`` and
 map it is given. The build ends with ``PropertyGraph._freeze``, which checks
 every endpoint index. Nothing writes to the graph after that.
 
-A parse reads lines through ``datafiles.json_lines``, the reader of every
-JSON-lines format in the package: each line alone, never joined with the
-next, and a blank line skipped. ``load_dataset`` and ``load_dataset_file``
-split the text exactly as ``str.splitlines`` does, a piece of the text (or
-file) at a time, so a load never holds a list of every line beside the
+A parse reads the lines after the header through ``datafiles.read_document``,
+the reader of every JSON-lines format in the package, a piece of the text
+(or file) at a time, so a load never holds a list of every line beside the
 graph. The parse checks each line's shape and turns a sink's
 ``ValidationError`` into a ``DatasetFormatError`` naming the line.
-Endpoints are checked after the last line.
+Endpoints are checked after the last line, each named by its line.
 
 A build keeps one string per string value: ``validate_property_map``
 replaces each value of exact type ``str`` by the first equal one. Only exact
@@ -46,15 +44,13 @@ sequences and label sets are shared: each node and relationship owns its map.
 from __future__ import annotations
 
 import gc
-import json
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from functools import partial
+from itertools import chain
 
-from ..datafiles import json_lines, sorted_json
+from ..datafiles import DATASET, file_lines, read_document, text_lines, write_document
 from ..errors import DatasetFormatError, ValidationError
-from .store import PropertyGraph, validate_labels, validate_property_map, validate_rel_type
-
-SCHEMA_VERSION = "1"
+from .store import PropertyGraph, validate_endpoints, validate_labels, validate_property_map, validate_rel_type
 
 
 def _sinks(graph: PropertyGraph) -> tuple[Callable, Callable]:
@@ -114,39 +110,14 @@ def _rekeyed(properties: dict, key_maps: dict[tuple, dict], names: dict[str, str
     return rebuilt
 
 
-# Characters of a document cut per piece when it is split into lines.
-_CHUNK = 1 << 16
-
-
-def _pieces(source: str) -> Iterator[str]:
-    return (source[i : i + _CHUNK] for i in range(0, len(source), _CHUNK))
-
-
-def _lines(chunks: Iterable[str]) -> Iterator[str]:
-    """The lines ``str.splitlines`` cuts from the text the chunks make.
-
-    Each chunk is split up to just after its last ``\n``, and the rest goes
-    before the next chunk. Only ``\r\n`` is a separator of two characters,
-    and it ends with ``\n``, so no cut splits a separator.
-    """
-    rest = ""
-    for chunk in chunks:
-        text = rest + chunk
-        cut = text.rfind("\n") + 1
-        yield from text[:cut].splitlines()
-        rest = text[cut:]
-    yield from rest.splitlines()
-
-
-def _invalid_json(lineno: int, exc: json.JSONDecodeError) -> DatasetFormatError:
-    return DatasetFormatError(f"invalid JSON: {exc.msg}", lineno)
-
-
-def _parse(lines: Iterable[str], node: Callable, relationship: Callable) -> None:
-    """Parse a document's lines into the builder's sinks, in file order.
+def _parse(values: Iterable[tuple[int, object]], node: Callable, relationship: Callable) -> None:
+    """Parse a document's lines after its header into the builder's sinks,
+    in file order.
 
     Each call gets a fresh map. A ``DatasetFormatError`` names the line that
-    fails, whether its shape or a sink's check rejects it.
+    fails, whether its shape, a sink's check or an endpoint rejects it. A
+    relationship may name nodes that come later: one that names an index
+    not yet stored is checked after the last line.
     """
     # One string per property key, label and relationship type; per
     # distinct property-key sequence, a map of those keys to None; per
@@ -155,19 +126,14 @@ def _parse(lines: Iterable[str], node: Callable, relationship: Callable) -> None
     names: dict[str, str] = {}
     key_maps: dict[tuple, dict] = {}
     label_tuples: dict[tuple, tuple] = {}
-    saw_header = False
-    for lineno, obj in json_lines(lines, _invalid_json):
-        if type(obj) is not dict or "kind" not in obj:
-            raise DatasetFormatError("each line must be an object with a 'kind' field", lineno)
-        kind = obj["kind"]
-        if kind == "header":
-            version = obj.get("schema_version")
-            if version != SCHEMA_VERSION:
-                raise DatasetFormatError(f"unsupported schema_version {version!r}", lineno)
-            saw_header = True
-            continue
-        properties = obj.get("properties", {})
-        try:
+    nodes = 0
+    unresolved: list[tuple[int, int, int]] = []  # (line, src, dst)
+    try:  # a sink's check, or an endpoint's, names the line
+        for lineno, obj in values:
+            if type(obj) is not dict or "kind" not in obj:
+                raise DatasetFormatError("each line must be an object with a 'kind' field", lineno)
+            kind = obj["kind"]
+            properties = obj.get("properties", {})
             if kind == "node":
                 labels = obj.get("labels")
                 try:  # a kept label sequence has passed every label check, or the parse has ended
@@ -185,6 +151,7 @@ def _parse(lines: Iterable[str], node: Callable, relationship: Callable) -> None
                 if shared_labels is None:
                     shared_labels = label_tuples[tuple(labels)] = tuple([names.setdefault(x, x) for x in labels])
                 node(shared_labels, properties)
+                nodes += 1
             elif kind == "rel":
                 try:
                     src = obj["src"]
@@ -201,50 +168,41 @@ def _parse(lines: Iterable[str], node: Callable, relationship: Callable) -> None
                 if properties:
                     properties = _rekeyed(properties, key_maps, names)
                 relationship(src, names.setdefault(rel_type, rel_type), dst, properties)
+                if not (0 <= src < nodes and 0 <= dst < nodes):
+                    unresolved.append((lineno, src, dst))
             else:
                 raise DatasetFormatError(f"unknown line kind {kind!r}", lineno)
-        except ValidationError as exc:  # a sink's check
-            raise DatasetFormatError(str(exc), lineno) from None
-
-    if not saw_header:
-        raise DatasetFormatError("missing header line", 1)
+        for lineno, src, dst in unresolved:
+            validate_endpoints(src, dst, nodes)
+    except ValidationError as exc:
+        raise DatasetFormatError(str(exc), lineno) from None
 
 
 def serialize_dataset(graph: PropertyGraph) -> str:
     """Render ``graph`` as a dataset document: nodes, then relationships, in
     id order, with labels and property keys sorted, so the bytes depend on
-    neither the order labels were given in nor the string hash seed. Every
-    line is encoded by one encoder."""
-    lines = [sorted_json({"kind": "header", "schema_version": SCHEMA_VERSION})]
-    for node in graph.nodes():
-        lines.append(sorted_json({"kind": "node", "labels": sorted(node.labels), "properties": node.properties}))
-    for rel in graph.relationships():
-        lines.append(
-            sorted_json(
-                {"kind": "rel", "src": rel.src, "rel_type": rel.rel_type, "dst": rel.dst, "properties": rel.properties}
-            )
-        )
-    return "\n".join(lines) + "\n"
+    neither the order labels were given in nor the string hash seed."""
+    nodes = ({"kind": "node", "labels": sorted(n.labels), "properties": n.properties} for n in graph.nodes())
+    rels = (
+        {"kind": "rel", "src": r.src, "rel_type": r.rel_type, "dst": r.dst, "properties": r.properties}
+        for r in graph.relationships()
+    )
+    return write_document(DATASET, chain(nodes, rels))
 
 
-def _load(chunks: Iterable[str]) -> PropertyGraph:
-    return _build(partial(_parse, _lines(chunks)))
+def _load(lines: Iterable[str]) -> PropertyGraph:
+    _, values = read_document(lines, DATASET, DatasetFormatError)
+    return _build(partial(_parse, values))
 
 
 def load_dataset(source: str) -> PropertyGraph:
     """The graph of a dataset document, each entry stored as its line is parsed."""
-    return _load(_pieces(source))
+    return _load(text_lines(source))
 
 
 def load_dataset_file(path: str) -> PropertyGraph:
-    """``load_dataset`` of a UTF-8 file read in text mode, a piece at a time.
-
-    Bytes that are not UTF-8 raise ``UnicodeDecodeError`` when the read
-    reaches them, so an error on an earlier line is raised first, and the
-    error's position counts from the start of the piece being decoded.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        return _load(iter(partial(fh.read, _CHUNK), ""))
+    """``load_dataset`` of a UTF-8 file, read as ``datafiles.file_lines`` reads it."""
+    return _load(file_lines(path))
 
 
 def parse_dataset(source: str) -> PropertyGraph:

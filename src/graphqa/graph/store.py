@@ -96,6 +96,12 @@ def validate_rel_type(rel_type: str) -> None:
         raise ValidationError("relationship type must be a non-empty string")
 
 
+def validate_endpoints(src: int, dst: int, node_count: int) -> None:
+    for endpoint in (src, dst):
+        if type(endpoint) is not int or not 0 <= endpoint < node_count:
+            raise ValidationError(f"relationship endpoint index {endpoint!r} is not an integer in 0..{node_count - 1}")
+
+
 class Node:
     """Graph node with a unique integer id."""
 
@@ -187,11 +193,7 @@ class PropertyGraph:
         incoming relationships as tuples in id order."""
         node_count = len(self._nodes)
         for rel in self._rels:
-            for endpoint in (rel.src, rel.dst):
-                if type(endpoint) is not int or not 0 <= endpoint < node_count:
-                    raise ValidationError(
-                        f"relationship endpoint index {endpoint!r} is not an integer in 0..{node_count - 1}"
-                    )
+            validate_endpoints(rel.src, rel.dst, node_count)
         self._outgoing = _adjacency(self._rels, "src", node_count)
         self._incoming = _adjacency(self._rels, "dst", node_count)
 

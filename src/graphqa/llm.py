@@ -17,13 +17,12 @@ import hashlib
 import json
 import threading
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
-from .datafiles import atomic_write, json_lines, sorted_json
+from .datafiles import TRANSCRIPT, atomic_write, file_lines, read_document, text_lines, write_document
 from .errors import GatewayError, ReplayMissError
 
-TRANSCRIPT_SCHEMA_VERSION = "1"
 DEFAULT_TIMEOUT_S = 120.0
 # Sampling options sent with every live completion: greedy decoding, so a
 # recorded transcript is what the model would answer again.
@@ -51,12 +50,29 @@ class TranscriptEntry(NamedTuple):
     timestamp: str = ""
 
 
-def _invalid_json(lineno: int, exc: json.JSONDecodeError) -> GatewayError:
-    return GatewayError(f"transcript line {lineno}: invalid JSON: {exc.msg}")
+def _fault(message: str, lineno: int) -> GatewayError:
+    return GatewayError(f"transcript line {lineno}: {message}")
 
 
-def _entry_number(position: int) -> str:
-    return f"entry {position + 1}"
+def read_transcript(lines: Iterable[str]) -> Iterator[tuple[int, TranscriptEntry]]:
+    """The line number and entry of each entry line of a transcript
+    document, checked as it is read; any fault is a ``GatewayError``."""
+    for lineno, obj in read_document(lines, TRANSCRIPT, _fault)[1]:
+        if type(obj) is not dict:
+            raise _fault("not a JSON object", lineno)
+        try:
+            model_name, prompt, response = obj["model"], obj["prompt"], obj["response"]
+        except KeyError as exc:
+            raise _fault(f"missing field {exc.args[0]!r}", lineno) from exc
+        if type(model_name) is not str or type(prompt) is not str or type(response) is not str:
+            raise _fault("model, prompt and response must be strings", lineno)
+        timestamp = obj.get("timestamp", "")
+        if type(timestamp) is not str:
+            raise _fault("timestamp must be a string", lineno)
+        expected = obj.get("request_sha256")
+        if expected and expected != request_hash(model_name, prompt):
+            raise _fault("request hash mismatch", lineno)
+        yield lineno, TranscriptEntry(model_name, prompt, response, timestamp)
 
 
 class Transcript:
@@ -68,7 +84,7 @@ class Transcript:
     a loaded file). An identical repeat is kept.
     """
 
-    def __init__(self, entries: Iterable[TranscriptEntry] = (), name: Callable[[int], str] = _entry_number):
+    def __init__(self, entries: Iterable[TranscriptEntry] = (), name: Callable[[int], str] = lambda i: f"entry {i + 1}"):
         self.entries: list[TranscriptEntry] = []
         self._index: dict[tuple[str, str], str] = {}
         kept, index = self.entries, self._index
@@ -88,56 +104,28 @@ class Transcript:
         return len(self.entries)
 
     def dumps(self) -> str:
-        """The transcript document; each line's keys are sorted, and one encoder writes every line."""
-        lines = [sorted_json({"kind": "transcript", "schema_version": TRANSCRIPT_SCHEMA_VERSION})]
-        for entry in self.entries:
-            lines.append(
-                sorted_json(
-                    {
-                        "request_sha256": request_hash(entry.model_name, entry.prompt),
-                        "model": entry.model_name,
-                        "prompt": entry.prompt,
-                        "response": entry.response,
-                        "timestamp": entry.timestamp,
-                    }
-                )
-            )
-        return "\n".join(lines) + "\n"
+        lines = (
+            {"request_sha256": request_hash(model, prompt), "model": model, "prompt": prompt,
+             "response": response, "timestamp": at}
+            for model, prompt, response, at in self.entries
+        )
+        return write_document(TRANSCRIPT, lines)
 
     def save(self, path: str) -> None:
         atomic_write(path, self.dumps())
 
     @classmethod
+    def _read(cls, lines: Iterable[str]) -> Transcript:
+        numbered = list(read_transcript(lines))
+        return cls([entry for _, entry in numbered], lambda i: f"line {numbered[i][0]}")
+
+    @classmethod
     def loads(cls, text: str) -> Transcript:
-        entries: list[TranscriptEntry] = []
-        linenos: list[int] = []
-        for lineno, obj in json_lines(text.splitlines(), _invalid_json):
-            if type(obj) is not dict:
-                raise GatewayError(f"transcript line {lineno}: not a JSON object")
-            if obj.get("kind") == "transcript":
-                if obj.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
-                    raise GatewayError(f"unsupported transcript schema_version {obj.get('schema_version')!r}")
-                continue
-            try:
-                model_name, prompt, response = obj["model"], obj["prompt"], obj["response"]
-            except KeyError as exc:
-                raise GatewayError(f"transcript line {lineno}: missing field {exc.args[0]!r}") from exc
-            if type(model_name) is not str or type(prompt) is not str or type(response) is not str:
-                raise GatewayError(f"transcript line {lineno}: model, prompt and response must be strings")
-            timestamp = obj.get("timestamp", "")
-            if type(timestamp) is not str:
-                raise GatewayError(f"transcript line {lineno}: timestamp must be a string")
-            expected = obj.get("request_sha256")
-            if expected and expected != request_hash(model_name, prompt):
-                raise GatewayError(f"transcript line {lineno}: request hash mismatch")
-            entries.append(TranscriptEntry(model_name, prompt, response, timestamp))
-            linenos.append(lineno)
-        return cls(entries, lambda i: f"line {linenos[i]}")
+        return cls._read(text_lines(text))
 
     @classmethod
     def load(cls, path: str) -> Transcript:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        return cls._read(file_lines(path))
 
 
 class LiveBackend:

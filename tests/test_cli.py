@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import graphqa
-from graphqa.cli import EXIT_CONFIG, EXIT_CORPUS, EXIT_ENGINE, EXIT_GATEWAY, EXIT_OK, data_path, main
+from graphqa.cli import EXIT_CONFIG, EXIT_CORPUS, EXIT_ENGINE, EXIT_GATEWAY, EXIT_OK, _replay_transcript, data_path, main
+from graphqa.llm import Transcript
 
 # Child interpreters import the graphqa this process imported, whether it
 # came from PYTHONPATH or from pytest's own path setting.
@@ -146,18 +147,54 @@ def test_ask_malformed_transcript_exits_gateway_code(tmp_path):
     assert main(["ask", TOWER_QUESTION, "--replay", str(tmp_path), "--model-task1", "m"]) == EXIT_GATEWAY
 
 
+def _transcript_text(*replies: tuple[str, str]) -> str:
+    lines = ['{"kind": "transcript", "schema_version": "1"}']
+    lines += [json.dumps({"model": model, "prompt": "p", "response": reply}) for model, reply in replies]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("command", ["ask", "eval"])
 def test_a_transcript_answering_a_request_two_ways_exits_gateway_code(tmp_path, capsys, command):
-    lines = ['{"kind": "transcript", "schema_version": "1"}']
-    lines += [json.dumps({"model": "m", "prompt": "p", "response": reply}) for reply in ("a", "b")]
-    (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "m.jsonl").write_text(_transcript_text(("m", "a"), ("m", "b")))
     replay = ["--replay", str(tmp_path)]
     if command == "ask":
         argv = ["ask", TOWER_QUESTION, "--model-task1", "m", *replay]
     else:
         argv = ["eval", "--models", "m", "--out", str(tmp_path / "out"), "--originals-only", *replay]
     assert main(argv) == EXIT_GATEWAY
-    assert "transcript line 3: response differs from line 2" in capsys.readouterr().err
+    path = tmp_path / "m.jsonl"
+    assert capsys.readouterr().err == (
+        f"gateway error: transcript {path} line 3: response differs from {path} line 2 for the same model and prompt\n"
+    )
+
+
+def test_two_transcript_files_answering_a_request_two_ways_are_both_named(tmp_path, capsys):
+    # m's file also records a reply of n's, which n's own file gives otherwise.
+    (tmp_path / "m.jsonl").write_text(_transcript_text(("m", "a"), ("n", "a")))
+    (tmp_path / "n.jsonl").write_text(_transcript_text(("n", "b")))
+    argv = ["ask", TOWER_QUESTION, "--model-task1", "m", "--model-task2", "n", "--replay", str(tmp_path)]
+    assert main(argv) == EXIT_GATEWAY
+    assert capsys.readouterr().err == (
+        f"gateway error: transcript {tmp_path / 'n.jsonl'} line 2: response differs from "
+        f"{tmp_path / 'm.jsonl'} line 3 for the same model and prompt\n"
+    )
+
+
+def test_a_replay_directory_is_indexed_once(monkeypatch, tmp_path):
+    built = []
+
+    class Counted(Transcript):
+        def __init__(self, entries=(), *name):
+            entries = list(entries)
+            built.append(len(entries))
+            super().__init__(entries, *name)
+
+    monkeypatch.setattr("graphqa.cli.Transcript", Counted)
+    transcript = _replay_transcript(data_path("transcripts"), SHIPPED_MODELS.split(","))
+    assert built == [len(transcript)] == [616]  # 4 models x 77 instances x 2 calls
+    # Two models whose names map to one file read it once.
+    (tmp_path / "a_b.jsonl").write_text(_transcript_text(("a:b", "r"), ("a_b", "r")))
+    assert len(_replay_transcript(str(tmp_path), ["a:b", "a_b"])) == 2
 
 
 SHIPPED_MODELS = "llama3.1:8b,llama3.2:3b,gemma2:2b,deepseek-coder:6.7b"
@@ -407,10 +444,12 @@ NOT_UTF8_INPUTS = {
 def test_an_input_file_that_is_not_utf8_gives_one_error_line_naming_it(tmp_path, capsys, name, argv, code):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)
-    path.write_bytes(b"\xff\n")
+    # Blank lines past the first 64K-character piece a JSON-lines reader cuts,
+    # so the position must count from the start of the file, not the piece.
+    path.write_bytes(b"\n" * 70_000 + b"\xff\n")
     assert main(argv(str(path))) == code
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and str(path) in line and "can't decode byte 0xff" in line
+    assert line.startswith("error: ") and str(path) in line and "can't decode byte 0xff in position 70000:" in line
 
 
 @pytest.mark.parametrize("command", ["gen-data", "report", "eval", "eval runs"])
@@ -450,6 +489,14 @@ def test_eval_wrongly_typed_corpus_field_exits_corpus_code(tmp_path, capsys, fie
     assert main([*args, "--replay", data_path("transcripts")]) == EXIT_CORPUS
     err = capsys.readouterr().err
     assert f"corpus {path}: question #2 malformed: field {field!r} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("models", [",", " , ", ""])
+def test_eval_with_no_model_named_exits_config_code(tmp_path, capsys, models):
+    args = ["eval", "--models", models, "--out", str(tmp_path / "out"), "--replay", data_path("transcripts")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --models must name at least one model\n"
     assert not (tmp_path / "out").exists()
 
 

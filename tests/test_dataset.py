@@ -51,6 +51,7 @@ def test_value_kinds_survive_round_trip():
 
 
 EMPTY_DOC = HEADER + "\n"
+NODE_LINE = '{"kind": "node", "labels": ["A"], "properties": {}}'
 NO_HEADER_DOC = '{"kind": "node", "labels": ["A"], "properties": {}}'
 BAD_JSON_DOC = HEADER + "\n" + '{"kind": "node", "labels": ["A"], "properties": {}}' + "\n" + "{oops"
 UNKNOWN_KIND_DOC = HEADER + "\n" + '{"kind": "edge"}'
@@ -70,9 +71,23 @@ def test_empty_dataset():
     assert (stats.node_count, stats.relationship_count) == (0, 0)
 
 
-def test_missing_header_rejected():
-    with pytest.raises(DatasetFormatError):
-        load_dataset(NO_HEADER_DOC)
+MISSING_HEADER = 'missing header line {"kind": "header", "schema_version": "1"}'
+HEADER_FAULTS = {
+    "none": (NO_HEADER_DOC, 1, MISSING_HEADER),
+    "empty": ("", 1, MISSING_HEADER),
+    "second-non-blank-line": ("\n".join(["", NODE_LINE, " ", HEADER]), 2, MISSING_HEADER),
+    "second-header": ("\n".join([HEADER, NODE_LINE, "", HEADER]), 4, "a second header line; the header is line 1"),
+    "version-2": (HEADER.replace('"1"', '"2"'), 1, "unsupported schema_version '2'"),
+    "a-transcript-header": ('{"kind": "transcript", "schema_version": "1"}', 1, MISSING_HEADER),
+}
+
+
+@pytest.mark.parametrize("text, line, message", HEADER_FAULTS.values(), ids=HEADER_FAULTS)
+def test_the_header_is_the_first_non_blank_line_and_the_only_one(text, line, message):
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(text)
+    assert (excinfo.value.line, str(excinfo.value)) == (line, f"line {line}: {message}")
+    assert load_dataset("\n".join(["", " ", HEADER, NODE_LINE])).stats().node_count == 1
 
 
 def test_parse_error_reports_line_number():
@@ -89,14 +104,49 @@ def test_unknown_kind_rejected():
 
 
 def test_out_of_range_relationship_index():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DatasetFormatError, match="^line 3: relationship endpoint index 1 is not an integer in 0..0$"):
         load_dataset(BAD_ENDPOINT_DOC)
 
 
 def test_src_index_equal_to_node_count_rejected(dataset_text):
     first_rel = dataset_text.index('{"dst"')
-    with pytest.raises(ValidationError, match="^relationship endpoint index 135 is not an integer in 0..134$"):
+    # The header and 135 node lines come first, so the first relationship is line 137.
+    with pytest.raises(DatasetFormatError, match="^line 137: relationship endpoint index 135 is not an integer in 0..134$"):
         load_dataset(dataset_text[:first_rel] + dataset_text[first_rel:].replace('"src": 0', '"src": 135', 1))
+
+
+def _rel_line(src: int, dst: int) -> str:
+    return json.dumps({"kind": "rel", "src": src, "rel_type": "R", "dst": dst, "properties": {}})
+
+
+ENDPOINTS = {
+    "before-its-nodes": ([_rel_line(0, 1), NODE_LINE, NODE_LINE], None),
+    "the-first-bad-one-in-file-order": (
+        [_rel_line(0, 1), NODE_LINE, _rel_line(-1, 0), _rel_line(0, 1), NODE_LINE, _rel_line(3, 0)],
+        "line 4: relationship endpoint index -1 is not an integer in 0..1",
+    ),
+    "dst-past-the-last-node": ([NODE_LINE, _rel_line(0, 0), _rel_line(0, 1)], "line 4: relationship endpoint index 1 is not an integer in 0..0"),
+    "a-bad-line-after-it-wins": ([_rel_line(0, 9), NODE_LINE, "{oops"], "line 4: invalid JSON: Expecting property name enclosed in double quotes"),
+}
+
+
+@pytest.mark.parametrize("lines, message", ENDPOINTS.values(), ids=ENDPOINTS)
+def test_an_endpoint_is_checked_after_the_last_line_and_named_by_its_line(lines, message):
+    text = "\n".join([HEADER, *lines])
+    if message is None:
+        assert load_dataset(text).stats().relationship_count == 1
+        return
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("field", ["src", "dst", "rel_type"])
+def test_a_relationship_line_missing_a_field_is_named(field):
+    entry = {"kind": "rel", "src": 0, "rel_type": "R", "dst": 0, "properties": {}}
+    del entry[field]
+    with pytest.raises(DatasetFormatError, match=f"^line 3: relationship line missing field '{field}'$"):
+        load_dataset("\n".join([HEADER, NODE_LINE, json.dumps(entry)]))
 
 
 def test_non_finite_property_rejected_with_position():
@@ -243,7 +293,7 @@ def test_hand_built_dataset_is_fully_checked(spoil):
     assert load_dataset(_written(entries)).stats().relationship_count == 1
     assert _build(_fed(entries)).stats().relationship_count == 1
     spoil(entries)
-    with pytest.raises((DatasetFormatError, ValidationError)):  # a line's error, or an endpoint's
+    with pytest.raises(DatasetFormatError):  # a line's error, or an endpoint's, named by its line
         load_dataset(_written(entries))
     with pytest.raises(ValidationError):  # the builder's own checks, with no parse before them
         _build(_fed(entries))
@@ -489,7 +539,7 @@ DOCUMENTS = _documents()
 @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
 def test_a_load_cut_into_pieces_builds_what_a_whole_load_builds(chunk, monkeypatch, tmp_path):
     whole = {name: _graph_outcome(lambda: load_dataset(text)) for name, text in DOCUMENTS.items()}
-    monkeypatch.setattr("graphqa.graph.dataset._CHUNK", chunk)  # pieces cut anywhere, even inside "\r\n"
+    monkeypatch.setattr("graphqa.datafiles._CHUNK", chunk)  # pieces cut anywhere, even inside "\r\n"
     path = tmp_path / "dataset.jsonl"
     for name, text in DOCUMENTS.items():
         assert _graph_outcome(lambda: load_dataset(text)) == whole[name], name
@@ -516,9 +566,13 @@ def _stable_outcome(outcome) -> str:
     return repr(("graph", [(i, sorted(labels), props) for i, labels, props in nodes], rels, adjacency))
 
 
-# sha256 over the outcome of every document in DOCUMENTS, taken when graphs
-# were still built by parsing into entries and copying them into the store.
-DOCUMENTS_DIGEST = "5e745d4852ae9d2ed9ec7fa7e52ab531989f8fc9748b6b9ab3b28cbe9ef5d370"
+# sha256 over the outcome of every document in DOCUMENTS. It was taken when
+# graphs were still built by parsing into entries and copying them into the
+# store, and taken again when a missing header came to name the header
+# expected ("no-header", "bad-endpoint-then-no-header") and a bad endpoint
+# came to fail as a DatasetFormatError naming its line ("bad-endpoint",
+# "seen-rel-keys"); no other outcome changed.
+DOCUMENTS_DIGEST = "3f3fd740c530a4a5bfac2870f6d12372c10642d872e95a7d94e710b3afbe7f81"
 
 
 def test_every_document_loads_to_its_pinned_outcome():

@@ -134,12 +134,34 @@ def test_malformed_run_record_line_raises_corpus_error(tmp_path, fixture_graph, 
         load_run_records(str(path))
 
 
-@pytest.mark.parametrize("header", ["{oops", "[1, 2]", '{"kind": "runs", "schema_version": "0"}'])
-def test_run_record_file_without_valid_header_raises_corpus_error(tmp_path, header):
+RUNS_HEADER = '{"kind": "runs", "model": "m", "schema_version": "1"}'
+MISSING_RUNS_HEADER = 'missing header line {"kind": "runs", "schema_version": "1"}'
+BAD_HEADERS = {
+    "empty": ("", 1, MISSING_RUNS_HEADER),
+    "blank": ("\n \n", 1, MISSING_RUNS_HEADER),
+    "not-json": ("{oops\n", 1, "invalid JSON: Expecting property name enclosed in double quotes"),
+    "not-an-object": ("[1, 2]\n", 1, MISSING_RUNS_HEADER),
+    "old-version": ('{"kind": "runs", "schema_version": "0"}\n', 1, "unsupported schema_version '0'"),
+    "wrong-kind": ('\n{"kind": "transcript", "schema_version": "1"}\n', 2, MISSING_RUNS_HEADER),
+    "second-header": (f"{RUNS_HEADER}\n\n{RUNS_HEADER}\n", 3, "a second header line; the header is line 1"),
+}
+
+
+@pytest.mark.parametrize("text, line, message", BAD_HEADERS.values(), ids=BAD_HEADERS)
+def test_run_record_file_without_valid_header_raises_corpus_error(tmp_path, text, line, message):
     path = tmp_path / "runs.jsonl"
-    path.write_text(header + "\n")
-    with pytest.raises(CorpusError, match="no valid header"):
+    path.write_text(text)
+    with pytest.raises(CorpusError) as excinfo:
         load_run_records(str(path))
+    assert str(excinfo.value) == f"run record file {path} line {line}: {message}"
+
+
+def test_the_model_is_read_from_the_header_written_with_sorted_keys(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    save_run_records(str(path), "m", [])
+    assert path.read_text() == RUNS_HEADER + "\n"
+    path.write_text("\n\t\n" + RUNS_HEADER.replace('"m"', '"other"') + "\n")
+    assert load_run_records(str(path)) == ("other", [])
 
 
 def test_report_can_be_rebuilt_from_disk_without_corpus(tmp_path, fixture_graph, corpus, templates):

@@ -9,6 +9,7 @@ import pytest
 from graphqa.errors import GatewayError, ReplayMissError
 from graphqa.llm import (
     CompletionRequest,
+    CypherCandidate,
     Gateway,
     LiveBackend,
     ReplayBackend,
@@ -173,13 +174,34 @@ HEADER = '{"kind": "transcript", "schema_version": "1"}'
             json.dumps({"request_sha256": "0" * 64, "model": "m", "prompt": "p", "response": "r"}),
             "transcript line 2: request hash mismatch$",
         ),
-        ('{"kind": "transcript", "schema_version": "2"}', "unsupported transcript schema_version '2'$"),
+        ('{"kind": "transcript", "schema_version": "1"}', "transcript line 2: a second header line; the header is line 1$"),
         ('{"model": "m", "prompt": "p", "response": "r", "timestamp": 5}', "transcript line 2: timestamp must be a string$"),
     ],
 )
 def test_malformed_transcript_line_rejected(line, message):
     with pytest.raises(GatewayError, match=f"^{message}"):
         Transcript.loads(HEADER + "\n" + line)
+
+
+MISSING_TRANSCRIPT_HEADER = 'missing header line {"kind": "transcript", "schema_version": "1"}$'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", f"transcript line 1: {MISSING_TRANSCRIPT_HEADER}"),
+        ('{"model": "m", "prompt": "p", "response": "r"}', f"transcript line 1: {MISSING_TRANSCRIPT_HEADER}"),
+        (f'\n\n[]\n{HEADER}', f"transcript line 3: {MISSING_TRANSCRIPT_HEADER}"),
+        ('{"kind": "header", "schema_version": "1"}', f"transcript line 1: {MISSING_TRANSCRIPT_HEADER}"),
+        ('{"kind": "transcript", "schema_version": "2"}', "transcript line 1: unsupported schema_version '2'$"),
+        ('{"kind": "transcript"}', "transcript line 1: unsupported schema_version None$"),
+    ],
+    ids=["empty", "no-header", "header-not-first", "a-dataset-header", "version-2", "no-version"],
+)
+def test_a_transcript_needs_its_header_first(text, message):
+    with pytest.raises(GatewayError, match=f"^{message}"):
+        Transcript.loads(text)
+    assert Transcript.loads(f"\n \n{HEADER}\n").entries == []
 
 
 def test_a_prompt_holding_a_lone_surrogate_is_hashed_and_checked():
@@ -319,6 +341,23 @@ def test_extract_multiline_fenced_query():
     multiline = "MATCH (t:Tower {Tower: 4})\nRETURN t.Lat AS Lat"
     candidate = extract_cypher(f"```\n{multiline}\n```")
     assert candidate.extracted_query == multiline
+
+
+FENCES = {
+    # A fence with no newline after it holds its query on one line.
+    "one-line": ("Try ```MATCH (n) RETURN n``` here", "MATCH (n) RETURN n"),
+    # A fence that is never closed runs to the end of the text, blank lines included.
+    "unclosed": ("```cypher\nMATCH (n)\n\nRETURN n;", "MATCH (n)\n\nRETURN n"),
+    # A bare language tag on the block's first line is dropped, and the rest taken whole.
+    "bare-tag-line": ("```\ncypher\nMATCH (n)\n\nRETURN n\n```", "MATCH (n)\n\nRETURN n"),
+    # Prose before the query inside the block: the statement is scanned for there.
+    "prose-then-query": ("```\nHere it is:\nMATCH (n) RETURN n;\nThat is all.\n```", "MATCH (n) RETURN n"),
+}
+
+
+@pytest.mark.parametrize("text, query", FENCES.values(), ids=FENCES)
+def test_extract_each_shape_of_fenced_block(text, query):
+    assert extract_cypher(text) == CypherCandidate(query, "fenced-block")
 
 
 def test_extract_failure_returns_no_candidate():

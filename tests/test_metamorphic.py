@@ -26,6 +26,25 @@ with its ORDER BY and LIMIT stripped, and rewrite its parsed form:
   what ordering by its expression gives, in either direction, with and
   without ``LIMIT 3``. Ordering by a column name takes the projected-row
   path of ``execute``, where ordering by a pattern read takes the binding's.
+
+Four more run on the shipped graph and on generated ones of 100 and 400
+towers, and compare rows as bags, each query with its LIMIT stripped and
+taken once per distinct MATCH and WHERE. The
+closest-pair texts, which pair every tower with every other, stay off the
+400-tower graph, and off the 100-tower one for the label relation.
+
+- **Inline map.** A node's inline map ``{k: v}`` gives what ``WHERE x.k = v``
+  gives, and ``WHERE v = x.k``: the equality index against a filter.
+- **Label.** A ``(t:Tower)`` without a map gives what ``(t) WHERE t.Tower >=
+  0`` gives, one such node at a time: the label's pool against a scan of
+  every node. Only towers have a ``Tower`` key, as the test checks.
+- **Direction.** Of a query with no aggregate and no DISTINCT, a path read
+  backwards gives the same rows, and a ``HAS_SENSOR`` step made undirected
+  gives the rows of both of its directions: each node's outgoing against its
+  incoming relationships.
+- **Count of a variable.** ``RETURN count(v)`` of each pattern variable of
+  such a query gives one row, the row count: the count-only group's other
+  shape.
 """
 
 from __future__ import annotations
@@ -33,12 +52,25 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
+from functools import cache
 
 import pytest
 
 from graphqa import data_path
 from graphqa.cypher import execute, parse_query, serialize_records
-from graphqa.cypher.ast import FunctionCall, Literal, OrderItem, Query, ReturnItem, Variable, contains_aggregate
+from graphqa.cypher.ast import (
+    Binary,
+    FunctionCall,
+    Literal,
+    NodePattern,
+    OrderItem,
+    PropertyAccess,
+    Query,
+    ReturnItem,
+    Variable,
+    contains_aggregate,
+    pattern_variables,
+)
 from graphqa.cypher.records import ResultSet, render_value
 from graphqa.errors import EngineError
 from graphqa.evaluation import load_corpus
@@ -71,11 +103,18 @@ def _query_texts() -> list[str]:
 QUERIES = _query_texts()
 
 
+@cache
+def _graph(name: str):
+    if name == "shipped":
+        return load_dataset_file(data_path("msa_dataset.jsonl"))
+    if name == "100 towers":
+        return generate_msa_fixture(GeneratorConfig(tower_count=100, attached_sensors=2000, seed=0))
+    return generate_msa_fixture(GeneratorConfig(tower_count=400, attached_sensors=4000, seed=4))
+
+
 @pytest.fixture(scope="module", params=["shipped", "100 towers"])
 def graph(request):
-    if request.param == "shipped":
-        return load_dataset_file(data_path("msa_dataset.jsonl"))
-    return generate_msa_fixture(GeneratorConfig(tower_count=100, attached_sensors=2000, seed=0))
+    return _graph(request.param)
 
 
 def _outcome(graph, query: str | Query):
@@ -175,3 +214,192 @@ def test_ordering_by_an_alias_is_ordering_by_its_expression(graph, text):
         by_expr = aliased._replace(order_by=(OrderItem(first.expr, ascending, first.source_text),))
         for limit in (None, 3):
             assert _outcome(graph, by_alias._replace(limit=limit)) == _outcome(graph, by_expr._replace(limit=limit))
+
+
+# --- relations compared as bags, on three graphs -------------------------------
+
+BAG_GRAPHS = ["shipped", "100 towers", "400 towers"]
+
+
+def _parsed(graph_name: str, pairs_up_to: str = "100 towers") -> dict[Query, str]:
+    """Per distinct MATCH, WHERE and plainness (no aggregate, no DISTINCT),
+    the first query that parses, with its LIMIT stripped, and its text; the
+    closest-pair texts only on graphs up to ``pairs_up_to``. The rewrites
+    change only the patterns, the WHERE and, for counts, the items."""
+    parsed: dict[tuple, tuple[Query, str]] = {}
+    for text in QUERIES:
+        if "point.distance" in text and BAG_GRAPHS.index(graph_name) > BAG_GRAPHS.index(pairs_up_to):
+            continue
+        try:
+            query = parse_query(text)._replace(limit=None)
+        except EngineError:
+            continue
+        parsed.setdefault((query.matches, query.where, _is_plain(query)), (query, text))
+    return dict(parsed.values())
+
+
+def _bag(graph, query: Query):
+    """The columns and the rows, as a bag, of ``query``; or its error."""
+    result = _outcome(graph, query)
+    if not isinstance(result, ResultSet):
+        return result
+    return result.columns, Counter(map(repr, result.rows))
+
+
+def _and(query: Query, condition) -> Query:
+    return query._replace(where=condition if query.where is None else Binary("AND", query.where, condition))
+
+
+def _with_path(query: Query, m: int, p: int, path) -> Query:
+    """``query`` with path ``p`` of its MATCH clause ``m`` replaced."""
+    clause = query.matches[m]
+    clause = clause._replace(paths=(*clause.paths[:p], path, *clause.paths[p + 1 :]))
+    return query._replace(matches=(*query.matches[:m], clause, *query.matches[m + 1 :]))
+
+
+def _with_node(query: Query, where: tuple[int, int, int], node: NodePattern) -> Query:
+    """``query`` with the node pattern at (clause, path, position) replaced."""
+    m, p, n = where
+    path = query.matches[m].paths[p]
+    return _with_path(query, m, p, path._replace(nodes=(*path.nodes[:n], node, *path.nodes[n + 1 :])))
+
+
+def _node_patterns(query: Query):
+    for m, clause in enumerate(query.matches):
+        for p, path in enumerate(clause.paths):
+            for n, node in enumerate(path.nodes):
+                yield (m, p, n), node
+
+
+def _inline_map_twins(query: Query):
+    """Per node with an inline map, the query with the map moved to WHERE, as
+    ``x.k = v`` and as ``v = x.k``."""
+    for where, node in _node_patterns(query):
+        if not node.properties:
+            continue
+        name = node.variable or f"m{where[0]}_{where[1]}_{where[2]}"
+        bare = _with_node(query, where, node._replace(variable=name, properties=()))
+        for flipped in (False, True):
+            twin = bare
+            for key, value in node.properties:
+                left, right = PropertyAccess(name, key), value
+                twin = _and(twin, Binary("=", *((right, left) if flipped else (left, right))))
+            yield twin
+
+
+def _unlabelled_twins(query: Query):
+    """Per ``(x:Tower)`` without a map, the query with ``(x) WHERE x.Tower >= 0``."""
+    for where, node in _node_patterns(query):
+        if node.labels == ("Tower",) and not node.properties:
+            name = node.variable or f"m{where[0]}_{where[1]}_{where[2]}"
+            bare = _with_node(query, where, node._replace(variable=name, labels=()))
+            yield _and(bare, Binary(">=", PropertyAccess(name, "Tower"), Literal(0)))
+
+
+_FLIP = {"right": "left", "left": "right", "any": "any"}
+
+
+def _direction_twins(query: Query):
+    """Per path with a directed ``HAS_SENSOR`` step: the path read backwards,
+    and per such step, the query with it undirected and with it flipped."""
+    for m, clause in enumerate(query.matches):
+        for p, path in enumerate(clause.paths):
+            steps = [i for i, edge in enumerate(path.edges) if edge.rel_type == "HAS_SENSOR" and edge.direction != "any"]
+            if not steps:
+                continue
+            backwards = path._replace(
+                nodes=path.nodes[::-1], edges=tuple(e._replace(direction=_FLIP[e.direction]) for e in path.edges[::-1])
+            )
+            yield "backwards", _with_path(query, m, p, backwards), None
+            for i in steps:
+                edge = path.edges[i]
+
+                def step(direction, path=path, i=i, edge=edge):
+                    edges = (*path.edges[:i], edge._replace(direction=direction), *path.edges[i + 1 :])
+                    return _with_path(query, m, p, path._replace(edges=edges))
+
+                yield "undirected", step("any"), step(_FLIP[edge.direction])
+
+
+def _count_twins(query: Query):
+    """Per pattern variable ``v``, the query returning only ``count(v)``."""
+    node_vars, edge_vars = pattern_variables(query)
+    for name in sorted(node_vars | edge_vars):
+        yield name, query._replace(items=(ReturnItem(FunctionCall("count", (Variable(name),)), None, f"count({name})"),))
+
+
+def _is_plain(query: Query) -> bool:
+    return not query.distinct and not any(contains_aggregate(item.expr) for item in query.items)
+
+
+# Per relation, on each graph, how many twins it checks: none is vacuous.
+TWIN_COUNTS = {
+    "inline map": {"shipped": 30, "100 towers": 30, "400 towers": 30},
+    "label": {"shipped": 5, "100 towers": 3, "400 towers": 3},
+    "direction": {"shipped": 18, "100 towers": 18, "400 towers": 18},
+    "count": {"shipped": 26, "100 towers": 26, "400 towers": 24},
+}
+
+
+def test_only_towers_have_a_tower_key():
+    for name in BAG_GRAPHS:
+        graph = _graph(name)
+        keyed = [node for node in graph.nodes() if "Tower" in node.properties]
+        assert keyed == [node for node in graph.nodes() if "Tower" in node.labels]
+        assert all(type(node.properties["Tower"]) is int and node.properties["Tower"] >= 0 for node in keyed)
+
+
+@pytest.mark.parametrize("graph_name", BAG_GRAPHS)
+def test_an_inline_map_is_a_where_equality(graph_name):
+    graph, checked = _graph(graph_name), 0
+    for query, text in _parsed(graph_name).items():
+        whole = _bag(graph, query)
+        for twin in _inline_map_twins(query):
+            assert _bag(graph, twin) == whole, text
+            checked += 1
+    assert checked == TWIN_COUNTS["inline map"][graph_name]
+
+
+@pytest.mark.parametrize("graph_name", BAG_GRAPHS)
+def test_a_label_is_a_filter_on_the_key_only_its_nodes_have(graph_name):
+    graph, checked = _graph(graph_name), 0
+    # Unlabelled, one side of a closest pair meets every node: on 100 towers,
+    # 2,100 nodes times 100 towers, where the shipped graph has 135 times 13.
+    for query, text in _parsed(graph_name, pairs_up_to="shipped").items():
+        whole = _bag(graph, query)
+        for twin in _unlabelled_twins(query):
+            assert _bag(graph, twin) == whole, text
+            checked += 1
+    assert checked == TWIN_COUNTS["label"][graph_name]
+
+
+@pytest.mark.parametrize("graph_name", BAG_GRAPHS)
+def test_a_step_read_either_way_finds_the_same_relationships(graph_name):
+    graph, checked = _graph(graph_name), 0
+    for query, text in _parsed(graph_name).items():
+        if not _is_plain(query):
+            continue
+        whole = _bag(graph, query)
+        for kind, twin, flipped in _direction_twins(query):
+            if kind == "backwards":
+                assert _bag(graph, twin) == whole, text
+            else:
+                columns, both = _bag(graph, twin)
+                assert (columns, both) == (whole[0], whole[1] + _bag(graph, flipped)[1]), text
+            checked += 1
+    assert checked == TWIN_COUNTS["direction"][graph_name]
+
+
+@pytest.mark.parametrize("graph_name", BAG_GRAPHS)
+def test_count_of_a_pattern_variable_gives_the_row_count(graph_name):
+    graph, checked = _graph(graph_name), 0
+    for query, text in _parsed(graph_name).items():
+        if not _is_plain(query):
+            continue
+        result = _outcome(graph, query._replace(order_by=()))
+        if not isinstance(result, ResultSet):
+            continue
+        for name, twin in _count_twins(query._replace(order_by=())):
+            assert list(execute(graph, twin).rows) == [(len(result.rows),)], (text, name)
+            checked += 1
+    assert checked == TWIN_COUNTS["count"][graph_name]

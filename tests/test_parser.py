@@ -126,6 +126,20 @@ def test_semantic_errors():
         parse_query("MATCH (n) WHERE count(*) > 1 RETURN n")
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("MATCH (a)<-[:R]->(b) RETURN a", ParseError, "relationship cannot point both ways"),
+        ("MATCH (t:Tower {Name: -'x'}) RETURN t", ParseError, "'-' applies to numbers only in property maps (at offset 23)"),
+        ("MATCH (n) RETURN n.p AS p ORDER BY count(n)", SemanticError, "aggregation is not allowed in ORDER BY"),
+    ],
+)
+def test_each_rejection_names_its_rule(text, error, message):
+    with pytest.raises(error) as excinfo:
+        parse_query(text)
+    assert str(excinfo.value) == message
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_query("MATCH (t:Tower {")

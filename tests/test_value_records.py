@@ -129,6 +129,23 @@ def test_corpus_entry_without_optional_fields_takes_the_defaults(tmp_path):
     assert load_corpus(str(path)) == [QuestionSpec(**entry)]
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"questions": []}, "missing or unsupported schema_version"),
+        ({"schema_version": "1"}, "no questions"),
+        ({"schema_version": "1", "questions": []}, "no questions"),
+    ],
+    ids=["no-schema-version", "no-questions-field", "empty-questions"],
+)
+def test_a_corpus_needs_its_version_and_a_question(tmp_path, document, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorpusError) as excinfo:
+        load_corpus(str(path))
+    assert str(excinfo.value) == f"corpus {path}: {message}"
+
+
 def test_generator_config_overrides_make_a_new_config():
     config = GeneratorConfig.from_dict({"seed": 7})
     assert config == GeneratorConfig(seed=7)
