@@ -114,10 +114,10 @@ def _replay_transcript(source: str, models: list[str]) -> Transcript:
 
     ``source`` is a transcript file, a directory of ``<model>.jsonl``
     transcripts, or an ``eval --out`` directory: one that holds a
-    ``.runs.jsonl`` file replays its run records. A run's call that failed
-    left no response and gives no entry, so it replays as a miss; its model
-    is still recorded. One ``Transcript`` indexes every entry, named by its
-    file and line (or record).
+    ``.runs.jsonl`` file replays its run records: each run's ``calls()``. A
+    call that failed left no response and gives no entry, so it replays as a
+    miss; its model is still recorded. One ``Transcript`` indexes every
+    entry, named by its file and line (or record).
     """
     entries: list[TranscriptEntry] = []
     where: list[str] = []
@@ -127,15 +127,10 @@ def _replay_transcript(source: str, models: list[str]) -> Transcript:
         for name in runs_names:
             path = os.path.join(source, name)
             for number, record in enumerate(_load_runs(path), start=1):
-                run = record.run
-                recorded.update((run.model_task1, run.model_task2))
-                for entry in (
-                    TranscriptEntry(run.model_task1, run.task1_prompt, run.task1_response),
-                    TranscriptEntry(run.model_task2, run.task2_prompt, run.answer),
-                ):
-                    if entry.response is not None:
-                        entries.append(entry)
-                        where.append(f"{path} record {number}")
+                recorded.update((record.run.model_task1, record.run.model_task2))
+                for entry in record.run.calls():
+                    entries.append(entry)
+                    where.append(f"{path} record {number}")
     except OSError as exc:
         raise CliError(f"cannot read run records in {source}: {exc}", EXIT_CONFIG) from exc
     if not runs_names:

@@ -453,7 +453,10 @@ def _validate(query: Query) -> None:
         checks.append(("WHERE", names, _scan(query.where, names) and "aggregation is not allowed in WHERE"))
     for item in query.items:
         names = set()
-        misplaced = _scan(item.expr, names) and not (type(item.expr) is FunctionCall and item.expr.name == "count")
+        if type(item.expr) is FunctionCall and item.expr.name == "count":  # its argument holds no aggregate
+            misplaced = any([_scan(arg, names, 2) for arg in item.expr.args])
+        else:
+            misplaced = _scan(item.expr, names)
         checks.append(("RETURN", names, misplaced and "count() must be a top-level RETURN item"))
     order_aggregate = False
     for entry in query.order_by:

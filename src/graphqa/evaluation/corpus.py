@@ -17,12 +17,11 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Sequence
 
-from ..cypher import parse_query, execute, serialize_records
 from ..cypher.ast import value_type
 from ..datafiles import atomic_write
-from ..errors import CorpusError, EngineError
+from ..errors import CorpusError
 from ..graph.store import PropertyGraph
-from ..pipeline import OutcomeCase, classify_db_outcome
+from ..pipeline import OutcomeCase, classify_db_outcome, run_query
 
 CORPUS_SCHEMA_VERSION = "1"
 
@@ -103,14 +102,13 @@ def validate_corpus(graph: PropertyGraph, specs: list[QuestionSpec]) -> None:
 
     Non-trick questions must have expected values and their ground-truth
     query's output must contain all of them; a trick question's query must
-    yield the empty list. Both are read from the pipeline's outcome
-    classifier, the same outcome grading reads.
+    yield the empty list. Both are read from the pipeline's ``run_query``
+    and outcome classifier, the same output and outcome grading reads.
     """
     for spec in specs:
-        try:
-            output = serialize_records(execute(graph, parse_query(spec.ground_truth_query)))
-        except EngineError as exc:
-            raise CorpusError(f"{spec.id}: ground-truth query failed: {exc}") from exc
+        output, reason = run_query(graph, spec.ground_truth_query)
+        if reason is not None:
+            raise CorpusError(f"{spec.id}: ground-truth query failed: {reason}")
         if spec.is_trick:
             if spec.expected_values:
                 raise CorpusError(f"{spec.id}: trick questions must have no expected values")

@@ -80,16 +80,21 @@ def save_run_records(path: str, model: str, records: list[RunRecord]) -> None:
 
 def load_run_records(path: str) -> tuple[str, list[RunRecord]]:
     """The model a run record file's header names, and its records; any
-    fault in the file raises ``CorpusError`` naming the file and line."""
+    fault in the file, such as a record of another model, raises
+    ``CorpusError`` naming the file and line."""
 
     def fault(message: str, lineno: int) -> CorpusError:
         return CorpusError(f"run record file {path} line {lineno}: {message}")
 
     header, values = read_document(file_lines(path), RUNS, fault)
+    model = header.get("model", "")
     records = []
     for lineno, data in values:
         try:
-            records.append(RunRecord.from_dict(data))
+            record = RunRecord.from_dict(data)
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise fault(f"{type(exc).__name__}: {exc}", lineno) from exc
-    return header.get("model", ""), records
+        if record.run.model_task1 != model:
+            raise fault(f"a run of model {record.run.model_task1!r}, but the header names {model!r}", lineno)
+        records.append(record)
+    return model, records

@@ -23,7 +23,7 @@ from .cypher.ast import value_type
 from .datafiles import _checked, data_path
 from .errors import EngineError, GatewayError, TemplateError
 from .graph.store import PropertyGraph, schema_description
-from .llm import CompletionRequest, CypherCandidate, Gateway, extract_cypher
+from .llm import CompletionRequest, CypherCandidate, Gateway, TranscriptEntry, extract_cypher
 from .matching import _value_occurs
 
 NAN_SENTINEL = "nan"
@@ -174,6 +174,14 @@ class PipelineRun(NamedTuple):
         data["durations"] = dict(self.durations)
         return data
 
+    def calls(self) -> list[TranscriptEntry]:
+        """The run's calls that got a response, task 1 first."""
+        calls = (
+            TranscriptEntry(self.model_task1, self.task1_prompt, self.task1_response),
+            TranscriptEntry(self.model_task2, self.task2_prompt, self.answer),
+        )
+        return [call for call in calls if call.response is not None]
+
     @classmethod
     def from_dict(cls, data: object) -> PipelineRun:
         """A run from its ``to_dict`` form; a wrongly typed field raises ``TypeError``."""
@@ -193,23 +201,39 @@ _RUN_TYPES = {
 }
 
 
-def run_stage1(graph: PropertyGraph, llm_text: str | None) -> tuple[CypherCandidate, str, str | None]:
-    """Extract, parse, execute and serialize the query in a stage-1 response.
+def run_query(graph: PropertyGraph, text: str) -> tuple[str, str | None]:
+    """Parse, execute and serialize one query text: the records and no
+    reason, or the ``nan`` sentinel and the ``"kind: message"`` reason."""
+    try:
+        return serialize_records(execute(graph, parse_query(text))), None
+    except EngineError as exc:
+        return NAN_SENTINEL, f"{exc.kind}: {exc}"
 
-    Returns the candidate, the serialized records (or the ``nan`` sentinel),
-    and for a failed query its ``"kind: message"`` reason. No response at all
-    (the stage-1 call failed) also gives ``nan``, with no reason: the gateway
-    failure is recorded elsewhere.
-    """
+
+def run_stage1(graph: PropertyGraph, llm_text: str | None) -> tuple[CypherCandidate, str, str | None]:
+    """The candidate query in a stage-1 response, and ``run_query``'s output
+    and reason for it. No query gives ``nan`` and an extraction reason; no
+    response at all (the stage-1 call failed) gives ``nan`` and no reason,
+    since the gateway failure is recorded elsewhere."""
     if llm_text is None:
         return CypherCandidate(None), NAN_SENTINEL, None
     candidate = extract_cypher(llm_text)
     if candidate.extracted_query is None:
         return candidate, NAN_SENTINEL, "extraction: no Cypher query found in model output"
+    return (candidate, *run_query(graph, candidate.extracted_query))
+
+
+def _call(gateway: Gateway, model: str, prompt: str, stage: str, durations: dict) -> tuple[str | None, str | None]:
+    """One completion call: its response and no failure, or no response and
+    the ``"<stage>: message"`` failure. Its time goes in ``durations``."""
+    started = time.perf_counter()
     try:
-        return candidate, serialize_records(execute(graph, parse_query(candidate.extracted_query))), None
-    except EngineError as exc:
-        return candidate, NAN_SENTINEL, f"{exc.kind}: {exc}"
+        return gateway.complete(CompletionRequest(model_name=model, prompt=prompt)), None
+    except GatewayError as exc:
+        # Only the text leaves: the exception would keep an HTTP error's reply open.
+        return None, f"{stage}: {exc}"
+    finally:
+        durations[f"{stage}_s"] = time.perf_counter() - started
 
 
 def answer_question(
@@ -226,20 +250,9 @@ def answer_question(
     never raised. The run's ``outcome`` classifies its output against
     ``expected_values``; it is the outcome grading reads.
     """
-    task1_template = config.templates["task1"]
-    task2_template = config.templates["task2"]
     durations: dict[str, float] = {}
-    failure: str | None = None
-
-    prompt1 = build_task1_prompt(question, graph, task1_template)
-    started = time.perf_counter()
-    response1: str | None
-    try:
-        response1 = gateway.complete(CompletionRequest(model_name=config.model_task1, prompt=prompt1))
-    except GatewayError as exc:
-        response1 = None
-        failure = f"task1: {exc}"
-    durations["task1_s"] = time.perf_counter() - started
+    prompt1 = build_task1_prompt(question, graph, config.templates["task1"])
+    response1, failure = _call(gateway, config.model_task1, prompt1, "task1", durations)
 
     started = time.perf_counter()
     candidate, db_output, engine_error = run_stage1(graph, response1)
@@ -247,15 +260,8 @@ def answer_question(
 
     outcome = classify_db_outcome(db_output, expected_values)
 
-    prompt2 = build_task2_prompt(question, db_output, task2_template)
-    started = time.perf_counter()
-    answer: str | None
-    try:
-        answer = gateway.complete(CompletionRequest(model_name=config.task2_model, prompt=prompt2))
-    except GatewayError as exc:
-        answer = None
-        failure = failure or f"task2: {exc}"
-    durations["task2_s"] = time.perf_counter() - started
+    prompt2 = build_task2_prompt(question, db_output, config.templates["task2"])
+    answer, failure2 = _call(gateway, config.task2_model, prompt2, "task2", durations)
 
     return PipelineRun(
         question=question,
@@ -270,6 +276,6 @@ def answer_question(
         outcome=outcome,
         task2_prompt=prompt2,
         answer=answer,
-        failure=failure,
+        failure=failure or failure2,
         durations=durations,
     )

@@ -271,6 +271,24 @@ def test_a_malformed_runs_file_to_replay_exits_corpus_code(tmp_path, capsys, con
     assert str(tmp_path / "m.runs.jsonl") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "replay"])
+def test_a_runs_file_whose_header_names_another_model_exits_corpus_code(tmp_path, capsys, command):
+    runs = tmp_path / "runs"
+    argv = ["eval", "--models", "llama3.1:8b", "--originals-only", "--replay", data_path("transcripts")]
+    assert main([*argv, "--out", str(runs)]) == EXIT_OK
+    path = runs / "llama3.1_8b.runs.jsonl"
+    path.write_text(path.read_text().replace('"model": "llama3.1:8b"', '"model": "gemma2:2b"', 1))
+    capsys.readouterr()
+    if command == "report":
+        argv = ["report", "--runs", str(runs), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["ask", TOWER_QUESTION, "--replay", str(runs)]
+    assert main(argv) == EXIT_CORPUS
+    assert capsys.readouterr().err == (
+        f"corpus error: run record file {path} line 2: a run of model 'llama3.1:8b', but the header names 'gemma2:2b'\n"
+    )
+
+
 def test_ask_requires_gateway_configuration(monkeypatch):
     monkeypatch.delenv("GRAPHQA_ENDPOINT", raising=False)
     assert main(["ask", TOWER_QUESTION]) == EXIT_CONFIG
@@ -423,6 +441,27 @@ def test_report_unreadable_runs_exit_config_code(tmp_path, capsys, layout):
         (runs / "m.runs.jsonl").mkdir(parents=True)
     assert main(["report", "--runs", str(runs)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: cannot read run records in {runs}: ")
+
+
+UNREADABLE_INPUTS = {
+    # input: (argv given the path it cannot read, the error's text before that path)
+    "ask --data": (lambda p: ["ask", TOWER_QUESTION, "--data", p, "--replay", data_path("transcripts")], "dataset"),
+    "ask --replay file": (lambda p: ["ask", TOWER_QUESTION, "--replay", p], "transcript"),
+    "ask --replay runs": (lambda p: ["ask", TOWER_QUESTION, "--replay", p], "run records in"),
+    "gen-data --config": (lambda p: ["gen-data", "--config", p, "--out", p + ".out"], "config"),
+}
+
+
+@pytest.mark.parametrize("argv, what", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS)
+def test_an_unreadable_input_exits_config_code_naming_it(tmp_path, capsys, argv, what):
+    path = tmp_path / "missing"
+    if what == "run records in":  # a runs directory whose runs file cannot be read
+        path = tmp_path / "runs"
+        (path / "m.runs.jsonl").mkdir(parents=True)
+    assert main(argv(str(path))) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} {path}: ")
+    assert err.count("\n") == 1
 
 
 NOT_UTF8_INPUTS = {

@@ -118,6 +118,14 @@ def test_relationship_uniqueness_within_clause():
     assert data == [(1,)]
 
 
+def test_relationships_are_equal_only_to_themselves(fixture_graph):
+    # Across two clauses each edge meets itself once; in one clause, never.
+    _, data = rows(fixture_graph, "MATCH ()-[r]->() MATCH ()-[s]->() WHERE r = s RETURN count(*)")
+    assert data == [(121,)]
+    _, data = rows(fixture_graph, "MATCH ()-[r]->(), ()-[s]->() WHERE r = s RETURN count(*)")
+    assert data == [(0,)]
+
+
 def test_shared_variable_joins_clauses():
     g = small_graph()
     _, data = rows(g, "MATCH (a:A)-[:R]->(b) MATCH (b)-[:R]->(c) RETURN a.name, b.name, c.name")
@@ -239,6 +247,13 @@ def test_map_order_key_on_one_row_still_sorts(fixture_graph):
     assert rows(fixture_graph, "MATCH (t:Tower {Tower: 4}) RETURN t.Tower ORDER BY {lat: t.Lat}") == (
         ["t.Tower"],
         [(4,)],
+    )
+
+
+def test_a_property_of_a_value_that_is_not_a_node_is_null(fixture_graph):
+    # ``n`` is a column of names here, so every ``n.x`` is null and ties.
+    assert rows(fixture_graph, "MATCH (t:Tower) RETURN t.Name AS n ORDER BY n.x") == rows(
+        fixture_graph, "MATCH (t:Tower) RETURN t.Name AS n"
     )
 
 

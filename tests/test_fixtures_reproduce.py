@@ -1,8 +1,9 @@
 """``tools/make_fixtures.py`` regenerates the shipped data byte for byte.
 
-The script builds its transcripts through ``pipeline.run_stage1``, so a
-change to stage 1 that alters any database output embedded in a stage-2
-prompt shows up here as a transcript that differs from the shipped one.
+The script answers its authored replies through ``evaluate_model`` once and
+writes each run's ``calls()``, so a change to the pipeline that alters any
+prompt, such as a database output embedded in a stage-2 prompt, shows up
+here as a transcript that differs from the shipped one.
 """
 
 import importlib.util

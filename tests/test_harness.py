@@ -164,6 +164,16 @@ def test_the_model_is_read_from_the_header_written_with_sorted_keys(tmp_path):
     assert load_run_records(str(path)) == ("other", [])
 
 
+def test_a_run_of_another_model_than_the_header_names_raises_corpus_error(tmp_path, fixture_graph, corpus, templates):
+    config = PipelineConfig(model_task1=MODEL, templates=templates)
+    records = evaluate_model(fixture_graph, corpus[:2], _gateway(), config, include_rephrasings=False)
+    path = tmp_path / "runs.jsonl"
+    save_run_records(str(path), "gemma2:2b", records)
+    with pytest.raises(CorpusError) as excinfo:
+        load_run_records(str(path))
+    assert str(excinfo.value) == f"run record file {path} line 2: a run of model {MODEL!r}, but the header names 'gemma2:2b'"
+
+
 def test_report_can_be_rebuilt_from_disk_without_corpus(tmp_path, fixture_graph, corpus, templates):
     config = PipelineConfig(model_task1=MODEL, templates=templates)
     records = evaluate_model(fixture_graph, corpus, _gateway(), config)
@@ -271,7 +281,7 @@ def test_validate_corpus_accepts_reference_queries_that_reach_their_outcome(fixt
         # Token boundaries: 19 is not 9, and 3 is not inside 13.
         (COUNT_T8, ["19"], False, "ground-truth output does not contain all expected values"),
         ("MATCH (t:Tower) RETURN count(t)", ["3"], False, "ground-truth output does not contain all expected values"),
-        ("MATCH (t:Tower) RETURN size(t)", ["9"], False, "ground-truth query failed"),
+        ("MATCH (t:Tower) RETURN size(t)", ["9"], False, "ground-truth query failed: semantic: unknown function size() (at offset 23)"),
     ],
 )
 def test_validate_corpus_rejects_a_reference_query_that_misses_its_outcome(

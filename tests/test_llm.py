@@ -324,6 +324,11 @@ def test_extract_keyword_scan_mid_line():
     assert candidate.extraction_method == "keyword-scan"
 
 
+def test_extract_keyword_scan_skips_a_keyword_inside_a_word():
+    candidate = extract_cypher("The RETURNED rows come from MATCH (n) RETURN n")
+    assert candidate == CypherCandidate("MATCH (n) RETURN n", "keyword-scan")
+
+
 def test_extract_whole_text():
     candidate = extract_cypher(TOWER_QUERY)
     assert candidate.extracted_query == TOWER_QUERY

@@ -14,7 +14,7 @@ and 2,000 sensors, and each result is checked against a slower twin:
   cell with ``render_value``, so the column-wise ``repr`` path renders as
   the per-cell fallback does.
 
-Three more take each query that runs and has no aggregate and no DISTINCT,
+Four more take each query that runs and has no aggregate and no DISTINCT,
 with its ORDER BY and LIMIT stripped, and rewrite its parsed form:
 
 - **Count.** ``RETURN count(*)`` gives one row, the row count. This covers
@@ -26,12 +26,19 @@ with its ORDER BY and LIMIT stripped, and rewrite its parsed form:
   what ordering by its expression gives, in either direction, with and
   without ``LIMIT 3``. Ordering by a column name takes the projected-row
   path of ``execute``, where ordering by a pattern read takes the binding's.
+- **A column that can fail.** Ordered by its own ORDER BY, or else by its
+  first item descending, with and without ``LIMIT 3``, a query over a tower
+  ``x`` gains the column ``x.Tower + 0``. Its ORDER BY moves from the
+  binding's path to the projected-row path, and the other columns' rows
+  stay as they were, ties in row order. Closest pairs are checked on the
+  shipped graph only.
 
-Four more run on the shipped graph and on generated ones of 100 and 400
+Five more run on the shipped graph and on generated ones of 100 and 400
 towers, and compare rows as bags, each query with its LIMIT stripped and
 taken once per distinct MATCH and WHERE. The
 closest-pair texts, which pair every tower with every other, stay off the
-400-tower graph, and off the 100-tower one for the label relation.
+400-tower graph, and off the 100-tower one for the label and partition
+relations.
 
 - **Inline map.** A node's inline map ``{k: v}`` gives what ``WHERE x.k = v``
   gives, and ``WHERE v = x.k``: the equality index against a filter.
@@ -45,6 +52,13 @@ closest-pair texts, which pair every tower with every other, stay off the
 - **Count of a variable.** ``RETURN count(v)`` of each pattern variable of
   such a query gives one row, the row count: the count-only group's other
   shape.
+- **WHERE partition.** Of such a query, the rows ``WHERE p`` keeps and the
+  rows ``WHERE NOT (p)`` keeps make the rows with no ``p``, for ``p`` its own
+  WHERE, which is never null. Per node ``x`` and label, ``p`` says that
+  ``x``'s key of the label (``Tower``, ``SensorId``) is even; only the
+  label's nodes have the key, so ``p`` is null exactly elsewhere, and the
+  two parts make the rows with ``x`` given the label: a null ``p`` is in
+  neither part.
 """
 
 from __future__ import annotations
@@ -67,6 +81,7 @@ from graphqa.cypher.ast import (
     PropertyAccess,
     Query,
     ReturnItem,
+    Unary,
     Variable,
     contains_aggregate,
     pattern_variables,
@@ -178,6 +193,7 @@ def test_the_rewrites_take_28_queries_on_each_graph(graph):
     plain = [found for found in (_plain(graph, text) for text in QUERIES) if found is not None]
     assert len(plain) == 28
     assert sum(len(rows) > 1 for _, rows in plain) >= 15  # rows that ORDER BY 0 ties
+    assert sum(_tower_variable(query) is not None for query, _ in plain) == 27  # can gain x.Tower + 0
 
 
 @pytest.mark.parametrize("text", QUERIES)
@@ -214,6 +230,30 @@ def test_ordering_by_an_alias_is_ordering_by_its_expression(graph, text):
         by_expr = aliased._replace(order_by=(OrderItem(first.expr, ascending, first.source_text),))
         for limit in (None, 3):
             assert _outcome(graph, by_alias._replace(limit=limit)) == _outcome(graph, by_expr._replace(limit=limit))
+
+
+def _tower_variable(query: Query) -> str | None:
+    """The first named node of ``query`` labelled ``Tower``, if any."""
+    return next((node.variable for _, node in _node_patterns(query) if node.variable and "Tower" in node.labels), None)
+
+
+@pytest.mark.parametrize("text", QUERIES)
+def test_a_column_that_can_fail_leaves_the_other_columns_rows(graph, text):
+    if "point.distance" in text and graph is not _graph("shipped"):
+        return  # a closest pair orders every pair of towers: 10,000 on 100 towers
+    plain = _plain(graph, text)
+    tower = plain and _tower_variable(plain[0])
+    if not tower:
+        return
+    query = plain[0]
+    first = query.items[0]
+    order_by = parse_query(text).order_by or (OrderItem(first.expr, False, first.source_text),)
+    extra = ReturnItem(Binary("+", PropertyAccess(tower, "Tower"), Literal(0)), None, f"{tower}.Tower + 0")
+    for limit in (None, 3):
+        ordered = query._replace(order_by=order_by, limit=limit)
+        whole, wider = execute(graph, ordered), execute(graph, ordered._replace(items=(*query.items, extra)))
+        assert wider.columns == [*whole.columns, extra.source_text]
+        assert [row[:-1] for row in wider.rows] == list(whole.rows)
 
 
 # --- relations compared as bags, on three graphs -------------------------------
@@ -328,6 +368,27 @@ def _count_twins(query: Query):
         yield name, query._replace(items=(ReturnItem(FunctionCall("count", (Variable(name),)), None, f"count({name})"),))
 
 
+# The key that only the nodes of each label have, as a test below checks.
+LABEL_KEYS = {"Tower": "Tower", "Sensor": "SensorId"}
+
+
+def _partition_twins(query: Query):
+    """Per predicate ``p``: the query with ``p`` added to its WHERE, with
+    ``NOT (p)`` added, and the query whose rows the two make. ``p`` is the
+    query's own WHERE, then, per node ``x`` and label, that ``x``'s key of
+    the label is even: null exactly where ``x`` lacks the label."""
+    if query.where is not None:
+        yield query, query._replace(where=Unary("NOT", query.where)), query._replace(where=None)
+    for where, node in _node_patterns(query):
+        name = node.variable or f"m{where[0]}_{where[1]}_{where[2]}"
+        named = _with_node(query, where, node._replace(variable=name))
+        for label, key in LABEL_KEYS.items():
+            value = PropertyAccess(name, key)
+            even = Binary("=", Binary("*", Binary("/", value, Literal(2)), Literal(2)), value)
+            labelled = node._replace(variable=name, labels=tuple(dict.fromkeys((*node.labels, label))))
+            yield _and(named, even), _and(named, Unary("NOT", even)), _with_node(named, where, labelled)
+
+
 def _is_plain(query: Query) -> bool:
     return not query.distinct and not any(contains_aggregate(item.expr) for item in query.items)
 
@@ -338,6 +399,8 @@ TWIN_COUNTS = {
     "label": {"shipped": 5, "100 towers": 3, "400 towers": 3},
     "direction": {"shipped": 18, "100 towers": 18, "400 towers": 18},
     "count": {"shipped": 26, "100 towers": 26, "400 towers": 24},
+    # (twins, twins whose p and NOT (p) both keep rows)
+    "partition": {"shipped": (53, 9), "100 towers": (48, 10), "400 towers": (48, 10)},
 }
 
 
@@ -347,6 +410,14 @@ def test_only_towers_have_a_tower_key():
         keyed = [node for node in graph.nodes() if "Tower" in node.properties]
         assert keyed == [node for node in graph.nodes() if "Tower" in node.labels]
         assert all(type(node.properties["Tower"]) is int and node.properties["Tower"] >= 0 for node in keyed)
+
+
+def test_only_sensors_have_a_sensor_id():
+    for name in BAG_GRAPHS:
+        graph = _graph(name)
+        keyed = [node for node in graph.nodes() if "SensorId" in node.properties]
+        assert keyed == [node for node in graph.nodes() if "Sensor" in node.labels]
+        assert all(type(node.properties["SensorId"]) is int for node in keyed)
 
 
 @pytest.mark.parametrize("graph_name", BAG_GRAPHS)
@@ -403,3 +474,17 @@ def test_count_of_a_pattern_variable_gives_the_row_count(graph_name):
             assert list(execute(graph, twin).rows) == [(len(result.rows),)], (text, name)
             checked += 1
     assert checked == TWIN_COUNTS["count"][graph_name]
+
+
+@pytest.mark.parametrize("graph_name", BAG_GRAPHS)
+def test_where_p_and_where_not_p_partition_the_rows(graph_name):
+    graph, checked, split = _graph(graph_name), 0, 0
+    for query, text in _parsed(graph_name, pairs_up_to="shipped").items():
+        if not _is_plain(query):
+            continue
+        for kept, dropped, whole in _partition_twins(query._replace(order_by=())):
+            (columns, yes), (_, no) = _bag(graph, kept), _bag(graph, dropped)
+            assert (columns, yes + no) == _bag(graph, whole), text
+            checked += 1
+            split += bool(yes) and bool(no)
+    assert (checked, split) == TWIN_COUNTS["partition"][graph_name]

@@ -132,6 +132,9 @@ def test_semantic_errors():
         ("MATCH (a)<-[:R]->(b) RETURN a", ParseError, "relationship cannot point both ways"),
         ("MATCH (t:Tower {Name: -'x'}) RETURN t", ParseError, "'-' applies to numbers only in property maps (at offset 23)"),
         ("MATCH (n) RETURN n.p AS p ORDER BY count(n)", SemanticError, "aggregation is not allowed in ORDER BY"),
+        # A count() inside count() fails when parsed, whether or not the MATCH finds rows.
+        ("MATCH (x:Nope) RETURN count(count(x))", SemanticError, "count() must be a top-level RETURN item"),
+        ("MATCH (t:Tower) RETURN count(count(*)) AS c", SemanticError, "count() must be a top-level RETURN item"),
     ],
 )
 def test_each_rejection_names_its_rule(text, error, message):

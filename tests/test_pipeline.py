@@ -15,6 +15,7 @@ from graphqa.pipeline import (
     build_task1_prompt,
     build_task2_prompt,
     classify_db_outcome,
+    run_query,
     run_stage1,
 )
 
@@ -44,6 +45,8 @@ def test_template_missing_placeholder_rejected():
         PromptTemplate("task1", "Question: {question}\nExample: {example}")  # no {schema}
     with pytest.raises(TemplateError):
         PromptTemplate("task2", "{question}")  # no {db_output}
+    with pytest.raises(TemplateError, match="unknown template id 'task3'"):
+        PromptTemplate("task3", "{question}")
 
 
 def test_template_render_leaves_literal_braces_alone():
@@ -144,6 +147,31 @@ def test_answer_question_end_to_end(fixture_graph, templates):
     assert run.failure is None
     assert gateway.calls == 2  # exactly two completions per question
     assert set(run.durations) == {"task1_s", "execute_s", "task2_s"}
+
+
+@pytest.mark.parametrize("recorded, count", [("both", 2), ("task1", 1), ("task2", 1), ("none", 0)])
+def test_a_runs_calls_are_the_calls_that_got_a_response_task1_first(fixture_graph, templates, recorded, count):
+    # Without its task-1 reply, a run's task-2 prompt carries the failure sentinel.
+    db_output = NAN_SENTINEL if recorded == "task2" else TOWER_RECORD
+    calls = {
+        "task1": TranscriptEntry("test-model", build_task1_prompt(TOWER_QUESTION, fixture_graph, templates["task1"]), TOWER_QUERY),
+        "task2": TranscriptEntry("test-model", build_task2_prompt(TOWER_QUESTION, db_output, templates["task2"]), TOWER_ANSWER),
+    }
+    kept = [calls[stage] for stage in calls if recorded in (stage, "both")]
+    gateway = _replay_gateway("test-model", [(call.prompt, call.response) for call in kept])
+    run = answer_question(TOWER_QUESTION, fixture_graph, gateway, _config(templates))
+    assert len(kept) == count
+    assert run.calls() == kept
+
+
+def test_run_query_gives_the_records_or_the_sentinel_and_the_reason(fixture_graph):
+    assert run_query(fixture_graph, TOWER_QUERY) == (TOWER_RECORD, None)
+    assert run_query(fixture_graph, "MATCH (t:Tower {Tower: 99}) RETURN t") == ("[]", None)
+    assert run_query(fixture_graph, "MATCH (t:Tower) RETURN size(t)") == (
+        NAN_SENTINEL,
+        "semantic: unknown function size() (at offset 23)",
+    )
+    assert run_query(fixture_graph, "MATCH (t:Tower) WITH t RETURN t")[0] == NAN_SENTINEL
 
 
 def test_failed_query_still_reaches_task2_with_nan(fixture_graph, templates):

@@ -9,10 +9,12 @@ Produces, under src/graphqa/data/:
 
 Each model's transcript encodes a designed per-question outcome profile
 (exact-match query, content-with-extras, misinformation, failed query, ...)
-so the offline evaluation exercises every outcome class at known rates. After
-writing everything, the script replays the transcripts through the real
-pipeline and asserts the aggregate scores match the designed targets, so a
-drifting engine or template cannot silently invalidate the fixtures.
+so the offline evaluation exercises every outcome class at known rates. The
+authored replies go through the real pipeline once, one model at a time: a
+scripted backend answers each call in order, the aggregate scores of the
+resulting run records must match the designed targets, and the transcript is
+those records' calls. So a drifting engine or template cannot silently
+invalidate the fixtures.
 
 Run from the repository root:  python tools/make_fixtures.py
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import os
 import sys
+from types import SimpleNamespace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -35,8 +38,8 @@ from graphqa.evaluation import (
     validate_corpus,
 )
 from graphqa.graph import generate_msa_fixture, load_dataset, serialize_dataset
-from graphqa.llm import Gateway, ReplayBackend, Transcript, TranscriptEntry
-from graphqa.pipeline import PipelineConfig, build_task1_prompt, build_task2_prompt, load_templates, run_stage1
+from graphqa.llm import Gateway, Transcript
+from graphqa.pipeline import PipelineConfig, load_templates
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "graphqa", "data")
 FIXED_TIMESTAMP = "2025-08-01T00:00:00Z"
@@ -412,7 +415,7 @@ def tower_of(qid: str) -> int:
 # --- stage-2 answers ----------------------------------------------------------
 
 
-def correct_answer(spec: QuestionSpec, style: int, values: dict) -> str:
+def correct_answer(spec: QuestionSpec, style: int) -> str:
     family = family_of(spec.id)
     k = tower_of(spec.id)
     if family == "sensors":
@@ -500,7 +503,7 @@ def misinfo_asserted_answer(qid: str, k: int, values: dict) -> str:
     return f"There are {values['sensor_total']} towers."
 
 
-def task1_response(profile: str, spec: QuestionSpec, style: int, values: dict) -> str:
+def task1_response(profile: str, spec: QuestionSpec, style: int) -> str:
     family = family_of(spec.id)
     k = tower_of(spec.id)
     if profile in ("EM", "EMB"):
@@ -529,7 +532,7 @@ def task1_response(profile: str, spec: QuestionSpec, style: int, values: dict) -
 
 def task2_response(profile: str, spec: QuestionSpec, style: int, values: dict) -> str:
     if profile in ("EM", "C"):
-        return correct_answer(spec, style, values)
+        return correct_answer(spec, style)
     if profile in ("EMB", "CB"):
         return BAD_SUMMARIES[style % len(BAD_SUMMARIES)]
     if profile == "TOK":
@@ -552,27 +555,22 @@ def expand_profiles(model: str, qid: str) -> list[str]:
     return profiles
 
 
-def build_transcript(model: str, specs, graph, templates, values: dict) -> Transcript:
-    entries = []
+def authored_replies(model: str, specs, values: dict):
+    """Each instance's stage-1 and stage-2 replies, in the order
+    ``evaluate_model`` makes the calls."""
     style = 0
     for spec in specs:
-        profiles = expand_profiles(model, spec.id)
-        questions = [spec.question] + spec.rephrasings
-        for variant, (profile, question) in enumerate(zip(profiles, questions)):
-            prompt1 = build_task1_prompt(question, graph, templates["task1"])
-            response1 = task1_response(profile, spec, style, values)
-            entries.append(TranscriptEntry(model, prompt1, response1, FIXED_TIMESTAMP))
-
-            _, db_output, _ = run_stage1(graph, response1)
-            prompt2 = build_task2_prompt(question, db_output, templates["task2"])
-            response2 = task2_response(profile, spec, style, values)
-            entries.append(TranscriptEntry(model, prompt2, response2, FIXED_TIMESTAMP))
+        for profile in expand_profiles(model, spec.id):
+            yield task1_response(profile, spec, style)
+            yield task2_response(profile, spec, style, values)
             style += 1
-    return Transcript(entries)
 
 
-def verify(model: str, specs, graph, templates, transcript: Transcript) -> None:
-    gateway = Gateway(ReplayBackend(transcript))
+def answer_and_verify(model: str, specs, graph, templates, values: dict) -> Transcript:
+    """Answer the model's instances with its authored replies, check the
+    designed targets, and return the transcript of the calls."""
+    replies = authored_replies(model, specs, values)
+    gateway = Gateway(SimpleNamespace(complete=lambda request: next(replies)))  # each call takes the next reply
     config = PipelineConfig(model_task1=model, templates=templates)
     records = evaluate_model(graph, specs, gateway, config)
     assert len(records) == 77, f"{model}: expected 77 runs, got {len(records)}"
@@ -600,6 +598,7 @@ def verify(model: str, specs, graph, templates, transcript: Transcript) -> None:
         f"output {scores.output_score:.1f}  absolute {scores.absolute_score:.1f}  "
         f"misinfo {scores.misinformation_score:.1f}  em-only {scores.absolute_em_only:.1f}"
     )
+    return Transcript(call._replace(timestamp=FIXED_TIMESTAMP) for record in records for call in record.run.calls())
 
 
 def main() -> None:
@@ -627,10 +626,9 @@ def main() -> None:
     assert values["t0_count"] != count_t8, "misinformation count must differ from the true count"
 
     templates = load_templates()
-    print("verifying shipped transcripts against designed targets:")
+    print("answering the authored replies and checking the designed targets:")
     for model in MODELS:
-        transcript = build_transcript(model, specs, graph, templates, values)
-        verify(model, specs, graph, templates, transcript)
+        transcript = answer_and_verify(model, specs, graph, templates, values)
         path = os.path.join(DATA_DIR, "transcripts", sanitize_model_name(model) + ".jsonl")
         transcript.save(path)
         print(f"  wrote {path} ({len(transcript)} entries)")
