@@ -22,15 +22,7 @@ import re
 import sys
 
 from .datafiles import atomic_write, data_path, file_lines
-from .errors import (
-    CorpusError,
-    DatasetFormatError,
-    EngineError,
-    GatewayError,
-    GraphQAError,
-    TemplateError,
-    ValidationError,
-)
+from .errors import CorpusError, DatasetFormatError, GatewayError, GraphQAError, TemplateError, ValidationError
 from .graph import load_dataset_file, serialize_dataset
 from .llm import Gateway, LiveBackend, ReplayBackend, Transcript, TranscriptEntry, read_transcript
 from .pipeline import PipelineConfig, answer_question, load_templates
@@ -359,12 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     except CorpusError as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
-    except (EngineError, DatasetFormatError) as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -2,47 +2,19 @@
 
 Each node is a ``typing.NamedTuple``: read-only, copied and pickled as its
 fields, with the ``Name(field=value, ...)`` repr that the parse-outcome
-digest hashes. ``value_type`` (also used by ``records.Point`` and by the
-pipeline's and the harness's records) makes two values equal only when they are of the same class and their fields are
-equal, so no value equals a plain tuple. A trailing ``source_text`` (the
-exact query slice, used for column naming as the reference database does)
-is left out, so a pretty-printed and reparsed query equals the original
-AST. A ``Literal`` compares its value's type too: ``true``, ``1`` and
-``1.0`` match different properties, so a printer must not swap them.
+digest hashes. A trailing ``source_text`` (the exact query slice, used for
+column naming as the reference database does) is left out of equality, so
+a pretty-printed and reparsed query equals the original AST. A ``Literal``
+compares its value's type too: ``true``, ``1`` and ``1.0`` match different
+properties, so a printer must not swap them.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
+from ..datafiles import value_type
 from .tokens import escape_string
-
-_V = TypeVar("_V", bound=type)
-
-
-def value_type(cls: _V) -> _V:
-    """Give a ``NamedTuple`` class the equality and hash described above; the
-    key is ``cls._key`` if the class defines one, else the fields up to ``source_text``."""
-    fields = cls._fields
-    key = cls.__dict__.get("_key") or itemgetter(slice(len(fields) - (fields[-1] == "source_text")))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return key(self) == key(other)
-        # NotImplemented would let a plain tuple compare field by field.
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        equal = __eq__(self, other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(key(self))
-
-    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
-    return cls
-
 
 # --- expressions -----------------------------------------------------------
 

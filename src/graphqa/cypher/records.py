@@ -20,8 +20,8 @@ property key's ``'key': `` prefix and each relationship type's ``repr``. The
 memos holding them are made by the call and dropped when it returns; nothing
 is cached at module level, so calls may run concurrently.
 
-``Point`` is a value like the AST nodes (see ``ast.value_type``): it equals
-only a point with equal coordinates, never a plain pair.
+``Point`` is a value like the AST nodes (see ``datafiles.value_type``): it
+equals only a point with equal coordinates, never a plain pair.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import Any, NamedTuple
 
+from ..datafiles import value_type
 from ..errors import RuntimeQueryError
 from ..graph.store import Node, Relationship
-from .ast import value_type
 
 
 @value_type

@@ -1,8 +1,8 @@
 """Paths to packaged data files (dataset, corpus, templates, transcripts),
 the one way the package writes a file, the one way a JSON-lines document
 (dataset, transcript, run records) is read and written with its header,
-the one encoder of every sorted-key JSON line it writes, and the one way a
-JSON record's field types are checked."""
+the one encoder of every sorted-key JSON line it writes, the one way a JSON
+object's field types are checked, and the one equality of record values."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import json
 import os
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from operator import itemgetter
+from typing import TypeVar
 
 # The C scanner under json.loads, without its wrapper; see read_document.
 _scan = json.JSONDecoder().scan_once
@@ -148,10 +150,45 @@ def write_document(header: tuple[str, str], values: Iterable[dict], **fields: ob
 
 
 def _checked(data: object, types: dict[str, tuple[type, ...]], where: str) -> dict:
-    """``data`` if it is an object whose known fields have their JSON types."""
+    """``data`` if it is an object whose known fields have their JSON types;
+    a JSON array field must hold strings. Any fault raises ``TypeError``."""
     if not isinstance(data, dict):
         raise TypeError(f"{where} must be an object")
     for name, value in data.items():
-        if name in types and type(value) not in types[name]:
-            raise TypeError(f"{where} field {name!r} has the wrong type {type(value).__name__}")
+        if name in types:
+            kind = type(value)
+            if kind not in types[name]:
+                raise TypeError(f"{where} field {name!r} has the wrong type {kind.__name__}")
+            if kind is list:
+                for item in value:
+                    if type(item) is not str:
+                        raise TypeError(f"{where} field {name!r} has the wrong type list of {type(item).__name__}")
     return data
+
+
+_V = TypeVar("_V", bound=type)
+
+
+def value_type(cls: _V) -> _V:
+    """Make two values of a ``NamedTuple`` class equal only when they are of
+    the same class and their keys are equal, so no value equals a plain
+    tuple. The key is ``cls._key`` if the class defines one, else the fields
+    up to a trailing ``source_text`` (a Cypher AST node's exact query slice)."""
+    fields = cls._fields
+    key = cls.__dict__.get("_key") or itemgetter(slice(len(fields) - (fields[-1] == "source_text")))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        # NotImplemented would let a plain tuple compare field by field.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = __eq__(self, other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(key(self))
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    return cls

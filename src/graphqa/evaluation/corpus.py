@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Sequence
 
-from ..cypher.ast import value_type
-from ..datafiles import atomic_write
+from ..datafiles import _checked, atomic_write, value_type
 from ..errors import CorpusError
 from ..graph.store import PropertyGraph
 from ..pipeline import OutcomeCase, classify_db_outcome, run_query
@@ -26,10 +25,10 @@ from ..pipeline import OutcomeCase, classify_db_outcome, run_query
 CORPUS_SCHEMA_VERSION = "1"
 
 # The JSON type of each question field; both lists hold strings.
-_FIELD_TYPES = {
-    **dict.fromkeys(("id", "question", "ground_truth_query"), str),
-    **dict.fromkeys(("expected_values", "rephrasings"), list),
-    "is_trick": bool,
+_QUESTION_TYPES = {
+    **dict.fromkeys(("id", "question", "ground_truth_query"), (str,)),
+    **dict.fromkeys(("expected_values", "rephrasings"), (list,)),
+    "is_trick": (bool,),
 }
 
 
@@ -48,16 +47,6 @@ class QuestionSpec(NamedTuple):
         return OutcomeCase.EMPTY_LIST if self.is_trick else OutcomeCase.CONTENT
 
 
-def _question(raw: object) -> QuestionSpec:
-    """One corpus entry; a wrongly typed field it gives raises ``TypeError``."""
-    spec = QuestionSpec(**raw)
-    for name, value in raw.items():
-        kind = _FIELD_TYPES[name]
-        if type(value) is not kind or (kind is list and any(type(item) is not str for item in value)):
-            raise TypeError(f"field {name!r} must be {'a list of strings' if kind is list else kind.__name__}")
-    return spec
-
-
 def load_corpus(path: str) -> list[QuestionSpec]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -74,7 +63,7 @@ def load_corpus(path: str) -> list[QuestionSpec]:
     specs, ids = [], set()
     for idx, raw in enumerate(questions):
         try:
-            spec = _question(raw)
+            spec = QuestionSpec(**_checked(raw, _QUESTION_TYPES, "question"))
         except TypeError as exc:
             raise CorpusError(f"corpus {path}: question #{idx} malformed: {exc}") from exc
         # Reports key questions by id, so a repeated id would merge two questions.

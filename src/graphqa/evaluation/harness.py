@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..cypher.ast import value_type
-from ..datafiles import RUNS, _checked, atomic_write, file_lines, read_document, write_document
+from ..datafiles import RUNS, _checked, atomic_write, file_lines, read_document, value_type, write_document
 from ..errors import CorpusError, ValidationError
 from ..graph.store import PropertyGraph
 from ..llm import Gateway

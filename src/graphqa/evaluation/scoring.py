@@ -33,8 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..cypher import canonicalize_query
-from ..cypher.ast import value_type
-from ..datafiles import _checked
+from ..datafiles import _checked, value_type
 from ..matching import _value_occurs, find_numbers, find_output_text_values, is_numeric_text, numbers_match
 from ..errors import ValidationError
 from ..pipeline import OutcomeCase, PipelineRun

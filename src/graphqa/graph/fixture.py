@@ -37,7 +37,7 @@ from collections.abc import Callable, Iterator
 from functools import partial
 from typing import NamedTuple
 
-from ..cypher.ast import value_type
+from ..datafiles import _checked, value_type
 from ..errors import ValidationError
 from .dataset import _build
 from .store import PropertyGraph
@@ -71,15 +71,10 @@ class GeneratorConfig(NamedTuple):
     @classmethod
     def from_dict(cls, raw: object) -> "GeneratorConfig":
         """Build a config from parsed JSON: an object whose values are integers."""
-        if not isinstance(raw, dict):
-            raise ValidationError("generator config must be a JSON object")
-        unknown = raw.keys() - set(cls._fields)
-        if unknown:
-            raise ValidationError(f"unknown generator config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            if type(value) is not int:
-                raise ValidationError(f"generator config {key!r} must be an integer, got {value!r}")
-        return cls(**raw)
+        try:
+            return cls(**_checked(raw, dict.fromkeys(cls._fields, (int,)), "generator config"))
+        except TypeError as exc:
+            raise ValidationError(str(exc)) from exc
 
 
 _MASK = 0xFFFFFFFFFFFFFFFF

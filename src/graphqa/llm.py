@@ -20,7 +20,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
-from .datafiles import TRANSCRIPT, atomic_write, file_lines, read_document, text_lines, write_document
+from .datafiles import TRANSCRIPT, _checked, atomic_write, file_lines, read_document, text_lines, write_document
 from .errors import GatewayError, ReplayMissError
 
 DEFAULT_TIMEOUT_S = 120.0
@@ -54,22 +54,24 @@ def _fault(message: str, lineno: int) -> GatewayError:
     return GatewayError(f"transcript line {lineno}: {message}")
 
 
+# The JSON types a transcript entry line may hold; ``request_sha256`` is
+# only compared, and only when it is set.
+_ENTRY_TYPES = dict.fromkeys(("model", "prompt", "response", "timestamp"), (str,))
+
+
 def read_transcript(lines: Iterable[str]) -> Iterator[tuple[int, TranscriptEntry]]:
     """The line number and entry of each entry line of a transcript
     document, checked as it is read; any fault is a ``GatewayError``."""
     for lineno, obj in read_document(lines, TRANSCRIPT, _fault)[1]:
-        if type(obj) is not dict:
-            raise _fault("not a JSON object", lineno)
         try:
-            model_name, prompt, response = obj["model"], obj["prompt"], obj["response"]
+            entry = _checked(obj, _ENTRY_TYPES, "entry")
+            model_name, prompt, response = entry["model"], entry["prompt"], entry["response"]
+        except TypeError as exc:
+            raise _fault(str(exc), lineno) from exc
         except KeyError as exc:
             raise _fault(f"missing field {exc.args[0]!r}", lineno) from exc
-        if type(model_name) is not str or type(prompt) is not str or type(response) is not str:
-            raise _fault("model, prompt and response must be strings", lineno)
-        timestamp = obj.get("timestamp", "")
-        if type(timestamp) is not str:
-            raise _fault("timestamp must be a string", lineno)
-        expected = obj.get("request_sha256")
+        timestamp = entry.get("timestamp", "")
+        expected = entry.get("request_sha256")
         if expected and expected != request_hash(model_name, prompt):
             raise _fault("request hash mismatch", lineno)
         yield lineno, TranscriptEntry(model_name, prompt, response, timestamp)

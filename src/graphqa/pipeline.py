@@ -19,8 +19,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .cypher import execute, parse_query, serialize_records
-from .cypher.ast import value_type
-from .datafiles import _checked, data_path
+from .datafiles import _checked, data_path, value_type
 from .errors import EngineError, GatewayError, TemplateError
 from .graph.store import PropertyGraph, schema_description
 from .llm import CompletionRequest, CypherCandidate, Gateway, TranscriptEntry, extract_cypher

@@ -17,17 +17,10 @@ from oracle import cell_key, oracle_rows
 from graphqa.cli import data_path, main
 from graphqa.cypher import execute, parse_query, serialize_records
 from graphqa.cypher.ast import print_query
-from graphqa.errors import EngineError
 from graphqa.evaluation import compute_metrics, evaluate_model, validate_corpus
 from graphqa.evaluation.scoring import grade_run
-from graphqa.llm import Gateway, ReplayBackend, Transcript, extract_cypher
-from graphqa.pipeline import (
-    NAN_SENTINEL,
-    OutcomeCase,
-    PipelineConfig,
-    PipelineRun,
-    classify_db_outcome,
-)
+from graphqa.llm import Gateway, ReplayBackend, Transcript
+from graphqa.pipeline import OutcomeCase, PipelineConfig, PipelineRun, classify_db_outcome, run_stage1
 
 MODELS = ["gemma2:2b", "llama3.2:3b", "llama3.1:8b", "deepseek-coder:6.7b"]
 
@@ -229,18 +222,7 @@ def test_grade_implication_suite(fixture_graph, corpus, templates):
             # cross-question grading.
             source = rng.choice(specs) if rng.random() < 0.2 else spec
             response = rng.choice(response_pools[source.id])
-            candidate = extract_cypher(response)
-            engine_error = None
-            if candidate.extracted_query is not None:
-                try:
-                    db_output = serialize_records(
-                        execute(fixture_graph, parse_query(candidate.extracted_query))
-                    )
-                except EngineError as exc:
-                    engine_error = str(exc)
-                    db_output = NAN_SENTINEL
-            else:
-                db_output = NAN_SENTINEL
+            candidate, db_output, engine_error = run_stage1(fixture_graph, response)
             outcome = classify_db_outcome(db_output, spec.expected_values)
             answers = answer_pool_static + [
                 "Values: " + ", ".join(spec.expected_values) + "." if spec.expected_values else "Nothing.",

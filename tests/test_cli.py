@@ -527,7 +527,7 @@ def test_eval_wrongly_typed_corpus_field_exits_corpus_code(tmp_path, capsys, fie
     args = ["eval", "--corpus", str(path), "--models", "llama3.1:8b", "--out", str(tmp_path / "out")]
     assert main([*args, "--replay", data_path("transcripts")]) == EXIT_CORPUS
     err = capsys.readouterr().err
-    assert f"corpus {path}: question #2 malformed: field {field!r} must be" in err
+    assert f"corpus {path}: question #2 malformed: question field {field!r} has the wrong type" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -721,6 +721,18 @@ def test_eval_report_and_gen_data_load_neither_dataclasses_nor_inspect(tmp_path,
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def test_the_generator_loads_no_cypher_module():
+    # Records share their equality with the engine's AST, not its modules.
+    code = (
+        "import sys, graphqa.graph.fixture as fixture; "
+        "fixture.generate_msa_fixture(fixture.GeneratorConfig()); "
+        "print(sorted(m for m in sys.modules if m.startswith('graphqa.cypher')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_importlib_resources_unloaded():

@@ -158,14 +158,14 @@ HEADER = '{"kind": "transcript", "schema_version": "1"}'
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("[1, 2]", "transcript line 2: not a JSON object"),
-        ('"reply"', "transcript line 2: not a JSON object"),
-        ("null", "transcript line 2: not a JSON object"),
+        ("[1, 2]", "transcript line 2: entry must be an object$"),
+        ('"reply"', "transcript line 2: entry must be an object$"),
+        ("null", "transcript line 2: entry must be an object$"),
         (
             '{"model": 1, "prompt": "p", "response": "r", "request_sha256": "0"}',
-            "transcript line 2: model, prompt and response must be strings",
+            "transcript line 2: entry field 'model' has the wrong type int$",
         ),
-        ('{"model": "m", "prompt": "p", "response": 5}', "transcript line 2: model, prompt and response must be strings"),
+        ('{"model": "m", "prompt": "p", "response": 5}', "transcript line 2: entry field 'response' has the wrong type int$"),
         ("{oops", "transcript line 2: invalid JSON: Expecting property name enclosed in double quotes$"),
         ("{} {}", "transcript line 2: invalid JSON: Extra data$"),
         ('\ufeff{"model": "m", "prompt": "p", "response": "r"}', r"transcript line 2: invalid JSON: Unexpected UTF-8 BOM \("),
@@ -175,12 +175,18 @@ HEADER = '{"kind": "transcript", "schema_version": "1"}'
             "transcript line 2: request hash mismatch$",
         ),
         ('{"kind": "transcript", "schema_version": "1"}', "transcript line 2: a second header line; the header is line 1$"),
-        ('{"model": "m", "prompt": "p", "response": "r", "timestamp": 5}', "transcript line 2: timestamp must be a string$"),
+        ('{"model": "m", "prompt": "p", "response": "r", "timestamp": 5}', "transcript line 2: entry field 'timestamp' has the wrong type int$"),
     ],
 )
 def test_malformed_transcript_line_rejected(line, message):
     with pytest.raises(GatewayError, match=f"^{message}"):
         Transcript.loads(HEADER + "\n" + line)
+
+
+@pytest.mark.parametrize("unchecked", ['"request_sha256": ""', '"request_sha256": null', '"request_sha256": 0', '"note": 5'])
+def test_a_falsy_request_hash_and_an_unknown_field_are_not_checked(unchecked):
+    transcript = Transcript.loads(HEADER + '\n{"model": "m", "prompt": "p", "response": "r", ' + unchecked + "}")
+    assert transcript.entries == [TranscriptEntry("m", "p", "r")]
 
 
 MISSING_TRANSCRIPT_HEADER = 'missing header line {"kind": "transcript", "schema_version": "1"}$'
@@ -221,7 +227,7 @@ def test_padded_line_loads_and_whitespace_only_line_is_skipped():
     transcript = Transcript.loads("\n".join([HEADER, " \t ", f"  {line}\t"]))
     assert transcript.entries == [TranscriptEntry("m", "p", "r")]
     # The skipped line still counts: the next line is line 4.
-    with pytest.raises(GatewayError, match="^transcript line 4: not a JSON object$"):
+    with pytest.raises(GatewayError, match="^transcript line 4: entry must be an object$"):
         Transcript.loads("\n".join([HEADER, " \t ", f"  {line}\t", "[]"]))
 
 

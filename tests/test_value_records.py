@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from graphqa.errors import CorpusError
+from graphqa.errors import CorpusError, ValidationError
 from graphqa.evaluation import QuestionSpec, load_corpus, load_run_records, save_run_records
 from graphqa.evaluation.harness import RunRecord
 from graphqa.evaluation.scoring import MetricsReport, ModelScores, RunGrades
@@ -122,11 +122,44 @@ def test_unknown_field_is_rejected_at_every_level(tmp_path, part):
         load_run_records(str(path))
 
 
+ENTRY = {"id": "q", "question": "q?", "ground_truth_query": "MATCH (n) RETURN n"}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (["q"], "question must be an object"),
+        ({**ENTRY, "is_trick": 0}, "question field 'is_trick' has the wrong type int"),
+        ({**ENTRY, "rephrasings": "q?"}, "question field 'rephrasings' has the wrong type str"),
+        ({**ENTRY, "expected_values": ["13", 13]}, "question field 'expected_values' has the wrong type list of int"),
+    ],
+)
+def test_mistyped_corpus_question_names_its_field_and_type(tmp_path, raw, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema_version": "1", "questions": [raw]}))
+    with pytest.raises(CorpusError) as caught:
+        load_corpus(str(path))
+    assert str(caught.value) == f"corpus {path}: question #0 malformed: {message}"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (["seed"], "generator config must be an object"),
+        ({"seed": 1.5}, "generator config field 'seed' has the wrong type float"),
+        ({"tower_count": True}, "generator config field 'tower_count' has the wrong type bool"),
+        ({"towers": 3}, ".*unexpected keyword argument 'towers'"),
+    ],
+)
+def test_generator_config_fields_are_integers(raw, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        GeneratorConfig.from_dict(raw)
+
+
 def test_corpus_entry_without_optional_fields_takes_the_defaults(tmp_path):
     path = tmp_path / "corpus.json"
-    entry = {"id": "q", "question": "q?", "ground_truth_query": "MATCH (n) RETURN n"}
-    path.write_text(json.dumps({"schema_version": "1", "questions": [entry]}))
-    assert load_corpus(str(path)) == [QuestionSpec(**entry)]
+    path.write_text(json.dumps({"schema_version": "1", "questions": [ENTRY]}))
+    assert load_corpus(str(path)) == [QuestionSpec(**ENTRY)]
 
 
 @pytest.mark.parametrize(
